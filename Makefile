@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install test coverage lint reprolint reprolint-changed reprolint-sarif bench bench-reprolint bench-qps experiments experiments-small e20 trace-demo livesmoke report csv clean
+.PHONY: install test coverage lint reprolint reprolint-changed reprolint-sarif bench bench-reprolint bench-qps bench-small experiments experiments-small e20 trace-demo livesmoke report csv clean
 
 install:
 	pip install -e .

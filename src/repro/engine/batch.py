@@ -35,9 +35,9 @@ from typing import List, Optional, Sequence
 from repro.engine.cost import CostModel
 from repro.engine.plan import QueryPlan
 from repro.engine.query import Query
-from repro.engine.results import ExecutionResult, make_ranked
-from repro.engine.termination import TerminationConfig, TerminationState
-from repro.engine.topk import TopK
+from repro.engine.results import ExecutionResult
+from repro.engine.scan import ChunkScan
+from repro.engine.termination import TerminationConfig
 from repro.errors import ExecutionError
 from repro.index.inverted import InvertedIndex
 from repro.ranking.composite import ScoreWeights
@@ -58,43 +58,27 @@ class BatchStats:
 
 
 class _QueryRun:
-    """Mutable per-query execution state inside a batch.
+    """One query's :class:`~repro.engine.scan.ChunkScan` inside a batch,
+    plus what wave scheduling adds: the virtual clock and the wave size.
 
-    Mirrors the sequential executor's loop variables; the invariants that
-    make wave replay exact are documented on :meth:`merge_wave`.
+    The invariants that make wave replay exact are documented on
+    :meth:`merge_wave`.
     """
 
-    __slots__ = (
-        "plan",
-        "cost_model",
-        "topk",
-        "state",
-        "elapsed",
-        "chunks_evaluated",
-        "chunks_skipped",
-        "postings_scanned",
-        "docs_matched",
-        "position",
-        "wave",
-        "done",
-    )
+    __slots__ = ("scan", "cost_model", "elapsed", "wave")
 
     def __init__(
         self, plan: QueryPlan, cost_model: CostModel,
         termination: TerminationConfig, initial_wave: int,
     ) -> None:
-        self.plan = plan
+        self.scan = ChunkScan(plan, termination)
         self.cost_model = cost_model
-        self.topk = TopK(plan.query.k)
-        self.state = TerminationState(termination, plan, self.topk)
         self.elapsed = cost_model.query_fixed_cost
-        self.chunks_evaluated = 0
-        self.chunks_skipped = 0
-        self.postings_scanned = 0
-        self.docs_matched = 0
-        self.position = 0
         self.wave = initial_wave
-        self.done = False
+
+    @property
+    def done(self) -> bool:
+        return self.scan.stopped
 
     def select_wave(self) -> List[int]:
         """Nominate up to ``wave`` upcoming positions for batched scoring.
@@ -106,8 +90,8 @@ class _QueryRun:
         them — so selection commits nothing (see :meth:`merge_wave`).
         """
         selected: List[int] = []
-        position = self.position
-        state = self.state
+        position = self.scan.position
+        state = self.scan.state
         while len(selected) < self.wave and state.would_stop(position) is None:
             if not state.should_skip(position):
                 selected.append(position)
@@ -117,80 +101,47 @@ class _QueryRun:
     def merge_wave(self, selected: List[int], outcomes: Sequence, stats: BatchStats) -> None:
         """Replay the scored wave with exact sequential semantics.
 
-        Before merging each scored chunk, the stop and skip rules are
-        re-consulted at every intervening position in order — identical
-        to the sequential executor's control flow. Positions selection
-        passed over re-skip deterministically (thresholds only rise);
-        chunks overtaken by a stop or a newly-valid skip are discarded as
-        speculative waste. The resulting per-query state is therefore
-        bit-identical to having never batched at all.
+        Each scored chunk is merged only if it is what the scan would
+        claim next; the scan re-consults the stop and skip rules at every
+        intervening position in order — identical to the sequential
+        executor's control flow. Positions selection passed over re-skip
+        deterministically (thresholds only rise); chunks overtaken by a
+        stop or a newly-valid skip are discarded as speculative waste.
+        The resulting per-query state is therefore bit-identical to
+        having never batched at all.
         """
+        # Bound once: this is the engine's tightest loop.
+        peek, take, merge = self.scan.peek, self.scan.take, self.scan.merge
+        chunk_time = self.cost_model.chunk_time
         for target, outcome in zip(selected, outcomes):
-            if self.done:
+            position = peek()
+            if position == target:
+                take()
+                merge(outcome)
+                self.elapsed += chunk_time(outcome)
+            elif 0 <= position < target:  # pragma: no cover - selection invariant violated
+                raise ExecutionError(
+                    f"batch replay reached unscored position {position}"
+                )
+            else:
                 stats.chunks_speculative += 1
-                continue
-            while self.position < target and not self.done:
-                if self.state.should_stop(self.position):
-                    self.done = True
-                elif self.state.should_skip(self.position):
-                    self.elapsed += self.cost_model.skip_time()
-                    self.chunks_skipped += 1
-                    self.position += 1
-                else:  # pragma: no cover - selection invariant violated
-                    raise ExecutionError(
-                        f"batch replay reached unscored position {self.position}"
-                    )
-            if self.done:
-                stats.chunks_speculative += 1
-                continue
-            if self.state.should_stop(target):
-                self.done = True
-                stats.chunks_speculative += 1
-                continue
-            if self.state.should_skip(target):
-                self.elapsed += self.cost_model.skip_time()
-                self.chunks_skipped += 1
-                self.position = target + 1
-                stats.chunks_speculative += 1
-                continue
-            self.elapsed += self.cost_model.chunk_time(outcome)
-            self.chunks_evaluated += 1
-            self.postings_scanned += outcome.postings_scanned
-            self.docs_matched += outcome.n_matched
-            self.topk.offer_many(outcome.scores, outcome.doc_ids)
-            self.state.record_matches(outcome.n_matched)
-            self.position = target + 1
 
     def finalize_tail(self) -> None:
         """Drain the cursor to the stop point when no chunk needs scoring
         (everything remaining is skippable or a rule fires at the front)."""
-        while not self.done:
-            if self.state.should_stop(self.position):
-                self.done = True
-            elif self.state.should_skip(self.position):
-                self.elapsed += self.cost_model.skip_time()
-                self.chunks_skipped += 1
-                self.position += 1
-            else:  # pragma: no cover - selection invariant violated
-                raise ExecutionError(
-                    f"batch finalize reached unscored position {self.position}"
-                )
+        position = self.scan.peek()
+        if position >= 0:  # pragma: no cover - selection invariant violated
+            raise ExecutionError(
+                f"batch finalize reached unscored position {position}"
+            )
 
     def result(self) -> ExecutionResult:
-        self.elapsed += self.cost_model.rerank_time(self.docs_matched)
-        return ExecutionResult(
-            query=self.plan.query,
+        self.elapsed += self.cost_model.rerank_time(self.scan.docs_matched)
+        return self.scan.result(
             degree=1,
-            results=make_ranked(self.topk.results()),
             latency=self.elapsed,
             cpu_time=self.elapsed,
-            chunks_evaluated=self.chunks_evaluated,
-            postings_scanned=self.postings_scanned,
-            docs_matched=self.docs_matched,
-            terminated_early=self.state.terminated_early,
-            termination_rule=self.state.fired_rule,
             worker_busy=(self.elapsed - self.cost_model.query_fixed_cost,),
-            chunks_skipped=self.chunks_skipped,
         )
 
 
@@ -232,7 +183,7 @@ class BatchExecutor:
         if not selected:
             run.finalize_tail()
             return
-        outcomes = run.plan.score_chunks(selected)
+        outcomes = run.scan.plan.score_chunks(selected)
         stats.waves += 1
         run.merge_wave(selected, outcomes, stats)
         if not run.done and len(selected) < run.wave:
@@ -253,8 +204,8 @@ class BatchExecutor:
             active = [run for run in active if not run.done]
         results = [run.result() for run in runs]
         for run in runs:
-            stats.chunks_evaluated += run.chunks_evaluated
-            stats.chunks_skipped += run.chunks_skipped
+            stats.chunks_evaluated += run.scan.chunks_evaluated
+            stats.chunks_skipped += run.scan.chunks_skipped
         self.last_stats = stats
         return results
 

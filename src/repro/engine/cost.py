@@ -14,9 +14,8 @@ milliseconds, long tail tens of milliseconds):
 * ``posting_cost`` — per posting scanned (decode + score accumulate);
 * ``match_cost`` — per matched document (scoring + heap bookkeeping);
 * ``chunk_cost`` — per chunk claimed (work-queue claim, cursor setup);
-* ``chunk_skip_cost`` — per candidate chunk *skipped* on its per-chunk
-  score bound (a metadata compare; 0 by default, i.e. modeled as free
-  exactly like candidate-chunk selection);
+  a chunk *skipped* on its score bound is a metadata compare and costs
+  nothing, exactly like candidate-chunk selection;
 * ``query_fixed_cost`` — per query (parse, plan, result assembly);
   *sequential*, paid once regardless of parallelism degree (Amdahl term);
 * ``fork_cost`` / ``join_cost`` — per *extra* worker when running with
@@ -47,7 +46,6 @@ class CostModel:
     posting_cost: float = 120e-9
     match_cost: float = 300e-9
     chunk_cost: float = 2.5e-6
-    chunk_skip_cost: float = 0.0
     query_fixed_cost: float = 60e-6
     fork_cost: float = 12e-6
     join_cost: float = 8e-6
@@ -60,7 +58,6 @@ class CostModel:
             "posting_cost",
             "match_cost",
             "chunk_cost",
-            "chunk_skip_cost",
             "query_fixed_cost",
             "fork_cost",
             "join_cost",
@@ -77,15 +74,6 @@ class CostModel:
             + self.posting_cost * outcome.postings_scanned
             + self.match_cost * outcome.n_matched
         )
-
-    def skip_time(self) -> float:
-        """Virtual seconds to *skip* one chunk on its score bound.
-
-        The bound check is a metadata compare (no postings touched), so
-        it is modeled as free by default — like candidate-chunk
-        selection; set ``chunk_skip_cost`` to charge for it.
-        """
-        return self.chunk_skip_cost
 
     def fork_time(self, degree: int) -> float:
         """One-time cost to spin up ``degree`` workers (0 for sequential)."""

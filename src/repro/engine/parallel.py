@@ -10,9 +10,11 @@ budget fills complete their chunk anyway. Those extra chunks are the
 factor is assumed anywhere, it emerges from the execution dynamics.
 
 The executor is an event-driven mini-simulation over worker completion
-times, so it is deterministic (ties broken by worker id) and independent
-of host thread scheduling; see :mod:`repro.engine.threads` for the real
-thread-pool counterpart used to validate result equivalence.
+times driving one shared :class:`~repro.engine.scan.ChunkScan` (merge at a
+worker's completion event, claim right after), so it is deterministic
+(ties broken by worker id) and independent of host thread scheduling; see
+:mod:`repro.engine.threads` for the real thread-pool counterpart used to
+validate result equivalence.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.results import ChunkSpan, ExecutionResult, make_ranked
-from repro.engine.termination import TerminationConfig, TerminationState
-from repro.engine.topk import TopK
+from repro.engine.results import ChunkSpan, ExecutionResult
+from repro.engine.scan import ChunkScan
+from repro.engine.termination import TerminationConfig
 from repro.engine.trace import ChunkTrace
-from repro.errors import ExecutionError
 
 
 def execute_parallel(
@@ -42,15 +43,8 @@ def execute_parallel(
     execution schedule, result set, and every statistic are identical
     with it on or off.
     """
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise ExecutionError(f"degree must be a positive integer, got {degree!r}")
-
-    plan = trace.plan
-    query = plan.query
     cost_model = trace.cost_model
-
-    topk = TopK(query.k)
-    state = TerminationState(termination, plan, topk)
+    scan = ChunkScan(trace.plan, termination)
 
     merge_cost = cost_model.merge_time(degree)
     busy: List[float] = [0.0] * degree
@@ -63,12 +57,7 @@ def execute_parallel(
     ]
     heapq.heapify(events)
 
-    next_position = 0
     parallel_makespan = 0.0
-    chunks_evaluated = 0
-    chunks_skipped = 0
-    postings_scanned = 0
-    docs_matched = 0
     spans: Optional[List[ChunkSpan]] = [] if collect_spans else None
     claim_starts: Dict[int, float] = {}
     termination_s: Optional[float] = None
@@ -81,27 +70,13 @@ def execute_parallel(
                     ChunkSpan(worker, completed, claim_starts.pop(completed), now)
                 )
             outcome, _ = trace.get(completed)
-            chunks_evaluated += 1
-            postings_scanned += outcome.postings_scanned
-            docs_matched += outcome.n_matched
-            topk.offer_many(outcome.scores, outcome.doc_ids)
-            state.record_matches(outcome.n_matched)
+            scan.merge(outcome)
             busy[worker] += merge_cost
             now += merge_cost
-        # Advance the shared cursor past individually skippable chunks
-        # (safe per-chunk score bound); the claiming worker pays the
-        # metadata-compare cost, 0 under the default model.
-        while not state.should_stop(next_position) and state.should_skip(
-            next_position
-        ):
-            next_position += 1
-            chunks_skipped += 1
-            skip_cost = cost_model.skip_time()
-            busy[worker] += skip_cost
-            now += skip_cost
-        if not state.should_stop(next_position):
-            position = next_position
-            next_position += 1
+        # The worker that just merged claims right away, against the
+        # shared state its own merge produced.
+        position = scan.claim()
+        if position >= 0:
             _, cost = trace.get(position)
             busy[worker] += cost
             if spans is not None:
@@ -116,26 +91,13 @@ def execute_parallel(
         cost_model.query_fixed_cost
         + cost_model.fork_time(degree)
         + cost_model.join_time(degree)
-        + cost_model.rerank_time(docs_matched)
+        + cost_model.rerank_time(scan.docs_matched)
     )
-    latency = serial_overhead + parallel_makespan
-    cpu_time = serial_overhead + sum(busy)
-
-    return ExecutionResult(
-        query=query,
+    return scan.result(
         degree=degree,
-        results=make_ranked(topk.results()),
-        latency=latency,
-        cpu_time=cpu_time,
-        chunks_evaluated=chunks_evaluated,
-        postings_scanned=postings_scanned,
-        docs_matched=docs_matched,
-        terminated_early=state.terminated_early,
-        termination_rule=state.fired_rule,
+        latency=serial_overhead + parallel_makespan,
+        cpu_time=serial_overhead + sum(busy),
         worker_busy=tuple(busy),
-        chunks_skipped=chunks_skipped,
         chunk_spans=tuple(spans) if spans is not None else None,
-        termination_s=(
-            termination_s if spans is not None and state.terminated_early else None
-        ),
+        termination_s=termination_s if scan.state.terminated_early else None,
     )

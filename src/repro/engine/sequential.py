@@ -1,18 +1,17 @@
 """Sequential (degree-1) query execution.
 
-Walks the plan's candidate chunks in document order, merging each chunk's
-matches into the top-k heap and consulting the termination rules before
-claiming the next chunk. This is both the production baseline the paper
-compares against and the reference semantics the parallel executor's
-results are validated against.
+Drives the :class:`~repro.engine.scan.ChunkScan` in lockstep: claim the
+next candidate chunk in document order, evaluate it, merge it, repeat
+until a termination rule fires at claim time. This is both the
+production baseline the paper compares against and the reference
+semantics the parallel executor's results are validated against.
 """
 
 from __future__ import annotations
 
-from repro.engine.query import Query
-from repro.engine.results import ExecutionResult, make_ranked
-from repro.engine.termination import TerminationConfig, TerminationState
-from repro.engine.topk import TopK
+from repro.engine.results import ExecutionResult
+from repro.engine.scan import ChunkScan
+from repro.engine.termination import TerminationConfig
 from repro.engine.trace import ChunkTrace
 
 
@@ -20,51 +19,21 @@ def execute_sequential(
     trace: ChunkTrace, termination: TerminationConfig
 ) -> ExecutionResult:
     """Run the traced query sequentially and return its result."""
-    plan = trace.plan
-    query: Query = plan.query
     cost_model = trace.cost_model
-
-    topk = TopK(query.k)
-    state = TerminationState(termination, plan, topk)
+    scan = ChunkScan(trace.plan, termination)
 
     elapsed = cost_model.query_fixed_cost
-    chunks_evaluated = 0
-    chunks_skipped = 0
-    postings_scanned = 0
-    docs_matched = 0
-
-    position = 0
-    while not state.should_stop(position):
-        if state.should_skip(position):
-            # Safe per-chunk skip: the chunk's own bound cannot beat the
-            # current threshold, so it is bypassed without touching its
-            # postings — the scan continues at the next candidate.
-            elapsed += cost_model.skip_time()
-            chunks_skipped += 1
-            position += 1
-            continue
+    position = scan.claim()
+    while position >= 0:
         outcome, cost = trace.get(position)
         elapsed += cost
-        chunks_evaluated += 1
-        postings_scanned += outcome.postings_scanned
-        docs_matched += outcome.n_matched
-        topk.offer_many(outcome.scores, outcome.doc_ids)
-        state.record_matches(outcome.n_matched)
-        position += 1
+        scan.merge(outcome)
+        position = scan.claim()
+    elapsed += cost_model.rerank_time(scan.docs_matched)
 
-    elapsed += cost_model.rerank_time(docs_matched)
-
-    return ExecutionResult(
-        query=query,
+    return scan.result(
         degree=1,
-        results=make_ranked(topk.results()),
         latency=elapsed,
         cpu_time=elapsed,
-        chunks_evaluated=chunks_evaluated,
-        postings_scanned=postings_scanned,
-        docs_matched=docs_matched,
-        terminated_early=state.terminated_early,
-        termination_rule=state.fired_rule,
         worker_busy=(elapsed - cost_model.query_fixed_cost,),
-        chunks_skipped=chunks_skipped,
     )

@@ -2,8 +2,9 @@
 
 The virtual-time executor in :mod:`repro.engine.parallel` is the one the
 experiments use — it is deterministic and measures virtual seconds. This
-module runs the *same* chunk-claim / shared-top-k protocol on an actual
-``ThreadPoolExecutor`` with a real lock, which serves two purposes:
+module drives the *same* :class:`~repro.engine.scan.ChunkScan` from an
+actual ``ThreadPoolExecutor``, every claim and merge under one real lock,
+which serves two purposes:
 
 * it demonstrates the engine's parallel protocol is a working concurrent
   algorithm, not only a model;
@@ -26,71 +27,31 @@ from typing import List, Optional, Sequence
 
 from repro.engine.batch import BatchExecutor
 from repro.engine.query import Query
-from repro.engine.results import ExecutionResult, make_ranked
-from repro.engine.termination import TerminationConfig, TerminationState
-from repro.engine.topk import TopK
+from repro.engine.results import ExecutionResult
+from repro.engine.scan import ChunkScan
+from repro.engine.termination import TerminationConfig
 from repro.engine.trace import ChunkTrace
 from repro.errors import ExecutionError
-
-
-class _SharedState:
-    """Claim cursor + top-k + termination, guarded by one lock."""
-
-    def __init__(self, trace: ChunkTrace, termination: TerminationConfig) -> None:
-        self.lock = threading.Lock()
-        self.trace = trace
-        self.topk = TopK(trace.plan.query.k)
-        self.state = TerminationState(termination, trace.plan, self.topk)
-        self.next_position = 0
-        self.chunks_evaluated = 0
-        self.chunks_skipped = 0
-        self.postings_scanned = 0
-        self.docs_matched = 0
-
-    def claim(self) -> int:
-        """Claim the next chunk position, or -1 when execution should stop."""
-        with self.lock:
-            # Advance past individually skippable chunks (safe per-chunk
-            # score bound) before handing out work.
-            while not self.state.should_stop(
-                self.next_position
-            ) and self.state.should_skip(self.next_position):
-                self.next_position += 1
-                self.chunks_skipped += 1
-            if self.state.should_stop(self.next_position):
-                return -1
-            position = self.next_position
-            self.next_position += 1
-            return position
-
-    def merge(self, position: int) -> None:
-        outcome, _ = self.trace.get(position)
-        with self.lock:
-            self.chunks_evaluated += 1
-            self.postings_scanned += outcome.postings_scanned
-            self.docs_matched += outcome.n_matched
-            self.topk.offer_many(outcome.scores, outcome.doc_ids)
-            self.state.record_matches(outcome.n_matched)
 
 
 def execute_threaded(
     trace: ChunkTrace, termination: TerminationConfig, degree: int
 ) -> ExecutionResult:
     """Run the traced query on ``degree`` real threads."""
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise ExecutionError(f"degree must be a positive integer, got {degree!r}")
-
-    shared = _SharedState(trace, termination)
+    scan = ChunkScan(trace.plan, termination)
+    lock = threading.Lock()
 
     def worker() -> None:
         while True:
-            position = shared.claim()
+            with lock:
+                position = scan.claim()
             if position < 0:
                 return
             # Chunk evaluation happens outside the lock, as in the real
             # engine; only claim and merge synchronize.
-            trace.get(position)
-            shared.merge(position)
+            outcome, _ = trace.get(position)
+            with lock:
+                scan.merge(outcome)
 
     if degree == 1:
         worker()
@@ -100,19 +61,9 @@ def execute_threaded(
             for future in futures:
                 future.result()
 
-    return ExecutionResult(
-        query=trace.plan.query,
-        degree=degree,
-        results=make_ranked(shared.topk.results()),
-        latency=float("nan"),  # wall-clock timing is not meaningful here
-        cpu_time=float("nan"),
-        chunks_evaluated=shared.chunks_evaluated,
-        postings_scanned=shared.postings_scanned,
-        docs_matched=shared.docs_matched,
-        terminated_early=shared.state.terminated_early,
-        termination_rule=shared.state.fired_rule,
-        worker_busy=(),
-        chunks_skipped=shared.chunks_skipped,
+    # Wall-clock timing is not meaningful here (see module docstring).
+    return scan.result(
+        degree=degree, latency=float("nan"), cpu_time=float("nan"), worker_busy=()
     )
 
 
@@ -129,9 +80,6 @@ def execute_threaded_batch(
     mode — results are bit-identical to sequential execution for *any*
     termination configuration. Returned in input order.
     """
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise ExecutionError(f"degree must be a positive integer, got {degree!r}")
-
     results: List[Optional[ExecutionResult]] = [None] * len(queries)
     cursor = {"next": 0}
     lock = threading.Lock()

@@ -22,11 +22,6 @@ class ChunkTrace:
         self.plan = plan
         self.cost_model = cost_model
         self._cache: Dict[int, Tuple[ChunkOutcome, float]] = {}
-        # Memoization statistics. Approximate under execute_threaded
-        # (increments may race), exact for the virtual-time executors;
-        # never used for control flow.
-        self.n_lookups = 0
-        self.n_hits = 0
 
     @property
     def n_positions(self) -> int:
@@ -34,10 +29,8 @@ class ChunkTrace:
 
     def get(self, position: int) -> Tuple[ChunkOutcome, float]:
         """Outcome and virtual cost of the candidate chunk at ``position``."""
-        self.n_lookups += 1  # reprolint: disable=R012 -- stats only, monotone; racy increments under threads lose counts, never corrupt
         cached = self._cache.get(position)
         if cached is not None:
-            self.n_hits += 1  # reprolint: disable=R012 -- stats only, monotone; racy increments under threads lose counts, never corrupt
             return cached
         outcome = self.plan.score_chunk(position)
         cost = self.cost_model.chunk_time(outcome)

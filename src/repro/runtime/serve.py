@@ -133,7 +133,6 @@ class LiveServer:
         self.port: Optional[int] = None
         self._ready = asyncio.Event()
         self._shutdown = asyncio.Event()
-        self._rates_seen: Dict[str, float] = {}
 
     # ----------------------------------------------------------------
     # Lifecycle

@@ -80,24 +80,26 @@ class TestChunkTrace:
 
 
 class TestChunkTraceStats:
-    def test_lookup_and_hit_counters(self, small_engine, sample_queries):
+    def test_repeated_get_evaluates_once(self, small_engine, sample_queries):
         trace = small_engine.trace(sample_queries[0])
-        assert trace.n_lookups == 0 and trace.n_hits == 0
-        trace.get(0)
-        assert (trace.n_lookups, trace.n_hits) == (1, 0)
-        trace.get(0)
-        assert (trace.n_lookups, trace.n_hits) == (2, 1)
+        assert trace.n_evaluated == 0
+        first = trace.get(0)
+        assert trace.n_evaluated == 1
+        assert trace.get(0) is first
+        assert trace.n_evaluated == 1
         trace.get(1)
-        assert (trace.n_lookups, trace.n_hits) == (3, 1)
+        assert trace.n_evaluated == 2
 
     def test_shared_trace_hits_across_degrees(self, small_engine, sample_queries):
         trace = small_engine.trace(sample_queries[2])
-        small_engine.execute_trace(trace, 1)
-        small_engine.execute_trace(trace, 4)
+        sequential = small_engine.execute_trace(trace, 1)
+        assert trace.n_evaluated == sequential.chunks_evaluated
+        parallel = small_engine.execute_trace(trace, 4)
         # The second execution re-reads every chunk the first one
-        # evaluated; re-reads are hits, so hits < lookups.
-        assert trace.n_hits > 0
-        assert trace.n_lookups == trace.n_evaluated + trace.n_hits
+        # evaluated from the memo: the trace holds the union of the two
+        # claim sets (prefixes of the same order), never their sum.
+        assert parallel.chunks_evaluated >= sequential.chunks_evaluated > 0
+        assert trace.n_evaluated == parallel.chunks_evaluated
 
 
 class TestChunkSpans:

@@ -1,0 +1,219 @@
+"""The claim–skip–stop–merge protocol seam (:mod:`repro.engine.scan`).
+
+The executors' behaviour is pinned by the equivalence, bit-identity and
+golden tests; these tests pin the seam they all drive — the transition
+contracts of :class:`ChunkScan` — and guard structurally against a fifth
+executor quietly re-copying the loop instead of driving the scan.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.engine.executor import Engine, EngineConfig
+from repro.engine.scan import ChunkScan
+from repro.engine.termination import TerminationConfig, TerminationState
+
+SKIP_BOUND = TerminationConfig(
+    match_budget=None, use_score_bound=True, skip_chunks=True
+)
+ENGINE_DIR = Path(__file__).resolve().parents[1] / "src" / "repro" / "engine"
+
+
+def _drive(scan, plan):
+    """Run the scan to completion in lockstep; return claimed positions."""
+    claimed = []
+    position = scan.claim()
+    while position >= 0:
+        claimed.append(position)
+        scan.merge(plan.score_chunk(position))
+        position = scan.claim()
+    return claimed
+
+
+@pytest.fixture(scope="module")
+def plans(small_engine, sample_queries):
+    return [small_engine.plan(query) for query in sample_queries]
+
+
+@pytest.fixture(scope="module")
+def skipping_plan(plans):
+    """A plan on which the safe per-chunk rule skips at least one chunk."""
+    for plan in plans:
+        scan = ChunkScan(plan, SKIP_BOUND)
+        _drive(scan, plan)
+        if scan.chunks_skipped > 0:
+            return plan
+    pytest.skip("no sample query skips a chunk")
+
+
+class TestChunkScanTransitions:
+    def test_peek_is_idempotent_and_counts_each_skip_once(self, skipping_plan):
+        plan = skipping_plan
+        scan = ChunkScan(plan, SKIP_BOUND)
+        position = 0
+        while position >= 0:
+            cursor = scan.position
+            skipped = scan.chunks_skipped
+            position = scan.peek()
+            # Everything the cursor moved over was skipped, counted once
+            # (a stopping peek leaves the cursor where the rule fired).
+            assert scan.chunks_skipped - skipped == scan.position - cursor
+            assert position in (scan.position, -1)
+            after = (scan.position, scan.chunks_skipped)
+            assert scan.peek() == position
+            assert (scan.position, scan.chunks_skipped) == after
+            if position >= 0:
+                scan.take()
+                scan.merge(plan.score_chunk(position))
+        assert scan.chunks_skipped > 0
+
+    def test_claim_equals_peek_then_take(self, skipping_plan):
+        plan = skipping_plan
+        by_claim = ChunkScan(plan, SKIP_BOUND)
+        by_peek = ChunkScan(plan, SKIP_BOUND)
+        while True:
+            position = by_peek.peek()
+            if position >= 0:
+                by_peek.take()
+            assert by_claim.claim() == position
+            assert by_claim.position == by_peek.position
+            assert by_claim.chunks_skipped == by_peek.chunks_skipped
+            if position < 0:
+                break
+            outcome = plan.score_chunk(position)
+            by_claim.merge(outcome)
+            by_peek.merge(outcome)
+        assert by_claim.state.fired_rule == by_peek.state.fired_rule
+
+    @pytest.mark.parametrize(
+        "termination",
+        [TerminationConfig(), TerminationConfig(match_budget=8), SKIP_BOUND],
+        ids=["default", "tight_budget", "skip_bound"],
+    )
+    def test_stop_latches(self, plans, termination):
+        for plan in plans[:20]:
+            scan = ChunkScan(plan, termination)
+            assert not scan.stopped
+            _drive(scan, plan)
+            assert scan.stopped
+            latched = (scan.state.fired_rule, scan.position, scan.chunks_skipped)
+            assert scan.peek() == -1 and scan.claim() == -1
+            # A late merge (a worker that was mid-chunk at the stop) must
+            # not reopen the scan or change which rule fired.
+            if plan.n_candidate_chunks:
+                scan.merge(plan.score_chunk(0))
+            assert scan.peek() == -1
+            assert (
+                scan.state.fired_rule, scan.position, scan.chunks_skipped
+            ) == latched
+
+    def test_safe_rules_account_for_every_candidate(self, plans):
+        skip_only = TerminationConfig(
+            match_budget=None, use_score_bound=False, skip_chunks=True
+        )
+        for plan in plans:
+            scan = ChunkScan(plan, skip_only)
+            claimed = _drive(scan, plan)
+            assert scan.chunks_evaluated == len(claimed)
+            assert (
+                scan.chunks_evaluated + scan.chunks_skipped
+                == plan.n_candidate_chunks
+            )
+            assert scan.state.fired_rule == "exhausted"
+
+    def test_result_carries_scan_state_and_driver_timing(self, skipping_plan):
+        scan = ChunkScan(skipping_plan, SKIP_BOUND)
+        _drive(scan, skipping_plan)
+        result = scan.result(
+            degree=3, latency=2.0, cpu_time=5.0, worker_busy=(1.0, 1.5, 2.0)
+        )
+        assert (result.degree, result.latency, result.cpu_time) == (3, 2.0, 5.0)
+        assert result.worker_busy == (1.0, 1.5, 2.0)
+        assert result.query is skipping_plan.query
+        assert result.doc_ids == scan.topk.doc_ids()
+        assert result.chunks_evaluated == scan.chunks_evaluated
+        assert result.chunks_skipped == scan.chunks_skipped > 0
+        assert result.postings_scanned == scan.postings_scanned
+        assert result.docs_matched == scan.docs_matched
+        assert result.termination_rule == scan.state.fired_rule
+        assert result.chunk_spans is None and result.termination_s is None
+
+
+class TestThreadedDriver:
+    def test_no_lost_updates_under_contention(
+        self, small_workbench, sample_queries, monkeypatch
+    ):
+        # More workers than cores, a near-zero switch interval, and a GIL
+        # release *inside* the claim (between reading and advancing the
+        # cursor): without the executor's lock two workers claim the same
+        # position on nearly every run. With every rule off each
+        # candidate chunk must be claimed and merged exactly once, so a
+        # lost cursor or counter update shows as a count mismatch.
+        should_stop = TerminationState.should_stop
+
+        def yielding_should_stop(state, position):
+            time.sleep(0)
+            return should_stop(state, position)
+
+        monkeypatch.setattr(TerminationState, "should_stop", yielding_should_stop)
+        exhaustive = TerminationConfig(match_budget=None, use_score_bound=False)
+        engine = Engine(small_workbench.index, EngineConfig(termination=exhaustive))
+        queries = sorted(
+            sample_queries[:30],
+            key=lambda query: engine.plan(query).n_candidate_chunks,
+        )[-5:]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for query in queries:
+                sequential = engine.execute(query, 1)
+                threaded = engine.execute_threaded(query, 8)
+                assert threaded.chunks_evaluated == sequential.chunks_evaluated
+                assert threaded.postings_scanned == sequential.postings_scanned
+                assert threaded.docs_matched == sequential.docs_matched
+                assert threaded.doc_ids == sequential.doc_ids
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestOneLoop:
+    """Only ``scan.py`` may spell out the protocol."""
+
+    @staticmethod
+    def _call_sites(name):
+        """``{file name: [enclosing function, ...]}`` of calls to ``name``
+        (as a bare name or an attribute) under ``src/repro/engine``."""
+        sites = {}
+        for path in sorted(ENGINE_DIR.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    callee = node.func
+                    called = getattr(callee, "attr", getattr(callee, "id", None))
+                    if called == name:
+                        sites.setdefault(path.name, []).append(function.name)
+        return sites
+
+    @pytest.mark.parametrize(
+        "name, allowed",
+        [
+            ("TerminationState", {"scan.py": ["__init__"]}),
+            ("should_stop", {"scan.py": ["peek"]}),
+            # batch.py::select_wave is the documented pure lookahead: it
+            # nominates positions, commits nothing, and the scan re-decides.
+            ("should_skip", {"batch.py": ["select_wave"], "scan.py": ["peek"]}),
+            ("ExecutionResult", {"scan.py": ["result"]}),
+        ],
+    )
+    def test_protocol_calls_live_only_in_the_scan(self, name, allowed):
+        assert self._call_sites(name) == allowed

@@ -112,21 +112,34 @@ class TestRealTreeMutations:
         ]
 
     def test_r012_unlocked_merge_in_threaded_executor(self, tmp_path):
-        # Removing the lock around _SharedState.merge leaves every
-        # shared-counter write racing; merge is reached from the nested
-        # ``worker`` closure submitted to the pool.
-        target, bad_line = _mutated_copy(
-            tmp_path,
-            "src/repro/engine/threads.py",
-            "        with self.lock:\n            self.chunks_evaluated += 1",
-            "        if True:\n            self.chunks_evaluated += 1",
+        # Removing the lock around scan.merge in the thread executor
+        # leaves every shared-counter write in ChunkScan.merge racing;
+        # merge is reached from the nested ``worker`` closure submitted
+        # to the pool. This needs the full tree: the worker -> merge edge
+        # only resolves with scan.py in the project model.
+        tree = tmp_path / "repro"
+        shutil.copytree(REPO_ROOT / "src/repro", tree)
+        target = tree / "engine" / "threads.py"
+        source = target.read_text()
+        anchor = "            with lock:\n                scan.merge(outcome)"
+        assert anchor in source
+        target.write_text(
+            source.replace(
+                anchor, "            if True:\n                scan.merge(outcome)", 1
+            )
         )
-        result = lint_paths([str(target)], select=["R012"])
+        result = lint_paths([str(tree)], select=["R012"])
         assert {f.rule_id for f in result.findings} == {"R012"}
-        flagged = sorted(f.line for f in result.findings)
+        scan_lines = (tree / "engine" / "scan.py").read_text().splitlines()
+        merge_def = 1 + next(
+            i for i, line in enumerate(scan_lines) if "def merge(" in line
+        )
+        flagged = sorted(
+            f.line for f in result.findings if Path(f.path).name == "scan.py"
+        )
         # At minimum the three augmented counter writes in merge's body.
         assert len(flagged) >= 3
-        assert all(bad_line < line <= bad_line + 6 for line in flagged)
+        assert all(merge_def < line <= merge_def + 7 for line in flagged)
 
     def test_r012_clean_on_real_threads_module(self, tmp_path):
         target = tmp_path / "engine" / "threads.py"
