@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import heapq
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Optional
 
 from repro.errors import SimulationError
+from repro.sim.engine import Simulator
 
 __all__ = ["WallClock", "FakeClock"]
 
@@ -37,99 +37,62 @@ class WallClock:
         return f"WallClock(now={self.now:.6f})"
 
 
-class FakeClock:
-    """Manually advanced clock *and* scheduler for deterministic tests.
+class FakeClock(Simulator):
+    """The simulator's event heap under the verbs server tests use.
 
-    Satisfies :class:`repro.core.clock.SchedulerProtocol` structurally,
-    so everything written against the scheduler interface — the server
-    model, online controllers, the anomaly guard, the serving node —
-    runs on it unchanged. Unlike the simulator it has no run loop of
-    its own: the test advances time explicitly and due callbacks fire
-    synchronously inside :meth:`advance_to`, which is what lets asyncio
-    server tests execute entire query lifecycles without one real
-    sleep.
+    One heap, not two: scheduling, the ``(time, seq)`` tie-break, the
+    rejection of past times and the fire-at-the-boundary rule are all
+    :class:`~repro.sim.engine.Simulator`'s (see :meth:`Simulator.run`).
+    What this adds is the manual-drive vocabulary — advance to a time
+    or by a delta and learn how many callbacks fired, drain under an
+    event bound, peek at the next fire time — which is what lets
+    asyncio server tests execute entire query lifecycles without one
+    real sleep.
 
     Determinism contract (why this is a declared R018 sanitizer): time
-    only moves when the test says so, by amounts the test chose; ties
-    fire in submission order via a monotone sequence number, exactly
-    like the simulator's event heap. Nothing here reads the wall clock,
-    the environment, or any RNG.
+    is a :class:`~repro.core.clock.VirtualClock` that only moves when
+    the test says so, by amounts the test chose. Nothing here reads the
+    wall clock, the environment, or any RNG.
     """
 
-    __slots__ = ("_now_s", "_heap", "_seq")
-
     def __init__(self, start_s: float = 0.0) -> None:
-        self._now_s = float(start_s)
-        # (fire_time_s, submission_seq, callback): the seq breaks ties
-        # deterministically and keeps callbacks out of heap comparisons.
-        self._heap: List[Tuple[float, int, Callable[[], Any]]] = []
-        self._seq = 0
-
-    @property
-    def now(self) -> float:
-        return self._now_s
+        super().__init__()
+        self.clock.advance_to(start_s)
 
     @property
     def pending(self) -> int:
         """Number of callbacks scheduled but not yet fired."""
-        return len(self._heap)
+        return self.pending_events
 
     def next_event_s(self) -> Optional[float]:
         """Fire time of the earliest pending callback (None if idle)."""
         return self._heap[0][0] if self._heap else None
 
-    def schedule(self, delay_s: float, callback: Callable[[], Any]) -> None:
-        """Run ``callback`` after ``delay_s`` fake seconds."""
-        if delay_s < 0:
-            raise SimulationError(f"cannot schedule {delay_s}s in the past")
-        self.schedule_at(self._now_s + float(delay_s), callback)
-
-    def schedule_at(self, time_s: float, callback: Callable[[], Any]) -> None:
-        """Run ``callback`` at absolute fake time ``time_s``."""
-        if time_s < self._now_s:
-            raise SimulationError(
-                f"cannot schedule at {time_s} before now {self._now_s}"
-            )
-        heapq.heappush(self._heap, (float(time_s), self._seq, callback))
-        self._seq += 1
-
     def advance_to(self, time_s: float) -> int:
-        """Advance to absolute ``time_s``, firing every callback due on
-        the way (in fire-time order, submission order on ties; the
-        clock reads each callback's own fire time while it runs).
-        Returns the number of callbacks fired."""
-        if time_s < self._now_s:
-            raise SimulationError(
-                f"clock cannot run backwards: {time_s} < now {self._now_s}"
-            )
-        fired = 0
-        while self._heap and self._heap[0][0] <= time_s:
-            fire_at, _, callback = heapq.heappop(self._heap)
-            self._now_s = fire_at
-            callback()
-            fired += 1
-        self._now_s = float(time_s)
-        return fired
+        """``run(until_s=time_s)``; returns the number of callbacks fired."""
+        before = self.processed_events
+        self.run(until_s=time_s)
+        return self.processed_events - before
 
     def advance_by(self, delta_s: float) -> int:
         """Advance by ``delta_s`` fake seconds (see :meth:`advance_to`)."""
         if delta_s < 0:
             raise SimulationError(f"delta must be >= 0, got {delta_s}")
-        return self.advance_to(self._now_s + float(delta_s))
+        return self.advance_to(self.now + delta_s)
 
     def drain(self, max_events: int = 1_000_000) -> int:
-        """Advance until no callbacks remain (callbacks may schedule
-        more; ``max_events`` bounds runaway reschedule loops). Returns
-        the number of callbacks fired."""
+        """Step until no callbacks remain (callbacks may schedule more;
+        ``max_events`` bounds runaway reschedule loops). Returns the
+        number of callbacks fired."""
         fired = 0
-        while self._heap:
+        while self.pending_events:
             if fired >= max_events:
                 raise SimulationError(
                     f"FakeClock.drain exceeded {max_events} events"
                 )
-            next_s = self._heap[0][0]
-            fired += self.advance_to(next_s)
+            self.step()
+            fired += 1
         return fired
 
     def __repr__(self) -> str:
-        return f"FakeClock(now={self._now_s:.6f}, pending={len(self._heap)})"
+        return f"FakeClock(now={self.now:.6f}, pending={self.pending_events})"

@@ -84,6 +84,18 @@ class ServingConfig:
         if self.max_queue_length is not None:
             require_int_in_range(self.max_queue_length, "max_queue_length", low=1)
 
+    @classmethod
+    def from_load_point(cls, config: LoadPointConfig) -> "ServingConfig":
+        """The live node configured exactly like a simulated load point."""
+        return cls(
+            n_cores=config.n_cores,
+            horizon_s=config.duration,
+            warmup_s=config.warmup,
+            deadline_s=config.deadline,
+            max_queue_length=config.max_queue_length,
+            clamp_to_plan=config.clamp_to_plan,
+        )
+
 
 @dataclass(frozen=True)
 class QueryOutcome:
@@ -152,15 +164,12 @@ class ServingNode:
         outcome (synchronously if the query is shed at admission)."""
         self.server.submit(query_index, tag=on_done, query_class=query_class)
 
-    def attach_controllers(
-        self, controllers: Sequence[object], horizon_s: Optional[float] = None
-    ) -> None:
+    def attach_controllers(self, controllers: Sequence[object]) -> None:
         """Attach online control loops (same ``attach`` contract as the
         simulator runners: scheduler + server + collector + horizon)."""
-        horizon = self.config.horizon_s if horizon_s is None else horizon_s
         for controller in controllers:
             controller.attach(self.scheduler, self.server, self.metrics,
-                              horizon_s=horizon)
+                              horizon_s=self.config.horizon_s)
 
     # ----------------------------------------------------------------
     # Completion routing (server hooks)
@@ -206,17 +215,4 @@ class ServingNode:
         schema. ``rate`` is the offered arrival rate (model QPS) the
         node was driven at — the node observes arrivals, not the
         generator's intent, so the caller supplies it."""
-        config = LoadPointConfig(
-            rate=rate,
-            duration=self.config.horizon_s,
-            warmup=self.config.warmup_s,
-            n_cores=self.config.n_cores,
-            clamp_to_plan=self.config.clamp_to_plan,
-            deadline=self.config.deadline_s,
-            max_queue_length=self.config.max_queue_length,
-        )
-        offered = rate * self.oracle.mean_sequential_latency() / config.n_cores
-        return summarize_load_point(
-            self.metrics, self.policy, config, offered,
-            self.metrics.queue_delays(),
-        )
+        return summarize_load_point(self.server, rate)

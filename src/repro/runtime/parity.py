@@ -5,15 +5,15 @@ on a different clock:
 
 1. **Exact decision parity** (deterministic). :func:`run_scripted_live`
    replays a :class:`~repro.sim.script.ScriptedArrival` script through
-   a :class:`~repro.runtime.node.ServingNode` on a manually-advanced
-   :class:`~repro.runtime.clock.FakeClock`, mirroring the simulator's
-   horizon-then-bounded-drain schedule. :func:`decision_events`
-   flattens the traced lifecycle of either run into the ordered
-   sequence of (admit | shed | degree_grant | escalate) decisions with
-   their timestamps and attributes; :func:`compare_decision_sequences`
-   demands bit-for-bit equality. Because both hostings execute the
-   same model arithmetic in the same order, any divergence is a real
-   behavioral difference, not jitter.
+   a :class:`~repro.runtime.node.ServingNode` on a
+   :class:`~repro.runtime.clock.FakeClock` (the simulator's own heap
+   and horizon-then-bounded-drain loop under another name).
+   :func:`decision_events` flattens the traced lifecycle of either run
+   into the ordered sequence of (admit | shed | degree_grant |
+   escalate) decisions with their timestamps and attributes;
+   :func:`compare_decision_sequences` demands bit-for-bit equality.
+   Both runs execute the same model arithmetic in the same order, so
+   any divergence is a decision the node's routing added, not jitter.
 
 2. **Tolerance-band validation** (statistical). A wall-clock smoke run
    cannot be bit-identical — the event loop adds real jitter — so
@@ -40,7 +40,7 @@ from repro.obs.spans import (
 from repro.policies.base import ParallelismPolicy
 from repro.runtime.clock import FakeClock
 from repro.runtime.node import ServingConfig, ServingNode
-from repro.sim.experiment import LoadPointConfig, LoadPointSummary
+from repro.sim.experiment import LoadPointConfig, LoadPointSummary, run_to_horizon
 from repro.sim.oracle import ServiceOracle
 from repro.sim.script import ScriptedArrival
 
@@ -139,42 +139,24 @@ def run_scripted_live(
 ) -> Tuple[LoadPointSummary, ServingNode]:
     """Replay ``script`` through the live node on a :class:`FakeClock`.
 
-    The schedule mirrors :func:`~repro.sim.script.run_scripted_point`
-    exactly — run to the horizon (events at the boundary fire), then
-    bounded drain while jobs remain — so a sim run and this live run
-    on the same script are comparable event for event. No wall time
-    passes: the clock only moves when this function advances it.
+    The schedule *is* :func:`~repro.sim.script.run_scripted_point`'s —
+    the clock is the simulator's heap, driven by the same
+    :func:`~repro.sim.experiment.run_to_horizon` — so what differs from
+    the sim run is the node's hook routing and nothing else. No wall
+    time passes: the clock only moves when this function advances it.
     """
     clock = FakeClock()
     node = ServingNode(
-        clock,
-        oracle,
-        policy,
-        ServingConfig(
-            n_cores=config.n_cores,
-            horizon_s=config.duration,
-            warmup_s=config.warmup,
-            deadline_s=config.deadline,
-            max_queue_length=config.max_queue_length,
-            clamp_to_plan=config.clamp_to_plan,
-        ),
-        engine_search=engine_search,
-        tracer=tracer,
+        clock, oracle, policy, ServingConfig.from_load_point(config),
+        engine_search=engine_search, tracer=tracer,
     )
-    node.attach_controllers(controllers, horizon_s=config.duration)
+    node.attach_controllers(controllers)
     for arrival in script:
         clock.schedule_at(
             arrival.time_s,
             lambda a=arrival: node.submit(a.query_index, query_class=a.query_class),
         )
-    clock.advance_to(config.duration)
-    drain_limit = config.duration * 10.0
-    while (
-        node.server.n_running or node.server.queue_length
-    ) and clock.now < drain_limit and clock.pending:
-        next_event = clock.next_event_s()
-        assert next_event is not None
-        clock.advance_to(next_event)
+    run_to_horizon(clock, config.duration, node.server.busy)
     return node.summary(config.rate), node
 
 

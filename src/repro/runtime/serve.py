@@ -15,7 +15,8 @@ Search replies carry the query's outcome — completed with latency,
 degree, and ranked results in engine mode, or shed with the kernel's
 reason — and ``stats`` returns the node's counters plus, when a rate
 is supplied, the full shared :class:`~repro.sim.experiment.
-LoadPointSummary` schema.
+LoadPointSummary` schema. Unparseable lines are answered ``bad-json``;
+a line over the stream limit (64 KiB) ``line-too-long`` and a hang-up.
 
 Two scheduler hostings, same node code:
 
@@ -25,9 +26,9 @@ Two scheduler hostings, same node code:
   units. That is what makes live smoke runs comparable to simulator
   predictions on a noisy CI machine while keeping every model-seconds
   quantity (deadlines, latencies, metrics windows) untouched.
-* :class:`~repro.runtime.clock.FakeClock` — tests instantiate
-  :class:`LiveServer` on one and advance time by hand: entire query
-  lifecycles execute deterministically with zero real sleeps.
+* :class:`~repro.runtime.clock.FakeClock` (the simulator's heap) —
+  tests instantiate :class:`LiveServer` on one and advance it by hand:
+  entire query lifecycles execute deterministically, zero real sleeps.
 
 Deadline discipline (reprolint R019): every awaited read, drain, and
 connection-shutdown call is bounded by ``asyncio.wait_for``; each
@@ -54,6 +55,10 @@ __all__ = ["AsyncioScheduler", "LiveServer"]
 _BIND_TIMEOUT_S = 10.0
 #: Wall-seconds bound on flushing / closing a connection.
 _CLOSE_TIMEOUT_S = 5.0
+#: Wall-seconds quiet period after which a connection is hung up.
+_IDLE_TIMEOUT_S = 300.0
+#: Ranked results per search reply (bounds the wire for any search hook).
+_RESULTS_LIMIT = 10
 
 
 class AsyncioScheduler:
@@ -116,23 +121,19 @@ class LiveServer:
         node: ServingNode,
         dilation: float = 1.0,
         request_budget_s: float = 60.0,
-        idle_timeout_s: float = 300.0,
-        results_limit: int = 10,
     ) -> None:
         """``request_budget_s`` is the default per-search completion
         budget in *model* seconds (a request may lower it with its own
-        ``budget_s`` field); ``idle_timeout_s`` is the wall-seconds
-        quiet period after which a connection is hung up."""
+        ``budget_s`` field)."""
         require_positive(request_budget_s, "request_budget_s")
-        require_positive(idle_timeout_s, "idle_timeout_s")
         self.node = node
         self.dilation = float(dilation)
         self.request_budget_s = float(request_budget_s)
-        self.idle_timeout_s = float(idle_timeout_s)
-        self.results_limit = int(results_limit)
         self.port: Optional[int] = None
         self._ready = asyncio.Event()
         self._shutdown = asyncio.Event()
+        # Open connections (handler task -> writer), hung up at shutdown.
+        self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
 
     # ----------------------------------------------------------------
     # Lifecycle
@@ -175,6 +176,14 @@ class LiveServer:
                     pass
         finally:
             server.close()
+            # Hang up open connections too: their handlers read EOF and
+            # return, instead of being cancelled by the loop's teardown.
+            for writer in self._connections.values():
+                writer.close()
+            if self._connections:
+                await asyncio.wait(
+                    list(self._connections), timeout=_CLOSE_TIMEOUT_S
+                )
             try:
                 await asyncio.wait_for(
                     server.wait_closed(), timeout=_CLOSE_TIMEOUT_S
@@ -192,14 +201,34 @@ class LiveServer:
         tasks: Set["asyncio.Task[None]"] = set()
         write_lock = asyncio.Lock()
         loop = asyncio.get_running_loop()
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._connections[handler] = writer
+        handler.add_done_callback(self._connections.pop)
         try:
             while not self._shutdown.is_set():
                 try:
                     line = await asyncio.wait_for(
-                        reader.readline(), timeout=self.idle_timeout_s
+                        reader.readline(), timeout=_IDLE_TIMEOUT_S
                     )
                 except asyncio.TimeoutError:
                     break  # idle connection: hang up
+                except ValueError:
+                    # Over the stream limit: framing is lost. Say so, then
+                    # swallow what is still arriving before hanging up —
+                    # closing on unread input resets the reply away.
+                    try:
+                        await self._reply(
+                            {"id": None, "ok": False, "error": "line-too-long"},
+                            writer, write_lock,
+                        )
+                        while await asyncio.wait_for(
+                            reader.read(1 << 16), timeout=_CLOSE_TIMEOUT_S
+                        ):
+                            pass
+                    except (asyncio.TimeoutError, OSError):
+                        pass
+                    break
                 if not line:
                     break  # client closed
                 # One task per request so slow searches never head-of-
@@ -242,6 +271,14 @@ class LiveServer:
             reply: Dict[str, Any] = {"id": None, "ok": False, "error": "bad-json"}
         else:
             reply = await self._dispatch(message)
+        await self._reply(reply, writer, write_lock)
+
+    async def _reply(
+        self,
+        reply: Dict[str, Any],
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+    ) -> None:
         data = (json.dumps(reply, sort_keys=True) + "\n").encode("utf-8")
         async with write_lock:
             writer.write(data)
@@ -346,7 +383,7 @@ class LiveServer:
             if outcome.results is not None:
                 reply["results"] = [
                     [doc_id, score]
-                    for doc_id, score in outcome.results[: self.results_limit]
+                    for doc_id, score in outcome.results[:_RESULTS_LIMIT]
                 ]
         else:
             reply["shed_reason"] = outcome.shed_reason

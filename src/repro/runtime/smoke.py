@@ -25,7 +25,7 @@ from repro.policies.base import ParallelismPolicy
 from repro.runtime.loadgen import ReplayOptions, replay_open_loop
 from repro.runtime.node import ServingConfig, ServingNode
 from repro.runtime.serve import AsyncioScheduler, LiveServer
-from repro.sim.experiment import LoadPointConfig, LoadPointSummary
+from repro.sim.experiment import DRAIN_HORIZONS, LoadPointConfig, LoadPointSummary
 from repro.sim.oracle import ServiceOracle
 from repro.sim.script import ScriptedArrival
 
@@ -52,22 +52,12 @@ async def run_live_point(
     client never gives up before the server's own shedding machinery
     has spoken.
     """
-    budget_s = (
-        config.duration * 10.0 if request_budget_s is None else request_budget_s
-    )
+    budget_s = request_budget_s
+    if budget_s is None:
+        budget_s = config.duration * DRAIN_HORIZONS
     scheduler = AsyncioScheduler(dilation=dilation)
     node = ServingNode(
-        scheduler,
-        oracle,
-        policy,
-        ServingConfig(
-            n_cores=config.n_cores,
-            horizon_s=config.duration,
-            warmup_s=config.warmup,
-            deadline_s=config.deadline,
-            max_queue_length=config.max_queue_length,
-            clamp_to_plan=config.clamp_to_plan,
-        ),
+        scheduler, oracle, policy, ServingConfig.from_load_point(config),
         engine_search=engine_search,
     )
     service = LiveServer(

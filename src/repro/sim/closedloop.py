@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.policies.base import ParallelismPolicy
 from repro.sim.engine import Simulator
-from repro.sim.experiment import LoadPointConfig, LoadPointSummary, summarize_load_point
+from repro.sim.experiment import LoadPointSummary, summarize_load_point
 from repro.sim.metrics import MetricsCollector, QueryRecord
 from repro.sim.oracle import ServiceOracle
 from repro.sim.server import IndexServerModel
@@ -95,14 +95,4 @@ def run_closed_loop_point(
 
     simulator.run()
 
-    queue_delays = metrics.queue_delays()
-    achieved_rate = metrics.throughput()
-    offered = achieved_rate * oracle.mean_sequential_latency() / config.n_cores
-    shim = LoadPointConfig(
-        rate=max(achieved_rate, 1e-12),
-        duration=config.duration,
-        warmup=config.warmup,
-        n_cores=config.n_cores,
-        seed=config.seed,
-    )
-    return summarize_load_point(metrics, policy, shim, offered, queue_delays)
+    return summarize_load_point(server, metrics.throughput())

@@ -44,6 +44,7 @@ from repro.obs.spans import NULL_TRACER, ClusterTraceBuilder, Tracer
 from repro.policies.base import ParallelismPolicy
 from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
 from repro.sim.engine import Simulator
+from repro.sim.experiment import DRAIN_HORIZONS, run_to_horizon
 from repro.sim.faults import ClusterFaultPlan
 from repro.sim.metrics import MetricsCollector, QueryRecord
 from repro.sim.oracle import ServiceOracle
@@ -408,14 +409,11 @@ def run_cluster_point(
         simulator.schedule(gap, arrive)
 
     schedule_next()
-    simulator.run(until_s=config.duration)
-    drain_limit = config.duration * 10.0
-    while in_flight and simulator.now < drain_limit and simulator.pending_events:
-        simulator.step()
+    run_to_horizon(simulator, config.duration, lambda: in_flight)
     unfinished = len(in_flight)
     if unfinished:
         warnings.warn(
-            f"cluster drain limit ({drain_limit:.1f}s) tripped with "
+            f"cluster drain limit ({DRAIN_HORIZONS:g}x the horizon) tripped with "
             f"{unfinished} queries still in flight; tail statistics are "
             "censored (the load point is deeply saturated)",
             RuntimeWarning,

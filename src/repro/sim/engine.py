@@ -2,7 +2,9 @@
 
 A binary-heap event loop with deterministic ordering: events at equal
 times fire in scheduling order (a monotone sequence number breaks ties),
-so simulations are exactly reproducible for a given seed.
+so simulations are exactly reproducible for a given seed. The only
+event heap in the tree: :class:`repro.runtime.clock.FakeClock`, which
+server tests advance by hand, is this class under other verbs.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.obs.registry import RunObserver
+from repro.obs.spans import Tracer
 from repro.policies.base import ParallelismPolicy
 from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
 from repro.sim.engine import Simulator
@@ -93,6 +94,51 @@ class LoadPointSummary:
         return self.throughput < 0.95 * self.rate
 
 
+#: The bounded drain stops this many horizons in: jobs still running
+#: then are dropped from the statistics (deeply saturated sweeps only).
+DRAIN_HORIZONS = 10.0
+
+
+def wire_load_point(
+    oracle: ServiceOracle,
+    policy: ParallelismPolicy,
+    config: LoadPointConfig,
+    attached: Sequence[object] = (),
+    tracer: Optional[Tracer] = None,
+) -> Tuple[Simulator, IndexServerModel]:
+    """``config`` → simulator + collector + server model, with every
+    object in ``attached`` (observer, controllers — anything with
+    ``attach(simulator, server, collector, horizon_s)``) scheduled onto
+    the simulator in the order given. The one wiring the online and
+    the scripted runner share."""
+    simulator = Simulator()
+    metrics = MetricsCollector(config.warmup, config.duration, config.n_cores)
+    server = IndexServerModel(
+        simulator, oracle, policy, config.n_cores, metrics,
+        clamp_to_plan=config.clamp_to_plan,
+        deadline=config.deadline,
+        max_queue_length=config.max_queue_length,
+        tracer=tracer,
+    )
+    for item in attached:
+        item.attach(simulator, server, metrics, horizon_s=config.duration)
+    return simulator, server
+
+
+def run_to_horizon(
+    simulator: Simulator, duration: float, busy: Callable[[], object]
+) -> None:
+    """Run to the horizon (events at exactly ``duration`` fire, see
+    :meth:`Simulator.run`), then drain while ``busy()`` so the slow tail
+    is never censored — bounded, so an overloaded point cannot spin
+    forever. Every load-point runner, on the simulator or on a
+    :class:`~repro.runtime.clock.FakeClock`, ends through this loop."""
+    simulator.run(until_s=duration)
+    drain_limit = duration * DRAIN_HORIZONS
+    while busy() and simulator.now < drain_limit and simulator.pending_events:
+        simulator.step()
+
+
 def run_load_point(
     oracle: ServiceOracle,
     policy: ParallelismPolicy,
@@ -131,23 +177,16 @@ def run_load_point(
     if arrivals is None:
         arrivals = PoissonArrivals(config.rate, arrival_rng)
 
-    simulator = Simulator()
-    metrics = MetricsCollector(config.warmup, config.duration, config.n_cores)
-    server = IndexServerModel(
-        simulator, oracle, policy, config.n_cores, metrics,
-        clamp_to_plan=config.clamp_to_plan,
-        deadline=config.deadline,
-        max_queue_length=config.max_queue_length,
-        tracer=observer.tracer if observer is not None else None,
-    )
+    attached, tracer = list(controllers), None
     if observer is not None:
         observer.on_run_start(
             policy=policy.name, rate=config.rate, duration=config.duration,
             warmup=config.warmup, n_cores=config.n_cores, seed=config.seed,
         )
-        observer.attach(simulator, server, metrics, horizon_s=config.duration)
-    for controller in controllers:
-        controller.attach(simulator, server, metrics, horizon_s=config.duration)
+        # Attach order is event order at equal times: observer first.
+        attached.insert(0, observer)
+        tracer = observer.tracer
+    simulator, server = wire_load_point(oracle, policy, config, attached, tracer)
 
     n_queries = oracle.n_queries
 
@@ -174,44 +213,34 @@ def run_load_point(
         simulator.schedule(gap, arrive)
 
     schedule_next()
-    simulator.run(until_s=config.duration)
-    # Drain in-flight work (bounded, so an overloaded point cannot spin
-    # forever: past 9x the horizon the remaining jobs are dropped from
-    # the statistics — they only exist in deeply saturated sweeps).
-    drain_limit = config.duration * 10.0
-    while (
-        server.n_running or server.queue_length
-    ) and simulator.now < drain_limit and simulator.pending_events:
-        simulator.step()
+    run_to_horizon(simulator, config.duration, server.busy)
     if observer is not None:
         observer.finish()
-
-    queue_delays = metrics.queue_delays()
-    offered = config.rate * oracle.mean_sequential_latency() / config.n_cores
-    return summarize_load_point(metrics, policy, config, offered, queue_delays)
+    return summarize_load_point(server, config.rate, slo=config.slo)
 
 
 def summarize_load_point(
-    metrics: MetricsCollector,
-    policy: ParallelismPolicy,
-    config: LoadPointConfig,
-    offered: float,
-    queue_delays: np.ndarray,
+    server: IndexServerModel, rate: float, slo: Optional[float] = None
 ) -> LoadPointSummary:
-    """Build a :class:`LoadPointSummary` from a finished collector.
+    """Build a :class:`LoadPointSummary` from a finished server model.
 
     Public because it is the *shared* summary schema: the virtual-time
     runners here, the closed-loop runner, and the wall-clock serving
     runtime (:mod:`repro.runtime`) all report through this one function,
     so simulated and live load points are directly comparable
-    field-for-field.
+    field-for-field. Everything but the offered ``rate`` is read off
+    ``server``; ``slo`` is a measurement-only bar overriding its deadline.
     """
-    deadline = getattr(config, "slo", None) or getattr(config, "deadline", None)
+    metrics = server.metrics
+    queue_delays = metrics.queue_delays()
+    deadline = slo if slo is not None else server.deadline
     return LoadPointSummary(
-        policy=policy.name,
-        rate=config.rate,
-        n_cores=config.n_cores,
-        offered_utilization=offered,
+        policy=server.policy.name,
+        rate=rate,
+        n_cores=server.n_cores,
+        offered_utilization=(
+            rate * server.oracle.mean_sequential_latency() / server.n_cores
+        ),
         observed=metrics.n_observed,
         throughput=metrics.throughput(),
         utilization=metrics.utilization(),
@@ -280,13 +309,6 @@ def run_trace_point(
         simulator.schedule_at(float(t), lambda qi=int(qi): server.submit(qi))
     simulator.run()
 
-    queue_delays = metrics.queue_delays()
-    mean_rate = times.shape[0] / effective_horizon
-    offered = mean_rate * oracle.mean_sequential_latency() / n_cores
-    config = LoadPointConfig(
-        rate=mean_rate, duration=effective_horizon,
-        warmup=warmup, n_cores=n_cores,
-    )
-    summary = summarize_load_point(metrics, policy, config, offered, queue_delays)
+    summary = summarize_load_point(server, times.shape[0] / effective_horizon)
     records = sorted(metrics.records, key=lambda r: r.arrival)
     return summary, records

@@ -34,13 +34,13 @@ from typing import List, Optional, Sequence, Tuple
 from repro.obs.spans import Tracer
 from repro.policies.base import ParallelismPolicy
 from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
-from repro.sim.engine import Simulator
 from repro.sim.experiment import (
     LoadPointConfig,
     LoadPointSummary,
+    run_to_horizon,
     summarize_load_point,
+    wire_load_point,
 )
-from repro.sim.metrics import MetricsCollector
 from repro.sim.oracle import ServiceOracle
 from repro.sim.server import IndexServerModel
 from repro.util.rng import RngFactory
@@ -115,24 +115,14 @@ def run_scripted_point(
 ) -> Tuple[LoadPointSummary, IndexServerModel]:
     """Replay ``script`` through the virtual-time server and summarize.
 
-    Mirrors :func:`~repro.sim.experiment.run_load_point` exactly —
-    same server wiring, same horizon-then-bounded-drain schedule, same
-    summary — except the arrivals are the given script instead of
-    being drawn online. Returns ``(summary, server)``; the server is
-    returned so callers can inspect post-run state (shed counters,
-    class-shedding knobs toggled by controllers).
+    It *is* :func:`~repro.sim.experiment.run_load_point` — the same
+    ``wire_load_point``, ``run_to_horizon`` and summary calls — except
+    the arrivals are the given script instead of being drawn online.
+    Returns ``(summary, server)``; the server is returned so callers
+    can inspect post-run state (shed counters, class-shedding knobs
+    toggled by controllers).
     """
-    simulator = Simulator()
-    metrics = MetricsCollector(config.warmup, config.duration, config.n_cores)
-    server = IndexServerModel(
-        simulator, oracle, policy, config.n_cores, metrics,
-        clamp_to_plan=config.clamp_to_plan,
-        deadline=config.deadline,
-        max_queue_length=config.max_queue_length,
-        tracer=tracer,
-    )
-    for controller in controllers:
-        controller.attach(simulator, server, metrics, horizon_s=config.duration)
+    simulator, server = wire_load_point(oracle, policy, config, controllers, tracer)
     for arrival in script:
         simulator.schedule_at(
             arrival.time_s,
@@ -140,14 +130,5 @@ def run_scripted_point(
                 a.query_index, query_class=a.query_class
             ),
         )
-    simulator.run(until_s=config.duration)
-    drain_limit = config.duration * 10.0
-    while (
-        server.n_running or server.queue_length
-    ) and simulator.now < drain_limit and simulator.pending_events:
-        simulator.step()
-
-    queue_delays = metrics.queue_delays()
-    offered = config.rate * oracle.mean_sequential_latency() / config.n_cores
-    summary = summarize_load_point(metrics, policy, config, offered, queue_delays)
-    return summary, server
+    run_to_horizon(simulator, config.duration, server.busy)
+    return summarize_load_point(server, config.rate, slo=config.slo), server

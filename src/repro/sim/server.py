@@ -206,6 +206,10 @@ class IndexServerModel:
     def queue_length(self) -> int:
         return len(self._queue)
 
+    def busy(self) -> bool:
+        """True while any query is running or queued (the drain test)."""
+        return bool(self.n_running or self._queue)
+
     # ----------------------------------------------------------------
     # Dispatch
     # ----------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.sim.oracle import ServiceOracle
 from repro.util.serde import dumps
 from tools.reprolint import lint_paths
 
-from tests.test_sim_server import _constant_table
+from conftest import constant_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,7 +53,7 @@ class TestTracedRunsAreBitIdentical:
     def test_load_point_summary(self):
         # No deadline: goodput/slo_attainment are NaN, the case where a
         # naive equality comparison would fail even for identical runs.
-        oracle = ServiceOracle(_constant_table())
+        oracle = ServiceOracle(constant_table())
         config = LoadPointConfig(rate=3.0, duration=6.0, warmup=1.0,
                                  n_cores=4, seed=17)
         untraced = run_load_point(oracle, FixedPolicy(2), config)
@@ -64,7 +64,7 @@ class TestTracedRunsAreBitIdentical:
         assert dumps(untraced) == dumps(traced)
 
     def test_load_point_summary_with_shedding(self):
-        oracle = ServiceOracle(_constant_table(t1=0.3))
+        oracle = ServiceOracle(constant_table(t1=0.3))
         config = LoadPointConfig(rate=20.0, duration=6.0, warmup=1.0,
                                  n_cores=2, seed=23, deadline=0.5,
                                  max_queue_length=6)
@@ -76,7 +76,7 @@ class TestTracedRunsAreBitIdentical:
         assert dumps(untraced) == dumps(traced)
 
     def test_cluster_summary_with_hedging_quorum_and_faults(self):
-        oracle = ServiceOracle(_constant_table(t1=0.05))
+        oracle = ServiceOracle(constant_table(t1=0.05))
         config = ClusterConfig(
             n_shards=3, n_cores_per_shard=2, rate=8.0, duration=6.0,
             warmup=1.0, seed=29, quorum=2, shard_timeout=0.8,

@@ -44,12 +44,12 @@ from repro.sim.traffic import (
 )
 from repro.util.rng import RngFactory
 
-from tests.test_sim_server import _constant_table
+from conftest import constant_table
 
 
 def _traced_load_point(policy, config, table=None):
     """Run one load point with tracing on; return (summary, tracer)."""
-    oracle = ServiceOracle(table if table is not None else _constant_table())
+    oracle = ServiceOracle(table if table is not None else constant_table())
     observer = RunObserver(tracer=RecordingTracer())
     summary = run_load_point(oracle, policy, config, observer=observer)
     return summary, observer
@@ -116,7 +116,7 @@ class TestShedAccounting:
     def _overloaded_run(self, deadline=0.8, max_queue_length=4):
         # 4x overload on one core forces both deadline and admission
         # sheds; explicit arrivals keep the run tiny and exact.
-        table = _constant_table(t1=0.5)
+        table = constant_table(t1=0.5)
         oracle = ServiceOracle(table)
         simulator = Simulator()
         metrics = MetricsCollector(warmup=0.0, horizon=20.0, n_cores=1)
@@ -166,7 +166,7 @@ class TestShedAccounting:
             deadline=0.6, max_queue_length=8,
         )
         summary, observer = _traced_load_point(
-            FixedPolicy(1), config, table=_constant_table(t1=0.2)
+            FixedPolicy(1), config, table=constant_table(t1=0.2)
         )
         traces = observer.tracer.traces
         # The summary's shed count is warmup-windowed by arrival time;
@@ -216,7 +216,7 @@ class TestClusterInvariants:
             warmup=2.0, seed=13, **overrides,
         )
         tracer = RecordingTracer()
-        table = _constant_table(t1=0.1)
+        table = constant_table(t1=0.1)
         summary = run_cluster_point(
             ServiceOracle(table), lambda: FixedPolicy(1), config, tracer=tracer
         )
@@ -285,7 +285,7 @@ class TestRegimeClassShedAccounting:
     BURST_START, BURST_END = 4.0, 10.0
 
     def _regime_run(self, traced=True):
-        table = _constant_table(n_queries=20, t1=0.1, degrees=(1, 2, 4))
+        table = constant_table(n_queries=20, t1=0.1, degrees=(1, 2, 4))
         streams = RngFactory(7)
         duration = 12.0
         traffic = TrafficConfig(

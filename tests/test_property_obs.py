@@ -30,7 +30,7 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.oracle import ServiceOracle
 from repro.sim.server import IndexServerModel
 
-from tests.test_sim_server import _constant_table
+from conftest import constant_table
 
 
 def _make_policy(choice):
@@ -70,7 +70,7 @@ fault_choice = st.one_of(
 def test_server_traces_hold_invariants(
     arrivals, policy, deadline, queue_cap, fault, n_cores
 ):
-    oracle = ServiceOracle(_constant_table(t1=0.4))
+    oracle = ServiceOracle(constant_table(t1=0.4))
     simulator = Simulator()
     metrics = MetricsCollector(warmup=0.0, horizon=50.0, n_cores=n_cores)
     tracer = RecordingTracer()

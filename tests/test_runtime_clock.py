@@ -1,7 +1,9 @@
-"""Tests for the runtime clocks: FakeClock semantics and WallClock."""
+"""Tests for the runtime clocks: FakeClock (the simulator's heap under
+manual-drive verbs) and WallClock."""
 
 import pytest
 
+from conftest import EventHeapContract
 from repro.core.clock import ClockProtocol, SchedulerProtocol
 from repro.errors import SimulationError
 from repro.runtime.clock import FakeClock, WallClock
@@ -23,60 +25,25 @@ class TestProtocolConformance:
         assert 0 <= a <= b
 
 
-class TestFakeClockScheduling:
+class TestFakeClockScheduling(EventHeapContract):
+    """The shared heap contract through FakeClock's verbs, then the
+    verbs only FakeClock has."""
+
+    make = FakeClock
+
+    @staticmethod
+    def run_until(clock, time_s):
+        clock.advance_to(time_s)
+
+    @staticmethod
+    def drain(clock):
+        clock.drain()
+
     def test_starts_at_zero_and_idle(self):
         clock = FakeClock()
         assert clock.now == 0.0  # reprolint: disable=R004 -- FakeClock time is assigned, never accumulated; exactness is the contract
         assert clock.pending == 0
         assert clock.next_event_s() is None
-
-    def test_fires_in_time_order(self):
-        clock = FakeClock()
-        fired = []
-        clock.schedule(2.0, lambda: fired.append("b"))
-        clock.schedule(1.0, lambda: fired.append("a"))
-        clock.schedule(3.0, lambda: fired.append("c"))
-        assert clock.advance_to(10.0) == 3
-        assert fired == ["a", "b", "c"]
-
-    def test_ties_fire_in_submission_order(self):
-        clock = FakeClock()
-        fired = []
-        for name in "abcd":
-            clock.schedule(1.0, lambda n=name: fired.append(n))
-        clock.drain()
-        assert fired == ["a", "b", "c", "d"]
-
-    def test_clock_reads_fire_time_inside_callback(self):
-        clock = FakeClock()
-        seen = []
-        clock.schedule(1.5, lambda: seen.append(clock.now))
-        clock.schedule(4.0, lambda: seen.append(clock.now))
-        clock.advance_to(5.0)
-        assert seen == [1.5, 4.0]
-        assert clock.now == 5.0  # reprolint: disable=R004 -- advance_to sets now to the target exactly
-
-    def test_boundary_events_fire(self):
-        # Events scheduled exactly at the advance target fire — the
-        # same `<=` convention as Simulator.run(until_s).
-        clock = FakeClock()
-        fired = []
-        clock.schedule(2.0, lambda: fired.append("edge"))
-        assert clock.advance_to(2.0) == 1
-        assert fired == ["edge"]
-
-    def test_callbacks_can_schedule_callbacks(self):
-        clock = FakeClock()
-        fired = []
-
-        def first():
-            fired.append(("first", clock.now))
-            clock.schedule(1.0, lambda: fired.append(("second", clock.now)))
-
-        clock.schedule(1.0, first)
-        # The chained callback is due inside the same advance window.
-        assert clock.advance_to(3.0) == 2
-        assert fired == [("first", 1.0), ("second", 2.0)]
 
     def test_advance_by_and_counts(self):
         clock = FakeClock(start_s=5.0)
@@ -97,10 +64,6 @@ class TestFakeClockScheduling:
 
 
 class TestFakeClockErrors:
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            FakeClock().schedule(-0.1, lambda: None)
-
     def test_schedule_at_past_rejected(self):
         clock = FakeClock(start_s=10.0)
         with pytest.raises(SimulationError):

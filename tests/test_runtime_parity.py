@@ -8,12 +8,9 @@ share the scheduling kernel, the policies, and the server model, and
 differ only in who advances the clock.
 """
 
-import json
-
-import numpy as np
 import pytest
 
-from repro.engine.query import Query
+from conftest import constant_table, summary_json
 from repro.obs.spans import (
     EVENT_ADMIT,
     EVENT_DEGREE_GRANT,
@@ -29,7 +26,6 @@ from repro.policies.online import (
     OnlineControllerConfig,
     OnlineDegreeController,
 )
-from repro.profiles.measurement import QueryCostTable
 from repro.runtime.parity import (
     DEFAULT_TOLERANCES,
     compare_decision_sequences,
@@ -41,22 +37,6 @@ from repro.sim.anomaly import AnomalyGuard, AnomalyGuardConfig
 from repro.sim.experiment import LoadPointConfig
 from repro.sim.oracle import ServiceOracle
 from repro.sim.script import build_arrival_script, run_scripted_point
-from repro.util.serde import to_jsonable
-
-
-def _constant_table(n_queries=10, t1=1.0, degrees=(1, 2, 4), speedup=None):
-    speedup = speedup or {1: 1.0, 2: 1.8, 4: 3.0}
-    latency = np.stack(
-        [np.full(n_queries, t1 / speedup[p]) for p in degrees], axis=1
-    )
-    cpu = latency * np.asarray(degrees)[None, :]
-    chunks = np.ones((n_queries, len(degrees)), dtype=np.int64)
-    queries = [Query.of([0], query_id=i) for i in range(n_queries)]
-    return QueryCostTable(queries, degrees, latency, cpu, chunks)
-
-
-def _summary_json(summary):
-    return json.dumps(to_jsonable(summary), sort_keys=True)
 
 
 _TABLE = ThresholdTable.from_pairs([(2, 4), (5, 2), (12, 1)])
@@ -65,7 +45,7 @@ _TABLE = ThresholdTable.from_pairs([(2, 4), (5, 2), (12, 1)])
 def _run_both(policy_factory, config, controllers_factory=None, oracle=None):
     """One script through both hostings; returns (events, comparison,
     sim_summary, live_summary)."""
-    oracle = oracle if oracle is not None else ServiceOracle(_constant_table())
+    oracle = oracle if oracle is not None else ServiceOracle(constant_table())
     script = build_arrival_script(oracle.n_queries, config)
     assert script, "degenerate case: script must contain arrivals"
 
@@ -105,7 +85,7 @@ class TestDecisionParity:
         assert comparison["n_left"] == comparison["n_right"] > 0
         assert any(e[2] == EVENT_ADMIT for e in events)
         assert any(e[2] == EVENT_DEGREE_GRANT for e in events)
-        assert _summary_json(sim_summary) == _summary_json(live_summary)
+        assert summary_json(sim_summary) == summary_json(live_summary)
 
     def test_identical_shedding_under_overload(self):
         """Deadline sheds and admission-cap rejects must happen to the
@@ -121,7 +101,7 @@ class TestDecisionParity:
         sheds = [e for e in events if e[2] == EVENT_SHED]
         assert sheds, "overload case must actually shed"
         assert sim_summary.n_shed == live_summary.n_shed > 0
-        assert _summary_json(sim_summary) == _summary_json(live_summary)
+        assert summary_json(sim_summary) == summary_json(live_summary)
 
     def test_identical_escalations_incremental_policy(self):
         config = LoadPointConfig(rate=3.0, duration=10.0, warmup=1.0,
@@ -155,7 +135,7 @@ class TestDecisionParity:
             rate=10.0, duration=8.0, warmup=1.0, n_cores=4, seed=13,
             deadline=2.5, max_queue_length=16,
         )
-        oracle = ServiceOracle(_constant_table())
+        oracle = ServiceOracle(constant_table())
         script = build_arrival_script(oracle.n_queries, config)
 
         sim_tracer = RecordingTracer()
@@ -175,14 +155,14 @@ class TestDecisionParity:
             decision_events(live_tracer.traces),
         )
         assert comparison["identical"], comparison["first_divergence"]
-        assert _summary_json(sim_summary) == _summary_json(live_summary)
+        assert summary_json(sim_summary) == summary_json(live_summary)
 
     def test_live_replay_deterministic_across_runs(self):
         config = LoadPointConfig(
             rate=10.0, duration=6.0, warmup=1.0, n_cores=4, seed=21,
             deadline=2.0, max_queue_length=8,
         )
-        oracle = ServiceOracle(_constant_table())
+        oracle = ServiceOracle(constant_table())
         script = build_arrival_script(oracle.n_queries, config)
         sequences = []
         for _ in range(3):

@@ -159,6 +159,26 @@ class TestControlOps:
 
         asyncio.run(scenario())
 
+    def test_shutdown_hangs_up_idle_connections_quietly(self):
+        # Open connections are closed by serve() itself, so their
+        # handlers return instead of being cancelled by loop teardown
+        # (which logs one "Exception in callback" block per connection).
+        async def scenario():
+            logged = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: logged.append(context)
+            )
+            service, serve_task, port = await _boot(_node(FakeClock()))
+            idle = await _Client.connect(port)
+            assert (await idle.ask({"id": 1, "op": "ping"}))["ok"]
+            service.request_shutdown()
+            await asyncio.wait_for(serve_task, timeout=_IO_S)
+            assert await asyncio.wait_for(idle.reader.read(), timeout=_IO_S) == b""
+            await idle.close()
+            return logged
+
+        assert asyncio.run(scenario()) == []
+
 
 class TestBadRequests:
     def test_bad_json_unknown_op_bad_index_bad_budget(self):
@@ -189,6 +209,29 @@ class TestBadRequests:
             await _shutdown(service, serve_task, client)
 
         asyncio.run(scenario())
+
+    def test_over_long_line_gets_typed_reply_then_hangup(self):
+        # A line past the stream limit (64 KiB) loses the framing: the
+        # client gets a typed reply, not an empty read, that connection
+        # is abandoned, and the others keep being served.
+        async def scenario():
+            logged = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: logged.append(context)
+            )
+            service, serve_task, port = await _boot(_node(FakeClock()))
+            client = await _Client.connect(port)
+            other = await _Client.connect(port)
+            reply = await client.ask(b"x" * 200_000 + b"\n")
+            assert reply == {"id": None, "ok": False, "error": "line-too-long"}
+            await client.send({"id": 9, "op": "ping"})  # never answered
+            client.writer.write_eof()
+            assert await asyncio.wait_for(client.reader.read(), timeout=_IO_S) == b""
+            assert (await other.ask({"id": 10, "op": "ping"}))["ok"]
+            await _shutdown(service, serve_task, client, other)
+            return logged
+
+        assert asyncio.run(scenario()) == []
 
 
 class TestSearchLifecycle:

@@ -1,8 +1,12 @@
 """Tests for the simulator core and arrival processes."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import EventHeapContract
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.arrivals import (
     DeterministicArrivals,
@@ -13,30 +17,8 @@ from repro.sim.arrivals import (
 from repro.sim.engine import Simulator
 
 
-class TestSimulator:
-    def test_events_fire_in_time_order(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(2.0, lambda: fired.append("b"))
-        sim.schedule_at(1.0, lambda: fired.append("a"))
-        sim.schedule_at(3.0, lambda: fired.append("c"))
-        sim.run()
-        assert fired == ["a", "b", "c"]
-
-    def test_ties_fire_in_scheduling_order(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(1.0, lambda: fired.append(1))
-        sim.schedule_at(1.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1, 2]
-
-    def test_now_advances(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(5.0, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [5.0]
+class TestSimulator(EventHeapContract):
+    make = Simulator
 
     def test_run_until_horizon(self):
         sim = Simulator()
@@ -47,29 +29,6 @@ class TestSimulator:
         assert fired == [1]
         assert sim.now == 5.0  # reprolint: disable=R004 -- clock is assigned exactly to `until`, not accumulated
         assert sim.pending_events == 1
-
-    def test_events_can_schedule_events(self):
-        sim = Simulator()
-        fired = []
-
-        def chain(depth):
-            fired.append(depth)
-            if depth < 3:
-                sim.schedule(1.0, lambda: chain(depth + 1))
-
-        sim.schedule(0.0, lambda: chain(0))
-        sim.run()
-        assert fired == [0, 1, 2, 3]
-
-    def test_past_scheduling_rejected(self):
-        sim = Simulator()
-        sim.schedule_at(5.0, lambda: sim.schedule_at(1.0, lambda: None))
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().schedule(-1.0, lambda: None)
 
     def test_backwards_horizon_rejected(self):
         sim = Simulator()
@@ -86,14 +45,6 @@ class TestSimulator:
         assert sim.processed_events == 5
 
     # Horizon-boundary semantics (see Simulator.run docstring) --------
-
-    def test_event_at_exact_horizon_fires(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(5.0, lambda: fired.append("edge"))
-        sim.run(until_s=5.0)
-        assert fired == ["edge"]
-        assert sim.now == 5.0  # reprolint: disable=R004 -- clock is assigned exactly to `until`, not accumulated
 
     def test_same_instant_chain_at_horizon_fires(self):
         # An event at the horizon that schedules another event at the
@@ -139,6 +90,68 @@ class TestSimulator:
                 sim.schedule_at(bad, lambda: None)
         with pytest.raises(SimulationError):
             sim.schedule(float("nan"), lambda: None)
+
+
+class TestOneHeapOneDrain:
+    """Two hostings, not three: under ``sim`` + ``runtime`` there is
+    one event heap, one horizon-then-bounded-drain loop, and nobody
+    builds a ``LoadPointConfig`` just to get a summary out."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+    MODULES = sorted((SRC / "sim").glob("*.py")) + sorted((SRC / "runtime").glob("*.py"))
+
+    @classmethod
+    def _sites(cls, matches):
+        """``{"pkg/file.py": [enclosing function or "<module>", ...]}``
+        of the AST nodes ``matches`` accepts."""
+        sites = {}
+        for path in cls.MODULES:
+            tree = ast.parse(path.read_text())
+            owner = {
+                id(node): function.name
+                for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function)
+            }
+            for node in ast.walk(tree):
+                if matches(node):
+                    key = f"{path.parent.name}/{path.name}"
+                    sites.setdefault(key, []).append(owner.get(id(node), "<module>"))
+        return sites
+
+    def test_only_the_simulator_owns_a_heap(self):
+        def imports_heapq(node):
+            names = [alias.name for alias in getattr(node, "names", [])]
+            return (isinstance(node, ast.Import) and "heapq" in names) or (
+                isinstance(node, ast.ImportFrom) and node.module == "heapq"
+            )
+
+        assert self._sites(imports_heapq) == {"sim/engine.py": ["<module>"]}
+
+    def test_one_bounded_drain_loop(self):
+        def steps(node):
+            return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "step"
+
+        assert self._sites(steps) == {
+            "sim/engine.py": ["run", "run"],
+            "runtime/clock.py": ["drain"],
+            "sim/experiment.py": ["run_to_horizon"],
+        }
+        # ... and the ten-horizons bound is stated once, by name.
+        for path in self.MODULES:
+            assert "* 10.0" not in path.read_text(), path.name
+        assert self._sites(
+            lambda node: isinstance(node, ast.Name) and node.id == "drain_limit"
+        ) == {"sim/experiment.py": ["run_to_horizon"] * 2}
+
+    def test_nobody_builds_a_config_to_summarise(self):
+        def builds_config(node):
+            return isinstance(node, ast.Call) and (
+                getattr(node.func, "id", getattr(node.func, "attr", None))
+                == "LoadPointConfig"
+            )
+
+        assert self._sites(builds_config) == {}
 
 
 class TestPoissonArrivals:

@@ -3,13 +3,11 @@ fault injection, and partial/hedged cluster aggregation."""
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.engine.query import Query
+from conftest import constant_table
 from repro.policies.base import ParallelismPolicy, QueryInfo, SystemState
 from repro.policies.fixed import FixedPolicy, SequentialPolicy
-from repro.profiles.measurement import QueryCostTable
 from repro.sim.arrivals import TraceArrivals
 from repro.sim.cluster import ClusterConfig, run_cluster_point
 from repro.sim.engine import Simulator
@@ -20,20 +18,9 @@ from repro.sim.oracle import ServiceOracle
 from repro.sim.server import IndexServerModel
 
 
-def _constant_table(n_queries=10, t1=1.0, degrees=(1, 2, 4), speedup=None):
-    speedup = speedup or {1: 1.0, 2: 1.8, 4: 3.0}
-    latency = np.stack(
-        [np.full(n_queries, t1 / speedup[p]) for p in degrees], axis=1
-    )
-    cpu = latency * np.asarray(degrees)[None, :]
-    chunks = np.ones((n_queries, len(degrees)), dtype=np.int64)
-    queries = [Query.of([0], query_id=i) for i in range(n_queries)]
-    return QueryCostTable(queries, degrees, latency, cpu, chunks)
-
-
 def _run_trace(policy, arrival_times, n_cores=4, table=None, horizon=100.0,
                **server_kwargs):
-    table = table if table is not None else _constant_table()
+    table = table if table is not None else constant_table()
     oracle = ServiceOracle(table)
     sim = Simulator()
     metrics = MetricsCollector(warmup=0.0, horizon=horizon, n_cores=n_cores)
@@ -159,7 +146,7 @@ class TestPolicyVisibility:
 
 
 def _cluster_table(n=500, t1=0.002):
-    return _constant_table(n_queries=n, t1=t1)
+    return constant_table(n_queries=n, t1=t1)
 
 
 class TestPartialAggregation:
@@ -249,7 +236,7 @@ class TestHedging:
 
 class TestDeterminism:
     def test_load_point_sheds_reproducible(self):
-        oracle = ServiceOracle(_constant_table(n_queries=50, t1=0.01))
+        oracle = ServiceOracle(constant_table(n_queries=50, t1=0.01))
         config = LoadPointConfig(rate=150.0, duration=5.0, warmup=1.0,
                                  n_cores=1, seed=11, deadline=0.05,
                                  max_queue_length=8)
@@ -282,7 +269,7 @@ class TestCensoredTailsVisible:
     def test_unfinished_counted_and_warned(self):
         # Service times (50 s) dwarf the drain limit (10x a 1 s horizon):
         # the second query cannot finish before the drain trips.
-        oracle = ServiceOracle(_constant_table(n_queries=4, t1=50.0))
+        oracle = ServiceOracle(constant_table(n_queries=4, t1=50.0))
         config = ClusterConfig(n_shards=1, n_cores_per_shard=1, rate=2.0,
                                duration=1.0, warmup=0.0, seed=13)
         with pytest.warns(RuntimeWarning, match="still in flight"):
@@ -305,7 +292,7 @@ class TestCensoredTailsVisible:
 
 class TestExpectedLatency:
     def test_prediction_preferred_over_truth(self):
-        table = _constant_table(n_queries=4, t1=1.0)
+        table = constant_table(n_queries=4, t1=1.0)
         oracle = ServiceOracle(table, predicted_latencies=[0.5, 0.5, 0.5, 0.5])
         assert oracle.expected_sequential_latency(0) == pytest.approx(0.5)
         assert ServiceOracle(table).expected_sequential_latency(0) == (
@@ -316,7 +303,7 @@ class TestExpectedLatency:
         # Predicted 0.1 against deadline 0.5: served even though the true
         # t1 (1.0) would blow the budget — the shedder only knows the
         # prediction.
-        table = _constant_table(n_queries=2, t1=1.0)
+        table = constant_table(n_queries=2, t1=1.0)
         oracle = ServiceOracle(table, predicted_latencies=[0.1, 0.1])
         sim = Simulator()
         metrics = MetricsCollector(warmup=0.0, horizon=100.0, n_cores=1)
@@ -332,7 +319,7 @@ class TestFixedPolicyInteraction:
     def test_wide_fixed_policy_sheds_more_than_sequential(self):
         # Fixed-4 inflates CPU (speedup 3.0 at degree 4), so it saturates
         # earlier and sheds more at an over-capacity arrival rate.
-        oracle = ServiceOracle(_constant_table(n_queries=100, t1=0.01))
+        oracle = ServiceOracle(constant_table(n_queries=100, t1=0.01))
         config = LoadPointConfig(rate=450.0, duration=10.0, warmup=2.0,
                                  n_cores=4, seed=15, deadline=0.05)
         wide = run_load_point(oracle, FixedPolicy(4), config)

@@ -5,14 +5,10 @@ run_load_point's online RNG draws exactly, and replaying it must give
 the same summary as the online run.
 """
 
-import json
-
-import numpy as np
 import pytest
 
-from repro.engine.query import Query
+from conftest import constant_table, summary_json
 from repro.policies.fixed import FixedPolicy, SequentialPolicy
-from repro.profiles.measurement import QueryCostTable
 from repro.sim.experiment import LoadPointConfig, run_load_point
 from repro.sim.oracle import ServiceOracle
 from repro.sim.script import (
@@ -20,25 +16,6 @@ from repro.sim.script import (
     build_arrival_script,
     run_scripted_point,
 )
-from repro.util.serde import to_jsonable
-
-
-def _constant_table(n_queries=10, t1=1.0, degrees=(1, 2, 4), speedup=None):
-    speedup = speedup or {1: 1.0, 2: 1.8, 4: 3.0}
-    latency = np.stack(
-        [np.full(n_queries, t1 / speedup[p]) for p in degrees], axis=1
-    )
-    cpu = latency * np.asarray(degrees)[None, :]
-    chunks = np.ones((n_queries, len(degrees)), dtype=np.int64)
-    queries = [Query.of([0], query_id=i) for i in range(n_queries)]
-    return QueryCostTable(queries, degrees, latency, cpu, chunks)
-
-
-def _summary_json(summary):
-    # LoadPointSummary carries NaN fields (goodput without an SLO), and
-    # NaN != NaN breaks dataclass equality; canonical JSON compares the
-    # whole summary including NaNs.
-    return json.dumps(to_jsonable(summary), sort_keys=True)
 
 
 class TestBuildArrivalScript:
@@ -98,7 +75,7 @@ class TestScriptedVsOnline:
         """run_scripted_point on the built script must equal the online
         run_load_point draw for draw — the whole parity tier rests on
         this equivalence."""
-        oracle = ServiceOracle(_constant_table())
+        oracle = ServiceOracle(constant_table())
         config = LoadPointConfig(
             rate=6.0, duration=6.0, warmup=1.0, n_cores=4, seed=7,
             deadline=deadline, max_queue_length=max_queue,
@@ -108,19 +85,19 @@ class TestScriptedVsOnline:
         scripted, server = run_scripted_point(
             oracle, FixedPolicy(2), config, script
         )
-        assert _summary_json(online) == _summary_json(scripted)
+        assert summary_json(online) == summary_json(scripted)
         # The server counts every shed; the summary only the
         # measurement window.
         assert server.n_shed >= online.n_shed
 
     def test_scripted_point_deterministic_across_runs(self):
-        oracle = ServiceOracle(_constant_table())
+        oracle = ServiceOracle(constant_table())
         config = LoadPointConfig(rate=10.0, duration=4.0, warmup=0.5,
                                  n_cores=4, seed=2, deadline=2.0,
                                  max_queue_length=8)
         script = build_arrival_script(oracle.n_queries, config)
         outputs = {
-            _summary_json(
+            summary_json(
                 run_scripted_point(oracle, SequentialPolicy(), config, script)[0]
             )
             for _ in range(3)
@@ -129,7 +106,7 @@ class TestScriptedVsOnline:
 
     def test_explicit_script_replay(self):
         # Hand-written scripts (not built from a seed) replay as given.
-        oracle = ServiceOracle(_constant_table())
+        oracle = ServiceOracle(constant_table())
         config = LoadPointConfig(rate=1.0, duration=10.0, warmup=0.0,
                                  n_cores=2)
         script = [

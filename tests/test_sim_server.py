@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import constant_table
 from repro.analysis.queueing_theory import mmc_mean_queue_delay
 from repro.engine.query import Query
 from repro.policies.adaptive import ThresholdTable
@@ -18,22 +19,10 @@ from repro.sim.oracle import ServiceOracle
 from repro.sim.server import IndexServerModel
 
 
-def _constant_table(n_queries=10, t1=1.0, degrees=(1, 2, 4), speedup=None):
-    """Cost table with constant per-degree latencies for controlled tests."""
-    speedup = speedup or {1: 1.0, 2: 1.8, 4: 3.0}
-    latency = np.stack(
-        [np.full(n_queries, t1 / speedup[p]) for p in degrees], axis=1
-    )
-    cpu = latency * np.asarray(degrees)[None, :]
-    chunks = np.ones((n_queries, len(degrees)), dtype=np.int64)
-    queries = [Query.of([0], query_id=i) for i in range(n_queries)]
-    return QueryCostTable(queries, degrees, latency, cpu, chunks)
-
-
 def _run_trace(policy, arrival_times, n_cores=4, table=None, horizon=100.0,
                **server_kwargs):
     """Drive explicit arrivals through a server; return (metrics, server)."""
-    table = table if table is not None else _constant_table()
+    table = table if table is not None else constant_table()
     oracle = ServiceOracle(table)
     sim = Simulator()
     metrics = MetricsCollector(warmup=0.0, horizon=horizon, n_cores=n_cores)
@@ -47,19 +36,19 @@ def _run_trace(policy, arrival_times, n_cores=4, table=None, horizon=100.0,
 
 class TestOracle:
     def test_clamp_degree(self):
-        oracle = ServiceOracle(_constant_table())
+        oracle = ServiceOracle(constant_table())
         assert oracle.clamp_degree(1) == 1
         assert oracle.clamp_degree(3) == 2
         assert oracle.clamp_degree(4) == 4
         assert oracle.clamp_degree(100) == 4
 
     def test_info_carries_truth(self):
-        oracle = ServiceOracle(_constant_table(t1=2.0))
+        oracle = ServiceOracle(constant_table(t1=2.0))
         info = oracle.info(0)
         assert info.true_sequential_latency == pytest.approx(2.0)
 
     def test_predictions_validated(self):
-        table = _constant_table(n_queries=5)
+        table = constant_table(n_queries=5)
         with pytest.raises(Exception):
             ServiceOracle(table, predicted_latencies=[1.0, 2.0])
 
@@ -68,7 +57,7 @@ class TestDispatch:
     def test_sequential_fcfs_on_single_core(self):
         metrics, _ = _run_trace(
             SequentialPolicy(), [0.0, 0.1, 0.2], n_cores=1,
-            table=_constant_table(t1=1.0),
+            table=constant_table(t1=1.0),
         )
         records = sorted(metrics.records, key=lambda r: r.arrival)
         # Service is 1s each; completions at 1, 2, 3.
@@ -113,7 +102,7 @@ class TestDispatch:
                 return 1
 
         _run_trace(Spy(), [0.0, 0.0, 0.0], n_cores=2,
-                   table=_constant_table(t1=1.0))
+                   table=constant_table(t1=1.0))
         # First two dispatch immediately (1 then 2 in system); the third
         # waits for a free core (by then 1 running + itself = 2... it
         # dispatches after a completion).
@@ -226,7 +215,7 @@ class TestMetricsCollector:
 
 class TestRunLoadPoint:
     def test_summary_fields_consistent(self):
-        table = _constant_table(n_queries=50, t1=0.01)
+        table = constant_table(n_queries=50, t1=0.01)
         oracle = ServiceOracle(table)
         summary = run_load_point(
             oracle, SequentialPolicy(),
@@ -264,7 +253,7 @@ class TestRunLoadPoint:
         assert summary.mean_queue_delay == pytest.approx(theory, rel=0.15)
 
     def test_reproducible_for_same_seed(self):
-        table = _constant_table(n_queries=30, t1=0.01)
+        table = constant_table(n_queries=30, t1=0.01)
         oracle = ServiceOracle(table)
         config = LoadPointConfig(rate=50.0, duration=5.0, warmup=1.0,
                                  n_cores=4, seed=9)
@@ -274,7 +263,7 @@ class TestRunLoadPoint:
         assert a.observed == b.observed
 
     def test_custom_arrival_process_used(self):
-        table = _constant_table(n_queries=10, t1=0.001)
+        table = constant_table(n_queries=10, t1=0.001)
         oracle = ServiceOracle(table)
         arrivals = TraceArrivals([0.1, 0.2, 0.3])
         summary = run_load_point(
