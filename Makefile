@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install test coverage lint reprolint reprolint-changed reprolint-sarif bench bench-reprolint bench-qps bench-small experiments experiments-small e20 trace-demo livesmoke report csv clean
+.PHONY: install test coverage lint reprolint reprolint-sarif bench bench-small experiments experiments-small e20 trace-demo livesmoke report csv clean
 
 install:
 	pip install -e .
@@ -27,19 +27,10 @@ lint: reprolint
 	else echo "mypy not installed; skipping (pip install mypy)"; fi
 
 reprolint:
-	python -m tools.reprolint src tests tools --baseline .reprolint-baseline.json \
-	  --cache-dir .reprolint-cache
-
-# Pre-commit fast path: only git-changed files plus everything that
-# (transitively) imports them. Identical findings to `make reprolint`
-# for the reported files; see CONTRIBUTING.md for the cache contract.
-reprolint-changed:
-	python -m tools.reprolint src tests tools --baseline .reprolint-baseline.json \
-	  --cache-dir .reprolint-cache --changed-only
+	python -m tools.reprolint src tests tools
 
 reprolint-sarif:
-	python -m tools.reprolint src tests tools --baseline .reprolint-baseline.json \
-	  --cache-dir .reprolint-cache \
+	python -m tools.reprolint src tests tools \
 	  --format sarif --output reprolint.sarif --exit-zero
 
 bench:
@@ -47,19 +38,6 @@ bench:
 
 bench-small:
 	REPRO_SCALE=small pytest benchmarks/ --benchmark-only
-
-# Analyzer self-benchmark: cold vs warm cache vs --changed-only, with
-# the wall-clock targets from the incremental-engine contract. Writes
-# reprolint-bench.json (uploaded as a CI artifact).
-bench-reprolint:
-	python benchmarks/bench_reprolint.py --output reprolint-bench.json
-
-# Engine throughput headline: single vs batched execution, mmap vs
-# in-memory shard backing, per-chunk skipping on/off. Writes
-# BENCH_qps.json (uploaded as a CI artifact) and fails below the
-# batched-speedup floor.
-bench-qps:
-	python benchmarks/bench_qps.py --output BENCH_qps.json
 
 experiments:
 	python -m repro --all --json-dir results/reference --report results/reference_report.md

@@ -143,16 +143,8 @@ def test_threshold_derivation(benchmark, bench_workbench):
     benchmark(derive_threshold_table, profile, 12)
 
 
-def test_index_save_load(benchmark, bench_workbench, tmp_path_factory):
-    from repro.index.io import load_index, save_index
-
-    path = tmp_path_factory.mktemp("bench") / "shard.npz"
-    save_index(bench_workbench.index, path, format_version=1)
-    benchmark(load_index, path)
-
-
 def test_index_load_mmap(benchmark, bench_workbench, tmp_path_factory):
-    """O(1) open of a format-v2 shard (memory-mapped columns)."""
+    """O(1) open of a shard (memory-mapped columns)."""
     from repro.index.io import load_index, save_index
 
     path = tmp_path_factory.mktemp("bench") / "shard_v2"

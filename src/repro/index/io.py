@@ -1,27 +1,19 @@
-"""Index persistence: compressed v1 archives and memory-mappable v2 shards.
+"""Index persistence: memory-mappable columnar shards.
 
 Production ISNs memory-map prebuilt shards rather than re-inverting the
 corpus on every start; this module provides the equivalent for the
 reproduction (and lets experiments share one build across processes).
-Both formats store the same columnar layout — one flat array per
-posting-list field, with per-term offsets — so a load constructs a
+A shard stores a columnar layout — one flat array per posting-list
+field, with per-term offsets — so a load constructs a
 :class:`~repro.index.lexicon.LazyLexicon` over the columns in O(1) and
 posting lists materialize as zero-copy slices on first touch.
 
-Two container formats:
-
-* **v1** — a single compressed ``.npz`` archive. Compact and
-  self-contained, but ``np.load`` cannot memory-map members of a zip
-  archive, so the whole shard decompresses into RAM up front.
-* **v2** (default) — a *directory* of uncompressed ``.npy`` files plus a
-  ``meta.json`` manifest. Each column loads with ``mmap_mode="r"``, so
-  opening a shard is O(1) regardless of size, only the pages queries
-  actually touch become resident, and shards larger than RAM serve fine
-  — the production-shaped fast path the batched executor benchmarks
-  against.
-
-``load_index`` dispatches on what it finds at the path (directory → v2,
-file → v1), so callers never need to know which format wrote a shard.
+The container (format v2) is a *directory* of uncompressed ``.npy``
+files plus a ``meta.json`` manifest. Each column loads with
+``mmap_mode="r"``, so opening a shard is O(1) regardless of size, only
+the pages queries actually touch become resident, and shards larger
+than RAM serve fine — the production-shaped fast path the batched
+executor benchmarks against.
 """
 
 from __future__ import annotations
@@ -39,10 +31,9 @@ from repro.index.lexicon import LazyLexicon, Lexicon
 from repro.ranking.bm25 import BM25Params
 
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 
 META_FILE = "meta.json"
-#: Columnar arrays common to both formats (v2 stores one .npy file each).
+#: Columnar arrays of a shard (one .npy file each).
 ARRAY_NAMES = (
     "doc_lengths",
     "static_ranks",
@@ -87,42 +78,15 @@ def _columnar_arrays(index: InvertedIndex) -> Dict[str, np.ndarray]:
     return columns
 
 
-def save_index(
-    index: InvertedIndex,
-    path: Union[str, Path],
-    format_version: int = FORMAT_VERSION,
-) -> Path:
-    """Serialize ``index`` to ``path``.
-
-    ``format_version=2`` (default) writes the memory-mappable directory
-    container; ``format_version=1`` writes the legacy compressed
-    ``.npz`` archive.
-    """
-    if format_version not in SUPPORTED_VERSIONS:
-        raise IndexError_(
-            f"unsupported index format version {format_version} "
-            f"(supported: {SUPPORTED_VERSIONS})"
-        )
+def save_index(index: InvertedIndex, path: Union[str, Path]) -> Path:
+    """Serialize ``index`` to the shard directory ``path``."""
     path = Path(path)
     columns = _columnar_arrays(index)
-
-    if format_version == 1:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
-            path,
-            format_version=np.asarray([1]),
-            vocab_size=np.asarray([index.lexicon.vocab_size]),
-            chunk_size=np.asarray([index.chunk_map.chunk_size]),
-            bm25=np.asarray([index.bm25_params.k1, index.bm25_params.b]),
-            **columns,
-        )
-        return path
-
     path.mkdir(parents=True, exist_ok=True)
     for name in ARRAY_NAMES:
         np.save(path / f"{name}.npy", np.ascontiguousarray(columns[name]))
     meta = {
-        "format_version": 2,
+        "format_version": FORMAT_VERSION,
         "vocab_size": index.lexicon.vocab_size,
         "chunk_size": index.chunk_map.chunk_size,
         "bm25": {"k1": index.bm25_params.k1, "b": index.bm25_params.b},
@@ -139,7 +103,7 @@ def _assemble(
     b: float,
     arrays: Dict[str, np.ndarray],
 ) -> InvertedIndex:
-    """Build an index over loaded columns (shared by both formats)."""
+    """Build an index over loaded columns."""
     doc_lengths = arrays["doc_lengths"]
     chunk_map = ChunkMap(int(doc_lengths.shape[0]), chunk_size)
     lexicon: Lexicon = LazyLexicon(
@@ -160,29 +124,22 @@ def _assemble(
     )
 
 
-def _load_v1(path: Path) -> InvertedIndex:
-    try:
-        data = np.load(path)
-    except (OSError, ValueError) as exc:
-        raise IndexError_(f"cannot read index archive {path}: {exc}") from exc
-    with data:
-        try:
-            version = int(data["format_version"][0])
-            if version != 1:
-                raise IndexError_(
-                    f"unsupported archive format version {version} "
-                    f"(archives are v1; v{FORMAT_VERSION} shards are directories)"
-                )
-            vocab_size = int(data["vocab_size"][0])
-            chunk_size = int(data["chunk_size"][0])
-            k1, b = (float(x) for x in data["bm25"])
-            arrays = {name: data[name] for name in ARRAY_NAMES}
-        except KeyError as exc:
-            raise IndexError_(f"corrupt index archive {path}: missing {exc}") from exc
-    return _assemble(vocab_size, chunk_size, k1, b, arrays)
+def load_index(path: Union[str, Path], mmap: bool = True) -> InvertedIndex:
+    """Load a shard directory previously written by :func:`save_index`.
 
-
-def _load_v2(path: Path, mmap: bool) -> InvertedIndex:
+    Columns are memory-mapped when ``mmap`` is true (the default); pass
+    ``mmap=False`` to materialize every column in RAM. Either way the
+    lexicon is lazy: posting lists materialize per term on first touch,
+    so loading is O(1) in index size.
+    """
+    path = Path(path)
+    if path.is_file():
+        raise IndexError_(
+            f"{path} is a file, not a shard directory: v1 .npz archives "
+            "are no longer readable; rebuild the index and save_index it"
+        )
+    if not path.is_dir():
+        raise IndexError_(f"no index found at {path}")
     meta_path = path / META_FILE
     if not meta_path.is_file():
         raise IndexError_(f"not an index shard: {path} has no {META_FILE}")
@@ -191,9 +148,10 @@ def _load_v2(path: Path, mmap: bool) -> InvertedIndex:
     except (OSError, ValueError) as exc:
         raise IndexError_(f"corrupt index shard {path}: bad {META_FILE}: {exc}") from exc
     version = meta.get("format_version")
-    if version != 2:
+    if version != FORMAT_VERSION:
         raise IndexError_(
-            f"unsupported shard format version {version!r} (expected 2)"
+            f"unsupported shard format version {version!r} "
+            f"(expected {FORMAT_VERSION})"
         )
     try:
         vocab_size = int(meta["vocab_size"])
@@ -217,21 +175,3 @@ def _load_v2(path: Path, mmap: bool) -> InvertedIndex:
                 f"corrupt index shard {path}: cannot read {name}.npy: {exc}"
             ) from exc
     return _assemble(vocab_size, chunk_size, k1, b, arrays)
-
-
-def load_index(path: Union[str, Path], mmap: bool = True) -> InvertedIndex:
-    """Load an index previously written by :func:`save_index`.
-
-    Dispatches on the container found at ``path``: a directory loads as
-    a v2 shard (memory-mapped when ``mmap`` is true, the default; pass
-    ``mmap=False`` to materialize every column in RAM), a file loads as
-    a v1 archive (always fully in memory — zip members cannot be
-    mapped). Either way the lexicon is lazy: posting lists materialize
-    per term on first touch, so loading is O(1) in index size.
-    """
-    path = Path(path)
-    if path.is_dir():
-        return _load_v2(path, mmap)
-    if path.is_file():
-        return _load_v1(path)
-    raise IndexError_(f"no index found at {path}")

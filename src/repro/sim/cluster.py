@@ -7,7 +7,7 @@ latency with cluster size — the "tail at scale" effect — and is the
 reason the paper targets the P99 of a single ISN: a per-node tail
 improvement compounds at the aggregator.
 
-:class:`ClusterModel` instantiates N independent
+:func:`run_cluster_point` instantiates N independent
 :class:`~repro.sim.server.IndexServerModel` shards over one simulator.
 Each cluster query draws an independent cost-table row per shard
 (different partitions do different work for the same query) and is

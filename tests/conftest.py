@@ -80,7 +80,7 @@ class EventHeapContract:
         heap.schedule(4.0, lambda: seen.append(heap.now))
         self.run_until(heap, 5.0)
         assert seen == [1.5, 4.0]
-        assert heap.now == 5.0  # reprolint: disable=R004 -- clock is assigned exactly to the target, not accumulated
+        assert heap.now == 5.0
 
     def test_event_at_exact_horizon_fires(self):
         heap = self.make()
@@ -88,7 +88,7 @@ class EventHeapContract:
         heap.schedule_at(5.0, lambda: fired.append("edge"))
         self.run_until(heap, 5.0)
         assert fired == ["edge"]
-        assert heap.now == 5.0  # reprolint: disable=R004 -- clock is assigned exactly to the target, not accumulated
+        assert heap.now == 5.0
 
     def test_events_can_schedule_events(self):
         heap = self.make()

@@ -16,11 +16,11 @@ from repro.sim.engine import Simulator
 class TestVirtualClock:
     def test_starts_at_zero_and_advances(self):
         clock = VirtualClock()
-        assert clock.now == 0.0  # reprolint: disable=R004 -- virtual time is set, not measured; exactness is the contract
+        assert clock.now == 0.0
         clock.advance_to(1.5)
-        assert clock.now == 1.5  # reprolint: disable=R004 -- virtual time is set, not measured; exactness is the contract
+        assert clock.now == 1.5
         clock.advance_by(0.5)
-        assert clock.now == 2.0  # reprolint: disable=R004 -- virtual time is set, not measured; exactness is the contract
+        assert clock.now == 2.0
 
     def test_rejects_backwards_advance(self):
         clock = VirtualClock()
@@ -36,7 +36,7 @@ class TestVirtualClock:
         clock = VirtualClock()
         clock.advance_to(1.0)
         clock.advance_to(1.0)
-        assert clock.now == 1.0  # reprolint: disable=R004 -- virtual time is set, not measured; exactness is the contract
+        assert clock.now == 1.0
 
 
 class TestWallClock:
@@ -64,7 +64,7 @@ class TestProtocolConformance:
 
     def test_simulator_now_is_its_clock(self):
         simulator = Simulator()
-        assert simulator.now == simulator.clock.now == 0.0  # reprolint: disable=R004 -- virtual time is set, not measured; exactness is the contract
+        assert simulator.now == simulator.clock.now == 0.0
 
 
 class TestSimulatorDrivesVirtualClock:
@@ -75,4 +75,4 @@ class TestSimulatorDrivesVirtualClock:
         simulator.schedule(2.5, lambda: seen.append(simulator.now))
         simulator.run(until_s=5.0)
         assert seen == [1.0, 2.5]
-        assert simulator.now == 5.0  # reprolint: disable=R004 -- virtual time is set, not measured; exactness is the contract
+        assert simulator.now == 5.0

@@ -40,8 +40,8 @@ def _engine(workbench, termination):
 def _assert_identical(batched, sequential):
     assert batched.doc_ids == sequential.doc_ids
     assert list(batched.scores) == list(sequential.scores)
-    assert batched.latency == sequential.latency  # reprolint: disable=R004 -- bit-identity is the property under test
-    assert batched.cpu_time == sequential.cpu_time  # reprolint: disable=R004 -- bit-identity is the property under test
+    assert batched.latency == sequential.latency
+    assert batched.cpu_time == sequential.cpu_time
     assert batched.chunks_evaluated == sequential.chunks_evaluated
     assert batched.chunks_skipped == sequential.chunks_skipped
     assert batched.postings_scanned == sequential.postings_scanned

@@ -159,8 +159,8 @@ class TestParallelExecution:
         a = budget_engine.execute(query, 4)
         b = budget_engine.execute(query, 4)
         assert a.doc_ids == b.doc_ids
-        assert a.latency == b.latency  # reprolint: disable=R004 -- bit-identical replay is the property under test
-        assert a.cpu_time == b.cpu_time  # reprolint: disable=R004 -- bit-identical replay is the property under test
+        assert a.latency == b.latency
+        assert a.cpu_time == b.cpu_time
 
     def test_worker_busy_reported_per_worker(self, budget_engine, sample_queries):
         result = budget_engine.execute(sample_queries[0], 4)

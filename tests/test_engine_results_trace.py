@@ -127,8 +127,8 @@ class TestChunkSpans:
         assert spanned.results == plain.results
         # Bit-identical by design: span collection must not perturb the
         # schedule, so exact float equality is the property under test.
-        assert spanned.latency == plain.latency  # reprolint: disable=R004 -- bit-identity is the property
-        assert spanned.cpu_time == plain.cpu_time  # reprolint: disable=R004 -- bit-identity is the property
+        assert spanned.latency == plain.latency
+        assert spanned.cpu_time == plain.cpu_time
         assert spanned.chunks_evaluated == plain.chunks_evaluated
         assert spanned.worker_busy == plain.worker_busy
         assert spanned.terminated_early == plain.terminated_early

@@ -17,7 +17,7 @@ from repro.workloads.trace import WorkloadTrace
 
 class TestIndexPersistence:
     def test_roundtrip_structure(self, tiny_index, tmp_path):
-        path = save_index(tiny_index, tmp_path / "shard.npz")
+        path = save_index(tiny_index, tmp_path / "shard")
         loaded = load_index(path)
         assert loaded.n_docs == tiny_index.n_docs
         assert loaded.n_terms == tiny_index.n_terms
@@ -27,7 +27,7 @@ class TestIndexPersistence:
         assert np.allclose(loaded.static_ranks, tiny_index.static_ranks)
 
     def test_roundtrip_posting_lists(self, tiny_index, tmp_path):
-        loaded = load_index(save_index(tiny_index, tmp_path / "shard.npz"))
+        loaded = load_index(save_index(tiny_index, tmp_path / "shard"))
         for term_id in list(tiny_index.lexicon)[:25]:
             original = tiny_index.lexicon.postings(term_id)
             restored = loaded.lexicon.postings(term_id)
@@ -39,7 +39,7 @@ class TestIndexPersistence:
     def test_loaded_index_executes_identically(
         self, tiny_index, tmp_path, small_workbench
     ):
-        loaded = load_index(save_index(tiny_index, tmp_path / "shard.npz"))
+        loaded = load_index(save_index(tiny_index, tmp_path / "shard"))
         original_engine = Engine(tiny_index)
         loaded_engine = Engine(loaded)
         generator = QueryGenerator(
@@ -49,16 +49,7 @@ class TestIndexPersistence:
             a = original_engine.execute(query, 2)
             b = loaded_engine.execute(query, 2)
             assert a.doc_ids == b.doc_ids
-            assert a.latency == b.latency  # reprolint: disable=R004 -- save/load round-trip must be bit-identical
-
-    def test_version_check_v1(self, tiny_index, tmp_path):
-        path = save_index(tiny_index, tmp_path / "shard.npz", format_version=1)
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-        payload["format_version"] = np.asarray([99])
-        np.savez_compressed(path, **payload)
-        with pytest.raises(IndexError_):
-            load_index(path)
+            assert a.latency == b.latency
 
     def test_version_check_v2(self, tiny_index, tmp_path):
         import json
@@ -70,10 +61,6 @@ class TestIndexPersistence:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(IndexError_):
             load_index(path)
-
-    def test_unsupported_save_version_rejected(self, tiny_index, tmp_path):
-        with pytest.raises(IndexError_):
-            save_index(tiny_index, tmp_path / "shard", format_version=3)
 
     def test_large_vocab_roundtrip(self, tmp_path):
         # Regression for the vectorized columnar flatten: a vocabulary
@@ -87,23 +74,26 @@ class TestIndexPersistence:
             CorpusConfig(n_docs=400, vocab_size=6_000, mean_doc_length=80, seed=5)
         )
         index = build_index(corpus, IndexConfig(chunk_size=64))
-        for name, loaded in (
-            ("v1", load_index(save_index(index, tmp_path / "big.npz", format_version=1))),
-            ("v2", load_index(save_index(index, tmp_path / "big_v2"))),
-        ):
-            assert np.array_equal(
-                loaded.lexicon.document_frequencies(),
-                index.lexicon.document_frequencies(),
-            ), name
-            for term_id in list(index.lexicon)[:: max(1, len(index.lexicon) // 50)]:
-                original = index.lexicon.postings(term_id)
-                restored = loaded.lexicon.postings(term_id)
-                assert np.array_equal(original.doc_ids, restored.doc_ids), name
-                assert np.array_equal(original.impacts, restored.impacts), name
+        loaded = load_index(save_index(index, tmp_path / "big"))
+        assert np.array_equal(
+            loaded.lexicon.document_frequencies(),
+            index.lexicon.document_frequencies(),
+        )
+        for term_id in list(index.lexicon)[:: max(1, len(index.lexicon) // 50)]:
+            original = index.lexicon.postings(term_id)
+            restored = loaded.lexicon.postings(term_id)
+            assert np.array_equal(original.doc_ids, restored.doc_ids)
+            assert np.array_equal(original.impacts, restored.impacts)
 
     def test_missing_path_rejected(self, tmp_path):
         with pytest.raises(IndexError_):
             load_index(tmp_path / "nothing_here")
+
+    def test_regular_file_rejected_as_removed_v1_archive(self, tmp_path):
+        archive = tmp_path / "shard.npz"
+        archive.write_bytes(b"PK\x03\x04")
+        with pytest.raises(IndexError_, match="v1 .npz archives"):
+            load_index(archive)
 
 
 class TestFormatV2:
@@ -116,16 +106,6 @@ class TestFormatV2:
             QueryWorkloadConfig(vocab_size=index.lexicon.vocab_size, seed=7)
         )
         return generator.sample_many(n)
-
-    def test_v1_v2_roundtrip_equivalent(self, tiny_index, tmp_path):
-        v1 = load_index(save_index(tiny_index, tmp_path / "a.npz", format_version=1))
-        v2 = load_index(save_index(tiny_index, tmp_path / "b"))
-        for term_id in list(tiny_index.lexicon)[:25]:
-            a = v1.lexicon.postings(term_id)
-            b = v2.lexicon.postings(term_id)
-            assert np.array_equal(a.doc_ids, b.doc_ids)
-            assert np.array_equal(a.freqs, b.freqs)
-            assert np.array_equal(a.impacts, b.impacts)
 
     def test_mmap_and_ram_execute_identically(self, tiny_index, tmp_path):
         path = save_index(tiny_index, tmp_path / "shard")
@@ -141,7 +121,7 @@ class TestFormatV2:
             results = [engine.execute(query, 1) for engine in engines]
             for other in results[1:]:
                 assert other.doc_ids == results[0].doc_ids
-                assert other.latency == results[0].latency  # reprolint: disable=R004 -- mmap backing must not change results
+                assert other.latency == results[0].latency
 
     def test_mmap_columns_are_memory_mapped(self, tiny_index, tmp_path):
         path = save_index(tiny_index, tmp_path / "shard")
@@ -323,28 +303,6 @@ class TestLazyLexiconErrorPaths:
         with pytest.raises(IndexError_, match="outside"):
             load_index(path)
 
-    def test_v1_v2_v1_resave_roundtrip_under_mmap(self, tiny_index, tmp_path):
-        # Format migration both ways with a memory-mapped middle hop:
-        # v1 archive -> v2 shard -> load with mmap_mode="r" -> resave as
-        # v1. Saving must accept np.memmap-backed columns, and every
-        # posting column must survive the full loop bit-identically.
-        first = save_index(tiny_index, tmp_path / "first.npz", format_version=1)
-        v2 = save_index(load_index(first), tmp_path / "middle")
-        mapped = load_index(v2, mmap=True)
-        assert isinstance(mapped.lexicon.columns()["posting_doc_ids"], np.memmap)
-        second = save_index(mapped, tmp_path / "second.npz", format_version=1)
-        final = load_index(second)
-        assert final.bm25_params == tiny_index.bm25_params
-        assert final.chunk_map.chunk_size == tiny_index.chunk_map.chunk_size
-        assert np.array_equal(
-            final.lexicon.document_frequencies(),
-            tiny_index.lexicon.document_frequencies(),
-        )
-        with np.load(first) as a, np.load(second) as b:
-            assert set(a.files) == set(b.files)
-            for name in a.files:
-                assert np.array_equal(a[name], b[name]), name
-
     def test_mmap_loaded_shard_queries_match_original(
         self, tiny_index, tmp_path
     ):
@@ -422,7 +380,7 @@ class TestTraceReplay:
         times = np.linspace(0.001, 0.5, 20)
         a, _ = run_trace_point(oracle, SequentialPolicy(), times, n_cores=4)
         b, _ = run_trace_point(oracle, SequentialPolicy(), times, n_cores=4)
-        assert a.p99_latency == b.p99_latency  # reprolint: disable=R004 -- bit-identical replay is the property under test
+        assert a.p99_latency == b.p99_latency
         assert a.observed == 20
 
     def test_replay_with_query_pool(self, small_engine, sample_queries):

@@ -9,7 +9,7 @@ results are identical, byte for byte (string comparison also sidesteps
 without a deadline).
 
 The second half keeps ``src/repro/obs`` itself honest: the reprolint
-gate must pass over it with no suppression comments and no baseline.
+gate must pass over it with no suppression comments.
 """
 
 from pathlib import Path

@@ -74,7 +74,7 @@ def test_execution_result_serializes_every_field(result):
     assert payload["chunks_skipped"] == result.chunks_skipped
     assert payload["chunks_evaluated"] == result.chunks_evaluated
     assert payload["degree"] == result.degree
-    assert payload["latency"] == result.latency  # reprolint: disable=R004 -- serialization must preserve the float bit-exactly
+    assert payload["latency"] == result.latency
     assert len(payload["results"]) == result.n_results
     # The whole thing survives an actual JSON encode/decode.
     parsed = json.loads(dumps(result))

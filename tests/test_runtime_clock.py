@@ -41,7 +41,7 @@ class TestFakeClockScheduling(EventHeapContract):
 
     def test_starts_at_zero_and_idle(self):
         clock = FakeClock()
-        assert clock.now == 0.0  # reprolint: disable=R004 -- FakeClock time is assigned, never accumulated; exactness is the contract
+        assert clock.now == 0.0
         assert clock.pending == 0
         assert clock.next_event_s() is None
 
@@ -50,7 +50,7 @@ class TestFakeClockScheduling(EventHeapContract):
         clock.schedule(1.0, lambda: None)
         clock.schedule(4.0, lambda: None)
         assert clock.advance_by(2.0) == 1
-        assert clock.now == 7.0  # reprolint: disable=R004 -- advance_by lands on start + delta exactly
+        assert clock.now == 7.0
         assert clock.pending == 1
         assert clock.next_event_s() == pytest.approx(9.0)
 
@@ -60,7 +60,7 @@ class TestFakeClockScheduling(EventHeapContract):
         clock.schedule_at(3.0, lambda: fired.append(clock.now))
         clock.drain()
         assert fired == [3.0]
-        assert clock.now == 3.0  # reprolint: disable=R004 -- drain leaves now at the last fire time exactly
+        assert clock.now == 3.0
 
 
 class TestFakeClockErrors:

@@ -298,7 +298,7 @@ class TestSearchLifecycle:
             assert reply["id"] == 2
             assert reply["status"] == "shed"
             assert reply["shed_reason"]
-            assert clock.now == 0.0  # reprolint: disable=R004 -- shed must happen synchronously, before any clock advance
+            assert clock.now == 0.0
             clock.drain()
             replies = [await client.recv(), await client.recv()]
             assert sorted(r["id"] for r in replies) == [0, 1]

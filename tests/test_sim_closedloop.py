@@ -69,7 +69,7 @@ class TestClosedLoop:
                                   duration=5.0, warmup=1.0, n_cores=4, seed=5)
         a = run_closed_loop_point(oracle, SequentialPolicy(), config)
         b = run_closed_loop_point(oracle, SequentialPolicy(), config)
-        assert a.p99_latency == b.p99_latency  # reprolint: disable=R004 -- bit-identical replay is the property under test
+        assert a.p99_latency == b.p99_latency
 
     def test_invalid_config_rejected(self):
         with pytest.raises(Exception):

@@ -27,7 +27,7 @@ class TestSimulator(EventHeapContract):
         sim.schedule_at(10.0, lambda: fired.append(2))
         sim.run(until_s=5.0)
         assert fired == [1]
-        assert sim.now == 5.0  # reprolint: disable=R004 -- clock is assigned exactly to `until`, not accumulated
+        assert sim.now == 5.0
         assert sim.pending_events == 1
 
     def test_backwards_horizon_rejected(self):
@@ -80,7 +80,7 @@ class TestSimulator(EventHeapContract):
             with pytest.raises(SimulationError, match="finite"):
                 sim.run(until_s=bad)
             # The failed run must not have touched the clock or queue.
-            assert sim.now == 0.0  # reprolint: disable=R004 -- clock must be untouched, exact zero
+            assert sim.now == 0.0
             assert sim.pending_events == 1
 
     def test_non_finite_event_time_rejected(self):

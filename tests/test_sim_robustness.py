@@ -245,7 +245,7 @@ class TestDeterminism:
         assert a.n_shed == b.n_shed
         assert a.shed_rate == b.shed_rate
         assert a.goodput == b.goodput
-        assert a.p99_latency == b.p99_latency  # reprolint: disable=R004 -- bit-identical replay is the property under test
+        assert a.p99_latency == b.p99_latency
 
     def test_cluster_robustness_reproducible(self):
         oracle = ServiceOracle(_cluster_table())
@@ -261,7 +261,7 @@ class TestDeterminism:
         assert a.n_timed_out == b.n_timed_out
         assert a.n_hedges == b.n_hedges
         assert a.n_hedge_wins == b.n_hedge_wins
-        assert a.p99_latency == b.p99_latency  # reprolint: disable=R004 -- bit-identical replay is the property under test
+        assert a.p99_latency == b.p99_latency
         assert a.mean_coverage == b.mean_coverage
 
 

@@ -259,7 +259,7 @@ class TestRunLoadPoint:
                                  n_cores=4, seed=9)
         a = run_load_point(oracle, FixedPolicy(2), config)
         b = run_load_point(oracle, FixedPolicy(2), config)
-        assert a.p99_latency == b.p99_latency  # reprolint: disable=R004 -- bit-identical replay is the property under test
+        assert a.p99_latency == b.p99_latency
         assert a.observed == b.observed
 
     def test_custom_arrival_process_used(self):

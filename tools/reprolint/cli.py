@@ -9,10 +9,7 @@ exits 0 (report-only mode, used when surveying a tree before gating
 it); it does NOT mask exit 3 — a crashed analyzer produced no report
 worth trusting.
 
-Staged adoption: ``--write-baseline .reprolint-baseline.json`` snapshots
-today's findings; running with ``--baseline .reprolint-baseline.json``
-then fails only on findings *not* in the snapshot, so a new rule gates
-new code immediately while the backlog is burned down.
+Every run is from scratch: read, parse, run the selected rules, report.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import traceback
 from pathlib import Path
 from typing import List, Optional
 
-from tools.reprolint.baseline import apply_baseline, load_baseline, write_baseline
 from tools.reprolint.core import all_rules, lint_paths
 from tools.reprolint.reporter import render_json, render_sarif, render_text
 
@@ -66,40 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="snapshot current findings to FILE and exit 0",
-    )
-    parser.add_argument(
         "--exit-zero", action="store_true",
         help="report findings but exit 0 (report-only mode)",
     )
     parser.add_argument(
         "--no-default-excludes", action="store_true",
         help="descend into fixture/cache directories normally skipped",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parse files with N worker processes (default: 1); the "
-        "report is byte-identical to a serial run",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="enable the incremental result cache rooted at DIR "
-        "(keyed on content hashes, the analyzer version, and the "
-        "governing layers.toml files; e.g. .reprolint-cache)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore --cache-dir for this run (one-off cold run)",
-    )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="lint only git-changed files plus everything that "
-        "(transitively) imports them — the pre-commit fast path",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -125,9 +93,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             select=_split_rule_list(args.select),
             ignore=_split_rule_list(args.ignore),
             use_default_excludes=not args.no_default_excludes,
-            jobs=max(1, args.jobs),
-            cache_dir=None if args.no_cache else args.cache_dir,
-            changed_only=args.changed_only,
         )
     except (FileNotFoundError, ValueError) as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
@@ -138,30 +103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"reprolint: internal error: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 3
-
-    if args.write_baseline:
-        write_baseline(args.write_baseline, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {args.write_baseline}"
-        )
-        return 0
-
-    if args.baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"reprolint: error: {exc}", file=sys.stderr)
-            return 2
-        new, baselined, stale = apply_baseline(result.findings, entries)
-        result.findings = new
-        result.baselined = baselined
-        for entry in stale:
-            print(
-                f"reprolint: note: stale baseline entry "
-                f"{entry[0]} [{entry[1]}] no longer matches anything "
-                "(shrink the baseline)",
-                file=sys.stderr,
-            )
 
     if args.format == "json":
         report = render_json(result)

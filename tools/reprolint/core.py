@@ -3,9 +3,9 @@
 Rules are small classes registered with :func:`register`. Each parsed
 file becomes a :class:`FileContext` (source, AST, suppression table,
 path components); per-file rules yield :class:`Finding` objects from
-``check(ctx)``, and project rules (cross-file analyses such as R006 and
-R009-R013) yield findings from ``check_project(ctxs, project)`` after
-every file is parsed, where ``project`` is the
+``check(ctx)``, and project rules (the cross-file analyses R009-R019)
+yield findings from ``check_project(ctxs, project)`` after every file
+is parsed, where ``project`` is the
 :class:`~tools.reprolint.project.ProjectModel` built once per run.
 
 Suppression follows the ruff/flake8 ``noqa`` convention but with an
@@ -14,7 +14,7 @@ explicit justification slot::
     arrival_rng = np.random.default_rng()  # reprolint: disable=R001 -- why
 
 A ``disable`` comment silences the listed rule ids (or ``all``) on its
-own physical line; ``disable-file=R006`` anywhere in a file silences a
+own physical line; ``disable-file=R011`` anywhere in a file silences a
 rule for the whole file (used to whitelist config fields consumed via
 reflection).
 """
@@ -22,7 +22,6 @@ reflection).
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -214,8 +213,6 @@ class LintResult:
     parse_errors: List[Finding] = field(default_factory=list)
     #: findings silenced by ``# reprolint: disable`` comments
     suppressed: List[Finding] = field(default_factory=list)
-    #: findings silenced by the baseline file (staged adoption)
-    baselined: List[Finding] = field(default_factory=list)
     #: rule ids that actually ran in this invocation
     rules_run: List[str] = field(default_factory=list)
 
@@ -275,246 +272,6 @@ def iter_python_files(
             yield candidate
 
 
-def _hash_text(text: str) -> str:
-    """Stable short content hash (same scheme the cache layer uses)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
-
-
-@dataclass
-class _FileInfo:
-    """One file staged for analysis: contents read, hash computed."""
-
-    posix: str
-    text: str
-    text_hash: str
-
-
-def _parse_one(
-    item: Tuple[str, str],
-) -> Tuple[str, Optional[FileContext], Optional[Tuple[int, int, str]]]:
-    """Parse (path, source) into a FileContext or a syntax-error triple.
-
-    Module-level so worker processes can import it by reference.
-    """
-    path, text = item
-    try:
-        return path, FileContext.from_source(text, path), None
-    except SyntaxError as exc:
-        col = (exc.offset or 0) + 1 if exc.offset is not None else 1
-        return path, None, (exc.lineno or 1, col, str(exc.msg))
-
-
-def _parse_files(
-    infos: Sequence[_FileInfo], jobs: int
-) -> Tuple[Dict[str, FileContext], Dict[str, List[Finding]]]:
-    """Parse ``infos`` (with ``jobs`` worker processes when > 1); return
-    (path -> context, path -> parse-error findings). Results are
-    reassembled in input order, so ``--jobs N`` is byte-identical to a
-    serial run."""
-    items = [(info.posix, info.text) for info in infos]
-    results: List[Tuple[str, Optional[FileContext], Optional[Tuple[int, int, str]]]]
-    if jobs > 1 and len(items) > 1:
-        import concurrent.futures
-
-        workers = min(jobs, len(items))
-        chunk = max(1, len(items) // (workers * 4))
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers
-            ) as executor:
-                results = list(
-                    executor.map(_parse_one, items, chunksize=chunk)
-                )
-        except (OSError, PermissionError, ImportError):
-            # Sandboxes without process support degrade to serial.
-            results = [_parse_one(item) for item in items]
-    else:
-        results = [_parse_one(item) for item in items]
-    contexts: Dict[str, FileContext] = {}
-    errors: Dict[str, List[Finding]] = {}
-    for path, ctx, error in results:
-        if ctx is not None:
-            contexts[path] = ctx
-        elif error is not None:
-            line, col, msg = error
-            errors[path] = [
-                Finding(
-                    path=path,
-                    line=line,
-                    col=col,
-                    rule_id="E999",
-                    message=f"syntax error: {msg}",
-                )
-            ]
-    return contexts, errors
-
-
-def _module_imports(tree: ast.Module, parts: Sequence[str]) -> List[str]:
-    """Dotted names imported by a module, with relative imports resolved
-    against the module's own (full, as-given) path components so they
-    land in the same name space :func:`_dotted` produces."""
-    names: Set[str] = set()
-    package = [part for part in parts[:-1] if part != "/"]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                anchor = package[: len(package) - (node.level - 1)] if (
-                    node.level > 1
-                ) else list(package)
-                anchor += node.module.split(".") if node.module else []
-                base = ".".join(anchor)
-            if base:
-                names.add(base)
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                names.add(f"{base}.{alias.name}" if base else alias.name)
-    return sorted(names)
-
-
-def _dotted(posix: str) -> str:
-    """Full dotted name of a path as given (no layout-root stripping —
-    import matching is dotted-suffix based, so prefixes are harmless)."""
-    components = [part for part in PurePath(posix).parts if part != "/"]
-    if components and components[-1].endswith(".py"):
-        components[-1] = components[-1][: -len(".py")]
-    if components and components[-1] == "__init__":
-        components = components[:-1]
-    return ".".join(components)
-
-
-def _git_changed_paths() -> Set[str]:
-    """Resolved absolute posix paths of files modified or untracked in
-    the enclosing git checkout."""
-    import subprocess
-
-    try:
-        toplevel = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, timeout=30,
-        )
-        status = subprocess.run(
-            ["git", "status", "--porcelain=v1", "--untracked-files=all"],
-            capture_output=True, text=True, timeout=60,
-        )
-    except (OSError, subprocess.SubprocessError) as exc:
-        raise ValueError(f"--changed-only could not run git: {exc}")
-    if toplevel.returncode != 0 or status.returncode != 0:
-        raise ValueError(
-            "--changed-only requires a git checkout: "
-            + (status.stderr or toplevel.stderr).strip()
-        )
-    root = Path(toplevel.stdout.strip())
-    changed: Set[str] = set()
-    for line in status.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        entry = line[3:]
-        if " -> " in entry:
-            entry = entry.split(" -> ", 1)[1]
-        entry = entry.strip().strip('"')
-        changed.add((root / entry).resolve().as_posix())
-    return changed
-
-
-def _changed_closure(
-    files: Sequence[_FileInfo], cache, jobs: int
-) -> Tuple[List[_FileInfo], List[_FileInfo]]:
-    """Restrict a run to git-changed files: returns (report, universe).
-
-    ``report`` is the dirty transitive closure — the changed files plus
-    everything that (transitively) imports them, whose findings may all
-    shift when a callee changes. ``universe`` additionally pulls in the
-    forward import closure of the dirty set so the project model can
-    still resolve cross-module calls. Import edges come from the cache
-    for unchanged files; only cache misses are parsed here (and those
-    parses are not wasted — the contexts are re-derived cheaply later
-    only if actually analyzed)."""
-    changed_abs = _git_changed_paths()
-    dirty: Set[str] = {
-        info.posix
-        for info in files
-        if Path(info.posix).resolve().as_posix() in changed_abs
-    }
-    if not dirty:
-        return [], []
-
-    imports: Dict[str, List[str]] = {}
-    need: List[_FileInfo] = []
-    for info in files:
-        cached = (
-            cache.imports_for(info.posix, info.text_hash) if cache else None
-        )
-        if cached is not None:
-            imports[info.posix] = cached
-        else:
-            need.append(info)
-    contexts, _errors = _parse_files(need, jobs)
-    for info in need:
-        ctx = contexts.get(info.posix)
-        names = _module_imports(ctx.tree, ctx.parts) if ctx is not None else []
-        imports[info.posix] = names
-        if cache is not None:
-            cache.store_imports(info.posix, info.text_hash, names)
-
-    # Dotted-suffix lookup: every suffix of every module name -> paths.
-    suffix_map: Dict[str, List[str]] = {}
-    for info in files:
-        components = _dotted(info.posix).split(".")
-        for start in range(len(components)):
-            suffix_map.setdefault(
-                ".".join(components[start:]), []
-            ).append(info.posix)
-
-    forward: Dict[str, Set[str]] = {info.posix: set() for info in files}
-    reverse: Dict[str, Set[str]] = {info.posix: set() for info in files}
-    for info in files:
-        for name in imports[info.posix]:
-            for target in suffix_map.get(name, ()):
-                if target != info.posix:
-                    forward[info.posix].add(target)
-                    reverse[target].add(info.posix)
-
-    stack = list(dirty)
-    while stack:
-        for importer in reverse[stack.pop()]:
-            if importer not in dirty:
-                dirty.add(importer)
-                stack.append(importer)
-    context_set: Set[str] = set(dirty)
-    stack = list(dirty)
-    while stack:
-        for dependency in forward[stack.pop()]:
-            if dependency not in context_set:
-                context_set.add(dependency)
-                stack.append(dependency)
-
-    report = [info for info in files if info.posix in dirty]
-    universe = [info for info in files if info.posix in context_set]
-    return report, universe
-
-
-def _split_suppressed(
-    raw: Iterable[Finding], by_path: Dict[str, FileContext]
-) -> Tuple[List[Finding], List[Finding]]:
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in raw:
-        ctx = by_path.get(finding.path)
-        if ctx is not None and ctx.suppressions.is_suppressed(
-            finding.rule_id, finding.line
-        ):
-            suppressed.append(finding)
-        else:
-            findings.append(finding)
-    return sorted(findings), sorted(suppressed)
-
-
 def _run_rules(
     contexts: Sequence[FileContext], rules: Sequence[Rule]
 ) -> Tuple[List[Finding], List[Finding]]:
@@ -552,160 +309,38 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     use_default_excludes: bool = True,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    changed_only: bool = False,
 ) -> LintResult:
-    """Lint every Python file under ``paths`` and return the result.
-
-    The driver is incremental when ``cache_dir`` is given: per-file
-    results are reused whenever a file's content hash (plus the rule-set
-    version and governing layer maps) is unchanged, and the whole-program
-    pass is reused when *no* file in the run changed — a fully warm run
-    parses and analyzes nothing. ``changed_only`` restricts the run to
-    git-changed files plus their dirty transitive closure (everything
-    importing them); ``jobs`` parses with worker processes. All three
-    are pure accelerations: findings and report bytes are identical to a
-    cold serial run over the same reported file set.
-    """
+    """Lint every Python file under ``paths`` and return the result:
+    read, parse, run the rules, report. Every run is from scratch."""
     rules = _select_rules(select, ignore)
-    rules_sig = ",".join(rule.rule_id for rule in rules)
-    file_rules = [rule for rule in rules if not rule.project_rule]
-    project_rules = [rule for rule in rules if rule.project_rule]
-
-    files: List[_FileInfo] = []
-    file_paths: List[Path] = []
-    for file_path in iter_python_files(paths, use_default_excludes):
-        text = file_path.read_text(encoding="utf-8")
-        file_paths.append(file_path)
-        files.append(_FileInfo(file_path.as_posix(), text, _hash_text(text)))
-
-    cache = None
-    if cache_dir is not None:
-        from tools.reprolint.cache import (
-            AnalysisCache,
-            layer_maps_fingerprint,
-            ruleset_version,
-        )
-
-        cache = AnalysisCache(
-            cache_dir, ruleset_version(), layer_maps_fingerprint(file_paths)
-        )
-
-    report = files
-    universe = files
-    if changed_only:
-        report, universe = _changed_closure(files, cache, jobs)
-
-    # Per-file stage: cache hits skip parsing and analysis outright.
-    from tools.reprolint.cache import FileResult
-
-    per_file: Dict[str, FileResult] = {}
-    misses: List[_FileInfo] = []
-    for info in report:
-        cached = (
-            cache.file_result(info.posix, info.text_hash, rules_sig)
-            if cache is not None
-            else None
-        )
-        if cached is not None:
-            per_file[info.posix] = cached
-        else:
-            misses.append(info)
-
-    # Whole-program stage key: every (path, hash) in the universe plus
-    # the reported subset. Unchanged tree -> hit -> no parsing at all.
-    pkey = None
-    project_cached = None
-    if project_rules:
-        from tools.reprolint.cache import project_key
-
-        pkey = project_key(
-            ((info.posix, info.text_hash) for info in universe),
-            (info.posix for info in report),
-            rules_sig,
-        )
-        if cache is not None:
-            project_cached = cache.project_result(pkey)
-
-    to_parse = universe if (project_rules and project_cached is None) else misses
-    contexts, parse_errors_by_path = _parse_files(to_parse, jobs)
-    if cache is not None:
-        for info in to_parse:
-            ctx = contexts.get(info.posix)
-            if ctx is not None:
-                cache.store_imports(
-                    info.posix,
-                    info.text_hash,
-                    _module_imports(ctx.tree, ctx.parts),
-                )
-
-    by_path = dict(contexts)
-    for info in misses:
-        ctx = contexts.get(info.posix)
-        raw: List[Finding] = []
-        if ctx is not None:
-            for rule in file_rules:
-                if rule.applies_to(ctx):
-                    raw.extend(rule.check(ctx))
-        findings, suppressed = _split_suppressed(raw, by_path)
-        result = FileResult(
-            findings=findings,
-            suppressed=suppressed,
-            errors=parse_errors_by_path.get(info.posix, []),
-        )
-        per_file[info.posix] = result
-        if cache is not None:
-            cache.store_file_result(
-                info.posix, info.text_hash, rules_sig, result
-            )
-
-    project_findings: List[Finding] = []
-    project_suppressed: List[Finding] = []
-    if project_rules:
-        if project_cached is not None:
-            project_findings = project_cached.findings
-            project_suppressed = project_cached.suppressed
-        else:
-            from tools.reprolint.project import ProjectModel
-
-            ordered = [
-                contexts[info.posix]
-                for info in universe
-                if info.posix in contexts
-            ]
-            project = ProjectModel.build(ordered)
-            report_set = {info.posix for info in report}
-            report_ctxs = [ctx for ctx in ordered if ctx.path in report_set]
-            raw = []
-            for rule in project_rules:
-                raw.extend(rule.check_project(report_ctxs, project))
-            project_findings, project_suppressed = _split_suppressed(
-                raw, by_path
-            )
-            if cache is not None and pkey is not None:
-                cache.store_project_result(
-                    pkey, project_findings, project_suppressed
-                )
-
-    findings = list(project_findings)
-    suppressed = list(project_suppressed)
+    contexts: List[FileContext] = []
     parse_errors: List[Finding] = []
-    for info in report:
-        result = per_file.get(info.posix)
-        if result is None:  # pragma: no cover - defensive
-            continue
-        findings.extend(result.findings)
-        suppressed.extend(result.suppressed)
-        parse_errors.extend(result.errors)
-
-    if cache is not None:
-        cache.save()
+    files_scanned = 0
+    for file_path in iter_python_files(paths, use_default_excludes):
+        files_scanned += 1
+        posix = file_path.as_posix()
+        try:
+            contexts.append(
+                FileContext.from_source(
+                    file_path.read_text(encoding="utf-8"), posix
+                )
+            )
+        except SyntaxError as exc:
+            parse_errors.append(
+                Finding(
+                    path=posix,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1,
+                    rule_id="E999",
+                    message=f"syntax error: {exc.msg}",
+                )
+            )
+    findings, suppressed = _run_rules(contexts, rules)
     return LintResult(
-        findings=sorted(findings),
-        files_scanned=len(report),
+        findings=findings,
+        files_scanned=files_scanned,
         parse_errors=sorted(parse_errors),
-        suppressed=sorted(suppressed),
+        suppressed=suppressed,
         rules_run=[rule.rule_id for rule in rules],
     )
 

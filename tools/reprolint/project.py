@@ -1,7 +1,7 @@
 """Whole-program project model for cross-module analyses.
 
-PR 2's rules each looked at one file (R006 excepted, and even that only
-matched attribute *names*). The analyses added on top of this module —
+The R001-R008 rules each look at one file. The analyses on top of this
+module —
 units-of-measure dataflow (R009), RNG stream collisions (R010), typed
 config-field consumption (R011), thread-safety (R012), dead experiments
 (R013) — all need to see the program, not a file: a seconds-valued

@@ -14,7 +14,7 @@ from typing import Dict, List
 from tools.reprolint.core import Finding, LintResult, all_rules
 
 #: Bumped on breaking changes to the JSON document shape.
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -38,11 +38,6 @@ def render_text(result: LintResult, verbose_summary: bool = True) -> str:
             )
         else:
             lines.append(f"clean: 0 findings in {result.files_scanned} file(s)")
-        if result.baselined:
-            lines.append(
-                f"{len(result.baselined)} baselined finding(s) not counted "
-                "above (see .reprolint-baseline.json)"
-            )
     return "\n".join(lines)
 
 
@@ -77,7 +72,6 @@ def render_json(result: LintResult) -> str:
         "findings": [_finding_dict(finding) for finding in result.all_findings],
         "suppressed_by_rule": result.suppressed_by_rule(),
         "suppressed_total": len(result.suppressed),
-        "baselined": [_finding_dict(finding) for finding in result.baselined],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -105,8 +99,8 @@ def render_sarif(result: LintResult) -> str:
         index_of[rule_id] = len(rules)
         rules.append(descriptor)
 
-    def sarif_result(finding: Finding, suppressed: bool) -> Dict[str, object]:
-        entry: Dict[str, object] = {
+    def sarif_result(finding: Finding) -> Dict[str, object]:
+        return {
             "ruleId": finding.rule_id,
             "ruleIndex": index_of.get(finding.rule_id, -1),
             "level": "error",
@@ -126,16 +120,8 @@ def render_sarif(result: LintResult) -> str:
                 }
             ],
         }
-        if suppressed:
-            entry["suppressions"] = [{"kind": "external"}]
-        return entry
 
-    results = [
-        sarif_result(finding, suppressed=False)
-        for finding in result.all_findings
-    ] + [
-        sarif_result(finding, suppressed=True) for finding in result.baselined
-    ]
+    results = [sarif_result(finding) for finding in result.all_findings]
     payload = {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,

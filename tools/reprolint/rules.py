@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from tools.reprolint.core import FileContext, Finding, Rule, register
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from tools.reprolint.project import ProjectModel
 
 #: Code that runs in *simulated* time: wall-clock reads and swallowed
 #: exceptions here silently corrupt replays.
@@ -250,8 +247,13 @@ class FloatTimeEqualityRule(Rule):
         "Latencies and simulated timestamps are floats accumulated "
         "through arithmetic; exact equality is representation-dependent "
         "and breaks silently under refactoring. Compare with tolerances "
-        "(math.isclose / pytest.approx) or restructure the check."
+        "(math.isclose / pytest.approx) or restructure the check. Test "
+        "code is exempt: exact equality is what the replay and "
+        "bit-identity tests assert."
     )
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        return not ctx.in_dirs({"tests"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -348,93 +350,6 @@ class MutableDefaultRule(Rule):
             if terminal in _MUTABLE_CALLS:
                 return f"{terminal}(...)"
         return None
-
-
-@register
-class UnconsumedConfigFieldRule(Rule):
-    """R006 — every ``*Config`` dataclass field must be consumed."""
-
-    rule_id = "R006"
-    summary = "config dataclass fields must be consumed"
-    rationale = (
-        "A config field nobody reads is a silent no-op: experiments claim "
-        "to vary a knob that does nothing, which corrupts A/B "
-        "conclusions. Whitelist reflection-consumed fields explicitly "
-        "with a suppression comment on the field line."
-    )
-    project_rule = True
-
-    def check_project(
-        self, ctxs: Sequence[FileContext], project: "ProjectModel"
-    ) -> Iterator[Finding]:
-        accesses: Dict[str, List[Tuple[str, int]]] = {}
-        for ctx in ctxs:
-            for name, line in self._attribute_reads(ctx.tree):
-                accesses.setdefault(name, []).append((ctx.path, line))
-
-        for ctx in ctxs:
-            for class_node in ctx.tree.body:
-                if not isinstance(class_node, ast.ClassDef):
-                    continue
-                if not class_node.name.endswith("Config"):
-                    continue
-                if not self._is_dataclass(class_node):
-                    continue
-                span = (class_node.lineno, self._end_line(class_node))
-                for field_node, field_name in self._fields(class_node):
-                    used = any(
-                        not (path == ctx.path and span[0] <= line <= span[1])
-                        for path, line in accesses.get(field_name, [])
-                    )
-                    if not used:
-                        yield self.finding(
-                            ctx, field_node,
-                            f"field '{field_name}' of {class_node.name} is "
-                            "never consumed anywhere in the analyzed tree; "
-                            "wire it up, delete it, or whitelist with "
-                            "'# reprolint: disable=R006 -- <why>'",
-                        )
-
-    @staticmethod
-    def _is_dataclass(node: ast.ClassDef) -> bool:
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            if _terminal_name(target) == "dataclass":
-                return True
-        return False
-
-    @staticmethod
-    def _fields(node: ast.ClassDef) -> Iterator[Tuple[ast.AnnAssign, str]]:
-        for statement in node.body:
-            if not isinstance(statement, ast.AnnAssign):
-                continue
-            if not isinstance(statement.target, ast.Name):
-                continue
-            annotation = statement.annotation
-            terminal = _terminal_name(annotation)
-            if terminal == "ClassVar" or (
-                isinstance(annotation, ast.Subscript)
-                and _terminal_name(annotation.value) == "ClassVar"
-            ):
-                continue
-            yield statement, statement.target.id
-
-    @staticmethod
-    def _end_line(node: ast.ClassDef) -> int:
-        return getattr(node, "end_lineno", node.lineno) or node.lineno
-
-    @staticmethod
-    def _attribute_reads(tree: ast.Module) -> Iterator[Tuple[str, int]]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                yield node.attr, node.lineno
-            elif isinstance(node, ast.Call):
-                # getattr(obj, "name", ...) consumes "name" reflectively.
-                terminal = _terminal_name(node.func)
-                if terminal in {"getattr", "hasattr"} and len(node.args) >= 2:
-                    arg = node.args[1]
-                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                        yield arg.value, node.lineno
 
 
 @register

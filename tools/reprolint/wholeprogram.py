@@ -7,10 +7,10 @@ ProjectModel`:
   the same factory get bit-identical generators: the components are
   silently correlated. Factory values are tracked through assignments,
   ``child()`` derivations, and cross-module calls.
-* **R011** — typed strengthening of R006: a ``*Config`` field only
-  counts as consumed when a receiver *of that config class* (or an
-  untyped receiver) reads it. A name-coincidence read on a different
-  class no longer masks a dead knob.
+* **R011** — every ``*Config`` dataclass field must be consumed: read,
+  outside the class's own methods, through a receiver *of that config
+  class* (or an untyped receiver). A name-coincidence read on a
+  different class does not mask a dead knob.
 * **R012** — mutable state reachable from thread-pool worker callables
   must be written under a lock (``with <obj>.<lock>:``); the worker →
   callee closure is computed over the project call graph.
@@ -330,13 +330,16 @@ class TypedConfigConsumptionRule(Rule):
     rule_id = "R011"
     summary = "config fields consumed through typed receivers (cross-module)"
     rationale = (
-        "R006 treats any attribute read of a matching NAME as consumption, "
-        "so FooConfig.rate looks alive whenever any other class has a "
-        ".rate. R011 resolves receiver types through annotations and "
+        "A config field nobody reads is a silent no-op: experiments claim "
+        "to vary a knob that does nothing, which corrupts A/B "
+        "conclusions. Matching attribute NAMES is not enough — "
+        "FooConfig.rate would look alive whenever any other class has a "
+        ".rate — so receiver types are resolved through annotations and "
         "constructor calls across modules: only reads through the config's "
-        "own class (or an untracked receiver) count, catching dead knobs "
-        "that name coincidences hide — and fields consumed in another "
-        "module no longer need whole-file suppressions."
+        "own class (or an untracked receiver) count, and a read inside the "
+        "config's own methods (a __post_init__ validator) does not. "
+        "Whitelist reflection-consumed fields with a suppression comment "
+        "on the field line."
     )
     project_rule = True
 
@@ -357,10 +360,13 @@ class TypedConfigConsumptionRule(Rule):
                             receiver = project.receiver_class(
                                 node.value, module, local_types, owner
                             )
-                            if receiver is not None:
-                                typed_reads.add((receiver.name, node.attr))
-                            else:
+                            if receiver is None:
                                 untyped_read_names.add(node.attr)
+                            elif receiver is not owner:
+                                # A class reading its own field (a
+                                # __post_init__ validator) validates the
+                                # knob; it does not consume it.
+                                typed_reads.add((receiver.name, node.attr))
                         elif isinstance(node, ast.Call):
                             terminal = _terminal(node.func)
                             if (
