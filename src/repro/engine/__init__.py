@@ -9,9 +9,10 @@ Public surface:
   runs a query sequentially (``p == 1``) or with intra-query parallelism
   (``p > 1``) in deterministic virtual time, returning an
   :class:`ExecutionResult` with ranked documents and work accounting;
-* :class:`BatchExecutor` — the throughput path:
-  ``engine.execute_batch(queries)`` runs many queries through the
-  vectorized multi-chunk kernel with bit-identical per-query results.
+* :class:`BatchExecutor` — many queries in flight:
+  ``engine.execute_batch(queries)`` round-robins the batch through the
+  vectorized multi-chunk kernel (the one ``execute`` scores through
+  too) with bit-identical per-query results.
 """
 
 from repro.engine.batch import BatchExecutor, BatchStats

@@ -1,30 +1,35 @@
-"""Batched multi-query execution: the throughput hot path.
+"""Batched multi-query execution: many queries in flight, scored in waves.
 
-The per-query executors (:mod:`repro.engine.sequential`,
-:mod:`repro.engine.parallel`) pay numpy dispatch overhead per
-(query, chunk): every chunk is a fresh round of ~O(terms) numpy calls on
-arrays of a few dozen elements, so the interpreter — not the hardware —
-sets the throughput ceiling. :class:`BatchExecutor` removes that ceiling
-along two axes:
+Scoring one chunk is ~O(terms) numpy calls on arrays of a few dozen
+elements, so chunk by chunk the interpreter — not the hardware — sets
+the throughput ceiling. Every executor therefore scores a *wave* of
+positions per :meth:`~repro.engine.plan.QueryPlan.score_chunks` call:
+the per-query executors through :class:`~repro.engine.trace.ChunkTrace`'s
+fixed blocks, this one through waves it nominates itself. On the repo
+benchmark's 2,048-query ``perf-batch`` stream a loop over
+``engine.execute(q, 1)`` and ``execute_batch`` run within a few percent
+of each other (CHANGES.md, PR 16), so this module is not a faster path;
+what :class:`BatchExecutor` adds is the shape:
 
-* **multi-chunk waves** — each active query nominates a *wave* of
-  upcoming candidate chunks, scored in one call to
-  :meth:`~repro.engine.plan.QueryPlan.score_chunks`, so dispatch cost is
-  amortized over the wave instead of paid per chunk. Waves start small
-  and double per survived wave, so short queries speculate little and
-  long scans quickly reach large, cheap batches;
+* **lookahead-nominated waves** — each active query nominates up to
+  ``wave`` upcoming positions with a pure ``would_stop`` / ``should_skip``
+  lookahead, so chunks the rules already exclude are never scored (on
+  that stream 10.5 % of scored chunks go unread, against 13.5 % for the
+  trace's blind blocks). Waves start at
+  :data:`~repro.engine.plan.FIRST_WAVE` and double per survived wave up
+  to :data:`~repro.engine.plan.MAX_WAVE`;
 * **many queries in flight** — the executor plans the whole batch up
   front and round-robins waves across active queries, the scheduling
   shape of a real ISN serving concurrent traffic (and of the
   real-thread validation mode in :mod:`repro.engine.threads`).
 
 Results are **bit-identical** to ``engine.execute(query, degree=1)`` for
-every query in the batch: the scoring kernel reproduces per-chunk
-arithmetic exactly, and the merge replay applies the termination and
+every query in the batch: the merge replay applies the termination and
 skip rules chunk-by-chunk in sequential order — chunks scored beyond a
-mid-wave stop are *discarded*, never merged (they are speculative waste,
-tracked in :class:`BatchStats` but invisible in the per-query results,
-exactly like the speculative chunks of the parallel executor).
+mid-wave stop are *discarded*, never merged. That is wall-clock
+speculation (defined in :mod:`repro.engine.trace`): counted in
+:class:`BatchStats`, invisible in the per-query results and in virtual
+time.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.engine.cost import CostModel
-from repro.engine.plan import QueryPlan
+from repro.engine.plan import FIRST_WAVE, MAX_WAVE, QueryPlan
 from repro.engine.query import Query
 from repro.engine.results import ExecutionResult
 from repro.engine.scan import ChunkScan
@@ -160,8 +165,8 @@ class BatchExecutor:
         weights: Optional[ScoreWeights] = None,
         cost_model: Optional[CostModel] = None,
         termination: Optional[TerminationConfig] = None,
-        initial_wave: int = 4,
-        max_wave: int = 64,
+        initial_wave: int = FIRST_WAVE,
+        max_wave: int = MAX_WAVE,
     ) -> None:
         require_int_in_range(initial_wave, "initial_wave", low=1)
         require_int_in_range(max_wave, "max_wave", low=initial_wave)

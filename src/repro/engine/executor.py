@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 from repro.engine.batch import BatchExecutor
 from repro.engine.cost import CostModel
 from repro.engine.parallel import execute_parallel
-from repro.engine.plan import QueryPlan
+from repro.engine.plan import FIRST_WAVE, MAX_WAVE, QueryPlan
 from repro.engine.query import Query
 from repro.engine.results import ExecutionResult
 from repro.engine.sequential import execute_sequential
@@ -56,7 +56,8 @@ class Engine:
 
     def trace(self, query: Query) -> ChunkTrace:
         """Build a memoizing chunk trace for ``query`` (reusable across
-        degrees — chunk evaluations are shared)."""
+        degrees — chunk evaluations are shared). The trace is where the
+        per-query executors score, a block of positions per kernel call."""
         return ChunkTrace(self.plan(query), self.config.cost_model)
 
     def _check_degree(self, degree: int) -> None:
@@ -78,7 +79,7 @@ class Engine:
     ) -> ExecutionResult:
         """Execute a previously built trace at ``degree`` workers.
 
-        Reusing one trace across degrees evaluates each chunk at most
+        Reusing one trace across degrees scores each chunk at most
         once, which is what makes speedup-profile measurement affordable.
 
         ``collect_spans`` attaches per-chunk claim spans to the result
@@ -102,7 +103,7 @@ class Engine:
         )
 
     def batch_executor(
-        self, initial_wave: int = 4, max_wave: int = 64
+        self, initial_wave: int = FIRST_WAVE, max_wave: int = MAX_WAVE
     ) -> BatchExecutor:
         """Build a :class:`~repro.engine.batch.BatchExecutor` sharing this
         engine's index and configuration."""
@@ -116,11 +117,11 @@ class Engine:
         )
 
     def execute_batch(self, queries: Sequence[Query]) -> List[ExecutionResult]:
-        """Execute many queries through the batched multi-chunk kernel.
+        """Execute many queries in flight, round-robin, wave by wave.
 
-        Per-query results are bit-identical to ``execute(query, degree=1)``;
-        throughput is substantially higher because numpy dispatch is
-        amortized over chunk waves (see :mod:`repro.engine.batch`).
+        Per-query results are bit-identical to ``execute(query, degree=1)``
+        and throughput is the same: both score in waves through one kernel
+        (see :mod:`repro.engine.batch`).
         """
         return self.batch_executor().execute(queries)
 

@@ -19,10 +19,12 @@ everything both the sequential and the parallel executor need:
   bounds these are not monotone, which is exactly why they are useful:
   a weak chunk sitting before a strong one can be skipped on its own
   without stopping the scan (see ``TerminationState.should_skip``);
-* the per-chunk scorer used to produce :class:`ChunkOutcome` values,
-  plus a batched multi-chunk kernel (:meth:`QueryPlan.score_chunks`)
-  that evaluates many candidate chunks in one set of numpy dispatches
-  and is bit-identical to scoring each chunk on its own.
+* the scoring kernel, :meth:`QueryPlan.score_chunks`, which produces the
+  :class:`ChunkOutcome` values of many candidate chunks in one set of
+  numpy dispatches. Every executor scores through it, a wave of
+  positions at a time. :meth:`QueryPlan.score_chunk` is the
+  straightforward one-chunk scorer the kernel is pinned bit-identical
+  to; tests compare against it and nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ from repro.errors import ExecutionError
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
 from repro.ranking.composite import ScoreWeights
+
+#: Width of the first wave of positions a driver hands
+#: :meth:`QueryPlan.score_chunks`, and the cap its doubling stops at.
+#: Small first, so a query that stops after a chunk or two scores little
+#: it never reads; doubling, so a long scan soon amortizes numpy dispatch
+#: over large calls.
+FIRST_WAVE = 4
+MAX_WAVE = 64
 
 
 @dataclass(frozen=True)
@@ -90,9 +100,9 @@ class QueryPlan:
         self.candidate_chunks = self._candidate_chunks()
         self.chunk_bounds: np.ndarray
         self.bounds_from = self._suffix_bounds()  # also sets chunk_bounds
-        # Per-(term, position) posting-slice table, built lazily by the
-        # first score_chunks call; per-chunk execution never pays for it.
-        self._slice_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # Built here, not on first use: every executed plan scores through
+        # score_chunks, and a plan shared by threads must not be mutated.
+        self._slice_starts, self._slice_sizes = self._chunk_slices()
 
     # ------------------------------------------------------------------
     # Planning
@@ -199,7 +209,13 @@ class QueryPlan:
     # ------------------------------------------------------------------
 
     def score_chunk(self, position: int) -> ChunkOutcome:
-        """Evaluate the candidate chunk at ``position`` in the plan."""
+        """Evaluate the candidate chunk at ``position`` on its own.
+
+        The reference implementation of chunk scoring (with
+        :meth:`_intersect` and :meth:`_accumulate`): one chunk, one slice
+        per term, no batching. Tests hold :meth:`score_chunks` bit-identical
+        to it; production code scores through :meth:`score_chunks` only.
+        """
         if not 0 <= position < self.n_candidate_chunks:
             raise ExecutionError(
                 f"position {position} outside [0, {self.n_candidate_chunks})"
@@ -239,18 +255,18 @@ class QueryPlan:
         same term order and left-to-right grouping the per-chunk scorer
         uses, so the float64 sums agree to the last bit.
 
-        The point is dispatch amortization: the per-chunk scorer pays
-        ~O(terms) numpy calls on tiny arrays *per chunk*; this kernel
-        pays one set of numpy calls on arrays the size of the whole
-        batch, which is what makes the batched executor several-fold
-        faster than per-chunk execution (see :mod:`repro.engine.batch`).
+        The point is dispatch amortization: scoring one chunk costs
+        ~O(terms) numpy calls on arrays of a few dozen elements, so chunk
+        by chunk the interpreter sets the pace; this kernel pays one set
+        of numpy calls on arrays the size of the whole wave (≈ 7× less
+        time per posting in waves of 64). Its callers are
+        :meth:`repro.engine.trace.ChunkTrace.get` and
+        :class:`repro.engine.batch.BatchExecutor`.
         """
         pos = np.asarray(positions, dtype=np.int64)
         n_sel = int(pos.shape[0])
         if n_sel == 0:
             return []
-        if n_sel == 1:
-            return [self.score_chunk(int(pos[0]))]
         if (
             int(pos[0]) < 0
             or int(pos[-1]) >= self.n_candidate_chunks
@@ -262,9 +278,8 @@ class QueryPlan:
             )
 
         chunk_ids = self.candidate_chunks[pos]
-        table_starts, table_sizes = self._chunk_slices()
-        starts = table_starts[:, pos]
-        sizes = table_sizes[:, pos]
+        starts = self._slice_starts[:, pos]
+        sizes = self._slice_sizes[:, pos]
         postings_scanned = sizes.sum(axis=0)
 
         doc_starts = self.index.chunk_map.bounds[chunk_ids]
@@ -308,13 +323,10 @@ class QueryPlan:
 
         Row ``t``, column ``i`` locates term ``t``'s postings for the
         candidate chunk at position ``i`` (0-length when the term misses
-        the chunk — possible in ANY mode only). Built once per plan, on
-        the first batched call; every wave then selects its columns with
-        one fancy index instead of per-term binary searches.
+        the chunk — possible in ANY mode only). Built once per plan;
+        every wave then selects its columns with one fancy index instead
+        of per-term binary searches.
         """
-        cached = self._slice_table
-        if cached is not None:
-            return cached
         n = self.n_candidate_chunks
         n_terms = len(self.posting_lists)
         starts = np.zeros((n_terms, n), dtype=np.int64)
@@ -328,7 +340,6 @@ class QueryPlan:
             offsets = plist.chunk_offsets[idx_clipped]
             starts[t] = np.where(present, offsets[:, 0], 0)
             sizes[t] = np.where(present, offsets[:, 1] - offsets[:, 0], 0)
-        self._slice_table = (starts, sizes)
         return starts, sizes
 
     def _intersect_many(

@@ -1,10 +1,14 @@
 """Sequential (degree-1) query execution.
 
 Drives the :class:`~repro.engine.scan.ChunkScan` in lockstep: claim the
-next candidate chunk in document order, evaluate it, merge it, repeat
-until a termination rule fires at claim time. This is both the
-production baseline the paper compares against and the reference
-semantics the parallel executor's results are validated against.
+next candidate chunk in document order, read its outcome from the
+:class:`~repro.engine.trace.ChunkTrace` (which scores a block of upcoming
+positions per kernel call), merge it, repeat until a termination rule
+fires at claim time. Virtual time is charged per chunk *merged*; what
+the trace scored ahead and the scan never claimed costs wall-clock time
+only. This is both the production baseline the paper compares against
+and the reference semantics the parallel executor's results are
+validated against.
 """
 
 from __future__ import annotations

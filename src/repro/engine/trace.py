@@ -1,10 +1,28 @@
-"""Cached per-chunk evaluation trace.
+"""Memoized chunk outcomes, scored a block at a time.
 
 Evaluating a chunk is deterministic given (query, index), independent of
 execution order, degree, or termination state. :class:`ChunkTrace`
-memoizes chunk outcomes and their virtual costs so that running the same
-query at several parallelism degrees (as the speedup-profile measurement
-does) evaluates each chunk at most once.
+memoizes chunk outcomes and their virtual costs, and is where the
+sequential, virtual-time parallel and real-thread executors get every
+chunk they merge — so running one query at several parallelism degrees
+(as the speedup-profile measurement does) scores each chunk at most once.
+
+A miss scores the whole fixed *block* of positions it falls in with one
+:meth:`~repro.engine.plan.QueryPlan.score_chunks` call: ``[0, 4)``,
+``[4, 12)``, ``[12, 28)``, ``[28, 60)``, ``[60, 124)``, then 64 wide.
+The block is a pure function of the position, so the trace carries no
+wave state and two threads that miss in one block store equal entries.
+
+**Wall-clock speculation.** Positions of a block that the scan stops
+before, or skips, are scored and never read. That costs real time and
+nothing else: an outcome reaches the top-k heap, the work counters and
+virtual time only when a driver asks for its position, so every
+:class:`~repro.engine.results.ExecutionResult` is what scoring chunk by
+chunk would have produced. The discarded tail of a
+:class:`~repro.engine.batch.BatchExecutor` wave is the same thing. It is
+not the *modelled* speculation of the parallel executor — chunks claimed
+before a stop is known — which is counted in ``chunks_evaluated`` and
+priced in ``cpu_time``.
 """
 
 from __future__ import annotations
@@ -12,11 +30,21 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.engine.cost import CostModel
-from repro.engine.plan import ChunkOutcome, QueryPlan
+from repro.engine.plan import FIRST_WAVE, MAX_WAVE, ChunkOutcome, QueryPlan
+from repro.errors import ExecutionError
+
+
+def _block(position: int) -> Tuple[int, int]:
+    """``(start, end)`` of the fixed block that holds ``position``."""
+    start, width = 0, FIRST_WAVE
+    while position >= start + width:
+        start += width
+        width = min(2 * width, MAX_WAVE)
+    return start, start + width
 
 
 class ChunkTrace:
-    """Lazy, memoizing view of a plan's chunk outcomes and costs."""
+    """Memoizing view of a plan's chunk outcomes and costs."""
 
     def __init__(self, plan: QueryPlan, cost_model: CostModel) -> None:
         self.plan = plan
@@ -32,16 +60,23 @@ class ChunkTrace:
         cached = self._cache.get(position)
         if cached is not None:
             return cached
-        outcome = self.plan.score_chunk(position)
-        cost = self.cost_model.chunk_time(outcome)
-        entry = (outcome, cost)
-        # Benign race: score_chunk is deterministic in `position`, so two
-        # threads can only store an equal value, and a dict store is a
-        # single GIL-atomic bytecode — no torn state is observable.
-        self._cache[position] = entry  # reprolint: disable=R012 -- idempotent memo write; value is deterministic per position and dict stores are GIL-atomic
-        return entry
+        if not 0 <= position < self.n_positions:
+            raise ExecutionError(
+                f"position {position} outside [0, {self.n_positions})"
+            )
+        start, end = _block(position)
+        positions = range(start, min(end, self.n_positions))
+        chunk_time = self.cost_model.chunk_time
+        # Benign race: the block and its outcomes are deterministic in
+        # `position`, so two threads can only store equal values, and each
+        # dict store is a single GIL-atomic bytecode — no torn state is
+        # observable.
+        for at, outcome in zip(positions, self.plan.score_chunks(positions)):
+            self._cache[at] = (outcome, chunk_time(outcome))  # reprolint: disable=R012 -- idempotent memo writes; a block's values are deterministic per position and dict stores are GIL-atomic
+        return self._cache[position]
 
     @property
     def n_evaluated(self) -> int:
-        """How many distinct chunks have been materialized so far."""
+        """How many distinct chunks have been scored so far, including
+        those of a block that no driver has asked for."""
         return len(self._cache)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.engine.plan import FIRST_WAVE
 from repro.engine.query import Query
 from repro.engine.results import ExecutionResult, RankedDocument, make_ranked
-from repro.engine.trace import ChunkTrace
+from repro.errors import ExecutionError
 
 
 class TestRankedResults:
@@ -49,11 +50,31 @@ class TestChunkTrace:
                      if small_engine.plan(q).n_candidate_chunks >= 3)
         trace = small_engine.trace(query)
         assert trace.n_evaluated == 0
-        first_outcome, first_cost = trace.get(0)
-        assert trace.n_evaluated == 1
-        again_outcome, again_cost = trace.get(0)
-        assert again_outcome is first_outcome
-        assert again_cost == first_cost
+        first = trace.get(0)
+        # A miss scores the whole block it falls in, not one chunk.
+        assert trace.n_evaluated == min(FIRST_WAVE, trace.n_positions)
+        assert trace.get(0) is first
+        assert trace.n_evaluated == min(FIRST_WAVE, trace.n_positions)
+
+    def test_out_of_range_position_is_a_typed_error(
+        self, small_engine, sample_queries
+    ):
+        trace = small_engine.trace(sample_queries[0])
+        assert trace.n_positions > 0
+        for bad in (-1, trace.n_positions, trace.n_positions + 500):
+            with pytest.raises(ExecutionError):
+                trace.get(bad)
+        assert trace.n_evaluated == 0
+
+    def test_empty_plan_has_no_positions(self, small_engine):
+        missing = small_engine.index.lexicon.vocab_size + 7  # never indexed
+        trace = small_engine.trace(Query.of([missing]))
+        assert trace.n_positions == 0
+        with pytest.raises(ExecutionError):
+            trace.get(0)
+        result = small_engine.execute_trace(trace, 1)
+        assert result.results == () and result.chunks_evaluated == 0
+        assert trace.n_evaluated == 0
 
     def test_shared_trace_across_degrees_limits_work(
         self, small_engine, sample_queries
@@ -80,26 +101,60 @@ class TestChunkTrace:
 
 
 class TestChunkTraceStats:
-    def test_repeated_get_evaluates_once(self, small_engine, sample_queries):
-        trace = small_engine.trace(sample_queries[0])
+    """``n_evaluated`` counts chunks *scored*, speculative ones included."""
+
+    @staticmethod
+    def _spy_on_kernel(trace, monkeypatch):
+        """Record every position the trace hands the scoring kernel."""
+        scored = []
+        score_chunks = trace.plan.score_chunks
+
+        def recording(positions):
+            scored.extend(positions)
+            return score_chunks(positions)
+
+        monkeypatch.setattr(trace.plan, "score_chunks", recording)
+        return scored
+
+    def test_repeated_get_evaluates_once(
+        self, small_engine, sample_queries, monkeypatch
+    ):
+        query = next(q for q in sample_queries
+                     if small_engine.plan(q).n_candidate_chunks > FIRST_WAVE)
+        trace = small_engine.trace(query)
+        scored = self._spy_on_kernel(trace, monkeypatch)
         assert trace.n_evaluated == 0
         first = trace.get(0)
-        assert trace.n_evaluated == 1
-        assert trace.get(0) is first
-        assert trace.n_evaluated == 1
-        trace.get(1)
-        assert trace.n_evaluated == 2
+        assert scored == list(range(FIRST_WAVE))
+        assert trace.n_evaluated == FIRST_WAVE
+        # The block's other positions are hits too: nothing is scored.
+        entries = [trace.get(position) for position in range(FIRST_WAVE)]
+        assert entries[0] is first
+        for position, entry in enumerate(entries):
+            assert trace.get(position) is entry
+        assert len(scored) == trace.n_evaluated == FIRST_WAVE
+        # The first position past it misses, and scores the next block.
+        trace.get(FIRST_WAVE)
+        assert scored == list(range(trace.n_evaluated))
+        assert FIRST_WAVE < trace.n_evaluated <= trace.n_positions
 
-    def test_shared_trace_hits_across_degrees(self, small_engine, sample_queries):
+    def test_shared_trace_hits_across_degrees(
+        self, small_engine, sample_queries, monkeypatch
+    ):
         trace = small_engine.trace(sample_queries[2])
+        scored = self._spy_on_kernel(trace, monkeypatch)
         sequential = small_engine.execute_trace(trace, 1)
-        assert trace.n_evaluated == sequential.chunks_evaluated
+        assert 0 < sequential.chunks_evaluated <= trace.n_evaluated
+        after_sequential = list(scored)
         parallel = small_engine.execute_trace(trace, 4)
-        # The second execution re-reads every chunk the first one
-        # evaluated from the memo: the trace holds the union of the two
-        # claim sets (prefixes of the same order), never their sum.
-        assert parallel.chunks_evaluated >= sequential.chunks_evaluated > 0
-        assert trace.n_evaluated == parallel.chunks_evaluated
+        # The second execution re-reads every block the first one scored
+        # from the memo: the kernel sees each position at most once over
+        # both runs, and only positions past what the trace already held.
+        assert parallel.chunks_evaluated >= sequential.chunks_evaluated
+        assert parallel.chunks_evaluated <= trace.n_evaluated <= trace.n_positions
+        assert scored[: len(after_sequential)] == after_sequential
+        assert scored == sorted(set(scored))
+        assert len(scored) == trace.n_evaluated
 
 
 class TestChunkSpans:

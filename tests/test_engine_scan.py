@@ -3,7 +3,8 @@
 The executors' behaviour is pinned by the equivalence, bit-identity and
 golden tests; these tests pin the seam they all drive — the transition
 contracts of :class:`ChunkScan` — and guard structurally against a fifth
-executor quietly re-copying the loop instead of driving the scan.
+executor quietly re-copying the loop instead of driving the scan, or a
+production path scoring chunk by chunk again.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.executor import Engine, EngineConfig
+from repro.engine.plan import FIRST_WAVE, MAX_WAVE
 from repro.engine.scan import ChunkScan
 from repro.engine.termination import TerminationConfig, TerminationState
 
@@ -217,3 +219,59 @@ class TestOneLoop:
     )
     def test_protocol_calls_live_only_in_the_scan(self, name, allowed):
         assert self._call_sites(name) == allowed
+
+
+class TestOneKernel:
+    """Production scores through ``score_chunks`` only, from two call
+    sites; ``score_chunk`` and its helpers are the tests' reference."""
+
+    @staticmethod
+    def _call_sites(name):
+        """``{path under src/repro: [enclosing function, ...]}`` of calls
+        to ``name`` (as a bare name or an attribute)."""
+        sites = {}
+        for path in sorted(ENGINE_DIR.parent.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    callee = node.func
+                    called = getattr(callee, "attr", getattr(callee, "id", None))
+                    if called == name:
+                        key = path.relative_to(ENGINE_DIR.parent).as_posix()
+                        sites.setdefault(key, []).append(function.name)
+        return sites
+
+    @pytest.mark.parametrize(
+        "name, allowed",
+        [
+            ("score_chunk", {}),
+            ("_intersect", {"engine/plan.py": ["score_chunk"]}),
+            ("_accumulate", {"engine/plan.py": ["score_chunk"]}),
+            (
+                "score_chunks",
+                {"engine/batch.py": ["_advance"], "engine/trace.py": ["get"]},
+            ),
+        ],
+    )
+    def test_kernel_calls_live_only_where_waves_are_formed(self, name, allowed):
+        assert self._call_sites(name) == allowed
+
+    def test_wave_widths_are_spelled_once(self):
+        # The first wave's width and the cap are shared by the trace's
+        # blocks and the batch executor's defaults; as integer literals
+        # they appear in the module that names them and nowhere else in
+        # the engine.
+        assert (FIRST_WAVE, MAX_WAVE) == (4, 64)
+        spelled = {
+            path.name
+            for path in ENGINE_DIR.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant)
+            and type(node.value) is int
+            and node.value in (FIRST_WAVE, MAX_WAVE)
+        }
+        assert spelled == {"plan.py"}

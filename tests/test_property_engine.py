@@ -2,8 +2,14 @@
 
 Hypothesis generates miniature corpora and queries; on every one, the
 engine (exhaustive and safe-termination, sequential and parallel) must
-agree with the brute-force reference searcher.
+agree with the brute-force reference searcher, and an execution whose
+chunks were scored a block at a time through the batched kernel must
+equal — whole ``ExecutionResult`` — one whose chunks were scored one at a
+time by the reference scorer.
 """
+
+import sys
+import threading
 
 import numpy as np
 from hypothesis import given, settings
@@ -102,3 +108,101 @@ def test_budget_parallel_dominates_sequential_everywhere(
     assert parallel.chunks_evaluated >= sequential.chunks_evaluated
     for p_score, s_score in zip(parallel.scores, sequential.scores):
         assert p_score >= s_score - 1e-12
+
+
+class _ReferenceTrace:
+    """What the executors read from a trace, with every chunk scored on
+    its own by the reference ``QueryPlan.score_chunk``."""
+
+    def __init__(self, plan, cost_model):
+        self.plan = plan
+        self.cost_model = cost_model
+        self._entries = {}
+
+    def get(self, position):
+        if position not in self._entries:
+            outcome = self.plan.score_chunk(position)
+            self._entries[position] = (outcome, self.cost_model.chunk_time(outcome))
+        return self._entries[position]
+
+
+@given(
+    params=corpus_params,
+    query_terms=st.lists(st.integers(0, 59), min_size=1, max_size=4),
+    k=st.integers(1, 15),
+    mode=st.sampled_from([MatchMode.ALL, MatchMode.ANY]),
+    budget=st.sampled_from([None, 3, 256]),
+    use_score_bound=st.booleans(),
+    skip_chunks=st.booleans(),
+    degree=st.sampled_from([1, 2, 4]),
+    collect_spans=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_filled_trace_executes_identically_to_per_chunk_reference(
+    params, query_terms, k, mode, budget, use_score_bound, skip_chunks,
+    degree, collect_spans,
+):
+    seed, n_docs, vocab, chunk_size = params
+    index, _, _ = _build(seed, n_docs, vocab, chunk_size)
+    engine = Engine(
+        index,
+        EngineConfig(
+            termination=TerminationConfig(
+                match_budget=budget,
+                use_score_bound=use_score_bound,
+                skip_chunks=skip_chunks,
+            )
+        ),
+    )
+    query = Query.of([t % vocab for t in query_terms], k=k, mode=mode)
+    trace = engine.trace(query)
+    reference = _ReferenceTrace(engine.plan(query), engine.config.cost_model)
+    # Dataclass equality: results, latency, cpu_time, worker_busy, every
+    # work counter, the fired rule, chunk_spans and termination_s.
+    assert engine.execute_trace(
+        trace, degree, collect_spans
+    ) == engine.execute_trace(reference, degree, collect_spans)
+    # A second degree on the shared, already filled trace is exact too.
+    assert engine.execute_trace(trace, 4) == engine.execute_trace(reference, 4)
+
+
+def test_threads_missing_in_one_block_all_observe_reference_entries():
+    index, exhaustive, _ = _build(seed=7, n_docs=250, vocab=12, chunk_size=5)
+    query = Query.of([0, 1, 2], k=10, mode=MatchMode.ANY)
+    trace = exhaustive.trace(query)
+    n_positions = trace.n_positions
+    assert n_positions > 28, "need positions in at least four blocks"
+    reference = _ReferenceTrace(exhaustive.plan(query), trace.cost_model)
+    observed = [[] for _ in range(8)]
+    start = threading.Barrier(8)
+
+    def reader(slot):
+        start.wait(timeout=30)
+        # Overlapping walks: every thread reads every position, each
+        # starting in a different place, so misses collide inside blocks.
+        for step in range(n_positions):
+            position = (slot * 5 + step) % n_positions
+            observed[slot].append((position, trace.get(position)))
+
+    threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert trace.n_evaluated == n_positions
+    for entries in observed:
+        assert len(entries) == n_positions
+        for position, (outcome, cost) in entries:
+            expected, expected_cost = reference.get(position)
+            assert outcome.chunk_id == expected.chunk_id
+            assert np.array_equal(outcome.doc_ids, expected.doc_ids)
+            assert list(outcome.scores) == list(expected.scores)
+            assert outcome.postings_scanned == expected.postings_scanned
+            assert outcome.n_matched == expected.n_matched
+            assert cost == expected_cost
