@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install test coverage lint reprolint reprolint-sarif bench bench-small experiments experiments-small e20 trace-demo livesmoke report csv clean
+.PHONY: install test coverage lint reprolint reprolint-sarif experiments experiments-small e20 trace-demo livesmoke report csv clean
 
 install:
 	pip install -e .
@@ -32,12 +32,6 @@ reprolint:
 reprolint-sarif:
 	python -m tools.reprolint src tests tools \
 	  --format sarif --output reprolint.sarif --exit-zero
-
-bench:
-	pytest benchmarks/ --benchmark-only
-
-bench-small:
-	REPRO_SCALE=small pytest benchmarks/ --benchmark-only
 
 experiments:
 	python -m repro --all --json-dir results/reference --report results/reference_report.md
@@ -73,5 +67,5 @@ csv:
 	  export_csv('results/reference', 'results/csv')"
 
 clean:
-	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks
+	rm -rf build dist src/repro.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -9,10 +9,9 @@ Public surface:
   runs a query sequentially (``p == 1``) or with intra-query parallelism
   (``p > 1``) in deterministic virtual time, returning an
   :class:`ExecutionResult` with ranked documents and work accounting;
-* :class:`BatchExecutor` — many queries in flight:
-  ``engine.execute_batch(queries)`` round-robins the batch through the
-  vectorized multi-chunk kernel (the one ``execute`` scores through
-  too) with bit-identical per-query results.
+* :class:`BatchExecutor` — ``engine.execute_batch(queries)``: the
+  sequential driver once per query, plus :class:`BatchStats` counts of
+  what the batch scored and what it read.
 """
 
 from repro.engine.batch import BatchExecutor, BatchStats

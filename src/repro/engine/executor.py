@@ -8,12 +8,12 @@ from typing import List, Optional, Sequence
 from repro.engine.batch import BatchExecutor
 from repro.engine.cost import CostModel
 from repro.engine.parallel import execute_parallel
-from repro.engine.plan import FIRST_WAVE, MAX_WAVE, QueryPlan
+from repro.engine.plan import QueryPlan
 from repro.engine.query import Query
 from repro.engine.results import ExecutionResult
 from repro.engine.sequential import execute_sequential
 from repro.engine.termination import TerminationConfig
-from repro.engine.threads import execute_threaded, execute_threaded_batch
+from repro.engine.threads import execute_threaded
 from repro.engine.trace import ChunkTrace
 from repro.errors import ExecutionError
 from repro.index.inverted import InvertedIndex
@@ -102,9 +102,7 @@ class Engine:
             self.trace(query), self.config.termination, degree
         )
 
-    def batch_executor(
-        self, initial_wave: int = FIRST_WAVE, max_wave: int = MAX_WAVE
-    ) -> BatchExecutor:
+    def batch_executor(self) -> BatchExecutor:
         """Build a :class:`~repro.engine.batch.BatchExecutor` sharing this
         engine's index and configuration."""
         return BatchExecutor(
@@ -112,27 +110,12 @@ class Engine:
             weights=self.config.weights,
             cost_model=self.config.cost_model,
             termination=self.config.termination,
-            initial_wave=initial_wave,
-            max_wave=max_wave,
         )
 
     def execute_batch(self, queries: Sequence[Query]) -> List[ExecutionResult]:
-        """Execute many queries in flight, round-robin, wave by wave.
-
-        Per-query results are bit-identical to ``execute(query, degree=1)``
-        and throughput is the same: both score in waves through one kernel
-        (see :mod:`repro.engine.batch`).
-        """
+        """``[self.execute(query, 1) for query in queries]``, spelled in
+        :meth:`BatchExecutor.execute <repro.engine.batch.BatchExecutor.execute>`."""
         return self.batch_executor().execute(queries)
-
-    def execute_threaded_batch(
-        self, queries: Sequence[Query], degree: int
-    ) -> List[ExecutionResult]:
-        """Execute a query batch on ``degree`` real threads (validation
-        mode; inter-query parallelism — see
-        :func:`repro.engine.threads.execute_threaded_batch`)."""
-        self._check_degree(degree)
-        return execute_threaded_batch(self.batch_executor(), queries, degree)
 
     def __repr__(self) -> str:
         return f"Engine(index={self.index!r}, max_degree={self.config.max_degree})"

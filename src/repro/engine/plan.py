@@ -41,14 +41,6 @@ from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
 from repro.ranking.composite import ScoreWeights
 
-#: Width of the first wave of positions a driver hands
-#: :meth:`QueryPlan.score_chunks`, and the cap its doubling stops at.
-#: Small first, so a query that stops after a chunk or two scores little
-#: it never reads; doubling, so a long scan soon amortizes numpy dispatch
-#: over large calls.
-FIRST_WAVE = 4
-MAX_WAVE = 64
-
 
 @dataclass(frozen=True)
 class ChunkOutcome:
@@ -259,9 +251,8 @@ class QueryPlan:
         ~O(terms) numpy calls on arrays of a few dozen elements, so chunk
         by chunk the interpreter sets the pace; this kernel pays one set
         of numpy calls on arrays the size of the whole wave (≈ 7× less
-        time per posting in waves of 64). Its callers are
-        :meth:`repro.engine.trace.ChunkTrace.get` and
-        :class:`repro.engine.batch.BatchExecutor`.
+        time per posting in waves of 64). Its one caller is
+        :meth:`repro.engine.trace.ChunkTrace.get`.
         """
         pos = np.asarray(positions, dtype=np.int64)
         n_sel = int(pos.shape[0])

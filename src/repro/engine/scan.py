@@ -6,8 +6,8 @@ safe per-chunk bound rules out, consult the stop rules *at claim time*,
 and merge evaluated chunks into a shared top-k. :class:`ChunkScan` holds
 that state and is the only place that knows how cursor, skip, stop and
 merge interleave. The executors are *drivers*: they decide when a claim
-or a merge happens (in lockstep, at a virtual completion event, under a
-lock, or replaying a scored wave) and what it costs — never how.
+or a merge happens (in lockstep, at a virtual completion event, or under
+a lock) and what it costs — never how.
 """
 
 from __future__ import annotations
@@ -54,36 +54,24 @@ class ChunkScan:
         afterwards."""
         return self.state.fired_rule is not None
 
-    def peek(self) -> int:
-        """Next position to evaluate, or -1 when execution should stop.
+    def claim(self) -> int:
+        """Hand out the next position to evaluate, or -1 when execution
+        should stop.
 
         Advances the cursor past individually skippable chunks (their own
         bound cannot beat the current threshold, so they are bypassed
-        without touching their postings), counting each once. Idempotent
-        until the next :meth:`take` or :meth:`merge`.
+        without touching their postings), counting each once.
         """
         state = self.state
         position = self.position
         while not state.should_stop(position):
             if not state.should_skip(position):
-                self.position = position
+                self.position = position + 1
                 return position
             position += 1
             self.chunks_skipped += 1
         self.position = position
         return -1
-
-    def take(self) -> None:
-        """Consume the position the last :meth:`peek` returned."""
-        self.position += 1
-
-    def claim(self) -> int:
-        """:meth:`peek` + :meth:`take`: hand out the next position to
-        evaluate, or -1 when execution should stop."""
-        position = self.peek()
-        if position >= 0:
-            self.position = position + 1
-        return position
 
     def merge(self, outcome: ChunkOutcome) -> None:
         """Fold one evaluated chunk into the top-k and the counters."""

@@ -90,8 +90,7 @@ class TerminationState:
         self.matches_seen = 0
         self.fired_rule: Optional[str] = None
         # Bound arrays mirrored as plain float lists, built lazily: the
-        # rules probe one scalar per position (twice per position on the
-        # batch path — lookahead then replay), and list indexing avoids
+        # rules probe one scalar per position, and list indexing avoids
         # the numpy scalar-extraction cost on every probe. ``tolist()``
         # preserves the exact float64 values, so decisions are identical.
         self._suffix_bounds: Optional[List[float]] = None
@@ -100,18 +99,17 @@ class TerminationState:
     def record_matches(self, n_matched: int) -> None:
         self.matches_seen += int(n_matched)
 
-    def would_stop(self, next_position: int) -> Optional[str]:
-        """The rule that would fire before evaluating ``next_position``,
-        or None — **pure**: no state is recorded. The batch executor's
-        wave lookahead probes stop rules ahead of the merge replay and
-        must not commit ``fired_rule`` early (an intermediate merge can
-        change *which* rule fires first at a position)."""
-        if next_position >= self.plan.n_candidate_chunks:
-            return "exhausted"
+    def should_stop(self, next_position: int) -> bool:
+        """True if execution may stop before evaluating ``next_position``;
+        the first rule that fires is latched in ``fired_rule``."""
+        if self.fired_rule is not None:
+            return True
         budget = self.config.match_budget
-        if budget is not None and self.matches_seen >= max(budget, self.topk.k):
-            return "match_budget"
-        if self.config.use_score_bound and self.topk.full:
+        if next_position >= self.plan.n_candidate_chunks:
+            self.fired_rule = "exhausted"
+        elif budget is not None and self.matches_seen >= max(budget, self.topk.k):
+            self.fired_rule = "match_budget"
+        elif self.config.use_score_bound and self.topk.full:
             bounds = self._suffix_bounds
             if bounds is None:
                 bounds = self._suffix_bounds = self.plan.bounds_from.tolist()
@@ -119,18 +117,8 @@ class TerminationState:
             # the heap, so a tie at the threshold would lose anyway:
             # stopping at bound <= threshold is safe.
             if bounds[next_position] <= self.topk.threshold:
-                return "score_bound"
-        return None
-
-    def should_stop(self, next_position: int) -> bool:
-        """True if execution may stop before evaluating ``next_position``."""
-        if self.fired_rule is not None:
-            return True
-        rule = self.would_stop(next_position)
-        if rule is not None:
-            self.fired_rule = rule
-            return True
-        return False
+                self.fired_rule = "score_bound"
+        return self.fired_rule is not None
 
     def should_skip(self, position: int) -> bool:
         """True if the candidate chunk at ``position`` may be skipped.

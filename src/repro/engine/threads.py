@@ -23,15 +23,11 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
 
-from repro.engine.batch import BatchExecutor
-from repro.engine.query import Query
 from repro.engine.results import ExecutionResult
 from repro.engine.scan import ChunkScan
 from repro.engine.termination import TerminationConfig
 from repro.engine.trace import ChunkTrace
-from repro.errors import ExecutionError
 
 
 def execute_threaded(
@@ -65,45 +61,3 @@ def execute_threaded(
     return scan.result(
         degree=degree, latency=float("nan"), cpu_time=float("nan"), worker_busy=()
     )
-
-
-def execute_threaded_batch(
-    executor: BatchExecutor, queries: Sequence[Query], degree: int
-) -> List[ExecutionResult]:
-    """Run a batch of queries on ``degree`` real threads.
-
-    Inter-query parallelism counterpart to :func:`execute_threaded`:
-    each thread claims whole queries from a shared cursor and runs them
-    through the batched kernel (:meth:`BatchExecutor.execute_one`), the
-    concurrency shape of an ISN draining a request queue. Per-query
-    results are fully independent, so — unlike the intra-query threaded
-    mode — results are bit-identical to sequential execution for *any*
-    termination configuration. Returned in input order.
-    """
-    results: List[Optional[ExecutionResult]] = [None] * len(queries)
-    cursor = {"next": 0}
-    lock = threading.Lock()
-
-    def worker() -> None:
-        while True:
-            with lock:
-                slot = cursor["next"]
-                if slot >= len(queries):
-                    return
-                cursor["next"] = slot + 1
-            # Query execution happens outside the lock; only the claim
-            # cursor synchronizes (results slots are disjoint per claim).
-            results[slot] = executor.execute_one(queries[slot])
-
-    if degree == 1:
-        worker()
-    else:
-        with ThreadPoolExecutor(max_workers=degree) as pool:
-            futures = [pool.submit(worker) for _ in range(degree)]
-            for future in futures:
-                future.result()
-
-    missing = [i for i, result in enumerate(results) if result is None]
-    if missing:  # pragma: no cover - claim protocol invariant violated
-        raise ExecutionError(f"queries {missing} were never executed")
-    return [result for result in results if result is not None]

@@ -18,11 +18,9 @@ before, or skips, are scored and never read. That costs real time and
 nothing else: an outcome reaches the top-k heap, the work counters and
 virtual time only when a driver asks for its position, so every
 :class:`~repro.engine.results.ExecutionResult` is what scoring chunk by
-chunk would have produced. The discarded tail of a
-:class:`~repro.engine.batch.BatchExecutor` wave is the same thing. It is
-not the *modelled* speculation of the parallel executor — chunks claimed
-before a stop is known — which is counted in ``chunks_evaluated`` and
-priced in ``cpu_time``.
+chunk would have produced. It is not the *modelled* speculation of the
+parallel executor — chunks claimed before a stop is known — which is
+counted in ``chunks_evaluated`` and priced in ``cpu_time``.
 """
 
 from __future__ import annotations
@@ -30,8 +28,16 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.engine.cost import CostModel
-from repro.engine.plan import FIRST_WAVE, MAX_WAVE, ChunkOutcome, QueryPlan
+from repro.engine.plan import ChunkOutcome, QueryPlan
 from repro.errors import ExecutionError
+
+#: Width of the first block of positions handed to
+#: :meth:`~repro.engine.plan.QueryPlan.score_chunks`, and the cap its
+#: doubling stops at. Small first, so a query that stops after a chunk or
+#: two scores little it never reads; doubling, so a long scan soon
+#: amortizes numpy dispatch over large calls.
+FIRST_WAVE = 4
+MAX_WAVE = 64
 
 
 def _block(position: int) -> Tuple[int, int]:
@@ -80,3 +86,14 @@ class ChunkTrace:
         """How many distinct chunks have been scored so far, including
         those of a block that no driver has asked for."""
         return len(self._cache)
+
+    @property
+    def n_blocks(self) -> int:
+        """How many blocks have been scored so far — one kernel call
+        each when a single thread drives the trace. A block is stored
+        whole, so its first position stands for it."""
+        count = start = 0
+        while start < self.n_positions:
+            count += start in self._cache
+            start = _block(start)[1]
+        return count

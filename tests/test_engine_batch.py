@@ -1,11 +1,12 @@
-"""Batched multi-query execution and safe per-chunk skipping.
+"""Batch execution, the multi-chunk kernel and safe per-chunk skipping.
 
-The batch executor's contract is *bit-identity*: for every termination
-configuration, each query's result — documents, scores, virtual latency,
-work counters, fired rule — must equal ``engine.execute(query, 1)``
-exactly. These tests pin that contract across the rule matrix, the
-batched scoring kernel, the threaded batch mode, and the skipping
-counters that feed the cost model.
+``execute_batch`` is the sequential driver once per query: for every
+termination configuration each result — documents, scores, virtual
+latency, work counters, fired rule — must equal
+``engine.execute(query, 1)`` as a whole dataclass. These tests pin that
+across the rule matrix, ``BatchStats`` against a spy on the kernel, the
+kernel against the per-chunk reference scorer, and the skipping counters
+that feed the cost model.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import pytest
 
 from repro.engine.batch import BatchExecutor, BatchStats
 from repro.engine.executor import Engine, EngineConfig
+from repro.engine.plan import QueryPlan
 from repro.engine.query import MatchMode, Query
 from repro.engine.termination import TerminationConfig
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ExecutionError
 
 TERMINATION_MATRIX = {
     "default": TerminationConfig(),
@@ -30,6 +32,8 @@ TERMINATION_MATRIX = {
     "skip_only": TerminationConfig(
         match_budget=None, use_score_bound=False, skip_chunks=True
     ),
+    "budget_3": TerminationConfig(match_budget=3),
+    "skip_3": TerminationConfig(match_budget=3, skip_chunks=True),
 }
 
 
@@ -37,16 +41,18 @@ def _engine(workbench, termination):
     return Engine(workbench.index, EngineConfig(termination=termination))
 
 
-def _assert_identical(batched, sequential):
-    assert batched.doc_ids == sequential.doc_ids
-    assert list(batched.scores) == list(sequential.scores)
-    assert batched.latency == sequential.latency
-    assert batched.cpu_time == sequential.cpu_time
-    assert batched.chunks_evaluated == sequential.chunks_evaluated
-    assert batched.chunks_skipped == sequential.chunks_skipped
-    assert batched.postings_scanned == sequential.postings_scanned
-    assert batched.termination_rule == sequential.termination_rule
-    assert batched.terminated_early == sequential.terminated_early
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Number of positions of every ``QueryPlan.score_chunks`` call."""
+    calls = []
+    score_chunks = QueryPlan.score_chunks
+
+    def spy(plan, positions):
+        calls.append(len(positions))
+        return score_chunks(plan, positions)
+
+    monkeypatch.setattr(QueryPlan, "score_chunks", spy)
+    return calls
 
 
 class TestBatchExecutorEquivalence:
@@ -55,18 +61,35 @@ class TestBatchExecutorEquivalence:
         self, small_workbench, sample_queries, name
     ):
         engine = _engine(small_workbench, TERMINATION_MATRIX[name])
-        queries = sample_queries[:30]
-        batched = engine.execute_batch(queries)
-        assert len(batched) == len(queries)
-        for query, result in zip(queries, batched):
-            _assert_identical(result, engine.execute(query, 1))
+        vocab = small_workbench.index.lexicon.vocab_size
+        for mode in MatchMode:
+            queries = [
+                Query.of(q.term_ids, k=q.k, mode=mode) for q in sample_queries[:30]
+            ]
+            queries.append(Query.of([vocab - 1], k=5, mode=mode))  # likely absent
+            for batch in ([], queries[:1], queries):
+                assert engine.execute_batch(batch) == [
+                    engine.execute(query, 1) for query in batch
+                ]
 
-    def test_execute_one_matches_batch(self, small_engine, sample_queries):
-        executor = small_engine.batch_executor()
-        for query in sample_queries[:10]:
-            _assert_identical(
-                executor.execute_one(query), small_engine.execute(query, 1)
+    def test_last_stats_accounting(
+        self, small_workbench, sample_queries, kernel_calls
+    ):
+        queries = sample_queries[:20]
+        for name in ("default", "skip_only"):
+            engine = _engine(small_workbench, TERMINATION_MATRIX[name])
+            executor = engine.batch_executor()
+            kernel_calls.clear()
+            results = executor.execute(queries)
+            stats = executor.last_stats
+            assert stats.queries == 20
+            assert stats.waves == len(kernel_calls) >= 1
+            assert stats.chunks_evaluated == sum(r.chunks_evaluated for r in results)
+            assert stats.chunks_skipped == sum(r.chunks_skipped for r in results)
+            assert (
+                stats.chunks_evaluated + stats.chunks_speculative == sum(kernel_calls)
             )
+            assert (stats.chunks_skipped > 0) == (name == "skip_only")
 
     def test_results_in_input_order(self, small_engine, sample_queries):
         queries = sample_queries[:12]
@@ -81,37 +104,6 @@ class TestBatchExecutorEquivalence:
         queries = [Query.of([vocab - 1], k=5)]  # likely absent term
         results = small_engine.execute_batch(queries)
         assert len(results) == 1
-
-    def test_last_stats_accounting(self, small_engine, sample_queries):
-        executor = small_engine.batch_executor()
-        queries = sample_queries[:20]
-        results = executor.execute(queries)
-        stats = executor.last_stats
-        assert stats.queries == 20
-        assert stats.chunks_evaluated == sum(r.chunks_evaluated for r in results)
-        assert stats.chunks_skipped == sum(r.chunks_skipped for r in results)
-        assert stats.chunks_speculative >= 0
-        assert stats.waves >= 1
-
-    def test_wave_parameters_do_not_change_results(
-        self, small_workbench, sample_queries
-    ):
-        engine = _engine(small_workbench, TERMINATION_MATRIX["default"])
-        queries = sample_queries[:15]
-        small_waves = engine.batch_executor(initial_wave=1, max_wave=2).execute(
-            queries
-        )
-        big_waves = engine.batch_executor(
-            initial_wave=32, max_wave=256
-        ).execute(queries)
-        for a, b in zip(small_waves, big_waves):
-            _assert_identical(a, b)
-
-    def test_wave_validation(self, small_workbench):
-        with pytest.raises(ConfigurationError):
-            BatchExecutor(small_workbench.index, initial_wave=0)
-        with pytest.raises(ConfigurationError):
-            BatchExecutor(small_workbench.index, initial_wave=8, max_wave=4)
 
     def test_default_stats(self, small_workbench):
         executor = BatchExecutor(small_workbench.index)
@@ -173,31 +165,6 @@ class TestScoreChunksKernel:
             plan.score_chunks([0, plan.n_candidate_chunks])  # out of range
         with pytest.raises(ExecutionError):
             plan.score_chunks([-1, 0])
-
-
-class TestThreadedBatch:
-    def test_bit_identical_any_termination(self, small_workbench, sample_queries):
-        # Unlike intra-query threading, inter-query threading is exact
-        # even under the approximate match budget: queries are
-        # independent units of work.
-        engine = _engine(small_workbench, TerminationConfig(match_budget=64))
-        queries = sample_queries[:16]
-        for result, query in zip(
-            engine.execute_threaded_batch(queries, degree=4), queries
-        ):
-            _assert_identical(result, engine.execute(query, 1))
-
-    def test_degree_one_runs_inline(self, small_engine, sample_queries):
-        queries = sample_queries[:5]
-        for result, query in zip(
-            small_engine.execute_threaded_batch(queries, degree=1), queries
-        ):
-            _assert_identical(result, small_engine.execute(query, 1))
-
-    def test_invalid_degree_rejected(self, small_engine, sample_queries):
-        for bad in (0, -1, 1.5, True):
-            with pytest.raises(ExecutionError):
-                small_engine.execute_threaded_batch(sample_queries[:2], bad)
 
 
 class TestSkippingSemantics:
@@ -264,22 +231,7 @@ class TestBatchEdgeCases:
         for name in sorted(TERMINATION_MATRIX):
             engine = _engine(small_workbench, TERMINATION_MATRIX[name])
             query = sample_queries[0]
-            [batched] = engine.execute_batch([query])
-            _assert_identical(batched, engine.execute(query, 1))
-
-    def test_initial_wave_equals_max_wave(
-        self, small_workbench, sample_queries
-    ):
-        # Wave growth disabled: the doubling schedule clamps immediately,
-        # so every wave has the same width. Results must not notice.
-        engine = _engine(small_workbench, TERMINATION_MATRIX["default"])
-        queries = sample_queries[:12]
-        for wave in (1, 8):
-            executor = engine.batch_executor(initial_wave=wave, max_wave=wave)
-            results = executor.execute(queries)
-            assert executor.last_stats.queries == len(queries)
-            for query, result in zip(queries, results):
-                _assert_identical(result, engine.execute(query, 1))
+            assert engine.execute_batch([query]) == [engine.execute(query, 1)]
 
     @pytest.fixture(scope="class")
     def sparse_engine(self):
@@ -301,23 +253,18 @@ class TestBatchEdgeCases:
         assert len(absent) >= n, "corpus unexpectedly uses the whole vocab"
         return [int(t) for t in absent[:n]]
 
-    def test_all_queries_stop_before_any_scoring(self, sparse_engine):
+    def test_all_queries_stop_before_any_scoring(self, sparse_engine, kernel_calls):
         # Every query's terms are absent from the index: zero candidate
-        # chunks, so each run finalizes without a single wave being
-        # scored — and must still report the exact per-query outcome.
+        # chunks, so each run finishes without a single kernel call —
+        # and must still report the exact per-query outcome.
         terms = self._absent_terms(sparse_engine, 4)
         queries = [Query.of([t], k=5) for t in terms]
         executor = sparse_engine.batch_executor()
         results = executor.execute(queries)
-        assert len(results) == len(queries)
-        for query, batched in zip(queries, results):
-            _assert_identical(batched, sparse_engine.execute(query, 1))
-            assert batched.n_results == 0
-            assert batched.chunks_evaluated == 0
-        stats = executor.last_stats
-        assert stats.queries == len(queries)
-        assert stats.chunks_evaluated == 0
-        assert stats.chunks_speculative == 0
+        assert results == [sparse_engine.execute(query, 1) for query in queries]
+        assert all(r.n_results == 0 and r.chunks_evaluated == 0 for r in results)
+        assert kernel_calls == []
+        assert executor.last_stats == BatchStats(queries=len(queries))
 
     def test_mixed_absent_and_present_queries(self, sparse_engine):
         terms = self._absent_terms(sparse_engine, 2)
@@ -333,6 +280,5 @@ class TestBatchEdgeCases:
             Query.of([present[0]], k=5),
         ]
         results = sparse_engine.execute_batch(queries)
-        for query, batched in zip(queries, results):
-            _assert_identical(batched, sparse_engine.execute(query, 1))
+        assert results == [sparse_engine.execute(query, 1) for query in queries]
         assert any(r.n_results > 0 for r in results)

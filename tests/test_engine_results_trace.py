@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.engine.plan import FIRST_WAVE
 from repro.engine.query import Query
 from repro.engine.results import ExecutionResult, RankedDocument, make_ranked
+from repro.engine.trace import FIRST_WAVE
 from repro.errors import ExecutionError
 
 

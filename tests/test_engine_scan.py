@@ -2,9 +2,9 @@
 
 The executors' behaviour is pinned by the equivalence, bit-identity and
 golden tests; these tests pin the seam they all drive — the transition
-contracts of :class:`ChunkScan` — and guard structurally against a fifth
-executor quietly re-copying the loop instead of driving the scan, or a
-production path scoring chunk by chunk again.
+contracts of :class:`ChunkScan` — and guard structurally against a
+fourth driver quietly re-copying the loop instead of driving the scan, or
+a production path scoring outside the trace.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.engine.executor import Engine, EngineConfig
-from repro.engine.plan import FIRST_WAVE, MAX_WAVE
 from repro.engine.scan import ChunkScan
 from repro.engine.termination import TerminationConfig, TerminationState
+from repro.engine.trace import FIRST_WAVE, MAX_WAVE
 
 SKIP_BOUND = TerminationConfig(
     match_budget=None, use_score_bound=True, skip_chunks=True
@@ -55,43 +55,27 @@ def skipping_plan(plans):
 
 
 class TestChunkScanTransitions:
-    def test_peek_is_idempotent_and_counts_each_skip_once(self, skipping_plan):
+    def test_claim_counts_each_skip_once(self, skipping_plan):
         plan = skipping_plan
         scan = ChunkScan(plan, SKIP_BOUND)
         position = 0
         while position >= 0:
             cursor = scan.position
             skipped = scan.chunks_skipped
-            position = scan.peek()
-            # Everything the cursor moved over was skipped, counted once
-            # (a stopping peek leaves the cursor where the rule fired).
-            assert scan.chunks_skipped - skipped == scan.position - cursor
-            assert position in (scan.position, -1)
-            after = (scan.position, scan.chunks_skipped)
-            assert scan.peek() == position
-            assert (scan.position, scan.chunks_skipped) == after
+            position = scan.claim()
+            # Everything the cursor moved over was skipped, counted once,
+            # except the claimed position itself (a stopping claim leaves
+            # the cursor where the rule fired).
+            assert scan.chunks_skipped - skipped == scan.position - cursor - (
+                position >= 0
+            )
+            assert position in (scan.position - 1, -1)
             if position >= 0:
-                scan.take()
                 scan.merge(plan.score_chunk(position))
         assert scan.chunks_skipped > 0
-
-    def test_claim_equals_peek_then_take(self, skipping_plan):
-        plan = skipping_plan
-        by_claim = ChunkScan(plan, SKIP_BOUND)
-        by_peek = ChunkScan(plan, SKIP_BOUND)
-        while True:
-            position = by_peek.peek()
-            if position >= 0:
-                by_peek.take()
-            assert by_claim.claim() == position
-            assert by_claim.position == by_peek.position
-            assert by_claim.chunks_skipped == by_peek.chunks_skipped
-            if position < 0:
-                break
-            outcome = plan.score_chunk(position)
-            by_claim.merge(outcome)
-            by_peek.merge(outcome)
-        assert by_claim.state.fired_rule == by_peek.state.fired_rule
+        after = (scan.position, scan.chunks_skipped)
+        assert scan.claim() == -1
+        assert (scan.position, scan.chunks_skipped) == after
 
     @pytest.mark.parametrize(
         "termination",
@@ -105,12 +89,12 @@ class TestChunkScanTransitions:
             _drive(scan, plan)
             assert scan.stopped
             latched = (scan.state.fired_rule, scan.position, scan.chunks_skipped)
-            assert scan.peek() == -1 and scan.claim() == -1
+            assert scan.claim() == -1
             # A late merge (a worker that was mid-chunk at the stop) must
             # not reopen the scan or change which rule fired.
             if plan.n_candidate_chunks:
                 scan.merge(plan.score_chunk(0))
-            assert scan.peek() == -1
+            assert scan.claim() == -1
             assert (
                 scan.state.fired_rule, scan.position, scan.chunks_skipped
             ) == latched
@@ -210,10 +194,8 @@ class TestOneLoop:
         "name, allowed",
         [
             ("TerminationState", {"scan.py": ["__init__"]}),
-            ("should_stop", {"scan.py": ["peek"]}),
-            # batch.py::select_wave is the documented pure lookahead: it
-            # nominates positions, commits nothing, and the scan re-decides.
-            ("should_skip", {"batch.py": ["select_wave"], "scan.py": ["peek"]}),
+            ("should_stop", {"scan.py": ["claim"]}),
+            ("should_skip", {"scan.py": ["claim"]}),
             ("ExecutionResult", {"scan.py": ["result"]}),
         ],
     )
@@ -222,8 +204,8 @@ class TestOneLoop:
 
 
 class TestOneKernel:
-    """Production scores through ``score_chunks`` only, from two call
-    sites; ``score_chunk`` and its helpers are the tests' reference."""
+    """Production scores through ``score_chunks`` only, from one call
+    site; ``score_chunk`` and its helpers are the tests' reference."""
 
     @staticmethod
     def _call_sites(name):
@@ -251,20 +233,16 @@ class TestOneKernel:
             ("score_chunk", {}),
             ("_intersect", {"engine/plan.py": ["score_chunk"]}),
             ("_accumulate", {"engine/plan.py": ["score_chunk"]}),
-            (
-                "score_chunks",
-                {"engine/batch.py": ["_advance"], "engine/trace.py": ["get"]},
-            ),
+            ("score_chunks", {"engine/trace.py": ["get"]}),
         ],
     )
     def test_kernel_calls_live_only_where_waves_are_formed(self, name, allowed):
         assert self._call_sites(name) == allowed
 
     def test_wave_widths_are_spelled_once(self):
-        # The first wave's width and the cap are shared by the trace's
-        # blocks and the batch executor's defaults; as integer literals
-        # they appear in the module that names them and nowhere else in
-        # the engine.
+        # The first block's width and the cap: as integer literals they
+        # appear in the module that lays out the blocks and nowhere else
+        # in the engine.
         assert (FIRST_WAVE, MAX_WAVE) == (4, 64)
         spelled = {
             path.name
@@ -274,4 +252,4 @@ class TestOneKernel:
             and type(node.value) is int
             and node.value in (FIRST_WAVE, MAX_WAVE)
         }
-        assert spelled == {"plan.py"}
+        assert spelled == {"trace.py"}

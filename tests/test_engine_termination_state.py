@@ -113,18 +113,6 @@ class TestTerminationState:
             match_budget=None, use_score_bound=False, skip_chunks=True
         ).is_exhaustive
 
-    def test_would_stop_is_pure(self, plan):
-        state = TerminationState(
-            TerminationConfig(match_budget=5, use_score_bound=False),
-            plan,
-            TopK(5),
-        )
-        state.record_matches(100)
-        assert state.would_stop(0) == "match_budget"
-        assert state.fired_rule is None  # lookahead committed nothing
-        assert state.should_stop(0)
-        assert state.fired_rule == "match_budget"
-
     def test_skip_requires_configuration_and_full_heap(self, plan):
         topk = TopK(5)
         off = TerminationState(

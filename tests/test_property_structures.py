@@ -60,6 +60,7 @@ def test_posting_chunk_metadata_consistent(doc_ids, data):
 
     # Slices tile the postings and respect chunk ranges.
     seen = []
+    slice_max = []
     for chunk_id in range(cm.n_chunks):
         ids, imp = plist.chunk_slice(chunk_id)
         start, end = cm.chunk_range(chunk_id)
@@ -68,16 +69,14 @@ def test_posting_chunk_metadata_consistent(doc_ids, data):
         # Chunk maximum matches the slice maximum.
         if ids.shape[0]:
             assert plist.chunk_upper_bound(chunk_id) == imp.max()
+        slice_max.append(float(imp.max()) if imp.shape[0] else 0.0)
     assert seen == doc_ids
 
     # Suffix bounds are the running maxima from each chunk onwards.
     bounds = plist.suffix_upper_bounds(cm.n_chunks)
-    for chunk_id in range(cm.n_chunks):
-        tail_max = 0.0
-        for later in range(chunk_id, cm.n_chunks):
-            _, imp = plist.chunk_slice(later)
-            if imp.shape[0]:
-                tail_max = max(tail_max, float(imp.max()))
+    tail_max = 0.0
+    for chunk_id in reversed(range(cm.n_chunks)):
+        tail_max = max(tail_max, slice_max[chunk_id])
         assert bounds[chunk_id] == tail_max
 
 
