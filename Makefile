@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install test coverage lint reprolint reprolint-sarif experiments experiments-small e20 trace-demo livesmoke report csv clean
+.PHONY: install test coverage lint reprolint experiments experiments-small e20 trace-demo livesmoke report csv clean
 
 install:
 	pip install -e .
@@ -28,10 +28,6 @@ lint: reprolint
 
 reprolint:
 	python -m tools.reprolint src tests tools
-
-reprolint-sarif:
-	python -m tools.reprolint src tests tools \
-	  --format sarif --output reprolint.sarif --exit-zero
 
 experiments:
 	python -m repro --all --json-dir results/reference --report results/reference_report.md

@@ -15,7 +15,7 @@ numpy arrays, with an offsets array delimiting each document's slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -133,11 +133,6 @@ class Corpus:
     def __iter__(self) -> Iterator[Document]:
         for doc_id in range(self.n_docs):
             yield self.document(doc_id)
-
-    def doc_slice(self, doc_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (term_ids, freqs) arrays for ``doc_id`` without wrapping."""
-        start, end = int(self.offsets[doc_id]), int(self.offsets[doc_id + 1])
-        return self.terms[start:end], self.freqs[start:end]
 
     def document_frequencies(self) -> np.ndarray:
         """Number of documents containing each term (length ``vocab_size``)."""

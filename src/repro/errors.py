@@ -46,16 +46,6 @@ class SimulationError(ReproError):
     """The discrete-event simulator detected an inconsistency."""
 
 
-class DeadlineExceeded(SimulationError):
-    """A query missed its SLO deadline and was shed or abandoned.
-
-    Raised only when robustness machinery is asked to *enforce* a
-    deadline synchronously; the simulator normally records sheds as
-    metrics rather than raising, so this also serves as the taxonomy
-    anchor for deadline-related accounting.
-    """
-
-
 class FaultInjectionError(SimulationError):
     """A fault schedule was malformed (overlapping windows, bad bounds...)."""
 

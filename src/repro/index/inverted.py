@@ -12,14 +12,11 @@ An :class:`InvertedIndex` is the in-memory shard an index-serving node
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.errors import IndexError_
 from repro.index.chunks import ChunkMap
 from repro.index.lexicon import Lexicon
-from repro.index.postings import PostingList
 from repro.ranking.bm25 import BM25Params
 
 
@@ -62,10 +59,6 @@ class InvertedIndex:
         # doc_frequency, not postings(): a lazy lexicon answers it from
         # its offsets without materializing every posting list.
         return int(sum(self.lexicon.doc_frequency(t) for t in self.lexicon))
-
-    def postings_for(self, term_ids: List[int]) -> List[PostingList]:
-        """Posting lists for the query terms that exist in the index."""
-        return self.lexicon.posting_lists(term_ids)
 
     def memory_footprint_bytes(self) -> int:
         """Approximate resident size of the index arrays."""

@@ -46,10 +46,6 @@ class QueryLatencyPredictor:
         self.ridge = float(ridge)
         self._coef: Optional[np.ndarray] = None
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._coef is not None
-
     def fit(
         self,
         engine: Engine,

@@ -97,9 +97,6 @@ class QueryCostTable:
     def latency_of(self, query_index: int, degree: int) -> float:
         return float(self.latency[query_index, self.degree_column(degree)])
 
-    def cpu_of(self, query_index: int, degree: int) -> float:
-        return float(self.cpu[query_index, self.degree_column(degree)])
-
     def sequential_latencies(self) -> np.ndarray:
         return self.latency[:, self.degree_column(1)]
 

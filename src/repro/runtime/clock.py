@@ -49,9 +49,9 @@ class FakeClock(Simulator):
     asyncio server tests execute entire query lifecycles without one
     real sleep.
 
-    Determinism contract (why this is a declared R018 sanitizer): time
-    is a :class:`~repro.core.clock.VirtualClock` that only moves when
-    the test says so, by amounts the test chose. Nothing here reads the
+    Determinism contract: time is a
+    :class:`~repro.core.clock.VirtualClock` that only moves when the
+    test says so, by amounts the test chose. Nothing here reads the
     wall clock, the environment, or any RNG.
     """
 

@@ -35,10 +35,6 @@ class QueryRecord:
     def queue_delay(self) -> float:
         return self.start - self.arrival
 
-    @property
-    def service_time(self) -> float:
-        return self.completion - self.start
-
 
 class MetricsCollector:
     """Accumulates query records and core-busy time within a window.

@@ -196,13 +196,6 @@ class TrafficConfig:
                 seen.append(burst.kind)
         return tuple(seen)
 
-    def burst_active_at(self, time_s: float) -> Optional[Burst]:
-        """The burst whose half-open window contains ``time_s``, if any."""
-        for burst in self.bursts:
-            if burst.start_s <= time_s < burst.end_s:
-                return burst
-        return None
-
 
 class _Component:
     """One independent Poisson flow of the superposition.

@@ -54,29 +54,3 @@ def run_suppressed(n_workers: int) -> None:
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         pool.submit(primer)
 
-
-class WorkerLocal:
-    """Constructed inside each worker and never published: owned."""
-
-    def __init__(self) -> None:
-        self.total = 0  # 'self' is owned inside a constructor call
-        self.seen: list = []
-
-    def bump(self, value: int) -> None:
-        self.total += value  # receiver is owned at every call site
-        self.seen.append(value)
-
-
-def drain(local: WorkerLocal, values: list) -> None:
-    for value in values:
-        local.total += value  # 'local' is bound to an owned argument
-
-
-def run_owned(n_workers: int) -> None:
-    def worker() -> None:
-        local = WorkerLocal()  # thread-local object graph: never flagged
-        local.bump(1)
-        drain(local, [2, 3])
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        pool.submit(worker)

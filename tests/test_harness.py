@@ -5,9 +5,12 @@ suite; here we run the cheap ones end-to-end at small scale and unit-test
 the harness plumbing.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.harness import experiments, registry
 from repro.harness.context import ExperimentContext, Scale
 from repro.harness.registry import EXPERIMENTS, TITLES, get_experiment, run_experiment
 from repro.harness.result import CheckOutcome, ExperimentResult
@@ -22,7 +25,18 @@ def ctx():
 
 class TestRegistry:
     def test_all_experiments_registered(self):
-        assert sorted(EXPERIMENTS) == [f"e{i:02d}" for i in range(1, 21)]
+        # Every experiments/e*.py that defines EXPERIMENT_ID is in
+        # _MODULES, ids are unique, and each entry is runnable.
+        on_disk = {
+            path.stem
+            for path in Path(experiments.__file__).parent.glob("e*.py")
+            if "\nEXPERIMENT_ID = " in path.read_text()
+        }
+        registered = {m.__name__.rpartition(".")[2] for m in registry._MODULES}
+        assert registered == on_disk
+        assert len(registry._MODULES) == len(EXPERIMENTS)
+        for module in registry._MODULES:
+            assert callable(module.run) and module.TITLE
 
     def test_titles_present(self):
         assert all(TITLES[eid] for eid in EXPERIMENTS)

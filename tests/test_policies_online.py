@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.obs.spans import RecordingTracer
 from repro.policies.adaptive import AdaptivePolicy, ThresholdTable
 from repro.policies.base import QueryInfo, SystemState
 from repro.policies.online import (
@@ -148,10 +149,10 @@ CONFIG = OnlineControllerConfig(
 )
 
 
-def _drive(windows, config=CONFIG):
+def _drive(windows, config=CONFIG, tracer=None):
     """Feed (latencies, n_shed) windows through a controller; return it."""
     policy = OnlineAdaptivePolicy(TABLE)
-    controller = OnlineDegreeController(policy, config)
+    controller = OnlineDegreeController(policy, config, tracer=tracer)
     simulator = _FakeSimulator()
     collector = _FakeCollector()
     controller.attach(simulator, None, collector, horizon_s=10 * len(windows) + 10)
@@ -238,6 +239,24 @@ class TestControllerStability:
         controller = _drive([([0.1] * 20, 10)] * 5)
         assert controller.decisions[0].action == "tighten"
         assert controller.policy.scale < 1.0
+
+    def test_spread_window_steers_on_the_99th_percentile(self):
+        """Latencies 1..100 ms against a 50 ms target: the 99th
+        percentile (99 ms) is above the band, the 0.99th (2 ms) below
+        it — only the tail may drive the decision."""
+        config = OnlineControllerConfig(
+            target_p99_s=0.050, window_s=1.0, deadband=0.15, min_samples=8
+        )
+        tracer = RecordingTracer()
+        window = ([ms / 1000.0 for ms in range(1, 101)], 0)
+        controller = _drive([window], config=config, tracer=tracer)
+        (decision,) = controller.decisions
+        assert decision.action == "tighten"
+        assert decision.p99_s == pytest.approx(0.09901)
+        (event,) = tracer.lifecycle_events
+        assert event.name == "control.adjust"
+        assert event.attrs["action"] == "tighten"
+        assert event.attrs["p99_s"] == pytest.approx(0.09901)
 
     def test_decisions_record_window_accounting(self):
         controller = _drive([([0.5] * 10, 2), ([2.0] * 12, 0)])

@@ -23,7 +23,7 @@ import pytest
 from tools.reprolint import all_rules, lint_paths, lint_source
 from tools.reprolint.cli import main as reprolint_main
 from tools.reprolint.core import Suppressions
-from tools.reprolint.reporter import render_json, render_sarif, render_text
+from tools.reprolint.reporter import render_json, render_text
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "reprolint"
@@ -78,12 +78,9 @@ RULE_FIXTURES = {
     "R010": "r010_stream_collision.py",
     "R011": "r011_config_typed.py",
     "R012": "r012_thread_safety.py",
-    "R013": "r013_experiments",
     "R014": "r014_layering",
     "R015": "r015_async.py",
-    "R016": "r016_hotpath",
     "R017": "r017_purity",
-    "R018": "r018_taint",
     "R019": "r019_deadlines",
 }
 
@@ -222,7 +219,7 @@ class TestRealTreeGate:
         marker_line = 1 + mutated[: mutated.index(marker)].count("\n")
         assert result.findings[0].line == marker_line - 1
 
-    # -- R014-R017 mutation regressions on copies of the real kernel ----
+    # -- R014/R015/R017 mutation regressions on copies of the real kernel ----
 
     _KERNEL_MAP = (
         "[layers]\n"
@@ -297,29 +294,6 @@ class TestRealTreeGate:
         bad_line = 1 + mutated[: mutated.index(injected)].count("\n")
         assert result.findings[0].line == bad_line
 
-    def test_append_loop_in_plan_fails(self, tmp_path):
-        plan = (REPO_ROOT / "src/repro/engine/plan.py").read_text()
-        (tmp_path / "layers.toml").write_text('[hotpath]\ndirs = ["engine"]\n')
-        target_dir = tmp_path / "engine"
-        target_dir.mkdir()
-        (target_dir / "plan.py").write_text(plan)
-        assert lint_paths([str(target_dir)], select=["R016"]).findings == []
-        marker = (
-            "            relevance += "
-            "np.maximum.accumulate(per_chunk[::-1])[::-1]"
-        )
-        assert marker in plan
-        bad = "relevance = np.append(relevance, _value)"
-        mutated = plan.replace(
-            marker,
-            "            for _value in per_chunk:\n                " + bad,
-        )
-        (target_dir / "plan.py").write_text(mutated)
-        result = lint_paths([str(target_dir)], select=["R016"])
-        assert [f.rule_id for f in result.findings] == ["R016"]
-        bad_line = 1 + mutated[: mutated.index(bad)].count("\n")
-        assert result.findings[0].line == bad_line
-
 
 class TestReporters:
     def test_text_format(self, tmp_path):
@@ -381,21 +355,6 @@ class TestReporters:
         payload = json.loads(render_json(result))
         assert payload["suppressed_by_rule"].get("R005", 0) >= 1
 
-    def test_sarif_shape(self, tmp_path):
-        result = lint_fixture(tmp_path, "r004_float_equality.py", "R004")
-        sarif = json.loads(render_sarif(result))
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "reprolint"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert rule_ids == sorted(rule_ids)
-        for res in run["results"]:
-            assert rule_ids[res["ruleIndex"]] == res["ruleId"]
-            location = res["locations"][0]["physicalLocation"]
-            assert location["region"]["startLine"] >= 1
-        assert len(run["results"]) == len(result.findings)
-
 
 class TestSuppressionEdges:
     def test_fixture_exact(self, tmp_path):
@@ -437,24 +396,24 @@ class TestSuppressionEdges:
     def test_disable_file_all(self):
         sup = Suppressions.from_source("# reprolint: disable-file=all\nx = 1\n")
         assert sup.is_suppressed("R001", 2)
-        assert sup.is_suppressed("R013", 2)
+        assert sup.is_suppressed("R012", 2)
 
 
 class TestReportStability:
-    """Same tree, different CWDs — the JSON and SARIF reports must be
+    """Same tree, different CWDs — the JSON report must be
     byte-identical (fingerprints in CI diff them across runs)."""
 
-    @pytest.mark.parametrize("fmt", ["json", "sarif"])
+    @pytest.mark.parametrize("fmt", ["json"])
     def test_two_cwds_byte_identical(self, tmp_path, monkeypatch, fmt):
         outputs = {}
         for name in ("left", "right"):
             workdir = tmp_path / name
-            shutil.copytree(FIXTURES / "r018_taint", workdir / "r018_taint")
+            shutil.copytree(FIXTURES / "r019_deadlines", workdir / "r019_deadlines")
             monkeypatch.chdir(workdir)
             out = tmp_path / f"{name}.{fmt}"
             assert (
                 reprolint_main(
-                    ["r018_taint", "--select", "R018", "--format", fmt,
+                    ["r019_deadlines", "--select", "R019", "--format", fmt,
                      "--output", str(out), "--exit-zero"]
                 )
                 == 0
@@ -492,20 +451,6 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in RULE_FIXTURES:
             assert rule_id in out
-
-    def test_sarif_format_flag(self, tmp_path, capsys):
-        target_dir = tmp_path / "sim"
-        target_dir.mkdir()
-        shutil.copy(
-            FIXTURES / "r004_float_equality.py", target_dir / "r004.py"
-        )
-        assert (
-            reprolint_main([str(target_dir), "--format", "sarif", "--exit-zero"])
-            == 0
-        )
-        sarif = json.loads(capsys.readouterr().out)
-        assert sarif["version"] == "2.1.0"
-        assert any(r["ruleId"] == "R004" for r in sarif["runs"][0]["results"])
 
     def test_output_file_flag(self, tmp_path, capsys):
         target_dir = tmp_path / "sim"

@@ -10,18 +10,16 @@ arguments, no swallowed exceptions in sim hot paths, and fully annotated
 public simulation APIs.
 
 The whole-program analyses (R009+) add cross-module checks: units of
-measure, RNG stream collisions, typed config consumption, thread
-safety, experiment registration, architectural layering + kernel clock
+measure (R009), RNG stream collisions (R010), typed config consumption
+(R011), thread safety (R012), architectural layering + kernel clock
 discipline driven by the declarative map in ``layers.toml`` (R014),
-async/blocking safety (R015), hot-path numpy performance on the
-query-execution path (R016), policy-kernel purity (R017), determinism
-taint flowing into kernel decisions / serialized results / provenance
-manifests (R018), and deadline propagation through the async runtime
-(R019).
+async/blocking safety (R015), policy-kernel purity (R017), and deadline
+propagation through the async runtime (R019). A rule stays only while
+it catches a mutant nothing else does (CONTRIBUTING.md, "What each
+rule costs and catches").
 
 Every run is from scratch — read, parse, run the rules, report — about
-5.5 s for ``src tests tools`` on a 2-core box (CONTRIBUTING.md, "What a
-lint run costs").
+5 s for ``src tests tools`` on a 2-core box.
 
 Usage::
 

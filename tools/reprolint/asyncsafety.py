@@ -20,7 +20,7 @@ thread-pool engine, all caught statically:
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from tools.reprolint.core import FileContext, Finding, Rule, register
 from tools.reprolint.project import (
@@ -320,26 +320,24 @@ class AsyncSafetyRule(Rule):
                     spawn_site = f"{ctx.path}:{node.lineno}"
                     if worker in nested:
                         entries.append(
-                            (nested[worker], module, owner, spawn_site,
-                             local_types, frozenset())
+                            (nested[worker], module, owner, spawn_site, local_types)
                         )
                         continue
                     resolved = project.resolve_function(module, worker)
                     if resolved is not None:
                         entries.append(
-                            (resolved.node, resolved.module, None,
-                             spawn_site, {}, frozenset())
+                            (resolved.node, resolved.module, None, spawn_site, {})
                         )
 
         thread_writes: Dict[Tuple[str, str], str] = {}
-        seen: Set[Tuple[int, FrozenSet[str]]] = set()
+        seen: Set[int] = set()
         queue = list(entries)
         while queue:
             item = queue.pop()
-            scope, module, _owner, spawn_site, _inherited, owned = item
-            if (id(scope), owned) in seen:
+            scope, module, _owner, spawn_site, _inherited = item
+            if id(scope) in seen:
                 continue
-            seen.add((id(scope), owned))
+            seen.add(id(scope))
             for _statement, description in _unlocked_attr_writes(scope):
                 thread_writes.setdefault(
                     (module.name, description), spawn_site

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from tools.reprolint.core import all_rules, lint_paths
-from tools.reprolint.reporter import render_json, render_sarif, render_text
+from tools.reprolint.reporter import render_json, render_text
 
 
 def _split_rule_list(raw: Optional[str]) -> Optional[List[str]]:
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
@@ -106,8 +106,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.format == "json":
         report = render_json(result)
-    elif args.format == "sarif":
-        report = render_sarif(result)
     else:
         report = render_text(result)
 

@@ -194,10 +194,8 @@ def all_rules() -> Dict[str, Type[Rule]]:
     # Imported for their side effect of registering rules.
     from tools.reprolint import asyncsafety as _asyncsafety  # noqa: F401
     from tools.reprolint import deadlines as _deadlines  # noqa: F401
-    from tools.reprolint import hotpath as _hotpath  # noqa: F401
     from tools.reprolint import layering as _layering  # noqa: F401
     from tools.reprolint import rules as _rules  # noqa: F401
-    from tools.reprolint import taint as _taint  # noqa: F401
     from tools.reprolint import units as _units  # noqa: F401
     from tools.reprolint import wholeprogram as _wholeprogram  # noqa: F401
 

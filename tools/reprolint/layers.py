@@ -1,8 +1,8 @@
-"""Layer-map loading and module→layer resolution for R014/R016/R017.
+"""Layer-map loading and module→layer resolution for R014/R017/R019.
 
 The map is declarative TOML (``layers.toml``): layer assignments by
 dotted module-name prefix, an allowed-import order, the clock-discipline
-configuration, hot-path entry points, and the purity scope. The rules
+configuration, the purity scope, and the deadline scope. The rules
 find the map *next to the linted tree*: for each linted file the nearest
 ancestor directory containing ``layers.toml`` or
 ``tools/reprolint/layers.toml`` wins. Fixture trees therefore carry
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 try:  # Python >= 3.11
     import tomllib
@@ -43,42 +43,10 @@ class ClockConfig:
 
 
 @dataclass(frozen=True)
-class HotpathConfig:
-    """Hot-query-path scope for R016."""
-
-    dirs: Tuple[str, ...] = ()
-    entries: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class PurityConfig:
     """Purity scope for R017."""
 
     layers: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class TaintConfig:
-    """Determinism-taint configuration for R018.
-
-    ``sink_modules`` are dotted module-name prefixes (matched with the
-    same segment-aligned, suffix-tolerant semantics as layer prefixes):
-    a nondeterministic value flowing into a call of a function defined
-    in one of them — or returned / stored inside one of them — is a
-    finding. ``sink_functions`` name individual callables (terminal or
-    dotted) that are sinks wherever they are defined. ``sanitizers``
-    name callables whose result is always considered deterministic,
-    killing taint (``sorted`` is built in; declare domain sanitizers
-    such as ``VirtualClock`` or ``RngFactory`` here).
-    """
-
-    sink_modules: Tuple[str, ...] = ()
-    sink_functions: Tuple[str, ...] = ()
-    sanitizers: Tuple[str, ...] = ()
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.sink_modules or self.sink_functions)
 
 
 @dataclass(frozen=True)
@@ -110,9 +78,7 @@ class LayerMap:
     #: layer name -> layers it may import from (itself always allowed)
     imports: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     clock: ClockConfig = field(default_factory=ClockConfig)
-    hotpath: HotpathConfig = field(default_factory=HotpathConfig)
     purity: PurityConfig = field(default_factory=PurityConfig)
-    taint: TaintConfig = field(default_factory=TaintConfig)
     deadlines: DeadlineConfig = field(default_factory=DeadlineConfig)
     #: where the map was loaded from (diagnostics)
     source: Optional[str] = None
@@ -149,18 +115,6 @@ class LayerMap:
         return layer is not None and layer in self.deadlines.layers
 
 
-def module_matches(module_name: str, prefixes: Sequence[str]) -> Optional[str]:
-    """The first prefix in ``prefixes`` matching ``module_name`` with the
-    same segment-aligned, suffix-tolerant semantics as layer assignment
-    (``repro.util.serde`` matches ``tmpdir.src.repro.util.serde``), or
-    None."""
-    for prefix in prefixes:
-        pattern = re.compile(r"(?:^|\.)" + re.escape(prefix) + r"(?:$|\.)")
-        if pattern.search(module_name):
-            return prefix
-    return None
-
-
 def _as_str_tuple(value: object) -> Tuple[str, ...]:
     if not isinstance(value, (list, tuple)):
         return ()
@@ -182,9 +136,7 @@ def parse_layer_map(text: str, source: Optional[str] = None) -> LayerMap:
         for name, targets in dict(data.get("imports", {})).items()
     }
     clock_raw = dict(data.get("clock", {}))
-    hot_raw = dict(data.get("hotpath", {}))
     purity_raw = dict(data.get("purity", {}))
-    taint_raw = dict(data.get("taint", {}))
     deadline_raw = dict(data.get("deadlines", {}))
     return LayerMap(
         layers=layers,
@@ -196,16 +148,7 @@ def parse_layer_map(text: str, source: Optional[str] = None) -> LayerMap:
             ),
             clock_classes=_as_str_tuple(clock_raw.get("clock_classes", ())),
         ),
-        hotpath=HotpathConfig(
-            dirs=_as_str_tuple(hot_raw.get("dirs", ())),
-            entries=_as_str_tuple(hot_raw.get("entries", ())),
-        ),
         purity=PurityConfig(layers=_as_str_tuple(purity_raw.get("layers", ()))),
-        taint=TaintConfig(
-            sink_modules=_as_str_tuple(taint_raw.get("sink_modules", ())),
-            sink_functions=_as_str_tuple(taint_raw.get("sink_functions", ())),
-            sanitizers=_as_str_tuple(taint_raw.get("sanitizers", ())),
-        ),
         deadlines=DeadlineConfig(
             layers=_as_str_tuple(deadline_raw.get("layers", ())),
             deadline_params=_as_str_tuple(

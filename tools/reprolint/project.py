@@ -1,12 +1,11 @@
 """Whole-program project model for cross-module analyses.
 
 The R001-R008 rules each look at one file. The analyses on top of this
-module —
-units-of-measure dataflow (R009), RNG stream collisions (R010), typed
-config-field consumption (R011), thread-safety (R012), dead experiments
-(R013) — all need to see the program, not a file: a seconds-valued
-interval produced in ``sim/arrivals.py`` flows into a deadline parameter
-in ``sim/server.py`` through two call sites in ``sim/experiment.py``.
+module — units-of-measure dataflow (R009), RNG stream collisions (R010),
+typed config-field consumption (R011), thread-safety (R012) — all need
+to see the program, not a file: a seconds-valued interval produced in
+``sim/arrivals.py`` flows into a deadline parameter in ``sim/server.py``
+through two call sites in ``sim/experiment.py``.
 
 The model is deliberately syntactic (no imports are executed):
 
@@ -14,8 +13,8 @@ The model is deliberately syntactic (no imports are executed):
   becomes a :class:`ModuleInfo` with a dotted module name derived from
   its path (``src/repro/sim/engine.py`` → ``repro.sim.engine``); the
   import table maps local aliases to the dotted names they refer to.
-* **symbol table** — top-level functions, classes (with methods and
-  annotated fields), and module-level constant assignments.
+* **symbol table** — top-level functions and classes (with methods and
+  annotated fields).
 * **call resolution** — :meth:`ProjectModel.resolve_call` resolves a
   call expression to the :class:`FunctionInfo` it invokes, following
   ``from m import f`` aliases, ``mod.f`` attribute calls, ``self.m()``
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from tools.reprolint.core import FileContext
 
@@ -134,8 +133,6 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: module-level ``NAME = <constant>`` assignments
-    constants: Dict[str, object] = field(default_factory=dict)
 
 
 def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
@@ -231,12 +228,6 @@ class ProjectModel:
                         )
                 ProjectModel._index_attr_classes(cls_info)
                 info.classes[node.name] = cls_info
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and isinstance(
-                    node.value, ast.Constant
-                ):
-                    info.constants[target.id] = node.value.value
 
     @staticmethod
     def _annotation_name(annotation: Optional[ast.expr]) -> Optional[str]:
@@ -495,15 +486,6 @@ class ProjectModel:
                 if isinstance(inner, ast.expr):
                     return self._annotation_class(module, inner)
         return None
-
-    def iter_functions(self) -> Iterator[Tuple[FunctionInfo, Optional[ClassInfo]]]:
-        """Every function in the project, with its owning class if any."""
-        for info in self.modules.values():
-            for fn in info.functions.values():
-                yield fn, None
-            for cls_info in info.classes.values():
-                for fn in cls_info.methods.values():
-                    yield fn, cls_info
 
 
 def match_call_args(

@@ -1,9 +1,8 @@
-"""Finding reporters: human-readable text, stable JSON, and SARIF.
+"""Finding reporters: human-readable text and stable JSON.
 
 The JSON document is a stable machine interface (``schema_version`` is
 bumped on any breaking shape change; see ``tests/test_reprolint.py``'s
-schema-shape test). The SARIF output targets the GitHub code-scanning
-ingestion subset of SARIF 2.1.0 so findings render as PR annotations.
+schema-shape test).
 """
 
 from __future__ import annotations
@@ -15,12 +14,6 @@ from tools.reprolint.core import Finding, LintResult, all_rules
 
 #: Bumped on breaking changes to the JSON document shape.
 JSON_SCHEMA_VERSION = 3
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemas/sarif-schema-2.1.0.json"
-)
 
 
 def render_text(result: LintResult, verbose_summary: bool = True) -> str:
@@ -72,70 +65,5 @@ def render_json(result: LintResult) -> str:
         "findings": [_finding_dict(finding) for finding in result.all_findings],
         "suppressed_by_rule": result.suppressed_by_rule(),
         "suppressed_total": len(result.suppressed),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 document (GitHub code-scanning ingestion subset)."""
-    registry = all_rules()
-    rule_ids = sorted(
-        set(result.rules_run or registry)
-        | {finding.rule_id for finding in result.all_findings}
-    )
-    rules: List[Dict[str, object]] = []
-    index_of: Dict[str, int] = {}
-    for rule_id in rule_ids:
-        rule_cls = registry.get(rule_id)
-        descriptor: Dict[str, object] = {"id": rule_id}
-        if rule_cls is not None:
-            descriptor["shortDescription"] = {"text": rule_cls.summary}
-            descriptor["fullDescription"] = {"text": rule_cls.rationale}
-            descriptor["help"] = {
-                "text": "See CONTRIBUTING.md, section 'reprolint rules'."
-            }
-        else:  # E999 parse errors
-            descriptor["shortDescription"] = {"text": "parse error"}
-        index_of[rule_id] = len(rules)
-        rules.append(descriptor)
-
-    def sarif_result(finding: Finding) -> Dict[str, object]:
-        return {
-            "ruleId": finding.rule_id,
-            "ruleIndex": index_of.get(finding.rule_id, -1),
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path,
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    }
-                }
-            ],
-        }
-
-    results = [sarif_result(finding) for finding in result.all_findings]
-    payload = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "rules": rules,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": results,
-            }
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

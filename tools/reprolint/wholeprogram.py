@@ -1,6 +1,6 @@
-"""Whole-program rules R010-R013 (RNG streams, configs, threads, registry).
+"""Whole-program rules R010-R012 (RNG streams, configs, threads).
 
-All four are project rules over the :class:`~tools.reprolint.project.
+All three are project rules over the :class:`~tools.reprolint.project.
 ProjectModel`:
 
 * **R010** — two call sites deriving the *same* named RNG stream from
@@ -14,17 +14,12 @@ ProjectModel`:
 * **R012** — mutable state reachable from thread-pool worker callables
   must be written under a lock (``with <obj>.<lock>:``); the worker →
   callee closure is computed over the project call graph.
-* **R013** — every module under ``experiments/`` that defines an
-  ``EXPERIMENT_ID`` must be registered in ``harness/registry.py``'s
-  ``_MODULES`` tuple, ids must be unique, and registered modules must
-  exist with a ``run`` entry point. A dead experiment silently drops a
-  headline result from ``--all`` runs.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from tools.reprolint.core import FileContext, Finding, Rule, register
 from tools.reprolint.project import (
@@ -460,22 +455,14 @@ class ThreadSafetyRule(Rule):
         "reachable from a worker callable (via the project call graph) "
         "that is written outside a 'with <lock>:' block is a data race "
         "the virtual-time executor can never exhibit — it only shows up "
-        "as rare, irreproducible validation failures. Objects a thread "
-        "constructs and never publishes are *owned* — thread-local by "
-        "construction — and writes to them are not races: ownership flows "
-        "from constructor calls ('self' inside __init__), from method "
-        "receivers rooted at an owned name, and through call arguments "
-        "that are owned in the caller. Ownership is per-path: a scope "
-        "also reachable with an unowned receiver is still checked there."
+        "as rare, irreproducible validation failures."
     )
     project_rule = True
 
     #: one work item: (scope node, module, owner class, spawn site,
-    #: inherited local types — the enclosing scope's for closures,
-    #: parameter names owned by this path: thread-local by construction)
+    #: inherited local types — the enclosing scope's for closures)
     _Item = Tuple[
-        ast.AST, ModuleInfo, Optional[ClassInfo], str, Dict[str, ClassInfo],
-        FrozenSet[str],
+        ast.AST, ModuleInfo, Optional[ClassInfo], str, Dict[str, ClassInfo]
     ]
 
     def check_project(
@@ -507,40 +494,34 @@ class ThreadSafetyRule(Rule):
                     spawn_site = f"{ctx.path}:{node.lineno}"
                     if worker in nested:
                         entries.append(
-                            (nested[worker], module, owner, spawn_site,
-                             local_types, frozenset())
+                            (nested[worker], module, owner, spawn_site, local_types)
                         )
                         continue
                     resolved = project.resolve_function(module, worker)
                     if resolved is not None:
                         entries.append(
-                            (resolved.node, resolved.module, None, spawn_site,
-                             {}, frozenset())
+                            (resolved.node, resolved.module, None, spawn_site, {})
                         )
 
         # 2. BFS the call graph from the entry points. Calls made while
         #    holding a lock are NOT followed: the callee runs under the
         #    caller's lock, so its writes are protected (single-lock
-        #    discipline, which is what this codebase uses). A scope is
-        #    revisited per distinct owned-parameter set so a path that
-        #    reaches it with an unowned receiver still gets checked.
+        #    discipline, which is what this codebase uses).
         reachable: List[ThreadSafetyRule._Item] = []
-        seen: Set[Tuple[int, FrozenSet[str]]] = set()
+        seen: Set[int] = set()
         queue = list(entries)
         while queue:
             item = queue.pop()
-            key = (id(item[0]), item[5])
-            if key in seen:
+            if id(item[0]) in seen:
                 continue
-            seen.add(key)
+            seen.add(id(item[0]))
             reachable.append(item)
             queue.extend(self._unlocked_callees(item, project))
 
         # 3. Flag unlocked writes to shared state in reachable scopes.
-        #    Findings are the union over every (scope, ownership) path.
         emitted: Set[Tuple[str, int]] = set()
-        for node, module, owner, spawn_site, _, owned in reachable:
-            for finding in self._check_scope(node, module, spawn_site, owned):
+        for node, module, owner, spawn_site, _ in reachable:
+            for finding in self._check_scope(node, module, spawn_site):
                 key = (finding.path, finding.line)
                 if key not in emitted:
                     emitted.add(key)
@@ -582,14 +563,12 @@ class ThreadSafetyRule(Rule):
         self, item: "ThreadSafetyRule._Item", project: ProjectModel
     ) -> List["ThreadSafetyRule._Item"]:
         """Project functions called from ``item``'s scope outside any
-        ``with <lock>:`` block, each with the parameter-ownership set the
-        call induces (see :meth:`_callee_owned`)."""
-        scope, module, owner, spawn_site, inherited, owned = item
+        ``with <lock>:`` block."""
+        scope, module, owner, spawn_site, inherited = item
         info = self._info_for(scope, module, owner)
         local_types = dict(inherited)
         if info is not None:
             local_types.update(project.infer_local_types(info, owner))
-        owned_names = self._fresh_names(scope) | owned
 
         calls: List[ast.Call] = []
 
@@ -625,111 +604,10 @@ class ThreadSafetyRule(Rule):
                 callee_owner = callee.module.classes.get(
                     callee.qualname.split(".")[0]
                 )
-            callee_owned = self._callee_owned(node, callee, owned_names)
             out.append(
-                (callee.node, callee.module, callee_owner, spawn_site, {},
-                 callee_owned)
+                (callee.node, callee.module, callee_owner, spawn_site, {})
             )
         return out
-
-    @staticmethod
-    def _rooted_at_owned(expr: ast.expr, owned_names: Set[str]) -> bool:
-        """True when ``expr`` is a name (or attribute chain on a name)
-        whose base is owned in the calling scope."""
-        base = expr
-        while isinstance(base, ast.Attribute):
-            base = base.value
-        return isinstance(base, ast.Name) and base.id in owned_names
-
-    @classmethod
-    def _callee_owned(
-        cls, node: ast.Call, callee: FunctionInfo, owned_names: Set[str]
-    ) -> FrozenSet[str]:
-        """Callee parameters that are thread-local on this call path.
-
-        Three transfers, all rooted in "constructed by this thread and
-        never published": ``self`` inside ``__init__`` reached as a
-        constructor call (the instance does not exist elsewhere yet);
-        ``self`` of a method whose receiver chain is rooted at an owned
-        name (transitive ownership — matches the engine's discipline of
-        not aliasing owned object graphs); and parameters bound to
-        arguments that are owned names in the caller.
-        """
-        owned: Set[str] = set()
-        raw_args = callee.node.args
-        positional = list(raw_args.posonlyargs) + list(raw_args.args)
-        is_static = any(
-            getattr(decorator, "id", None) == "staticmethod"
-            for decorator in callee.node.decorator_list
-        )
-        has_self = callee.is_method and not is_static and positional
-        if has_self:
-            is_ctor = (
-                callee.qualname.split(".")[-1] == "__init__"
-                and _terminal(node.func) != "__init__"
-            )
-            receiver_owned = isinstance(node.func, ast.Attribute) and (
-                cls._rooted_at_owned(node.func.value, owned_names)
-            )
-            if is_ctor or receiver_owned:
-                owned.add(positional[0].arg)
-        offset = 1 if has_self else 0
-        for position, arg in enumerate(node.args):
-            if isinstance(arg, ast.Starred):
-                break
-            index = offset + position
-            if index < len(positional) and cls._rooted_at_owned(arg, owned_names):
-                owned.add(positional[index].arg)
-        keyword_params = {a.arg for a in positional[offset:]} | set(
-            a.arg for a in raw_args.kwonlyargs
-        )
-        for keyword in node.keywords:
-            if keyword.arg in keyword_params and cls._rooted_at_owned(
-                keyword.value, owned_names
-            ):
-                owned.add(keyword.arg)
-        return frozenset(owned)
-
-    @staticmethod
-    def _fresh_names(scope: ast.AST) -> Set[str]:
-        """Names bound in ``scope`` to freshly constructed values — the
-        same value forms :meth:`_check_scope` treats as thread-local
-        (constructor/literal results and loop targets). Nested function
-        and class bodies are separate scopes and are excluded."""
-        fresh: Set[str] = set()
-        constructed = (
-            ast.Call, ast.List, ast.Dict, ast.Set, ast.ListComp,
-            ast.DictComp, ast.SetComp, ast.Constant, ast.Tuple, ast.BinOp,
-        )
-
-        def visit(node: ast.AST) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ) and child is not node:
-                    continue
-                if isinstance(child, ast.Assign):
-                    for target in child.targets:
-                        if isinstance(target, ast.Name) and isinstance(
-                            child.value, constructed
-                        ):
-                            fresh.add(target.id)
-                        elif isinstance(target, (ast.Tuple, ast.List)):
-                            for element in target.elts:
-                                if isinstance(element, ast.Name):
-                                    fresh.add(element.id)
-                elif isinstance(child, ast.AnnAssign) and isinstance(
-                    child.target, ast.Name
-                ):
-                    fresh.add(child.target.id)
-                elif isinstance(child, ast.For) and isinstance(
-                    child.target, ast.Name
-                ):
-                    fresh.add(child.target.id)
-                visit(child)
-
-        visit(scope)
-        return fresh
 
     @staticmethod
     def _info_for(
@@ -745,17 +623,11 @@ class ThreadSafetyRule(Rule):
         return candidate if candidate is not None and candidate.node is scope else None
 
     def _check_scope(
-        self,
-        scope: ast.AST,
-        module: ModuleInfo,
-        spawn_site: str,
-        owned: FrozenSet[str] = frozenset(),
+        self, scope: ast.AST, module: ModuleInfo, spawn_site: str
     ) -> Iterator[Finding]:
         ctx = module.ctx
-        # Locals constructed in this scope, seeded with parameters the
-        # calling path owns (thread-local object graphs, incl. 'self' in
-        # constructors and methods of owned receivers).
-        fresh: Set[str] = set(owned)
+        # Locals constructed in this scope: thread-local, never shared.
+        fresh: Set[str] = set()
         nonlocals: Set[str] = set()
         body = getattr(scope, "body", [])
         args = getattr(scope, "args", None)
@@ -904,135 +776,3 @@ class ThreadSafetyRule(Rule):
                     f"holding a lock in code reachable from a worker thread "
                     f"(spawned at {spawn_site}); wrap in 'with <obj>.lock:'",
                 )
-
-
-@register
-class DeadExperimentRule(Rule):
-    """R013 — experiments must be registered, unique, and runnable."""
-
-    rule_id = "R013"
-    summary = "experiments registered in the harness registry, ids unique"
-    rationale = (
-        "python -m repro --all runs exactly what harness/registry.py "
-        "lists. An experiment module with an EXPERIMENT_ID that never "
-        "reaches _MODULES silently drops a headline result from every "
-        "full run and CI sweep; a duplicated id makes one experiment "
-        "shadow another in the EXPERIMENTS dict."
-    )
-    project_rule = True
-
-    def check_project(
-        self, ctxs: Sequence[FileContext], project: ProjectModel
-    ) -> Iterator[Finding]:
-        registry = self._find_registry(project)
-        experiment_modules = [
-            info
-            for info in project.modules.values()
-            if "experiments" in info.ctx.parts[:-1]
-            and "EXPERIMENT_ID" in info.constants
-        ]
-        if registry is None:
-            return  # partial lint run (no registry in scope): stay silent
-        registry_module, registered = registry
-
-        # Unregistered experiment modules. Matching is suffix-tolerant
-        # so a tree rooted in an unexpected place (fixture copies) still
-        # pairs `from pkg.experiments import e01` with its module.
-        def is_registered(info: ModuleInfo) -> bool:
-            return any(
-                info.name == target or info.name.endswith("." + target)
-                for target in registered.values()
-            )
-
-        for info in sorted(experiment_modules, key=lambda m: m.name):
-            if not is_registered(info):
-                node = self._experiment_id_node(info)
-                yield self.finding(
-                    info.ctx, node,
-                    f"experiment module '{info.name}' defines EXPERIMENT_ID="
-                    f"'{info.constants['EXPERIMENT_ID']}' but is not listed "
-                    "in the registry's _MODULES tuple — it will never run "
-                    "under 'python -m repro --all'",
-                )
-
-        # Duplicate experiment ids.
-        by_id: Dict[object, List[ModuleInfo]] = {}
-        for info in experiment_modules:
-            by_id.setdefault(info.constants["EXPERIMENT_ID"], []).append(info)
-        for experiment_id, infos in sorted(by_id.items(), key=lambda kv: str(kv[0])):
-            if len(infos) > 1:
-                infos = sorted(infos, key=lambda m: m.name)
-                for info in infos[1:]:
-                    node = self._experiment_id_node(info)
-                    yield self.finding(
-                        info.ctx, node,
-                        f"EXPERIMENT_ID '{experiment_id}' is also defined by "
-                        f"'{infos[0].name}'; registry lookups will silently "
-                        "shadow one of them",
-                    )
-
-        # Registered names that are not valid experiment modules.
-        modules_node = self._modules_node(registry_module)
-        for local_name, target in sorted(registered.items()):
-            target_module = project.resolve_module(target)
-            if target_module is None:
-                continue  # outside the linted tree
-            if (
-                "EXPERIMENT_ID" not in target_module.constants
-                or "run" not in target_module.functions
-            ):
-                yield self.finding(
-                    registry_module.ctx, modules_node,
-                    f"registry entry '{local_name}' ({target}) lacks an "
-                    "EXPERIMENT_ID constant or a run() entry point",
-                )
-
-    @staticmethod
-    def _find_registry(
-        project: ProjectModel,
-    ) -> Optional[Tuple[ModuleInfo, Dict[str, str]]]:
-        for info in project.modules.values():
-            if info.ctx.filename != "registry.py":
-                continue
-            names = DeadExperimentRule._modules_names(info)
-            if names is None:
-                continue
-            registered = {
-                name: info.imports.get(name, name) for name in names
-            }
-            return info, registered
-        return None
-
-    @staticmethod
-    def _modules_names(info: ModuleInfo) -> Optional[List[str]]:
-        node = DeadExperimentRule._modules_node(info)
-        if node is None or not isinstance(node, ast.Assign):
-            return None
-        value = node.value
-        if not isinstance(value, (ast.Tuple, ast.List)):
-            return None
-        names: List[str] = []
-        for element in value.elts:
-            if isinstance(element, ast.Name):
-                names.append(element.id)
-        return names
-
-    @staticmethod
-    def _modules_node(info: ModuleInfo) -> Optional[ast.stmt]:
-        for node in info.ctx.tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and target.id == "_MODULES":
-                    return node
-        return None
-
-    @staticmethod
-    def _experiment_id_node(info: ModuleInfo) -> ast.stmt:
-        for node in info.ctx.tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and target.id == "EXPERIMENT_ID":
-                    return node
-        return info.ctx.tree.body[0] if info.ctx.tree.body else ast.Pass(
-            lineno=1, col_offset=0
-        )
