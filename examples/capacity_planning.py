@@ -80,20 +80,7 @@ def main() -> None:
     capacity_table.print()
 
     print("Reading the tables: fixed parallelism buys low-load latency but")
-    print("forfeits capacity; adaptive gets (nearly) both.\n")
-
-    # Finally, the operator-level question: given a daily load shape and
-    # the SLO, which configuration should this ISN run?
-    from repro.core.planner import plan_deployment
-
-    day_profile = [0.08, 0.05, 0.1, 0.25, 0.45, 0.6, 0.55, 0.35]
-    plan = plan_deployment(
-        system, slo=slo, load_profile=day_profile,
-        candidates=("sequential", "fixed-4", "adaptive"),
-        duration=duration / 2, warmup=duration / 8,
-    )
-    plan.to_table().print()
-    print(f"recommended configuration: {plan.recommended}")
+    print("forfeits capacity; adaptive gets (nearly) both.")
 
 
 if __name__ == "__main__":

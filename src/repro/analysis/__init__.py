@@ -1,8 +1,6 @@
-"""Statistical analysis: percentiles, distributions, queueing theory."""
+"""Statistical analysis: policy comparison and queueing theory."""
 
 from repro.analysis.compare import PolicyComparison, find_crossover
-from repro.analysis.distributions import ecdf, histogram, lognormal_mle
-from repro.analysis.percentiles import P2QuantileEstimator, exact_percentile
 from repro.analysis.queueing_theory import (
     erlang_c,
     mg1_mean_wait,
@@ -13,11 +11,6 @@ from repro.analysis.queueing_theory import (
 __all__ = [
     "PolicyComparison",
     "find_crossover",
-    "ecdf",
-    "histogram",
-    "lognormal_mle",
-    "P2QuantileEstimator",
-    "exact_percentile",
     "erlang_c",
     "mg1_mean_wait",
     "mmc_mean_queue_delay",

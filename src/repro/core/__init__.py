@@ -5,22 +5,11 @@ works with: it profiles a workbench, derives the adaptive policy,
 constructs any baseline/extension policy by name, and runs load sweeps.
 """
 
-from repro.core.calibration import calibrate_threshold_scale
 from repro.core.capacity import capacity_at_slo
 from repro.core.controller import AdaptiveSearchSystem, SystemConfig
-from repro.core.planner import DeploymentPlan, plan_deployment
-from repro.core.replication import (
-    compare_policies_replicated,
-    replicate_load_point,
-)
 
 __all__ = [
     "AdaptiveSearchSystem",
     "SystemConfig",
     "capacity_at_slo",
-    "calibrate_threshold_scale",
-    "DeploymentPlan",
-    "plan_deployment",
-    "compare_policies_replicated",
-    "replicate_load_point",
 ]

@@ -39,6 +39,18 @@ from repro.sim.oracle import ServiceOracle
 from repro.util.validation import require, require_in_range, require_int_in_range
 from repro.workloads.workbench import Workbench
 
+#: Stretch applied to the analytically derived threshold limits. The
+#: fair-share derivation is conservative under stochastic load (see
+#: repro.policies.derivation.scale_table); 2.0 reproduces the
+#: empirically tuned operating point (E17 sweeps the factor).
+THRESHOLD_SCALE = 2.0
+#: Sequential-latency percentile above which a query counts as "long".
+LONG_QUERY_CUTOFF_PERCENTILE = 66.7
+#: Leading share of the profiling sample the latency predictor is fit on.
+PREDICTOR_TRAIN_FRACTION = 0.5
+#: Sequential-latency percentile the incremental policy probes for.
+INCREMENTAL_PROBE_PERCENTILE = 50.0
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -48,42 +60,12 @@ class SystemConfig:
     degrees: Tuple[int, ...] = (1, 2, 3, 4, 6, 8, 12)
     n_cores: int = 12
     min_gain: float = 1.05
-    #: Stretch applied to the analytically derived threshold limits. The
-    #: fair-share derivation is conservative under stochastic load (see
-    #: repro.policies.derivation.scale_table); 2.0 reproduces the
-    #: empirically tuned operating point. Set 1.0 for the raw derivation.
-    threshold_scale: float = 2.0
-    long_query_cutoff_percentile: float = 66.7
-    predictor_train_fraction: float = 0.5
-    incremental_probe_percentile: float = 50.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         require_int_in_range(self.n_queries, "n_queries", low=10)
         require_int_in_range(self.n_cores, "n_cores", low=1)
         require(1 in self.degrees, "degrees must include 1")
-        require_in_range(self.threshold_scale, "threshold_scale", low=0.0,
-                         low_inclusive=False)
-        require_in_range(
-            self.long_query_cutoff_percentile,
-            "long_query_cutoff_percentile",
-            low=0.0,
-            high=100.0,
-        )
-        require_in_range(
-            self.predictor_train_fraction,
-            "predictor_train_fraction",
-            low=0.0,
-            high=1.0,
-            low_inclusive=False,
-            high_inclusive=False,
-        )
-        require_in_range(
-            self.incremental_probe_percentile,
-            "incremental_probe_percentile",
-            low=0.0,
-            high=100.0,
-        )
 
 
 class AdaptiveSearchSystem:
@@ -115,19 +97,19 @@ class AdaptiveSearchSystem:
                 degrees=config.degrees,
                 min_gain=config.min_gain,
             ),
-            config.threshold_scale,
+            THRESHOLD_SCALE,
         )
         self.long_query_cutoff = self.service_distribution.percentile(
-            config.long_query_cutoff_percentile
+            LONG_QUERY_CUTOFF_PERCENTILE
         )
         self.incremental_probe = self.service_distribution.percentile(
-            config.incremental_probe_percentile
+            INCREMENTAL_PROBE_PERCENTILE
         )
 
         # Train the latency predictor on the first half of the sample and
         # annotate the whole table with its predictions.
         t1 = cost_table.sequential_latencies()
-        n_train = max(2, int(cost_table.n_queries * config.predictor_train_fraction))
+        n_train = max(2, int(cost_table.n_queries * PREDICTOR_TRAIN_FRACTION))
         self.predictor = QueryLatencyPredictor().fit(
             workbench.engine, cost_table.queries[:n_train], t1[:n_train]
         )

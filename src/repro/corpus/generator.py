@@ -25,10 +25,18 @@ from repro.text.zipf import ZipfMandelbrot
 from repro.util.rng import make_rng
 from repro.util.validation import (
     require,
-    require_in_range,
     require_int_in_range,
     require_positive,
 )
+
+#: Zipf–Mandelbrot exponent and shift of term popularity.
+ZIPF_EXPONENT = 1.05
+ZIPF_SHIFT = 2.7
+#: Beta-distribution parameters for static-rank quality: (1, 5) gives a
+#: right-skewed distribution with a thin high-quality head, as in web
+#: collections.
+QUALITY_ALPHA = 1.0
+QUALITY_BETA = 5.0
 
 
 @dataclass(frozen=True)
@@ -41,45 +49,31 @@ class CorpusConfig:
         Number of documents in the shard.
     vocab_size:
         Vocabulary size; term ids are popularity ranks.
-    zipf_exponent, zipf_shift:
-        Zipf–Mandelbrot parameters for term popularity.
     mean_doc_length:
         Target mean document length in tokens (lognormal).
     doc_length_sigma:
         Lognormal shape parameter of document length.
     min_doc_length, max_doc_length:
         Clipping bounds on document length.
-    quality_alpha, quality_beta:
-        Beta-distribution parameters for static-rank quality; the default
-        (1, 5) gives a right-skewed distribution with a thin high-quality
-        head, as in web collections.
     seed:
         RNG seed (derivable from an experiment root seed).
     """
 
     n_docs: int = 50_000
     vocab_size: int = 30_000
-    zipf_exponent: float = 1.05
-    zipf_shift: float = 2.7
     mean_doc_length: float = 180.0
     doc_length_sigma: float = 0.6
     min_doc_length: int = 8
     max_doc_length: int = 4_000
-    quality_alpha: float = 1.0
-    quality_beta: float = 5.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         require_int_in_range(self.n_docs, "n_docs", low=1)
         require_int_in_range(self.vocab_size, "vocab_size", low=1)
-        require_positive(self.zipf_exponent, "zipf_exponent")
-        require_in_range(self.zipf_shift, "zipf_shift", low=0.0)
         require_positive(self.mean_doc_length, "mean_doc_length")
         require_positive(self.doc_length_sigma, "doc_length_sigma")
         require_int_in_range(self.min_doc_length, "min_doc_length", low=1)
         require_int_in_range(self.max_doc_length, "max_doc_length", low=self.min_doc_length)
-        require_positive(self.quality_alpha, "quality_alpha")
-        require_positive(self.quality_beta, "quality_beta")
         require(
             self.mean_doc_length >= self.min_doc_length,
             "mean_doc_length must be >= min_doc_length",
@@ -98,7 +92,7 @@ def _sample_doc_lengths(config: CorpusConfig, rng: np.random.Generator) -> np.nd
 
 def _sample_static_ranks(config: CorpusConfig, rng: np.random.Generator) -> np.ndarray:
     """Descending quality scores in (0, 1]; doc id = quality rank."""
-    quality = rng.beta(config.quality_alpha, config.quality_beta, size=config.n_docs)
+    quality = rng.beta(QUALITY_ALPHA, QUALITY_BETA, size=config.n_docs)
     quality = np.sort(quality)[::-1]
     # Avoid exact zeros so score bounds stay strictly positive.
     return np.maximum(quality, 1e-9)
@@ -120,7 +114,7 @@ def generate_corpus(
     rng = rng or make_rng(config.seed)
     require_int_in_range(batch_docs, "batch_docs", low=1)
 
-    zipf = ZipfMandelbrot(config.vocab_size, config.zipf_exponent, config.zipf_shift)
+    zipf = ZipfMandelbrot(config.vocab_size, ZIPF_EXPONENT, ZIPF_SHIFT)
     doc_lengths = _sample_doc_lengths(config, rng)
     static_ranks = _sample_static_ranks(config, rng)
 

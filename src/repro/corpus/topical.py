@@ -29,13 +29,20 @@ import numpy as np
 
 from repro.corpus.documents import Corpus
 from repro.corpus.generator import (
+    ZIPF_EXPONENT,
+    ZIPF_SHIFT,
     CorpusConfig,
     _sample_doc_lengths,
     _sample_static_ranks,
 )
 from repro.text.zipf import ZipfMandelbrot
 from repro.util.rng import make_rng
-from repro.util.validation import require, require_in_range, require_int_in_range
+from repro.util.validation import require_in_range, require_int_in_range
+
+#: Share of documents that mix two topics instead of one.
+TWO_TOPIC_FRACTION = 0.3
+#: Exponent of the within-topic Zipf ranking.
+TOPIC_ZIPF_EXPONENT = 1.1
 
 
 @dataclass(frozen=True)
@@ -45,8 +52,6 @@ class TopicModelConfig:
     n_topics: int = 40
     topic_vocab: int = 2_000
     topical_fraction: float = 0.7
-    two_topic_fraction: float = 0.3
-    topic_zipf_exponent: float = 1.1
 
     def __post_init__(self) -> None:
         require_int_in_range(self.n_topics, "n_topics", low=1)
@@ -54,10 +59,6 @@ class TopicModelConfig:
         require_in_range(
             self.topical_fraction, "topical_fraction", low=0.0, high=1.0
         )
-        require_in_range(
-            self.two_topic_fraction, "two_topic_fraction", low=0.0, high=1.0
-        )
-        require(self.topic_zipf_exponent > 0, "topic_zipf_exponent must be > 0")
 
 
 class TopicModel:
@@ -92,7 +93,7 @@ class TopicModel:
             selected = rng.permutation(unique)[: config.topic_vocab]
             self.topic_terms[topic] = selected
         self.topic_distribution = ZipfMandelbrot(
-            config.topic_vocab, config.topic_zipf_exponent, 1.0
+            config.topic_vocab, TOPIC_ZIPF_EXPONENT, 1.0
         )
 
     @property
@@ -110,7 +111,7 @@ class TopicModel:
     def sample_document_topics(self, rng: np.random.Generator) -> Tuple[int, ...]:
         """One or two topics for a document."""
         first = int(rng.integers(self.n_topics))
-        if self.n_topics > 1 and rng.random() < self.config.two_topic_fraction:
+        if self.n_topics > 1 and rng.random() < TWO_TOPIC_FRACTION:
             second = int(rng.integers(self.n_topics))
             if second != first:
                 return (first, second)
@@ -132,11 +133,7 @@ def generate_topical_corpus(
     topic_config = topic_config or TopicModelConfig()
     rng = rng or make_rng(corpus_config.seed)
 
-    background = ZipfMandelbrot(
-        corpus_config.vocab_size,
-        corpus_config.zipf_exponent,
-        corpus_config.zipf_shift,
-    )
+    background = ZipfMandelbrot(corpus_config.vocab_size, ZIPF_EXPONENT, ZIPF_SHIFT)
     model = TopicModel(topic_config, corpus_config.vocab_size, background, rng)
 
     doc_lengths = _sample_doc_lengths(corpus_config, rng)

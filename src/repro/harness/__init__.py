@@ -2,7 +2,7 @@
 
 Each experiment module under :mod:`repro.harness.experiments` exposes
 ``run(ctx) -> ExperimentResult``; the registry maps experiment ids
-(``e01`` … ``e11``) to them. ``python -m repro <id>`` runs one from the
+(``e01`` … ``e20``) to them. ``python -m repro <id>`` runs one from the
 command line.
 """
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.controller import PREDICTOR_TRAIN_FRACTION
 from repro.harness.context import ExperimentContext
 from repro.harness.result import ExperimentResult
 from repro.policies.predictor import QueryLatencyPredictor
@@ -58,8 +59,7 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
 
     # Predictor accuracy on the held-out half of the profiling sample.
     t1 = system.cost_table.sequential_latencies()
-    n_train = max(2, int(system.cost_table.n_queries
-                         * system.config.predictor_train_fraction))
+    n_train = max(2, int(system.cost_table.n_queries * PREDICTOR_TRAIN_FRACTION))
     holdout_queries = system.cost_table.queries[n_train:]
     holdout_actual = t1[n_train:]
     predicted = system.predictor.predict_many(system.workbench.engine, holdout_queries)

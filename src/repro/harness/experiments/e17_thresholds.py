@@ -3,8 +3,8 @@
 The adaptive policy's one tunable is its threshold table. The analytic
 fair-share derivation is conservative under stochastic load, so the
 deployed table stretches its limits by a calibration factor (the paper
-tunes thresholds against the live system; `SystemConfig.threshold_scale`
-defaults to the equivalent 2.0 here). This experiment sweeps the factor
+tunes thresholds against the live system; `repro.core.controller.THRESHOLD_SCALE`
+is the equivalent 2.0 here). This experiment sweeps the factor
 and shows (a) mid-load P99 improves steadily with the stretch, (b)
 high-load behaviour stays pinned to sequential — i.e., the policy is
 easy to tune and hard to break, which is part of why it is practical.

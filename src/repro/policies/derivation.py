@@ -60,8 +60,7 @@ def scale_table(table: ThresholdTable, factor: float) -> ThresholdTable:
     permanent, while in a stochastic queue the load fluctuates below its
     mean — so the deployed table is typically the derived one stretched
     by an empirically tuned factor (the paper tunes its thresholds
-    against the live system; :func:`repro.core.calibration.
-    calibrate_threshold_scale` reproduces that step in simulation).
+    against the live system; E17 sweeps this factor).
 
     Scaled limits are rounded and deduplicated while preserving the
     degree ordering, so the result is always a valid monotone table.

@@ -12,9 +12,7 @@ workloads the simulator consumes:
   connection; replies are matched by id, so out-of-order completion is
   fine. This is the paper's model — arrivals independent of service.
 * :func:`run_closed_loop` — a fixed client population, each cycling
-  submit → wait → think, mirroring
-  :func:`~repro.sim.closedloop.run_closed_loop_point`'s semantics for
-  live self-throttling comparisons.
+  submit → wait → think, so offered load throttles itself on latency.
 
 Both return the raw reply dicts; the authoritative metrics live
 server-side in the node's collector (fetch them with a ``stats``

@@ -191,6 +191,10 @@ class DegradationLevel(enum.IntEnum):
     DEGRADED = 1  # max-degree capped
     SHEDDING = 2  # + admission tightened, attack classes shed
 
+#: Smoothing and CUSUM slack (sigma units) of the guard's two detectors.
+EWMA_ALPHA = 0.3
+CUSUM_K = 1.0
+
 
 @dataclass(frozen=True)
 class AnomalyGuardConfig:
@@ -209,8 +213,6 @@ class AnomalyGuardConfig:
     slo_s: float
     window_s: float
     sla_epsilon: float = 0.05
-    ewma_alpha: float = 0.3
-    cusum_k: float = 1.0
     cusum_h: float = 5.0
     degraded_degree_cap: int = 4
     shedding_queue_cap: int = 8
@@ -224,11 +226,6 @@ class AnomalyGuardConfig:
             self.sla_epsilon, "sla_epsilon", low=0.0, high=1.0,
             high_inclusive=False,
         )
-        require_in_range(
-            self.ewma_alpha, "ewma_alpha", low=0.0, high=1.0,
-            low_inclusive=False, high_inclusive=False,
-        )
-        require_positive(self.cusum_k, "cusum_k", strict=False)
         require_positive(self.cusum_h, "cusum_h")
         require_int_in_range(self.degraded_degree_cap, "degraded_degree_cap", low=1)
         require_int_in_range(self.shedding_queue_cap, "shedding_queue_cap", low=1)
@@ -258,12 +255,8 @@ class AnomalyGuard:
         self.config = config
         self.policy = policy
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.rate_detector = EwmaCusumDetector(
-            config.ewma_alpha, config.cusum_k, config.cusum_h
-        )
-        self.p99_detector = EwmaCusumDetector(
-            config.ewma_alpha, config.cusum_k, config.cusum_h
-        )
+        self.rate_detector = EwmaCusumDetector(EWMA_ALPHA, CUSUM_K, config.cusum_h)
+        self.p99_detector = EwmaCusumDetector(EWMA_ALPHA, CUSUM_K, config.cusum_h)
         self.validator = SlaValidator(config.slo_s, config.sla_epsilon)
         self.level = DegradationLevel.NORMAL
         #: (time_s, level) history of every transition, for tests/reports.

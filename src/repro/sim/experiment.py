@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.obs.registry import RunObserver
 from repro.obs.spans import Tracer
 from repro.policies.base import ParallelismPolicy
 from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
 from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricsCollector, QueryRecord
+from repro.sim.metrics import MetricsCollector
 from repro.sim.oracle import ServiceOracle
 from repro.sim.server import IndexServerModel
 from repro.util.rng import RngFactory
@@ -225,8 +223,8 @@ def summarize_load_point(
     """Build a :class:`LoadPointSummary` from a finished server model.
 
     Public because it is the *shared* summary schema: the virtual-time
-    runners here, the closed-loop runner, and the wall-clock serving
-    runtime (:mod:`repro.runtime`) all report through this one function,
+    runners here and the wall-clock serving runtime
+    (:mod:`repro.runtime`) report through this one function,
     so simulated and live load points are directly comparable
     field-for-field. Everything but the offered ``rate`` is read off
     ``server``; ``slo`` is a measurement-only bar overriding its deadline.
@@ -260,55 +258,3 @@ def summarize_load_point(
         deadline=deadline,
     )
 
-
-def run_trace_point(
-    oracle: ServiceOracle,
-    policy: ParallelismPolicy,
-    arrival_times: Union[Sequence[float], np.ndarray],
-    query_indices: Optional[Union[Sequence[int], np.ndarray]] = None,
-    n_cores: int = 12,
-    warmup: float = 0.0,
-) -> Tuple[LoadPointSummary, List[QueryRecord]]:
-    """Replay an explicit trace: ``query_indices[i]`` (a row of the cost
-    table) arrives at ``arrival_times[i]``.
-
-    ``query_indices`` defaults to ``0..len(times)-1`` (one table row per
-    arrival); passing explicit indices lets a long trace draw from a
-    smaller measured query pool, as real traces repeat queries.
-
-    Unlike :func:`run_load_point`, the request stream is fully
-    deterministic, so two policies can be compared on identical inputs.
-    Returns ``(summary, records)`` — the per-query records allow windowed
-    (time-varying) analysis, e.g. under diurnal load.
-    """
-    times = np.asarray(arrival_times, dtype=np.float64)
-    if query_indices is None:
-        indices = np.arange(times.shape[0], dtype=np.int64)
-    else:
-        indices = np.asarray(query_indices, dtype=np.int64)
-    if times.shape[0] != indices.shape[0]:
-        raise ValueError(
-            f"trace has {times.shape[0]} arrivals but {indices.shape[0]} "
-            "query indices"
-        )
-    if times.shape[0] == 0:
-        raise ValueError("trace must contain at least one arrival")
-    if np.any(np.diff(times) < 0) or times[0] < 0:
-        raise ValueError("arrival times must be sorted and non-negative")
-    if indices.shape[0] and (
-        indices.min() < 0 or indices.max() >= oracle.n_queries
-    ):
-        raise ValueError("query indices outside the cost table")
-
-    horizon = float(times[-1])
-    effective_horizon = max(horizon, warmup + 1e-9) + 1e-9
-    simulator = Simulator()
-    metrics = MetricsCollector(warmup, effective_horizon, n_cores)
-    server = IndexServerModel(simulator, oracle, policy, n_cores, metrics)
-    for t, qi in zip(times, indices):
-        simulator.schedule_at(float(t), lambda qi=int(qi): server.submit(qi))
-    simulator.run()
-
-    summary = summarize_load_point(server, times.shape[0] / effective_horizon)
-    records = sorted(metrics.records, key=lambda r: r.arrival)
-    return summary, records

@@ -1,7 +1,6 @@
-"""Text substrate: term-frequency models, vocabulary, tokenization."""
+"""Text substrate: term-frequency models and tokenization."""
 
 from repro.text.tokenizer import Tokenizer
-from repro.text.vocabulary import Vocabulary
 from repro.text.zipf import ZipfMandelbrot
 
-__all__ = ["Tokenizer", "Vocabulary", "ZipfMandelbrot"]
+__all__ = ["Tokenizer", "ZipfMandelbrot"]

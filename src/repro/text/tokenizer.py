@@ -2,16 +2,14 @@
 
 Real web search applies heavy analysis (stemming, spell-correction,
 segmentation); for this reproduction the corpus is synthetic, so the
-tokenizer only needs to normalize case, strip punctuation, drop stopwords,
-and map words to term ids through a :class:`~repro.text.Vocabulary`.
+tokenizer only needs to normalize case, strip punctuation and drop
+stopwords; :mod:`repro.corpus.ingest` maps the tokens to term ids.
 """
 
 from __future__ import annotations
 
 import re
 from typing import FrozenSet, List, Optional
-
-from repro.text.vocabulary import Vocabulary
 
 DEFAULT_STOPWORDS: FrozenSet[str] = frozenset(
     "a an and are as at be by for from has he in is it its of on that the to was were will with".split()
@@ -39,16 +37,6 @@ class Tokenizer:
             for token in tokens
             if len(token) >= self.min_token_length and token not in self.stopwords
         ]
-
-    def to_term_ids(self, text: str, vocabulary: Vocabulary) -> List[int]:
-        """Tokenize and map to term ids; unknown words are skipped."""
-        ids: List[int] = []
-        for token in self.tokenize(text):
-            try:
-                ids.append(vocabulary.term_id(token))
-            except Exception:
-                continue
-        return ids
 
     def __repr__(self) -> str:
         return (

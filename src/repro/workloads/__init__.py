@@ -2,7 +2,6 @@
 
 from repro.workloads.mixes import MIXES, get_mix
 from repro.workloads.queries import QueryWorkloadConfig, QueryGenerator
-from repro.workloads.trace import WorkloadTrace
 from repro.workloads.workbench import Workbench, WorkbenchConfig, build_workbench
 
 __all__ = [
@@ -10,7 +9,6 @@ __all__ = [
     "get_mix",
     "QueryWorkloadConfig",
     "QueryGenerator",
-    "WorkloadTrace",
     "Workbench",
     "WorkbenchConfig",
     "build_workbench",

@@ -33,6 +33,9 @@ from repro.util.validation import (
     require_positive,
 )
 
+#: Zipf–Mandelbrot shift of query-term popularity.
+TERM_ZIPF_SHIFT = 1.0
+
 
 @dataclass(frozen=True)
 class QueryWorkloadConfig:
@@ -40,7 +43,6 @@ class QueryWorkloadConfig:
 
     vocab_size: int = 30_000
     term_zipf_exponent: float = 1.2
-    term_zipf_shift: float = 1.0
     term_count_p: float = 0.45  # geometric success prob; mean terms ≈ 1/p
     max_terms: int = 6
     k: int = 10
@@ -50,7 +52,6 @@ class QueryWorkloadConfig:
     def __post_init__(self) -> None:
         require_int_in_range(self.vocab_size, "vocab_size", low=1)
         require_positive(self.term_zipf_exponent, "term_zipf_exponent")
-        require_in_range(self.term_zipf_shift, "term_zipf_shift", low=0.0)
         require_in_range(
             self.term_count_p, "term_count_p", low=0.0, high=1.0,
             low_inclusive=False, high_inclusive=True,
@@ -73,7 +74,7 @@ class QueryGenerator:
         self._zipf = ZipfMandelbrot(
             self.config.vocab_size,
             self.config.term_zipf_exponent,
-            self.config.term_zipf_shift,
+            TERM_ZIPF_SHIFT,
         )
         self._next_id = 0
 

@@ -1,13 +1,11 @@
 """Tests for the analysis subpackage."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.compare import PolicyComparison, find_crossover
-from repro.analysis.distributions import ecdf, histogram, lognormal_mle, tail_index_hill
-from repro.analysis.percentiles import P2QuantileEstimator, exact_percentile
 from repro.analysis.queueing_theory import (
     erlang_c,
+    littles_law_gap,
     mg1_mean_wait,
     mgc_mean_wait_allen_cunneen,
     mmc_mean_queue_delay,
@@ -15,92 +13,6 @@ from repro.analysis.queueing_theory import (
 )
 from repro.errors import AnalysisError
 from repro.sim.experiment import LoadPointSummary
-
-
-class TestExactPercentile:
-    def test_matches_numpy(self, rng):
-        samples = rng.random(500)
-        assert exact_percentile(samples, 73.5) == pytest.approx(
-            np.percentile(samples, 73.5)
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            exact_percentile([], 50)
-
-    def test_out_of_range_q_rejected(self):
-        with pytest.raises(Exception):
-            exact_percentile([1.0], 101)
-
-
-class TestP2Estimator:
-    @pytest.mark.parametrize("quantile", [0.5, 0.9, 0.99])
-    def test_close_to_exact_on_uniform(self, quantile, rng):
-        estimator = P2QuantileEstimator(quantile)
-        samples = rng.random(20_000)
-        estimator.add_many(samples)
-        exact = np.percentile(samples, quantile * 100)
-        assert estimator.value() == pytest.approx(exact, abs=0.02)
-
-    def test_close_on_lognormal_median(self, rng):
-        estimator = P2QuantileEstimator(0.5)
-        samples = rng.lognormal(0.0, 1.0, 20_000)
-        estimator.add_many(samples)
-        exact = np.percentile(samples, 50)
-        assert estimator.value() == pytest.approx(exact, rel=0.05)
-
-    def test_small_sample_is_exact(self):
-        estimator = P2QuantileEstimator(0.5)
-        estimator.add_many([3.0, 1.0, 2.0])
-        assert estimator.value() == pytest.approx(2.0)
-
-    def test_count_tracked(self):
-        estimator = P2QuantileEstimator(0.9)
-        estimator.add_many(range(10))
-        assert estimator.count == 10
-
-    def test_no_samples_rejected(self):
-        with pytest.raises(AnalysisError):
-            P2QuantileEstimator(0.9).value()
-
-    def test_invalid_quantile_rejected(self):
-        with pytest.raises(Exception):
-            P2QuantileEstimator(0.0)
-        with pytest.raises(Exception):
-            P2QuantileEstimator(1.0)
-
-
-class TestDistributions:
-    def test_ecdf_monotone(self, rng):
-        xs, fs = ecdf(rng.random(100))
-        assert np.all(np.diff(xs) >= 0)
-        assert fs[-1] == 1.0
-
-    def test_histogram_counts_sum(self, rng):
-        counts, edges = histogram(rng.random(200), bins=10)
-        assert counts.sum() == 200
-        assert edges.shape == (11,)
-
-    def test_log_histogram(self, rng):
-        counts, edges = histogram(rng.lognormal(0, 2, 500), bins=8, log_bins=True)
-        assert np.all(np.diff(edges) > 0)
-        assert counts.sum() == 500
-
-    def test_lognormal_mle(self, rng):
-        mu, sigma = lognormal_mle(rng.lognormal(1.5, 0.5, 20_000))
-        assert mu == pytest.approx(1.5, abs=0.05)
-        assert sigma == pytest.approx(0.5, abs=0.05)
-
-    def test_hill_estimator_on_pareto(self, rng):
-        alpha = 2.5
-        samples = (1.0 / rng.random(50_000)) ** (1.0 / alpha)
-        assert tail_index_hill(samples, 0.05) == pytest.approx(alpha, rel=0.2)
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(AnalysisError):
-            ecdf([])
-        with pytest.raises(AnalysisError):
-            lognormal_mle([])
 
 
 class TestQueueingTheory:
@@ -142,6 +54,39 @@ class TestQueueingTheory:
             mmc_mean_queue_delay(5.0, 1.0, 4)
         with pytest.raises(AnalysisError):
             mg1_mean_wait(2.0, 1.0, 1.0)
+
+
+class TestLittlesLaw:
+    def test_zero_gap_when_consistent(self):
+        # λ = 100/s, W = 0.05s  =>  L = 5.
+        assert littles_law_gap(1_000, 10.0, 0.05, 5.0) == pytest.approx(0.0)
+
+    def test_gap_detects_inconsistency(self):
+        assert littles_law_gap(1_000, 10.0, 0.05, 10.0) == pytest.approx(0.5)
+
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(AnalysisError):
+            littles_law_gap(10, 0.0, 0.05, 1.0)
+
+    def test_simulator_satisfies_littles_law(self, small_system):
+        """End-to-end: λW from the sim's summary matches the utilization-
+        derived population within tolerance."""
+        rate = small_system.rate_for_utilization(0.3)
+        summary = small_system.run_point("sequential", rate,
+                                         duration=4.0, warmup=1.0)
+        # For degree-1 queries, mean running population = utilization x cores;
+        # queued population ~ throughput x mean queue delay.
+        mean_population = (
+            summary.utilization * small_system.n_cores
+            + summary.throughput * summary.mean_queue_delay
+        )
+        gap = littles_law_gap(
+            summary.observed,
+            3.0,  # window = duration - warmup
+            summary.mean_latency,
+            mean_population,
+        )
+        assert gap < 0.1, f"Little's-law gap {gap:.3f}"
 
 
 def _summary(policy, rate, p99):

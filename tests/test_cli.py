@@ -23,6 +23,13 @@ class TestCli:
         assert code == 0
         assert "E02" in out
         assert (tmp_path / "e02.json").exists()
+        # Same seed into a second directory: the manifest is a function
+        # of the inputs, not of the wall clock.
+        again = tmp_path / "again"
+        assert main(["e02", "--scale", "small", "--json-dir", str(again)]) == 0
+        assert (again / "manifest.json").read_bytes() == (
+            tmp_path / "manifest.json"
+        ).read_bytes()
 
     def test_case_insensitive_ids(self, capsys):
         assert main(["E03", "--scale", "small"]) == 0

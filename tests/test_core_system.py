@@ -1,12 +1,12 @@
-"""Tests for the AdaptiveSearchSystem facade, capacity, and calibration."""
+"""Tests for the AdaptiveSearchSystem facade, capacity, and threshold scaling."""
 
 import pytest
 
-from repro.core.calibration import calibrate_threshold_scale, scale_table
 from repro.core.capacity import capacity_at_slo
-from repro.core.controller import SystemConfig
+from repro.core.controller import LONG_QUERY_CUTOFF_PERCENTILE, SystemConfig
 from repro.errors import ConfigurationError
 from repro.policies.adaptive import AdaptivePolicy, ThresholdTable
+from repro.policies.derivation import scale_table
 from repro.policies.fixed import FixedPolicy, SequentialPolicy
 from repro.policies.incremental import IncrementalPolicy
 from repro.policies.oracle import OraclePolicy
@@ -38,7 +38,7 @@ class TestSystemConstruction:
     def test_cutoffs_are_percentiles(self, small_system):
         dist = small_system.service_distribution
         assert small_system.long_query_cutoff == pytest.approx(
-            dist.percentile(small_system.config.long_query_cutoff_percentile)
+            dist.percentile(LONG_QUERY_CUTOFF_PERCENTILE)
         )
 
     def test_bad_config_rejected(self):
@@ -133,14 +133,3 @@ class TestCalibration:
         shrunk = scale_table(table, 0.1)
         limits = [limit for limit, _ in shrunk.entries]
         assert limits == sorted(set(limits))
-
-    def test_calibration_returns_best_factor(self, small_system):
-        outcome = calibrate_threshold_scale(
-            small_system,
-            factors=(0.5, 1.0),
-            utilizations=(0.1, 0.4),
-            duration=1.5,
-            warmup=0.3,
-        )
-        assert outcome.best_factor in (0.5, 1.0)
-        assert set(outcome.mean_regret_by_factor) == {0.5, 1.0}

@@ -1,8 +1,11 @@
 """Smoke tests for the examples directory.
 
-Every example must at least compile; the fast ones are executed
-end-to-end as subprocesses so a public-API change that breaks an example
-fails the suite rather than a user.
+Every example is compiled. ``FAST_EXAMPLES`` (``quickstart.py``,
+``search_your_docs.py``) are also executed end-to-end as subprocesses,
+so a public-API change that breaks one fails the suite rather than a
+user. The other three — ``bursty_load.py`` (≈ 19 s),
+``policy_playground.py`` (≈ 17 s), ``capacity_planning.py`` (≈ 76 s) — are only
+compiled here; CI's ``experiments`` job executes them on every push.
 """
 
 import py_compile
@@ -20,9 +23,13 @@ FAST_EXAMPLES = ["search_your_docs.py", "quickstart.py"]
 
 
 def test_examples_directory_populated():
-    names = {p.name for p in ALL_EXAMPLES}
-    assert {"quickstart.py", "capacity_planning.py"} <= names
-    assert len(names) >= 6
+    assert {p.name for p in ALL_EXAMPLES} == {
+        "bursty_load.py",
+        "capacity_planning.py",
+        "policy_playground.py",
+        "quickstart.py",
+        "search_your_docs.py",
+    }
 
 
 @pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)

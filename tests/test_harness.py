@@ -5,9 +5,12 @@ suite; here we run the cheap ones end-to-end at small scale and unit-test
 the harness plumbing.
 """
 
+import ast
+import re
 from pathlib import Path
 
 import pytest
+from test_examples import EXAMPLES_DIR, FAST_EXAMPLES
 
 from repro.errors import ConfigurationError
 from repro.harness import experiments, registry
@@ -47,6 +50,68 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
             get_experiment("e99")
+
+
+class TestEveryModuleHasACustomer:
+    """ROADMAP item 7: every module under ``src/repro`` is imported by
+    something that runs — the CLI, a registered experiment, a benchmark
+    workload, a Makefile ``python -c`` target or an example tier-1
+    executes. A package ``__init__`` resolves names to the module that
+    defines them but its re-exports are not customers."""
+
+    REPO = Path(__file__).parent.parent
+    SRC = REPO / "src"
+    #: Modules kept without a running customer, each with its reason.
+    KEPT = {
+        "repro.engine.reference": "reference implementation the engine tests compare against",
+    }
+
+    @staticmethod
+    def imports(source):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                yield from ((alias.name, None, None) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    yield node.module, alias.name, alias.asname or alias.name
+
+    def test_every_module_is_reachable_from_something_that_runs(self):
+        modules = {}
+        for path in (self.SRC / "repro").rglob("*.py"):
+            parts = path.relative_to(self.SRC).with_suffix("").parts
+            modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+        packages = {name for name, path in modules.items() if path.name == "__init__.py"}
+
+        def resolve(module, name):
+            if f"{module}.{name}" in modules:
+                return f"{module}.{name}"
+            if module in packages:
+                for origin, original, bound in self.imports(modules[module].read_text()):
+                    if bound == name:
+                        return resolve(origin, original)
+            return module
+
+        def targets(source):
+            return {resolve(m, n) for m, n, _ in self.imports(source)} & modules.keys()
+
+        todo = {"repro.cli", "repro.__main__"} | {m.__name__ for m in registry._MODULES}
+        scripts = [*(self.REPO / "benchmarks" / "perf").rglob("*.py")]
+        scripts += [EXAMPLES_DIR / name for name in FAST_EXAMPLES]
+        for path in scripts:
+            todo |= targets(path.read_text())
+        makefile = (self.REPO / "Makefile").read_text()
+        for snippet in re.findall(r'python -c "([^"]*)"', makefile):
+            todo |= targets(snippet.replace("\\\n", ""))
+        reached = set()
+        while todo:
+            module = todo.pop()
+            reached.add(module)
+            if module not in packages:
+                todo |= targets(modules[module].read_text()) - reached
+        orphans = modules.keys() - packages - reached
+        assert orphans == self.KEPT.keys(), "customer-less modules != KEPT: " + ", ".join(
+            sorted(orphans ^ self.KEPT.keys())
+        )
 
 
 class TestResult:

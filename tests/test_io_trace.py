@@ -1,18 +1,12 @@
-"""Tests for index persistence and workload traces."""
+"""Tests for index persistence (shard formats and the lazy lexicon)."""
 
 import numpy as np
 import pytest
 
 from repro.engine.executor import Engine
-from repro.errors import ConfigurationError, IndexError_
+from repro.errors import IndexError_
 from repro.index.io import load_index, save_index
-from repro.sim.arrivals import DeterministicArrivals, PoissonArrivals
-from repro.sim.experiment import run_trace_point
-from repro.sim.oracle import ServiceOracle
-from repro.policies.fixed import SequentialPolicy
-from repro.profiles.measurement import MeasurementConfig, measure_cost_table
 from repro.workloads.queries import QueryGenerator, QueryWorkloadConfig
-from repro.workloads.trace import WorkloadTrace
 
 
 class TestIndexPersistence:
@@ -317,89 +311,3 @@ class TestLazyLexiconErrorPaths:
             a = original.execute(query, 2)
             b = loaded.execute(query, 2)
             assert a.doc_ids == b.doc_ids
-
-
-class TestWorkloadTrace:
-    def _generator(self, seed=0):
-        return QueryGenerator(QueryWorkloadConfig(vocab_size=500, seed=seed))
-
-    def test_generate_respects_horizon(self, rng):
-        trace = WorkloadTrace.generate(
-            self._generator(), PoissonArrivals(200.0, rng), horizon=2.0
-        )
-        assert trace.horizon <= 2.0
-        assert len(trace) > 100  # ~400 expected
-
-    def test_deterministic_arrivals_exact_count(self):
-        trace = WorkloadTrace.generate(
-            self._generator(), DeterministicArrivals(10.0), horizon=1.0
-        )
-        assert len(trace) == 10
-
-    def test_save_load_roundtrip(self, rng, tmp_path):
-        trace = WorkloadTrace.generate(
-            self._generator(seed=4), PoissonArrivals(100.0, rng), horizon=1.0
-        )
-        path = trace.save(tmp_path / "trace.jsonl")
-        loaded = WorkloadTrace.load(path)
-        assert np.allclose(loaded.times, trace.times)
-        assert [q.term_ids for q in loaded.queries] == [
-            q.term_ids for q in trace.queries
-        ]
-        assert [q.mode for q in loaded.queries] == [q.mode for q in trace.queries]
-
-    def test_load_bad_record_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"t": 1.0}\n', encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            WorkloadTrace.load(path)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WorkloadTrace(np.asarray([2.0, 1.0]),
-                          list(self._generator().sample_many(2)))
-
-    def test_window_rates(self):
-        trace = WorkloadTrace.generate(
-            self._generator(), DeterministicArrivals(10.0), horizon=2.0
-        )
-        rates = trace.window_rates(1.0)
-        assert rates.sum() * 1.0 == len(trace)
-
-
-class TestTraceReplay:
-    def _oracle(self, small_engine, sample_queries):
-        table = measure_cost_table(
-            small_engine, sample_queries[:20],
-            MeasurementConfig(degrees=(1, 2, 4), n_queries=20),
-        )
-        return ServiceOracle(table)
-
-    def test_replay_deterministic(self, small_engine, sample_queries):
-        oracle = self._oracle(small_engine, sample_queries)
-        times = np.linspace(0.001, 0.5, 20)
-        a, _ = run_trace_point(oracle, SequentialPolicy(), times, n_cores=4)
-        b, _ = run_trace_point(oracle, SequentialPolicy(), times, n_cores=4)
-        assert a.p99_latency == b.p99_latency
-        assert a.observed == 20
-
-    def test_replay_with_query_pool(self, small_engine, sample_queries):
-        oracle = self._oracle(small_engine, sample_queries)
-        times = np.linspace(0.001, 0.5, 50)
-        indices = np.arange(50) % oracle.n_queries
-        summary, records = run_trace_point(
-            oracle, SequentialPolicy(), times, query_indices=indices, n_cores=4
-        )
-        assert summary.observed == 50
-        assert len(records) == 50
-        assert all(r.latency > 0 for r in records)
-
-    def test_replay_validates_inputs(self, small_engine, sample_queries):
-        oracle = self._oracle(small_engine, sample_queries)
-        with pytest.raises(ValueError):
-            run_trace_point(oracle, SequentialPolicy(), [])
-        with pytest.raises(ValueError):
-            run_trace_point(oracle, SequentialPolicy(), [2.0, 1.0])
-        with pytest.raises(ValueError):
-            run_trace_point(oracle, SequentialPolicy(), [0.1],
-                            query_indices=[999])

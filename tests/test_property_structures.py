@@ -1,11 +1,10 @@
-"""Property-based tests on core data structures and estimators."""
+"""Property-based tests on core data structures."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.analysis.percentiles import P2QuantileEstimator
 from repro.engine.query import Query
 from repro.index.chunks import ChunkMap
 from repro.index.postings import PostingList
@@ -94,26 +93,6 @@ def test_zipf_pmf_valid_distribution(size, exponent, shift):
     assert np.isclose(pmf.sum(), 1.0)
     assert np.all(pmf > 0)
     assert np.all(np.diff(pmf) <= 1e-18)
-
-
-# ---------------------------------------------------------------------------
-# P² streaming percentile vs numpy
-# ---------------------------------------------------------------------------
-
-@given(
-    samples=st.lists(st.floats(0.001, 1e4, allow_nan=False), min_size=200,
-                     max_size=2000),
-    quantile=st.sampled_from([0.25, 0.5, 0.75, 0.9]),
-)
-@settings(max_examples=50, deadline=None)
-def test_p2_tracks_exact_quantile(samples, quantile):
-    estimator = P2QuantileEstimator(quantile)
-    estimator.add_many(samples)
-    exact = float(np.percentile(samples, quantile * 100))
-    spread = max(samples) - min(samples)
-    assume(spread > 0)
-    # P² is approximate; assert it lands within 15% of the value range.
-    assert abs(estimator.value() - exact) <= 0.15 * spread
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Tests for repro.text: Zipf sampler, vocabulary, tokenizer."""
+"""Tests for repro.text: Zipf sampler and tokenizer."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.text.tokenizer import Tokenizer
-from repro.text.vocabulary import Vocabulary
 from repro.text.zipf import ZipfMandelbrot
 
 
@@ -61,34 +60,6 @@ class TestZipfMandelbrot:
             ZipfMandelbrot(10).pmf(10)
 
 
-class TestVocabulary:
-    def test_word_is_deterministic(self):
-        v = Vocabulary(100)
-        assert v.word(7) == v.word(7)
-
-    def test_roundtrip(self):
-        v = Vocabulary(1000)
-        for term_id in (0, 1, 17, 999):
-            assert v.term_id(v.word(term_id)) == term_id
-
-    def test_distinct_ids_distinct_words(self):
-        v = Vocabulary(5000)
-        words = {v.word(i) for i in range(5000)}
-        assert len(words) == 5000
-
-    def test_unknown_word_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Vocabulary(10).term_id("nonexistent")
-
-    def test_out_of_range_id_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Vocabulary(10).word(10)
-
-    def test_contains(self):
-        v = Vocabulary(3)
-        assert 2 in v and 3 not in v
-
-
 class TestTokenizer:
     def test_lowercases_and_splits(self):
         assert Tokenizer(stopwords=frozenset()).tokenize("Hello WORLD") == [
@@ -104,10 +75,3 @@ class TestTokenizer:
     def test_min_token_length(self):
         assert Tokenizer(stopwords=frozenset(), min_token_length=3).tokenize(
             "go for it now") == ["for", "now"]
-
-    def test_to_term_ids_skips_unknown(self):
-        vocabulary = Vocabulary(100)
-        known = vocabulary.word(5)
-        tokenizer = Tokenizer(stopwords=frozenset())
-        ids = tokenizer.to_term_ids(f"{known} zzzzunknown", vocabulary)
-        assert ids == [5]

@@ -42,7 +42,7 @@ class TestTopicModel:
         _, model = topical
         sizes = {len(model.sample_document_topics(rng)) for _ in range(200)}
         assert sizes <= {1, 2}
-        assert 2 in sizes  # two_topic_fraction 0.3 should appear in 200 draws
+        assert 2 in sizes  # TWO_TOPIC_FRACTION 0.3 should appear in 200 draws
 
     def test_config_validation(self):
         with pytest.raises(Exception):
