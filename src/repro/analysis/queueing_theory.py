@@ -2,9 +2,8 @@
 
 Experiment E11 runs the discrete-event ISN model with exponential
 service times at degree 1 — which makes it an M/M/c queue — and checks
-the measured mean queueing delay against Erlang-C. An M/G/1 bound and
-the Allen–Cunneen M/G/c approximation are provided for the
-general-service sanity checks.
+the measured mean queueing delay against Erlang-C; a Little's-law gap
+checks the simulator's bookkeeping.
 """
 
 from __future__ import annotations
@@ -48,24 +47,6 @@ def mmc_mean_queue_delay(
     return wait_probability / (servers * service_rate * (1.0 - rho))
 
 
-def mmc_mean_response(arrival_rate: float, service_rate: float, servers: int) -> float:
-    """Mean response time (wait + service) for M/M/c."""
-    return mmc_mean_queue_delay(arrival_rate, service_rate, servers) + 1.0 / service_rate
-
-
-def mg1_mean_wait(arrival_rate: float, mean_service: float, scv: float) -> float:
-    """Pollaczek–Khinchine mean wait for M/G/1.
-
-    ``scv`` is the squared coefficient of variation of service time.
-    """
-    if arrival_rate <= 0 or mean_service <= 0 or scv < 0:
-        raise AnalysisError("invalid M/G/1 parameters")
-    rho = arrival_rate * mean_service
-    if rho >= 1.0:
-        raise AnalysisError(f"unstable queue: utilization {rho:.3f} >= 1")
-    return rho * mean_service * (1.0 + scv) / (2.0 * (1.0 - rho))
-
-
 def littles_law_gap(
     n_observed: int,
     window: float,
@@ -87,19 +68,3 @@ def littles_law_gap(
     if denominator == 0:
         return 0.0
     return abs(mean_in_system - lam_w) / denominator
-
-
-def mgc_mean_wait_allen_cunneen(
-    arrival_rate: float, mean_service: float, scv: float, servers: int
-) -> float:
-    """Allen–Cunneen approximation of mean wait for M/G/c.
-
-    ``W ≈ W_MMc * (1 + scv) / 2`` — exact for exponential service, a good
-    engineering approximation otherwise. Used as a sanity band, not an
-    exact target.
-    """
-    if mean_service <= 0:
-        raise AnalysisError("mean_service must be positive")
-    service_rate = 1.0 / mean_service
-    base = mmc_mean_queue_delay(arrival_rate, service_rate, servers)
-    return base * (1.0 + scv) / 2.0

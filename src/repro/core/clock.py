@@ -15,7 +15,7 @@ interface:
   discrete-event simulator advances one as it pops events; tests drive
   one directly.
 
-The wall-clock counterpart, :class:`repro.runtime.clock.WallClock`,
+The wall-clock counterpart, :class:`repro.runtime.serve.AsyncioScheduler`,
 lives in the ``runtime`` package: the kernel never imports wall-clock
 code (reprolint R014 enforces this), it only ever sees these protocols.
 """
@@ -87,12 +87,6 @@ class VirtualClock:
                 f"clock cannot run backwards: {time_s} < now {self._now_s}"
             )
         self._now_s = float(time_s)
-
-    def advance_by(self, delta_s: float) -> None:
-        """Advance by ``delta_s`` seconds (must be >= 0)."""
-        if delta_s < 0:
-            raise SimulationError(f"delta must be >= 0, got {delta_s}")
-        self._now_s += float(delta_s)
 
     def __repr__(self) -> str:
         return f"VirtualClock(now={self._now_s:.6f})"

@@ -32,10 +32,6 @@ class Document:
     term_ids: np.ndarray  # unique term ids present in the doc
     term_freqs: np.ndarray  # parallel array of in-document frequencies
 
-    @property
-    def n_unique_terms(self) -> int:
-        return int(self.term_ids.shape[0])
-
     def term_frequency(self, term_id: int) -> int:
         """Frequency of ``term_id`` in this document (0 if absent)."""
         idx = np.searchsorted(self.term_ids, term_id)

@@ -37,6 +37,11 @@ ZIPF_SHIFT = 2.7
 #: collections.
 QUALITY_ALPHA = 1.0
 QUALITY_BETA = 5.0
+#: Lognormal shape parameter of document length, and the clipping
+#: bounds applied to the drawn lengths.
+DOC_LENGTH_SIGMA = 0.6
+MIN_DOC_LENGTH = 8
+MAX_DOC_LENGTH = 4_000
 
 
 @dataclass(frozen=True)
@@ -51,10 +56,6 @@ class CorpusConfig:
         Vocabulary size; term ids are popularity ranks.
     mean_doc_length:
         Target mean document length in tokens (lognormal).
-    doc_length_sigma:
-        Lognormal shape parameter of document length.
-    min_doc_length, max_doc_length:
-        Clipping bounds on document length.
     seed:
         RNG seed (derivable from an experiment root seed).
     """
@@ -62,31 +63,24 @@ class CorpusConfig:
     n_docs: int = 50_000
     vocab_size: int = 30_000
     mean_doc_length: float = 180.0
-    doc_length_sigma: float = 0.6
-    min_doc_length: int = 8
-    max_doc_length: int = 4_000
     seed: int = 0
 
     def __post_init__(self) -> None:
         require_int_in_range(self.n_docs, "n_docs", low=1)
         require_int_in_range(self.vocab_size, "vocab_size", low=1)
         require_positive(self.mean_doc_length, "mean_doc_length")
-        require_positive(self.doc_length_sigma, "doc_length_sigma")
-        require_int_in_range(self.min_doc_length, "min_doc_length", low=1)
-        require_int_in_range(self.max_doc_length, "max_doc_length", low=self.min_doc_length)
         require(
-            self.mean_doc_length >= self.min_doc_length,
-            "mean_doc_length must be >= min_doc_length",
+            self.mean_doc_length >= MIN_DOC_LENGTH,
+            f"mean_doc_length must be >= {MIN_DOC_LENGTH}",
         )
 
 
 def _sample_doc_lengths(config: CorpusConfig, rng: np.random.Generator) -> np.ndarray:
     """Lognormal document lengths with the configured mean, clipped."""
-    sigma = config.doc_length_sigma
     # E[lognormal(mu, sigma)] = exp(mu + sigma^2 / 2)  =>  solve for mu.
-    mu = np.log(config.mean_doc_length) - sigma * sigma / 2.0
-    lengths = rng.lognormal(mean=mu, sigma=sigma, size=config.n_docs)
-    lengths = np.clip(np.rint(lengths), config.min_doc_length, config.max_doc_length)
+    mu = np.log(config.mean_doc_length) - DOC_LENGTH_SIGMA * DOC_LENGTH_SIGMA / 2.0
+    lengths = rng.lognormal(mean=mu, sigma=DOC_LENGTH_SIGMA, size=config.n_docs)
+    lengths = np.clip(np.rint(lengths), MIN_DOC_LENGTH, MAX_DOC_LENGTH)
     return lengths.astype(np.int64)
 
 

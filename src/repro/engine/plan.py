@@ -101,11 +101,6 @@ class QueryPlan:
     # ------------------------------------------------------------------
 
     @property
-    def is_empty(self) -> bool:
-        """True when the query can match no document at all."""
-        return self.candidate_chunks.shape[0] == 0
-
-    @property
     def n_candidate_chunks(self) -> int:
         return int(self.candidate_chunks.shape[0])
 
@@ -173,28 +168,6 @@ class QueryPlan:
             + self.weights.static_weight * prior
         )
         return bounds
-
-    def bound_from_position(self, position: int) -> float:
-        """Upper bound on scores in candidate chunks ``position..end``."""
-        if not 0 <= position <= self.n_candidate_chunks:
-            raise ExecutionError(
-                f"position {position} outside [0, {self.n_candidate_chunks}]"
-            )
-        return float(self.bounds_from[position])
-
-    def chunk_bound(self, position: int) -> float:
-        """Upper bound on scores *inside* the candidate chunk at ``position``.
-
-        Tighter than :meth:`bound_from_position` for one chunk because no
-        suffix maximum is taken; a chunk whose bound cannot beat the
-        current top-k threshold can be skipped individually even when
-        later chunks remain promising.
-        """
-        if not 0 <= position < self.n_candidate_chunks:
-            raise ExecutionError(
-                f"position {position} outside [0, {self.n_candidate_chunks})"
-            )
-        return float(self.chunk_bounds[position])
 
     # ------------------------------------------------------------------
     # Chunk evaluation

@@ -95,18 +95,6 @@ class ExecutionResult:
     def scores(self) -> List[float]:
         return [r.score for r in self.results]
 
-    @property
-    def efficiency_vs(self) -> float:
-        """CPU inflation factor: cpu_time / latency (>= 1 when parallel)."""
-        return self.cpu_time / self.latency if self.latency > 0 else 1.0
-
-    def speedup_over(self, sequential: "ExecutionResult") -> float:
-        """Latency speedup relative to a sequential execution."""
-        if self.latency <= 0:
-            return float("inf")
-        return sequential.latency / self.latency
-
-
 def make_ranked(pairs: List[Tuple[int, float]]) -> Tuple[RankedDocument, ...]:
     """Wrap (doc_id, score) pairs (already best-first) as ranked results."""
     return tuple(

@@ -65,16 +65,6 @@ class TerminationConfig:
             f"skip_chunks must be a bool, got {self.skip_chunks!r}",
         )
 
-    @property
-    def is_exhaustive(self) -> bool:
-        """True when no rule can reduce work: every chunk gets evaluated."""
-        return (
-            self.match_budget is None
-            and not self.use_score_bound
-            and not self.skip_chunks
-        )
-
-
 class TerminationState:
     """Mutable per-execution termination tracker.
 

@@ -2,14 +2,16 @@
 
 The builder performs a single columnar inversion: the corpus's CSR
 (document → terms) layout is re-sorted into (term → documents) order with
-one ``lexsort``, then BM25 impacts are computed vectorized per term and
-per-chunk metadata is derived inside each :class:`PostingList`.
+one ``lexsort``, BM25 impacts are computed in one vectorized pass over
+the flat postings, and the columns go straight to the
+:class:`~repro.index.lexicon.Lexicon`; per-chunk metadata is derived
+inside each :class:`~repro.index.postings.PostingList` on first touch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from repro.corpus.documents import Corpus
 from repro.index.chunks import ChunkMap
 from repro.index.inverted import InvertedIndex
 from repro.index.lexicon import Lexicon
-from repro.index.postings import PostingList
 from repro.ranking.bm25 import BM25Params, bm25_idf, bm25_tf_component
 from repro.util.validation import require_int_in_range
 
@@ -39,51 +40,44 @@ class IndexConfig:
         require_int_in_range(self.chunk_size, "chunk_size", low=1)
 
 
+def _invert(corpus: Corpus) -> Tuple[np.ndarray, ...]:
+    """``(term_ids, term_offsets, doc_ids, freqs)``: the corpus's
+    (doc -> term) CSR flattened into parallel arrays and re-sorted by
+    (term, doc). Within a term, doc ids end up ascending, i.e. in
+    descending static-rank order."""
+    doc_ids_flat = np.repeat(
+        np.arange(corpus.n_docs, dtype=np.int64), np.diff(corpus.offsets)
+    )
+    order = np.lexsort((doc_ids_flat, corpus.terms))
+    term_ids, term_starts = np.unique(corpus.terms[order], return_index=True)
+    term_offsets = np.append(term_starts, order.shape[0])
+    return term_ids, term_offsets, doc_ids_flat[order], corpus.freqs[order]
+
+
 def build_index(corpus: Corpus, config: Optional[IndexConfig] = None) -> InvertedIndex:
     """Build an :class:`InvertedIndex` over ``corpus``."""
     config = config or IndexConfig()
     chunk_map = ChunkMap(corpus.n_docs, config.chunk_size)
-    lexicon = Lexicon(corpus.vocab_size)
-    avg_doc_length = corpus.average_doc_length
+    term_ids, term_offsets, doc_ids, freqs = _invert(corpus)
 
-    if corpus.n_postings:
-        # Flatten (doc -> term) CSR into parallel arrays and re-sort by
-        # (term, doc). Within a term, doc ids end up ascending, i.e. in
-        # descending static-rank order.
-        doc_ids_flat = np.repeat(
-            np.arange(corpus.n_docs, dtype=np.int64), np.diff(corpus.offsets)
-        )
-        order = np.lexsort((doc_ids_flat, corpus.terms))
-        sorted_terms = corpus.terms[order]
-        sorted_docs = doc_ids_flat[order]
-        sorted_freqs = corpus.freqs[order]
-
-        unique_terms, term_starts = np.unique(sorted_terms, return_index=True)
-        term_ends = np.append(term_starts[1:], sorted_terms.shape[0])
-
-        doc_freq_per_term = (term_ends - term_starts).astype(np.float64)
-        idf_per_term = bm25_idf(doc_freq_per_term, corpus.n_docs)
-
-        for i, term_id in enumerate(unique_terms):
-            start, end = int(term_starts[i]), int(term_ends[i])
-            doc_ids = sorted_docs[start:end]
-            freqs = sorted_freqs[start:end]
-            tf_component = bm25_tf_component(
-                freqs, corpus.doc_lengths[doc_ids], avg_doc_length, config.bm25
-            )
-            impacts = float(idf_per_term[i]) * tf_component
-            lexicon.add(
-                PostingList(
-                    term_id=int(term_id),
-                    doc_ids=doc_ids,
-                    freqs=freqs,
-                    impacts=impacts,
-                    chunk_map=chunk_map,
-                )
-            )
+    # idf is per term, the tf component per posting; the product is
+    # elementwise, so one pass over the flat columns gives every impact.
+    counts = np.diff(term_offsets)
+    impacts = bm25_tf_component(
+        freqs, corpus.doc_lengths[doc_ids], corpus.average_doc_length, config.bm25
+    )
+    impacts *= np.repeat(bm25_idf(counts.astype(np.float64), corpus.n_docs), counts)
 
     return InvertedIndex(
-        lexicon=lexicon,
+        lexicon=Lexicon(
+            vocab_size=corpus.vocab_size,
+            term_ids=term_ids,
+            term_offsets=term_offsets,
+            doc_ids=doc_ids,
+            freqs=freqs,
+            impacts=impacts,
+            chunk_map=chunk_map,
+        ),
         chunk_map=chunk_map,
         doc_lengths=corpus.doc_lengths,
         static_ranks=corpus.static_ranks,

@@ -40,15 +40,6 @@ class ChunkMap:
         require_int_in_range(chunk_id, "chunk_id", low=0, high=self.n_chunks - 1)
         return int(self.bounds[chunk_id]), int(self.bounds[chunk_id + 1])
 
-    def chunk_of_doc(self, doc_id: int) -> int:
-        """The chunk containing ``doc_id``."""
-        require_int_in_range(doc_id, "doc_id", low=0, high=self.n_docs - 1)
-        return doc_id // self.chunk_size
-
-    def chunk_lengths(self) -> np.ndarray:
-        """Number of documents in each chunk."""
-        return np.diff(self.bounds)
-
     def __len__(self) -> int:
         return self.n_chunks
 

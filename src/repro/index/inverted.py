@@ -56,9 +56,8 @@ class InvertedIndex:
 
     @property
     def n_postings(self) -> int:
-        # doc_frequency, not postings(): a lazy lexicon answers it from
-        # its offsets without materializing every posting list.
-        return int(sum(self.lexicon.doc_frequency(t) for t in self.lexicon))
+        # Read off the offsets column: nothing is materialized.
+        return int(self.lexicon.columns()["term_offsets"][-1])
 
     def memory_footprint_bytes(self) -> int:
         """Approximate resident size of the index arrays."""

@@ -4,16 +4,16 @@ Production ISNs memory-map prebuilt shards rather than re-inverting the
 corpus on every start; this module provides the equivalent for the
 reproduction (and lets experiments share one build across processes).
 A shard stores a columnar layout — one flat array per posting-list
-field, with per-term offsets — so a load constructs a
-:class:`~repro.index.lexicon.LazyLexicon` over the columns in O(1) and
-posting lists materialize as zero-copy slices on first touch.
+field, with per-term offsets, exactly what
+:class:`~repro.index.lexicon.Lexicon` is backed by — so a save writes
+the lexicon's columns verbatim, a load wraps them in O(1), and posting
+lists materialize as zero-copy slices on first touch.
 
 The container (format v2) is a *directory* of uncompressed ``.npy``
 files plus a ``meta.json`` manifest. Each column loads with
 ``mmap_mode="r"``, so opening a shard is O(1) regardless of size, only
 the pages queries actually touch become resident, and shards larger
-than RAM serve fine — the production-shaped fast path the batched
-executor benchmarks against.
+than RAM serve fine.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from repro.errors import IndexError_
 from repro.index.chunks import ChunkMap
 from repro.index.inverted import InvertedIndex
-from repro.index.lexicon import LazyLexicon, Lexicon
+from repro.index.lexicon import Lexicon
 from repro.ranking.bm25 import BM25Params
 
 FORMAT_VERSION = 2
@@ -45,43 +45,14 @@ ARRAY_NAMES = (
 )
 
 
-def _columnar_arrays(index: InvertedIndex) -> Dict[str, np.ndarray]:
-    """Flatten the index's posting lists into the columnar layout."""
-    lexicon = index.lexicon
-    if isinstance(lexicon, LazyLexicon):
-        # Already columnar — reuse the backing arrays verbatim instead of
-        # re-concatenating (loaded shards round-trip without copying).
-        columns = dict(lexicon.columns())
-    else:
-        term_ids = np.asarray(sorted(lexicon), dtype=np.int64)
-        plists = [lexicon.postings(int(t)) for t in term_ids]
-        lengths = np.asarray([p.doc_frequency for p in plists], dtype=np.int64)
-        offsets = np.zeros(term_ids.shape[0] + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        if plists:
-            doc_ids = np.concatenate([p.doc_ids for p in plists])
-            freqs = np.concatenate([p.freqs for p in plists])
-            impacts = np.concatenate([p.impacts for p in plists])
-        else:
-            doc_ids = np.empty(0, dtype=np.int64)
-            freqs = np.empty(0, dtype=np.int64)
-            impacts = np.empty(0, dtype=np.float64)
-        columns = {
-            "term_ids": term_ids,
-            "term_offsets": offsets,
-            "posting_doc_ids": doc_ids,
-            "posting_freqs": freqs,
-            "posting_impacts": impacts,
-        }
-    columns["doc_lengths"] = index.doc_lengths
-    columns["static_ranks"] = index.static_ranks
-    return columns
-
-
 def save_index(index: InvertedIndex, path: Union[str, Path]) -> Path:
     """Serialize ``index`` to the shard directory ``path``."""
     path = Path(path)
-    columns = _columnar_arrays(index)
+    columns = {
+        **index.lexicon.columns(),
+        "doc_lengths": index.doc_lengths,
+        "static_ranks": index.static_ranks,
+    }
     path.mkdir(parents=True, exist_ok=True)
     for name in ARRAY_NAMES:
         np.save(path / f"{name}.npy", np.ascontiguousarray(columns[name]))
@@ -106,7 +77,7 @@ def _assemble(
     """Build an index over loaded columns."""
     doc_lengths = arrays["doc_lengths"]
     chunk_map = ChunkMap(int(doc_lengths.shape[0]), chunk_size)
-    lexicon: Lexicon = LazyLexicon(
+    lexicon = Lexicon(
         vocab_size=vocab_size,
         term_ids=np.asarray(arrays["term_ids"], dtype=np.int64),
         term_offsets=np.asarray(arrays["term_offsets"], dtype=np.int64),
@@ -124,13 +95,11 @@ def _assemble(
     )
 
 
-def load_index(path: Union[str, Path], mmap: bool = True) -> InvertedIndex:
+def load_index(path: Union[str, Path]) -> InvertedIndex:
     """Load a shard directory previously written by :func:`save_index`.
 
-    Columns are memory-mapped when ``mmap`` is true (the default); pass
-    ``mmap=False`` to materialize every column in RAM. Either way the
-    lexicon is lazy: posting lists materialize per term on first touch,
-    so loading is O(1) in index size.
+    Columns are memory-mapped and posting lists materialize per term on
+    first touch, so loading is O(1) in index size.
     """
     path = Path(path)
     if path.is_file():
@@ -162,14 +131,13 @@ def load_index(path: Union[str, Path], mmap: bool = True) -> InvertedIndex:
         raise IndexError_(
             f"corrupt index shard {path}: bad {META_FILE} field: {exc}"
         ) from exc
-    mmap_mode = "r" if mmap else None
     arrays = {}
     for name in ARRAY_NAMES:
         array_path = path / f"{name}.npy"
         if not array_path.is_file():
             raise IndexError_(f"corrupt index shard {path}: missing {name}.npy")
         try:
-            arrays[name] = np.load(array_path, mmap_mode=mmap_mode)
+            arrays[name] = np.load(array_path, mmap_mode="r")
         except (OSError, ValueError) as exc:
             raise IndexError_(
                 f"corrupt index shard {path}: cannot read {name}.npy: {exc}"

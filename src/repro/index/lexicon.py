@@ -1,13 +1,12 @@
 """Lexicon: term dictionary mapping term ids to posting lists and stats.
 
-Two implementations share one interface: the eager :class:`Lexicon`
-(posting lists registered up front, as the index builder produces them)
-and the :class:`LazyLexicon` over a columnar posting store (one flat
-array per field plus per-term offsets — the on-disk layout of
-:mod:`repro.index.io`), which materializes a :class:`PostingList` view
-the first time a term is touched. Laziness is what makes loading a saved
-shard O(1) in index size and lets a memory-mapped shard larger than RAM
-serve queries while only the touched terms' pages are resident.
+The lexicon *is* the columnar posting store — one flat array per field
+plus per-term offsets, the layout :func:`repro.index.builder.build_index`
+produces and :mod:`repro.index.io` persists verbatim. A term's
+:class:`PostingList` view is materialized the first time the term is
+touched. Laziness is what makes building or opening a shard O(1) in
+Python objects and lets a memory-mapped shard larger than RAM serve
+queries while only the touched terms' pages are resident.
 """
 
 from __future__ import annotations
@@ -23,85 +22,16 @@ from repro.index.postings import PostingList
 
 
 class Lexicon:
-    """Term dictionary of an inverted index.
+    """Term dictionary of an inverted index, over a columnar posting store.
 
-    Holds one :class:`PostingList` per term that occurs in the corpus,
-    plus corpus-wide term statistics (document frequency, idf, global max
-    impact) used for query planning and score upper bounds.
-    """
-
-    def __init__(self, vocab_size: int) -> None:
-        if vocab_size < 1:
-            raise IndexError_("vocab_size must be >= 1")
-        self.vocab_size = vocab_size
-        self._postings: Dict[int, PostingList] = {}
-
-    def add(self, posting_list: PostingList) -> None:
-        term_id = posting_list.term_id
-        if not 0 <= term_id < self.vocab_size:
-            raise IndexError_(f"term id {term_id} outside [0, {self.vocab_size})")
-        if term_id in self._postings:
-            raise IndexError_(f"duplicate posting list for term {term_id}")
-        self._postings[term_id] = posting_list
-
-    def __contains__(self, term_id: int) -> bool:
-        return term_id in self._postings
-
-    def __len__(self) -> int:
-        return len(self._postings)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self._postings))
-
-    def postings(self, term_id: int) -> PostingList:
-        """Posting list for ``term_id``; raises for absent terms."""
-        try:
-            return self._postings[term_id]
-        except KeyError:
-            raise IndexError_(f"term {term_id} has no posting list") from None
-
-    def postings_or_none(self, term_id: int):
-        return self._postings.get(term_id)
-
-    def doc_frequency(self, term_id: int) -> int:
-        plist = self._postings.get(term_id)
-        return plist.doc_frequency if plist is not None else 0
-
-    def max_impact(self, term_id: int) -> float:
-        plist = self._postings.get(term_id)
-        return plist.max_impact if plist is not None else 0.0
-
-    def document_frequencies(self) -> np.ndarray:
-        """Dense df vector over the vocabulary."""
-        df = np.zeros(self.vocab_size, dtype=np.int64)
-        for term_id, plist in self._postings.items():
-            df[term_id] = plist.doc_frequency
-        return df
-
-    def posting_lists(self, term_ids: List[int]) -> List[PostingList]:
-        """Posting lists for the given terms, skipping absent terms."""
-        found = []
-        for term_id in term_ids:
-            plist = self._postings.get(term_id)
-            if plist is not None:
-                found.append(plist)
-        return found
-
-    def __repr__(self) -> str:
-        return f"Lexicon(vocab_size={self.vocab_size}, terms={len(self)})"
-
-
-class LazyLexicon(Lexicon):
-    """Lexicon over a columnar posting store, materialized on demand.
-
-    Backed by the flat arrays of the persisted layout: ``term_ids`` (the
-    terms present, ascending), ``term_offsets`` (``len(term_ids) + 1``
-    slice boundaries), and the concatenated ``doc_ids`` / ``freqs`` /
-    ``impacts`` columns. A term's :class:`PostingList` — including its
-    derived per-chunk metadata — is built from zero-copy column slices
-    the first time the term is requested and cached thereafter, so
-    construction cost is O(1) and queries touch only the terms (and, for
-    memory-mapped columns, the pages) they actually use.
+    Backed by flat arrays: ``term_ids`` (the terms present, ascending),
+    ``term_offsets`` (``len(term_ids) + 1`` slice boundaries), and the
+    concatenated ``doc_ids`` / ``freqs`` / ``impacts`` columns. A term's
+    :class:`PostingList` — including its derived per-chunk metadata — is
+    built from zero-copy column slices the first time the term is
+    requested and cached thereafter, so construction cost is O(1) and
+    queries touch only the terms (and, for memory-mapped columns, the
+    pages) they actually use.
 
     Materialization is guarded by a lock: the real-thread executors may
     request the same term concurrently, and ``PostingList`` construction
@@ -119,15 +49,20 @@ class LazyLexicon(Lexicon):
         impacts: np.ndarray,
         chunk_map: ChunkMap,
     ) -> None:
-        super().__init__(vocab_size)
+        if vocab_size < 1:
+            raise IndexError_("vocab_size must be >= 1")
         if term_offsets.shape[0] != term_ids.shape[0] + 1:
             raise IndexError_(
                 f"term_offsets must have {term_ids.shape[0] + 1} entries, "
                 f"got {term_offsets.shape[0]}"
             )
+        self.vocab_size = vocab_size
+        self._postings: Dict[int, PostingList] = {}
         self._slots: Dict[int, int] = {
             int(t): i for i, t in enumerate(term_ids.tolist())
         }
+        if len(self._slots) != term_ids.shape[0]:
+            raise IndexError_("duplicate term ids in the posting store")
         for term_id in self._slots:
             if not 0 <= term_id < vocab_size:
                 raise IndexError_(
@@ -159,9 +94,6 @@ class LazyLexicon(Lexicon):
             self._postings[term_id] = plist
             return plist
 
-    def add(self, posting_list: PostingList) -> None:
-        raise IndexError_("LazyLexicon is read-only; terms come from the store")
-
     def __contains__(self, term_id: int) -> bool:
         return term_id in self._slots
 
@@ -172,6 +104,7 @@ class LazyLexicon(Lexicon):
         return iter(sorted(self._slots))
 
     def postings(self, term_id: int) -> PostingList:
+        """Posting list for ``term_id``; raises for absent terms."""
         plist = self._postings.get(term_id)
         if plist is not None:
             return plist
@@ -193,17 +126,15 @@ class LazyLexicon(Lexicon):
             return 0
         return int(self._offsets[slot + 1] - self._offsets[slot])
 
-    def max_impact(self, term_id: int) -> float:
-        plist = self.postings_or_none(term_id)
-        return plist.max_impact if plist is not None else 0.0
-
     def document_frequencies(self) -> np.ndarray:
+        """Dense df vector over the vocabulary."""
         df = np.zeros(self.vocab_size, dtype=np.int64)
         if self._term_ids.shape[0]:
             df[self._term_ids] = np.diff(self._offsets)
         return df
 
     def posting_lists(self, term_ids: List[int]) -> List[PostingList]:
+        """Posting lists for the given terms, skipping absent terms."""
         found = []
         for term_id in term_ids:
             plist = self.postings_or_none(term_id)
@@ -212,11 +143,7 @@ class LazyLexicon(Lexicon):
         return found
 
     def columns(self) -> Dict[str, np.ndarray]:
-        """The backing columnar arrays (the persisted layout, verbatim).
-
-        Lets :func:`repro.index.io.save_index` re-serialize a loaded
-        shard without re-concatenating per-term arrays.
-        """
+        """The backing columnar arrays (the persisted layout, verbatim)."""
         return {
             "term_ids": self._term_ids,
             "term_offsets": self._offsets,
@@ -227,6 +154,6 @@ class LazyLexicon(Lexicon):
 
     def __repr__(self) -> str:
         return (
-            f"LazyLexicon(vocab_size={self.vocab_size}, terms={len(self)}, "
+            f"Lexicon(vocab_size={self.vocab_size}, terms={len(self)}, "
             f"materialized={len(self._postings)})"
         )

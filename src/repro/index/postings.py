@@ -99,33 +99,6 @@ class PostingList:
         empty_impacts = np.empty(0, dtype=np.float64)
         return empty_ids, empty_impacts
 
-    def chunk_upper_bound(self, chunk_id: int) -> float:
-        """Max impact of this term within ``chunk_id`` (0 if absent)."""
-        idx = np.searchsorted(self.chunk_ids, chunk_id)
-        if idx < self.chunk_ids.shape[0] and self.chunk_ids[idx] == chunk_id:
-            return float(self.chunk_max_impact[idx])
-        return 0.0
-
-    def suffix_upper_bounds(self, n_chunks: int) -> np.ndarray:
-        """``bound[c]`` = max impact of this term in chunks ``>= c``.
-
-        Used by early termination: after finishing chunk ``c-1``, the best
-        score any remaining document can contribute from this term is
-        ``bound[c]``. Length is ``n_chunks + 1`` with a trailing 0.
-        """
-        bounds = np.zeros(n_chunks + 1, dtype=np.float64)
-        if self.chunk_ids.size == 0:
-            return bounds
-        dense = np.zeros(n_chunks, dtype=np.float64)
-        dense[self.chunk_ids] = self.chunk_max_impact
-        # Reverse cumulative maximum.
-        bounds[:n_chunks] = np.maximum.accumulate(dense[::-1])[::-1]
-        return bounds
-
-    def contains(self, doc_id: int) -> bool:
-        idx = np.searchsorted(self.doc_ids, doc_id)
-        return bool(idx < self.doc_ids.shape[0] and self.doc_ids[idx] == doc_id)
-
     def impact_of(self, doc_id: int) -> float:
         """Impact of the term in ``doc_id`` (0.0 if absent)."""
         idx = np.searchsorted(self.doc_ids, doc_id)

@@ -189,10 +189,6 @@ class QueryTrace:
         return self.root.start_s
 
     @property
-    def completion_s(self) -> float:
-        return self.root.end_s
-
-    @property
     def latency_s(self) -> float:
         return self.root.duration_s
 

@@ -50,11 +50,6 @@ class SystemState:
         queries in the system *including* the one being dispatched."""
         return self.n_queued + self.n_running + 1
 
-    @property
-    def busy_cores(self) -> int:
-        return self.n_cores - self.free_cores
-
-
 @dataclass(frozen=True)
 class QueryInfo:
     """What a policy may know about the query being dispatched.

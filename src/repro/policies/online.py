@@ -23,10 +23,8 @@ the *calibration* a runtime quantity:
   *bounded multiplicative step*, so the loop is stable under noisy
   feedback instead of chattering.
 
-The controller mutates only its policy and the server's admission cap;
-it draws randomness (optional tick jitter, which desynchronizes control
-ticks from periodic load structure) exclusively from an explicit
-:class:`~repro.util.rng.RngFactory` named stream, keeping runs
+The controller mutates only its policy and the server's admission cap,
+ticks strictly periodically and draws no randomness, keeping runs
 bit-identical for a given seed.
 """
 
@@ -44,7 +42,6 @@ from repro.errors import ConfigurationError
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.policies.adaptive import ThresholdTable
 from repro.policies.base import ParallelismPolicy, QueryInfo, SystemState
-from repro.util.rng import RngFactory
 from repro.util.validation import (
     require,
     require_in_range,
@@ -140,10 +137,6 @@ class OnlineControllerConfig:
     #: Minimum windowed completions before the latency signal is
     #: trusted; windows with fewer observations leave the knobs alone.
     min_samples: int = 8
-    #: Optional uniform jitter on tick spacing, as a fraction of
-    #: ``window_s`` (0 = strictly periodic ticks). Jitter draws come
-    #: from the controller's named RNG stream.
-    jitter_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         require_positive(self.target_p99_s, "target_p99_s")
@@ -166,9 +159,6 @@ class OnlineControllerConfig:
             low_inclusive=False,
         )
         require_int_in_range(self.min_samples, "min_samples", low=1)
-        require_in_range(
-            self.jitter_fraction, "jitter_fraction", low=0.0, high=0.5
-        )
 
 
 @dataclass(frozen=True)
@@ -202,7 +192,6 @@ class OnlineDegreeController:
         self,
         policy: OnlineAdaptivePolicy,
         config: OnlineControllerConfig,
-        streams: Optional[RngFactory] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if not isinstance(policy, OnlineAdaptivePolicy):
@@ -210,19 +199,9 @@ class OnlineDegreeController:
                 "OnlineDegreeController requires an OnlineAdaptivePolicy, "
                 f"got {type(policy).__name__}"
             )
-        if config.jitter_fraction > 0.0 and streams is None:
-            raise ConfigurationError(
-                "jitter_fraction > 0 requires an RngFactory (the "
-                "controller never draws from an implicit global stream)"
-            )
         self.policy = policy
         self.config = config
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._jitter_rng = (
-            streams.stream("controller", "jitter")
-            if streams is not None and config.jitter_fraction > 0.0
-            else None
-        )
         self.decisions: List[ControlDecision] = []
         # The driving event loop, seen only through the kernel's clock/
         # scheduler protocol: the controller reads time and schedules
@@ -248,14 +227,7 @@ class OnlineDegreeController:
         self._clock = simulator
         self._collector = collector
         self._horizon_s = float(horizon_s)
-        simulator.schedule(self._tick_delay_s(), self._tick)
-
-    def _tick_delay_s(self) -> float:
-        delay_s = self.config.window_s
-        if self._jitter_rng is not None:
-            spread = self.config.jitter_fraction * self.config.window_s
-            delay_s += float(self._jitter_rng.uniform(-spread, spread))
-        return delay_s
+        simulator.schedule(self.config.window_s, self._tick)
 
     # ------------------------------------------------------------------
     # Control law
@@ -326,9 +298,8 @@ class OnlineDegreeController:
                     "shed_rate": shed_rate,
                 },
             )
-        next_delay_s = self._tick_delay_s()
-        if now_s + next_delay_s <= self._horizon_s:
-            self._clock.schedule(next_delay_s, self._tick)
+        if now_s + config.window_s <= self._horizon_s:
+            self._clock.schedule(config.window_s, self._tick)
 
 
 __all__ = [

@@ -64,12 +64,6 @@ class QueryLatencyPredictor:
         self._coef = np.linalg.solve(gram, design.T @ target)
         return self
 
-    def predict(self, engine: Engine, query: Query) -> float:
-        """Predicted sequential latency (seconds)."""
-        if self._coef is None:
-            raise PolicyError("predictor is not fitted")
-        return float(np.exp(_features(engine, query) @ self._coef))
-
     def predict_many(self, engine: Engine, queries: Sequence[Query]) -> np.ndarray:
         if self._coef is None:
             raise PolicyError("predictor is not fitted")

@@ -1,21 +1,20 @@
 """Sequential service-time distribution.
 
 Wraps an empirical sample of sequential query latencies with the
-statistics the experiments report (moments, percentiles, ECDF) plus a
-lognormal fit and resampling — the parametric path is used by the
-simulator-only experiments (e.g. the queueing-theory validation) where
-no engine is in the loop.
+statistics the experiments report (moments, percentiles) plus a
+lognormal fit — the parametric path is used by the simulator-only
+experiments (e.g. the queueing-theory validation) where no engine is in
+the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ProfileError
-from repro.util.validation import require_int_in_range
 
 
 @dataclass(frozen=True)
@@ -68,15 +67,6 @@ class ServiceTimeDistribution:
     def percentile(self, q: float) -> float:
         return float(np.percentile(self.samples, q))
 
-    def percentiles(self, qs: Sequence[float]) -> np.ndarray:
-        return np.percentile(self.samples, qs)
-
-    def ecdf(self, points: int = 100) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (x, F(x)) sampled at ``points`` evenly spaced quantiles."""
-        require_int_in_range(points, "points", low=2)
-        qs = np.linspace(0.0, 100.0, points)
-        return np.percentile(self.samples, qs), qs / 100.0
-
     def tail_ratio(self, high: float = 99.0, low: float = 50.0) -> float:
         """Skew indicator: p``high`` / p``low`` (≈10–50 for web search)."""
         return self.percentile(high) / self.percentile(low)
@@ -85,16 +75,6 @@ class ServiceTimeDistribution:
         logs = np.log(self.samples)
         sigma = float(logs.std(ddof=1)) if self.n > 1 else 0.0
         return LognormalFit(mu=float(logs.mean()), sigma=sigma)
-
-    def resample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Bootstrap-resample ``n`` service times from the empirical data."""
-        require_int_in_range(n, "n", low=0)
-        return rng.choice(self.samples, size=n, replace=True)
-
-    def classify_tertiles(self) -> np.ndarray:
-        """Label each sample 0/1/2 for short/medium/long (by tertile)."""
-        t1, t2 = np.percentile(self.samples, [33.3333, 66.6667])
-        return np.digitize(self.samples, [t1, t2])
 
     def summary(self) -> dict:
         return {

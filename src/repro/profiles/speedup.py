@@ -70,10 +70,6 @@ class SpeedupProfile:
             return CLASS_NAMES[cls]
         return f"class{cls}"
 
-    def classify(self, sequential_latency: float) -> int:
-        """Class index of a query given its sequential latency."""
-        return int(np.digitize([sequential_latency], self.class_edges)[0])
-
     def speedup(self, degree: int, cls: Optional[int] = None) -> float:
         """Mean speedup at ``degree``, overall or for one class."""
         self.table.degree_column(degree)  # validates the degree
@@ -87,11 +83,6 @@ class SpeedupProfile:
         """Aggregate CPU inflation V(p) = total_cpu(p) / total_cpu(1)."""
         self.table.degree_column(degree)
         return self._work_inflation[degree]
-
-    def efficiency(self, degree: int) -> float:
-        """Capacity efficiency 1 / V(p): fraction of sequential saturation
-        throughput retained when every query runs at ``degree``."""
-        return 1.0 / self.work_inflation(degree)
 
     def rows(self) -> List[Tuple]:
         """Tabular view: one row per (class, degree)."""
@@ -131,12 +122,6 @@ class ParametricSpeedup:
             raise ProfileError(f"degree must be >= 1, got {degree}")
         denom = self.serial + (1.0 - self.serial) / degree + self.waste * (degree - 1)
         return 1.0 / denom
-
-    def work_inflation(self, degree: int) -> float:
-        return degree / self.speedup(degree)
-
-    def efficiency(self, degree: int) -> float:
-        return self.speedup(degree) / degree
 
     @staticmethod
     def fit(degrees: Sequence[int], speedups: Sequence[float]) -> "ParametricSpeedup":

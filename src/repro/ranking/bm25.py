@@ -55,23 +55,6 @@ def bm25_tf_component(
     return tf * (params.k1 + 1.0) / (tf + norm)
 
 
-def bm25_impacts(
-    term_freq: np.ndarray,
-    doc_length: np.ndarray,
-    doc_frequency: int,
-    n_docs: int,
-    avg_doc_length: float,
-    params: BM25Params,
-) -> np.ndarray:
-    """Full per-posting impact: ``idf(t) * tf_component``.
-
-    ``term_freq`` and ``doc_length`` are parallel arrays over the postings
-    of a single term (so ``doc_frequency`` is a scalar).
-    """
-    idf = float(bm25_idf(np.asarray([doc_frequency]), n_docs)[0])
-    return idf * bm25_tf_component(term_freq, doc_length, avg_doc_length, params)
-
-
 def bm25_score_document(
     term_freqs: np.ndarray,
     doc_freqs: np.ndarray,

@@ -13,10 +13,6 @@ unseen document is bounded by (remaining max relevance impact) +
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-import numpy as np
-
 from repro.util.validation import require_in_range, require_positive
 
 
@@ -37,35 +33,3 @@ class ScoreWeights:
     def __post_init__(self) -> None:
         require_positive(self.relevance_weight, "relevance_weight")
         require_in_range(self.static_weight, "static_weight", low=0.0)
-
-
-class CompositeScorer:
-    """Vectorized composite scorer over candidate documents."""
-
-    def __init__(self, static_ranks: np.ndarray, weights: ScoreWeights) -> None:
-        self.static_ranks = np.asarray(static_ranks, dtype=np.float64)
-        self.weights = weights
-
-    def combine(self, doc_ids: np.ndarray, relevance: np.ndarray) -> np.ndarray:
-        """Blend relevance scores with the static prior for ``doc_ids``."""
-        return (
-            self.weights.relevance_weight * np.asarray(relevance, dtype=np.float64)
-            + self.weights.static_weight * self.static_ranks[doc_ids]
-        )
-
-    def static_prior(self, doc_id: int) -> float:
-        return float(self.weights.static_weight * self.static_ranks[doc_id])
-
-    def max_prior_from(self, doc_id: int) -> float:
-        """Upper bound of the prior over documents >= ``doc_id``.
-
-        Static ranks are non-increasing in doc id, so the bound is simply
-        the prior at ``doc_id`` (or 0 past the end).
-        """
-        if doc_id >= self.static_ranks.shape[0]:
-            return 0.0
-        return self.static_prior(doc_id)
-
-    def relevance_bound(self, max_impacts: List[float]) -> float:
-        """Upper bound on relevance: sum of per-term max impacts."""
-        return self.weights.relevance_weight * float(sum(max_impacts))

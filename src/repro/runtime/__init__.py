@@ -4,9 +4,9 @@ The counterpart of :mod:`repro.sim`: where the simulator drives the
 scheduling kernel on virtual time, this package drives it on *wall*
 time —
 
-* :class:`~repro.runtime.clock.WallClock` / :class:`~repro.runtime.
-  clock.FakeClock` — the live and deterministic-test implementations
-  of the kernel's clock interfaces;
+* :class:`~repro.runtime.clock.FakeClock` — the deterministic-test
+  implementation of the kernel's clock interfaces (the live one is
+  the :class:`~repro.runtime.serve.AsyncioScheduler` below);
 * :class:`~repro.runtime.node.ServingNode` — the clock-agnostic server
   model assembled for live serving (engine results, outcome
   callbacks, shared metrics schema);
@@ -25,7 +25,7 @@ modules it rehosts, but neither ``sim`` nor the kernel ever imports
 :class:`repro.core.clock.ClockProtocol`.
 """
 
-from repro.runtime.clock import FakeClock, WallClock
+from repro.runtime.clock import FakeClock
 from repro.runtime.node import QueryOutcome, ServingConfig, ServingNode
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "QueryOutcome",
     "ServingConfig",
     "ServingNode",
-    "WallClock",
 ]

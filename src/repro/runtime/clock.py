@@ -1,40 +1,14 @@
-"""Wall-clock and test-clock implementations of the kernel interfaces."""
+"""The test-clock implementation of the kernel interfaces (the serving
+clock is :class:`repro.runtime.serve.AsyncioScheduler`)."""
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 
-__all__ = ["WallClock", "FakeClock"]
-
-
-class WallClock:
-    """Monotonic wall time, zeroed at construction.
-
-    Satisfies :class:`repro.core.clock.ClockProtocol` structurally, so
-    kernel code written against the protocol runs unchanged on wall
-    time. Built on ``time.monotonic`` — immune to NTP steps and
-    daylight-saving jumps, which would otherwise appear as negative or
-    hour-long query latencies. Zeroing at construction keeps wall
-    timestamps in the same "seconds since the run started" frame the
-    virtual clock uses, so metrics and traces are directly comparable
-    across drivers.
-    """
-
-    __slots__ = ("_origin",)
-
-    def __init__(self) -> None:
-        self._origin = time.monotonic()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._origin
-
-    def __repr__(self) -> str:
-        return f"WallClock(now={self.now:.6f})"
+__all__ = ["FakeClock"]
 
 
 class FakeClock(Simulator):

@@ -99,10 +99,6 @@ class AsyncioScheduler:
             raise SimulationError(f"cannot schedule {delay_s}s in the past")
         self._loop.call_later(delay_s * self._dilation, callback)
 
-    def to_wall(self, model_seconds: float) -> float:
-        """Convert a model-seconds span to wall seconds."""
-        return model_seconds * self._dilation
-
     def __repr__(self) -> str:
         return f"AsyncioScheduler(now={self.now:.6f}, dilation={self._dilation})"
 

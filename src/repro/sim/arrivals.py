@@ -14,7 +14,7 @@ returning the time to the next arrival. Provided models:
 from __future__ import annotations
 
 import abc
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,63 +148,6 @@ class MMPP2Arrivals(ArrivalProcess):
                 return elapsed + candidate_s
             elapsed += self._dwell_remaining_s
             self._switch()
-
-
-class NHPPArrivals(ArrivalProcess):
-    """Non-homogeneous Poisson process via Lewis–Shedler thinning.
-
-    ``rate_fn(t)`` gives the instantaneous rate; ``max_rate`` must bound
-    it from above over the whole horizon (candidates are generated at
-    ``max_rate`` and accepted with probability ``rate_fn(t)/max_rate``).
-    Used for diurnal load patterns.
-    """
-
-    def __init__(
-        self,
-        rate_fn: Callable[[float], float],
-        max_rate: float,
-        rng: np.random.Generator,
-    ) -> None:
-        require_positive(max_rate, "max_rate")
-        self.rate_fn = rate_fn
-        self.max_rate = float(max_rate)
-        self._rng = rng
-        self._now = 0.0
-
-    def next_interarrival(self) -> float:
-        start = self._now
-        while True:
-            self._now += float(self._rng.exponential(1.0 / self.max_rate))
-            rate = float(self.rate_fn(self._now))
-            if rate < 0 or rate > self.max_rate * (1.0 + 1e-9):
-                raise SimulationError(
-                    f"rate_fn({self._now:.3f}) = {rate} outside [0, max_rate]"
-                )
-            if self._rng.random() < rate / self.max_rate:
-                return self._now - start
-
-
-def diurnal_arrivals(
-    base_rate: float,
-    amplitude: float,
-    period_s: float,
-    rng: np.random.Generator,
-    phase: float = 0.0,
-) -> NHPPArrivals:
-    """Sinusoidal 'day/night' load: rate(t) = base * (1 + a·sin(2πt/T + φ)).
-
-    ``amplitude`` in [0, 1); ``period_s`` is the cycle length in seconds;
-    the mean rate over a full period is ``base_rate``.
-    """
-    require_positive(base_rate, "base_rate")
-    require(0.0 <= amplitude < 1.0, "amplitude must be in [0, 1)")
-    require_positive(period_s, "period_s")
-    two_pi = 2.0 * np.pi
-
-    def rate_fn(t: float) -> float:
-        return base_rate * (1.0 + amplitude * np.sin(two_pi * t / period_s + phase))
-
-    return NHPPArrivals(rate_fn, base_rate * (1.0 + amplitude), rng)
 
 
 class TraceArrivals(ArrivalProcess):

@@ -83,6 +83,9 @@ class _InFlight:
         # Aggregator-side span builder (tracer enabled only).
         self.trace: Optional[ClusterTraceBuilder] = None
 
+#: The aggregator's merge/network step after the last shard responds.
+AGGREGATION_OVERHEAD_S = 200e-6
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -90,8 +93,8 @@ class ClusterConfig:
 
     ``rate`` is the *cluster* query rate; every query hits all shards,
     so each shard also sees ``rate`` queries per second.
-    ``aggregation_overhead`` models the merge/network step after the
-    last shard responds.
+    :data:`AGGREGATION_OVERHEAD_S` models the merge/network step after
+    the last shard responds.
 
     The robustness knobs (``deadline``, ``max_queue_length``,
     ``quorum``, ``shard_timeout``, ``hedge_delay``) all default to off;
@@ -104,7 +107,6 @@ class ClusterConfig:
     rate: float = 1_000.0
     duration: float = 20.0
     warmup: float = 4.0
-    aggregation_overhead: float = 200e-6
     seed: int = 0
     #: Per-query SLO budget enforced at each shard (shed at dispatch
     #: once the queue wait has consumed it); also the bar used for the
@@ -127,7 +129,6 @@ class ClusterConfig:
         require_positive(self.rate, "rate")
         require_positive(self.duration, "duration")
         require(0 <= self.warmup < self.duration, "need 0 <= warmup < duration")
-        require(self.aggregation_overhead >= 0, "aggregation_overhead must be >= 0")
         if self.deadline is not None:
             require_positive(self.deadline, "deadline")
         if self.max_queue_length is not None:
@@ -230,7 +231,7 @@ def run_cluster_point(
                 else "full" if n_resp == config.n_shards
                 else "partial"
             )
-            answer_s = now + (config.aggregation_overhead if n_resp else 0.0)
+            answer_s = now + (AGGREGATION_OVERHEAD_S if n_resp else 0.0)
             tracer.on_trace(
                 state.trace.finalized(
                     answer_s, outcome, n_resp, config.n_shards,
@@ -246,7 +247,7 @@ def run_cluster_point(
             counters["failed"] += 1
             return
         counters["full" if coverage == 1.0 else "partial"] += 1
-        latency = now + config.aggregation_overhead - state.arrival
+        latency = now + AGGREGATION_OVERHEAD_S - state.arrival
         cluster_latencies.append(latency)
         coverages.append(coverage)
         if config.deadline is not None and latency <= config.deadline:

@@ -85,13 +85,6 @@ class LoadPointSummary:
     slo_attainment: float = float("nan")  # fraction of demand in SLO
     deadline: Optional[float] = None
 
-    @property
-    def saturated(self) -> bool:
-        """Heuristic: the point is past capacity if measured throughput
-        lags the offered rate by more than 5%."""
-        return self.throughput < 0.95 * self.rate
-
-
 #: The bounded drain stops this many horizons in: jobs still running
 #: then are dropped from the statistics (deeply saturated sweeps only).
 DRAIN_HORIZONS = 10.0
@@ -257,4 +250,3 @@ def summarize_load_point(
         ),
         deadline=deadline,
     )
-

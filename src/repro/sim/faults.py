@@ -8,7 +8,7 @@ never answered and the node recovers later). Both matter to the
 adaptive-parallelism story because the cluster tail is a max over
 shards: one degraded shard is enough to move the aggregate P99.
 
-This module expresses both as **seeded, precomputed schedules** so fault
+This module expresses both as **precomputed schedules** so fault
 runs are exactly reproducible: a :class:`FaultSchedule` is a list of
 non-overlapping :class:`FaultWindow` intervals, each either a slowdown
 (finite service-time multiplier > 0) or a crash (``CRASH`` sentinel).
@@ -18,19 +18,15 @@ dispatch, and :meth:`FaultSchedule.crashed_at` sheds queries dispatched
 inside a crash window (the aggregator sees the shed and degrades to a
 partial answer rather than waiting forever).
 
-:class:`ClusterFaultPlan` maps shard ids to schedules;
-:func:`ClusterFaultPlan.generate` draws a random plan from a seed so
-sweeps can inject "one slow shard" or "rolling crashes" without
-hand-writing intervals.
+:class:`ClusterFaultPlan` maps shard ids to schedules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import FaultInjectionError
-from repro.util.rng import make_rng
 
 #: Service-time multiplier meaning "the shard is down in this window".
 CRASH = float("inf")
@@ -152,55 +148,6 @@ class ClusterFaultPlan:
         return ClusterFaultPlan(
             {shard_id: FaultSchedule.slowdown(start, end, multiplier)}
         )
-
-    @staticmethod
-    def generate(
-        seed: int,
-        n_shards: int,
-        duration: float,
-        slowdown_rate: float = 0.0,
-        crash_rate: float = 0.0,
-        slowdown_duration: float = 1.0,
-        crash_duration: float = 0.5,
-        multiplier_range: Sequence[float] = (2.0, 6.0),
-    ) -> "ClusterFaultPlan":
-        """Draw a random plan: per shard, Poisson fault arrivals.
-
-        ``slowdown_rate`` / ``crash_rate`` are mean faults per shard per
-        second of simulated time; windows that would overlap an earlier
-        one on the same shard are skipped (keeping schedules valid while
-        staying a pure function of the seed).
-        """
-        if n_shards < 1 or duration <= 0:
-            raise FaultInjectionError("need n_shards >= 1 and duration > 0")
-        if slowdown_rate < 0 or crash_rate < 0:
-            raise FaultInjectionError("fault rates must be >= 0")
-        lo, hi = float(multiplier_range[0]), float(multiplier_range[1])
-        if not 0 < lo <= hi:
-            raise FaultInjectionError("need 0 < multiplier lo <= hi")
-        rng = make_rng(seed)
-        schedules: Dict[int, FaultSchedule] = {}
-        for shard_id in range(n_shards):
-            windows: List[FaultWindow] = []
-            for rate, width, crash in (
-                (slowdown_rate, slowdown_duration, False),
-                (crash_rate, crash_duration, True),
-            ):
-                if rate <= 0:
-                    continue
-                n_faults = int(rng.poisson(rate * duration))
-                starts = sorted(rng.uniform(0.0, duration, size=n_faults))
-                for start in starts:
-                    end = min(float(start) + width, duration)
-                    if end <= start:
-                        continue
-                    if any(w.start < end and start < w.end for w in windows):
-                        continue
-                    multiplier = CRASH if crash else float(rng.uniform(lo, hi))
-                    windows.append(FaultWindow(float(start), end, multiplier))
-            if windows:
-                schedules[shard_id] = FaultSchedule(windows)
-        return ClusterFaultPlan(schedules)
 
     def __repr__(self) -> str:
         return f"ClusterFaultPlan(shards={sorted(self.schedules)})"

@@ -256,8 +256,7 @@ class RegimeTraffic(ArrivalProcess):
     ``horizon_s`` bounds candidate generation for the *background*
     stream; bursts are bounded by their own windows. Streams are derived
     from ``streams`` as ``("traffic", "background")`` and
-    ``("traffic", "burst", i)`` — names audited by the determinism
-    tests and reprolint's R010 stream-collision analysis.
+    ``("traffic", "burst", i)`` — names the e20 golden pins.
     """
 
     def __init__(

@@ -56,10 +56,6 @@ class ZipfMandelbrot:
         """Full probability vector (copy)."""
         return self._pmf.copy()
 
-    def expected_rank(self) -> float:
-        """Mean rank under the distribution."""
-        return float(np.dot(np.arange(self.size), self._pmf))
-
     def sample(
         self, rng: np.random.Generator, n: Optional[int] = None
     ) -> np.ndarray:
@@ -70,13 +66,6 @@ class ZipfMandelbrot:
         require_int_in_range(n, "n", low=0)
         u = rng.random(n)
         return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
-
-    def head_mass(self, top: int) -> float:
-        """Total probability mass of the ``top`` most popular ranks."""
-        require_int_in_range(top, "top", low=0, high=self.size)
-        if top == 0:
-            return 0.0
-        return float(self._cdf[top - 1])
 
     def __repr__(self) -> str:
         return (

@@ -6,7 +6,6 @@ from repro.util.validation import (
     require,
     require_in_range,
     require_positive,
-    require_type,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "require",
     "require_in_range",
     "require_positive",
-    "require_type",
 ]

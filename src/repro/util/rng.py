@@ -11,7 +11,7 @@ component's stream — a requirement for comparable A/B policy runs.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -102,19 +102,3 @@ class RngFactory:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(root_seed={self._root})"
-
-
-def spawn_streams(
-    seed: SeedLike,
-    names: Sequence[str],
-    factory: Optional[RngFactory] = None,
-) -> Dict[str, np.random.Generator]:
-    """Convenience: build a ``{name: Generator}`` dict for ``names``."""
-    if factory is None:
-        if seed is None:
-            raise ConfigurationError(
-                "spawn_streams requires an explicit seed (or a factory)"
-            )
-        base = seed if isinstance(seed, (int, np.integer)) else derive_seed(0, str(seed))
-        factory = RngFactory(int(base))
-    return {name: factory.stream(name) for name in names}

@@ -62,10 +62,6 @@ class Table:
             )
         self._rows.append(row)
 
-    def add_rows(self, rows: Iterable[Iterable[Any]]) -> None:
-        for row in rows:
-            self.add_row(row)
-
     @property
     def n_rows(self) -> int:
         return len(self._rows)

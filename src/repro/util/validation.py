@@ -8,7 +8,7 @@ has one exception type to handle for bad parameters.
 from __future__ import annotations
 
 from numbers import Real
-from typing import Any, Optional, Tuple, Type, Union
+from typing import Any, Optional
 
 from repro.errors import ConfigurationError
 
@@ -20,22 +20,6 @@ def require(condition: bool, message: str) -> None:
     """Raise ``ConfigurationError(message)`` unless ``condition`` holds."""
     if not condition:
         raise ConfigurationError(message)
-
-
-def require_type(
-    value: Any, types: Union[Type[Any], Tuple[Type[Any], ...]], name: str
-) -> Any:
-    """Check ``isinstance(value, types)`` and return the value."""
-    if not isinstance(value, types):
-        type_names = (
-            types.__name__
-            if isinstance(types, type)
-            else " or ".join(t.__name__ for t in types)
-        )
-        raise ConfigurationError(
-            f"{name} must be {type_names}, got {type(value).__name__}"
-        )
-    return value
 
 
 def require_positive(value: float, name: str, strict: bool = True) -> float:
@@ -86,14 +70,3 @@ def require_int_in_range(
         )
     require_in_range(value, name, low=low, high=high)
     return value
-
-
-def require_nonempty(sequence: Any, name: str) -> Any:
-    """Check that a sized container is non-empty."""
-    try:
-        size = len(sequence)
-    except TypeError as exc:
-        raise ConfigurationError(f"{name} must be a sized container") from exc
-    if size == 0:
-        raise ConfigurationError(f"{name} must not be empty")
-    return sequence

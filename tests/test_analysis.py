@@ -6,10 +6,7 @@ from repro.analysis.compare import PolicyComparison, find_crossover
 from repro.analysis.queueing_theory import (
     erlang_c,
     littles_law_gap,
-    mg1_mean_wait,
-    mgc_mean_wait_allen_cunneen,
     mmc_mean_queue_delay,
-    mmc_mean_response,
 )
 from repro.errors import AnalysisError
 from repro.sim.experiment import LoadPointSummary
@@ -30,30 +27,9 @@ class TestQueueingTheory:
         # M/M/1: W_q = rho / (mu - lambda).
         assert mmc_mean_queue_delay(0.5, 1.0, 1) == pytest.approx(0.5 / 0.5)
 
-    def test_response_adds_service(self):
-        wait = mmc_mean_queue_delay(2.0, 1.0, 4)
-        assert mmc_mean_response(2.0, 1.0, 4) == pytest.approx(wait + 1.0)
-
-    def test_mg1_exponential_matches_mm1(self):
-        mm1 = mmc_mean_queue_delay(0.5, 1.0, 1)
-        mg1 = mg1_mean_wait(0.5, 1.0, scv=1.0)
-        assert mg1 == pytest.approx(mm1)
-
-    def test_mg1_deterministic_halves_wait(self):
-        assert mg1_mean_wait(0.5, 1.0, scv=0.0) == pytest.approx(
-            0.5 * mg1_mean_wait(0.5, 1.0, scv=1.0)
-        )
-
-    def test_allen_cunneen_exponential_exact(self):
-        assert mgc_mean_wait_allen_cunneen(2.0, 1.0, 1.0, 4) == pytest.approx(
-            mmc_mean_queue_delay(2.0, 1.0, 4)
-        )
-
     def test_unstable_rejected(self):
         with pytest.raises(AnalysisError):
             mmc_mean_queue_delay(5.0, 1.0, 4)
-        with pytest.raises(AnalysisError):
-            mg1_mean_wait(2.0, 1.0, 1.0)
 
 
 class TestLittlesLaw:

@@ -2,14 +2,13 @@
 
 The refactor's contract: the scheduling kernel sees time only through
 ``ClockProtocol``/``SchedulerProtocol``; the simulator satisfies them on
-virtual time and ``WallClock`` on wall time, interchangeably.
+virtual time and ``AsyncioScheduler`` on wall time, interchangeably.
 """
 
 import pytest
 
 from repro.core.clock import ClockProtocol, SchedulerProtocol, VirtualClock
 from repro.errors import SimulationError
-from repro.runtime import WallClock
 from repro.sim.engine import Simulator
 
 
@@ -19,18 +18,12 @@ class TestVirtualClock:
         assert clock.now == 0.0
         clock.advance_to(1.5)
         assert clock.now == 1.5
-        clock.advance_by(0.5)
-        assert clock.now == 2.0
 
     def test_rejects_backwards_advance(self):
         clock = VirtualClock()
         clock.advance_to(1.0)
         with pytest.raises(SimulationError):
             clock.advance_to(0.5)
-
-    def test_rejects_negative_delta(self):
-        with pytest.raises(SimulationError):
-            VirtualClock().advance_by(-0.1)
 
     def test_advance_to_same_time_is_a_noop(self):
         clock = VirtualClock()
@@ -39,21 +32,9 @@ class TestVirtualClock:
         assert clock.now == 1.0
 
 
-class TestWallClock:
-    def test_zeroed_at_construction_and_monotonic(self):
-        clock = WallClock()
-        first = clock.now
-        second = clock.now
-        assert first >= 0.0
-        assert second >= first
-
-
 class TestProtocolConformance:
     def test_virtual_clock_is_a_clock(self):
         assert isinstance(VirtualClock(), ClockProtocol)
-
-    def test_wall_clock_is_a_clock(self):
-        assert isinstance(WallClock(), ClockProtocol)
 
     def test_simulator_is_a_scheduler(self):
         # The online controller attaches to any SchedulerProtocol; the

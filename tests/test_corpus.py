@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.corpus.documents import Corpus
-from repro.corpus.generator import CorpusConfig, generate_corpus
+from repro.corpus.generator import (
+    MAX_DOC_LENGTH,
+    MIN_DOC_LENGTH,
+    CorpusConfig,
+    generate_corpus,
+)
 from repro.corpus.stats import corpus_stats
 from repro.errors import CorpusError
 
@@ -31,9 +36,8 @@ class TestGenerator:
         assert np.array_equal(a.static_ranks, b.static_ranks)
 
     def test_doc_lengths_respect_bounds(self, corpus):
-        config = CorpusConfig(n_docs=600, vocab_size=900, mean_doc_length=90, seed=5)
-        assert corpus.doc_lengths.min() >= config.min_doc_length
-        assert corpus.doc_lengths.max() <= config.max_doc_length
+        assert corpus.doc_lengths.min() >= MIN_DOC_LENGTH
+        assert corpus.doc_lengths.max() <= MAX_DOC_LENGTH
 
     def test_mean_length_near_target(self):
         c = generate_corpus(CorpusConfig(n_docs=4000, vocab_size=500,
@@ -74,14 +78,14 @@ class TestGenerator:
         with pytest.raises(Exception):
             CorpusConfig(mean_doc_length=-5)
         with pytest.raises(Exception):
-            CorpusConfig(min_doc_length=100, max_doc_length=10)
+            CorpusConfig(mean_doc_length=MIN_DOC_LENGTH - 1)
 
 
 class TestCorpusContainer:
     def test_document_view(self, corpus):
         doc = corpus.document(3)
         assert doc.doc_id == 3
-        assert doc.n_unique_terms == doc.term_ids.shape[0]
+        assert doc.term_ids.shape == doc.term_freqs.shape
 
     def test_term_frequency_lookup(self, corpus):
         doc = corpus.document(5)

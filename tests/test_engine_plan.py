@@ -41,13 +41,13 @@ class TestCandidateChunks:
     def test_missing_term_all_mode_gives_empty_plan(self, tiny_index):
         missing = tiny_index.lexicon.vocab_size + 7  # never indexed
         plan = _plan(tiny_index, [_common_terms(tiny_index, 1)[0], missing])
-        assert plan.is_empty
+        assert plan.n_candidate_chunks == 0
 
     def test_missing_term_any_mode_keeps_others(self, tiny_index):
         missing = tiny_index.lexicon.vocab_size + 7
         common = _common_terms(tiny_index, 1)[0]
         plan = _plan(tiny_index, [common, missing], mode=MatchMode.ANY)
-        assert not plan.is_empty
+        assert plan.n_candidate_chunks > 0
 
     def test_chunk_ids_are_sorted_unique(self, tiny_index):
         # The assume_unique=True fast path in _candidate_chunks is only
@@ -92,14 +92,6 @@ class TestBounds:
             outcome = plan.score_chunk(position)
             if outcome.n_matched:
                 assert outcome.scores.max() <= plan.bounds_from[position] + 1e-9
-
-    def test_bound_position_validation(self, tiny_index):
-        plan = _plan(tiny_index, _common_terms(tiny_index, 1))
-        with pytest.raises(ExecutionError):
-            plan.bound_from_position(-1)
-        with pytest.raises(ExecutionError):
-            plan.bound_from_position(plan.n_candidate_chunks + 1)
-
 
 class TestChunkScoring:
     def test_conjunctive_matches_contain_all_terms(self, tiny_corpus, tiny_index):

@@ -28,15 +28,6 @@ class TestRankedResults:
             termination_rule="exhausted",
         )
 
-    def test_efficiency_vs(self):
-        result = self._result(latency=1.0, cpu=1.8)
-        assert result.efficiency_vs == pytest.approx(1.8)
-
-    def test_speedup_over(self):
-        sequential = self._result(latency=2.0, cpu=2.0, degree=1)
-        parallel = self._result(latency=0.5, cpu=1.5, degree=4)
-        assert parallel.speedup_over(sequential) == pytest.approx(4.0)
-
     def test_accessors(self):
         result = self._result(1.0, 1.0)
         assert result.doc_ids == [1]

@@ -66,7 +66,7 @@ class TestTerminationState:
 
     def test_score_bound_fires_when_threshold_exceeds_bound(self, plan):
         topk = TopK(1)
-        giant = plan.bound_from_position(0) + 1.0
+        giant = float(plan.bounds_from[0]) + 1.0
         topk.offer(giant, 0)
         state = TerminationState(
             TerminationConfig(match_budget=None, use_score_bound=True),
@@ -103,15 +103,11 @@ class TestTerminationState:
         with pytest.raises(Exception):
             TerminationConfig(match_budget=None, skip_chunks=1)
 
-    def test_all_rules_off_is_valid_and_exhaustive(self):
+    def test_all_rules_off_is_valid(self):
         config = TerminationConfig(
             match_budget=None, use_score_bound=False, skip_chunks=False
         )
-        assert config.is_exhaustive
-        assert not TerminationConfig().is_exhaustive
-        assert not TerminationConfig(
-            match_budget=None, use_score_bound=False, skip_chunks=True
-        ).is_exhaustive
+        assert config.match_budget is None
 
     def test_skip_requires_configuration_and_full_heap(self, plan):
         topk = TopK(5)
@@ -132,7 +128,7 @@ class TestTerminationState:
 
     def test_skip_fires_when_chunk_bound_beaten(self, plan):
         topk = TopK(1)
-        topk.offer(plan.chunk_bound(0) + 1.0, 0)
+        topk.offer(float(plan.chunk_bounds[0]) + 1.0, 0)
         state = TerminationState(
             TerminationConfig(
                 match_budget=None, use_score_bound=False, skip_chunks=True
@@ -143,14 +139,6 @@ class TestTerminationState:
         assert state.should_skip(0)
         # Skipping is not stopping: no rule fires and the scan continues.
         assert state.fired_rule is None
-
-    def test_chunk_bound_validation(self, plan):
-        from repro.errors import ExecutionError
-
-        with pytest.raises(ExecutionError):
-            plan.chunk_bound(-1)
-        with pytest.raises(ExecutionError):
-            plan.chunk_bound(plan.n_candidate_chunks)
 
     def test_chunk_bounds_dominated_by_suffix_bounds(self, plan):
         # The suffix bound at i covers chunks i..end, so each individual

@@ -1,4 +1,4 @@
-"""Tests for index persistence (shard formats and the lazy lexicon)."""
+"""Tests for index persistence (the v2 shard and the lexicon over it)."""
 
 import numpy as np
 import pytest
@@ -101,33 +101,13 @@ class TestFormatV2:
         )
         return generator.sample_many(n)
 
-    def test_mmap_and_ram_execute_identically(self, tiny_index, tmp_path):
-        path = save_index(tiny_index, tmp_path / "shard")
-        engines = [
-            Engine(index)
-            for index in (
-                tiny_index,
-                load_index(path, mmap=True),
-                load_index(path, mmap=False),
-            )
-        ]
-        for query in self._queries(tiny_index):
-            results = [engine.execute(query, 1) for engine in engines]
-            for other in results[1:]:
-                assert other.doc_ids == results[0].doc_ids
-                assert other.latency == results[0].latency
-
     def test_mmap_columns_are_memory_mapped(self, tiny_index, tmp_path):
         path = save_index(tiny_index, tmp_path / "shard")
-        index = load_index(path, mmap=True)
-        columns = index.lexicon.columns()
+        columns = load_index(path).lexicon.columns()
         assert isinstance(columns["posting_doc_ids"], np.memmap)
-        ram = load_index(path, mmap=False)
-        assert not isinstance(ram.lexicon.columns()["posting_doc_ids"], np.memmap)
 
     def test_loaded_shard_resaves_identically(self, tiny_index, tmp_path):
-        # LazyLexicon round-trip: saving a loaded shard reuses the
-        # columnar arrays verbatim.
+        # Saving a loaded shard writes the mapped columns verbatim.
         first = save_index(tiny_index, tmp_path / "first")
         loaded = load_index(first)
         second = save_index(loaded, tmp_path / "second")
@@ -171,7 +151,7 @@ class TestFormatV2:
             load_index(path)
 
 
-class TestLazyLexicon:
+class TestLoadedLexicon:
     def test_df_answered_without_materializing(self, tiny_index, tmp_path):
         loaded = load_index(save_index(tiny_index, tmp_path / "shard"))
         lexicon = loaded.lexicon
@@ -189,12 +169,6 @@ class TestLazyLexicon:
         term = next(iter(loaded.lexicon))
         assert loaded.lexicon.postings(term) is loaded.lexicon.postings(term)
 
-    def test_read_only(self, tiny_index, tmp_path):
-        loaded = load_index(save_index(tiny_index, tmp_path / "shard"))
-        term = next(iter(tiny_index.lexicon))
-        with pytest.raises(IndexError_):
-            loaded.lexicon.add(tiny_index.lexicon.postings(term))
-
     def test_len_iter_contains(self, tiny_index, tmp_path):
         loaded = load_index(save_index(tiny_index, tmp_path / "shard"))
         assert len(loaded.lexicon) == len(tiny_index.lexicon)
@@ -204,38 +178,7 @@ class TestLazyLexicon:
         assert loaded.lexicon.vocab_size + 1 not in loaded.lexicon
         absent_df = loaded.lexicon.doc_frequency(loaded.lexicon.vocab_size + 1)
         assert absent_df == 0
-        assert loaded.lexicon.max_impact(loaded.lexicon.vocab_size + 1) == 0.0
         assert loaded.lexicon.postings_or_none(loaded.lexicon.vocab_size + 1) is None
-
-    def test_bad_offsets_rejected(self, tiny_index, tmp_path):
-        from repro.index.chunks import ChunkMap
-        from repro.index.lexicon import LazyLexicon
-
-        with pytest.raises(IndexError_):
-            LazyLexicon(
-                vocab_size=10,
-                term_ids=np.asarray([1, 2], dtype=np.int64),
-                term_offsets=np.asarray([0, 3], dtype=np.int64),  # needs 3 entries
-                doc_ids=np.arange(5),
-                freqs=np.ones(5, dtype=np.int64),
-                impacts=np.ones(5),
-                chunk_map=ChunkMap(8, 4),
-            )
-
-    def test_out_of_range_term_rejected(self, tmp_path):
-        from repro.index.chunks import ChunkMap
-        from repro.index.lexicon import LazyLexicon
-
-        with pytest.raises(IndexError_):
-            LazyLexicon(
-                vocab_size=2,
-                term_ids=np.asarray([5], dtype=np.int64),
-                term_offsets=np.asarray([0, 1], dtype=np.int64),
-                doc_ids=np.arange(1),
-                freqs=np.ones(1, dtype=np.int64),
-                impacts=np.ones(1),
-                chunk_map=ChunkMap(8, 4),
-            )
 
     def test_n_postings_does_not_materialize(self, tiny_index, tmp_path):
         loaded = load_index(save_index(tiny_index, tmp_path / "shard"))
@@ -243,7 +186,7 @@ class TestLazyLexicon:
         assert "materialized=0" in repr(loaded.lexicon)
 
 
-class TestLazyLexiconErrorPaths:
+class TestShardErrorPaths:
     """Typed errors for every way a shard's columns can be corrupt.
 
     Each tampering mode must surface as :class:`IndexError_` naming the
@@ -264,16 +207,6 @@ class TestLazyLexiconErrorPaths:
         column.write_bytes(column.read_bytes()[:16])
         with pytest.raises(IndexError_, match="posting_impacts.npy"):
             load_index(path)
-
-    def test_truncated_npy_rejected_under_mmap_and_ram(
-        self, tiny_index, tmp_path
-    ):
-        path = save_index(tiny_index, tmp_path / "shard")
-        column = path / "posting_freqs.npy"
-        column.write_bytes(column.read_bytes()[:40])
-        for mmap in (True, False):
-            with pytest.raises(IndexError_):
-                load_index(path, mmap=mmap)
 
     def test_meta_columns_length_mismatch_rejected(self, tiny_index, tmp_path):
         # term_offsets must have exactly len(term_ids) + 1 entries; a
@@ -301,7 +234,7 @@ class TestLazyLexiconErrorPaths:
         self, tiny_index, tmp_path
     ):
         path = save_index(tiny_index, tmp_path / "shard")
-        mapped = load_index(path, mmap=True)
+        mapped = load_index(path)
         original = Engine(tiny_index)
         loaded = Engine(mapped)
         generator = QueryGenerator(

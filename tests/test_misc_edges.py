@@ -6,7 +6,7 @@ import pytest
 from repro.engine.query import Query
 from repro.errors import ExecutionError, SimulationError
 from repro.profiles.measurement import QueryCostTable
-from repro.sim.experiment import LoadPointConfig, LoadPointSummary
+from repro.sim.experiment import LoadPointConfig
 from repro.sim.oracle import ServiceOracle
 from repro.workloads.workbench import WorkbenchConfig
 
@@ -55,17 +55,6 @@ class TestLoadPointConfigEdges:
     def test_warmup_must_precede_duration(self):
         with pytest.raises(Exception):
             LoadPointConfig(rate=1.0, duration=5.0, warmup=5.0)
-
-    def test_saturated_heuristic(self):
-        base = dict(
-            policy="p", rate=100.0, n_cores=4, offered_utilization=0.5,
-            observed=10, utilization=0.5, mean_latency=0.1,
-            p50_latency=0.1, p95_latency=0.1, p99_latency=0.1,
-            mean_queue_delay=0.0, mean_degree=1.0,
-        )
-        assert LoadPointSummary(throughput=80.0, **base).saturated
-        assert not LoadPointSummary(throughput=99.0, **base).saturated
-
 
 class TestEngineEdges:
     def test_threaded_respects_max_degree(self, small_engine, sample_queries):

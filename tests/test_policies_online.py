@@ -24,7 +24,6 @@ from repro.policies.online import (
     OnlineControllerConfig,
     OnlineDegreeController,
 )
-from repro.util.rng import RngFactory
 
 TABLE = ThresholdTable.from_pairs([(2, 8), (4, 4), (8, 2)])
 
@@ -91,25 +90,11 @@ class TestOnlineAdaptivePolicy:
             OnlineControllerConfig(
                 target_p99_s=1.0, window_s=1.0, deadband=1.0
             )
-        with pytest.raises(ConfigurationError, match="jitter_fraction"):
-            OnlineControllerConfig(
-                target_p99_s=1.0, window_s=1.0, jitter_fraction=0.9
-            )
 
     def test_controller_requires_online_policy(self):
         config = OnlineControllerConfig(target_p99_s=1.0, window_s=1.0)
         with pytest.raises(ConfigurationError, match="OnlineAdaptivePolicy"):
             OnlineDegreeController(AdaptivePolicy(TABLE), config)
-
-    def test_jitter_requires_streams(self):
-        config = OnlineControllerConfig(
-            target_p99_s=1.0, window_s=1.0, jitter_fraction=0.1
-        )
-        with pytest.raises(ConfigurationError, match="RngFactory"):
-            OnlineDegreeController(OnlineAdaptivePolicy(TABLE), config)
-        OnlineDegreeController(
-            OnlineAdaptivePolicy(TABLE), config, streams=RngFactory(0)
-        )
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,8 @@ class TestPredictor:
     def test_unfitted_predict_rejected(self, small_system):
         fresh = QueryLatencyPredictor()
         with pytest.raises(PolicyError):
-            fresh.predict(small_system.workbench.engine,
-                          small_system.cost_table.queries[0])
+            fresh.predict_many(small_system.workbench.engine,
+                               small_system.cost_table.queries[:1])
 
     def test_fit_validates_inputs(self, small_system):
         engine = small_system.workbench.engine
@@ -46,12 +46,6 @@ class TestPredictor:
         predictions = predictor.predict_many(engine, queries)
         r2 = QueryLatencyPredictor.r_squared(predictions, actual)
         assert r2 > 0.3, f"predictor uninformative: R^2={r2:.3f}"
-
-    def test_predict_matches_predict_many(self, fitted):
-        predictor, queries, _, engine = fitted
-        single = predictor.predict(engine, queries[0])
-        many = predictor.predict_many(engine, queries[:1])
-        assert single == pytest.approx(float(many[0]))
 
     def test_r_squared_perfect_is_one(self):
         values = np.asarray([1.0, 2.0, 4.0])

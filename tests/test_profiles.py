@@ -143,19 +143,6 @@ class TestSpeedupProfile:
         for cls in range(profile.n_classes):
             assert profile.speedup(1, cls) == pytest.approx(1.0)
 
-    def test_classify_consistent_with_edges(self, cost_table):
-        profile = SpeedupProfile(cost_table)
-        t1 = cost_table.sequential_latencies()
-        assert profile.classify(float(t1.min())) == 0
-        assert profile.classify(float(t1.max())) == profile.n_classes - 1
-
-    def test_efficiency_inverse_of_inflation(self, cost_table):
-        profile = SpeedupProfile(cost_table)
-        for degree in cost_table.degrees:
-            assert profile.efficiency(degree) == pytest.approx(
-                1.0 / profile.work_inflation(degree)
-            )
-
     def test_rows_cover_all_classes_and_degrees(self, cost_table):
         profile = SpeedupProfile(cost_table)
         rows = profile.rows()
@@ -210,32 +197,11 @@ class TestServiceTimeDistribution:
         assert summary["n"] == cost_table.n_queries
         assert summary["p99_ms"] >= summary["p50_ms"]
 
-    def test_percentile_monotone(self, cost_table):
-        dist = ServiceTimeDistribution(cost_table.sequential_latencies())
-        ps = dist.percentiles([10, 50, 90, 99])
-        assert np.all(np.diff(ps) >= 0)
-
-    def test_ecdf_range(self, cost_table):
-        dist = ServiceTimeDistribution(cost_table.sequential_latencies())
-        xs, fs = dist.ecdf(50)
-        assert fs[0] == 0.0 and fs[-1] == 1.0
-        assert np.all(np.diff(xs) >= 0)
-
     def test_lognormal_fit_reasonable(self, rng):
         samples = rng.lognormal(mean=-6.0, sigma=1.0, size=5000)
         fit = ServiceTimeDistribution(samples).fit_lognormal()
         assert fit.mu == pytest.approx(-6.0, abs=0.1)
         assert fit.sigma == pytest.approx(1.0, abs=0.1)
-
-    def test_resample_within_support(self, cost_table, rng):
-        dist = ServiceTimeDistribution(cost_table.sequential_latencies())
-        draws = dist.resample(rng, 100)
-        assert set(draws.tolist()) <= set(dist.samples.tolist())
-
-    def test_tertile_labels(self, cost_table):
-        dist = ServiceTimeDistribution(cost_table.sequential_latencies())
-        labels = dist.classify_tertiles()
-        assert set(labels.tolist()) <= {0, 1, 2}
 
     def test_invalid_samples_rejected(self):
         with pytest.raises(ProfileError):

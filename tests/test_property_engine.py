@@ -29,9 +29,6 @@ def _build(seed: int, n_docs: int, vocab: int, chunk_size: int):
             n_docs=n_docs,
             vocab_size=vocab,
             mean_doc_length=30,
-            doc_length_sigma=0.5,
-            min_doc_length=4,
-            max_doc_length=120,
             seed=seed,
         )
     )

@@ -147,7 +147,7 @@ def test_builder_accepts_any_monotone_schedule(times, n_phases):
     trace.root.validate()
     # The builder copies timestamps verbatim; no arithmetic, so exact.
     assert trace.arrival_s == arrival
-    assert trace.completion_s == end
+    assert trace.root.end_s == end
     assert math.isclose(
         trace.queue_delay_s() + trace.service_s(), trace.latency_s,
         rel_tol=1e-12, abs_tol=1e-12,

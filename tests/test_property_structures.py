@@ -21,21 +21,10 @@ from repro.text.zipf import ZipfMandelbrot
 @settings(max_examples=150, deadline=None)
 def test_chunkmap_partitions_exactly(n_docs, chunk_size):
     cm = ChunkMap(n_docs, chunk_size)
-    lengths = cm.chunk_lengths()
+    lengths = np.diff(cm.bounds)
     assert lengths.sum() == n_docs
     assert np.all(lengths >= 1)
     assert np.all(lengths <= chunk_size)
-
-
-@given(n_docs=st.integers(1, 5_000), chunk_size=st.integers(1, 600),
-       data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_chunkmap_doc_lookup_consistent(n_docs, chunk_size, data):
-    cm = ChunkMap(n_docs, chunk_size)
-    doc_id = data.draw(st.integers(0, n_docs - 1))
-    chunk = cm.chunk_of_doc(doc_id)
-    start, end = cm.chunk_range(chunk)
-    assert start <= doc_id < end
 
 
 # ---------------------------------------------------------------------------
@@ -59,24 +48,16 @@ def test_posting_chunk_metadata_consistent(doc_ids, data):
 
     # Slices tile the postings and respect chunk ranges.
     seen = []
-    slice_max = []
     for chunk_id in range(cm.n_chunks):
         ids, imp = plist.chunk_slice(chunk_id)
         start, end = cm.chunk_range(chunk_id)
         assert np.all((ids >= start) & (ids < end))
         seen.extend(ids.tolist())
-        # Chunk maximum matches the slice maximum.
-        if ids.shape[0]:
-            assert plist.chunk_upper_bound(chunk_id) == imp.max()
-        slice_max.append(float(imp.max()) if imp.shape[0] else 0.0)
+        # Chunk maximum matches the slice maximum; absent chunks have
+        # no entry.
+        recorded = plist.chunk_max_impact[plist.chunk_ids == chunk_id]
+        assert recorded.tolist() == ([imp.max()] if ids.shape[0] else [])
     assert seen == doc_ids
-
-    # Suffix bounds are the running maxima from each chunk onwards.
-    bounds = plist.suffix_upper_bounds(cm.n_chunks)
-    tail_max = 0.0
-    for chunk_id in reversed(range(cm.n_chunks)):
-        tail_max = max(tail_max, slice_max[chunk_id])
-        assert bounds[chunk_id] == tail_max
 
 
 # ---------------------------------------------------------------------------

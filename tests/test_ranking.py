@@ -6,11 +6,10 @@ import pytest
 from repro.ranking.bm25 import (
     BM25Params,
     bm25_idf,
-    bm25_impacts,
     bm25_score_document,
     bm25_tf_component,
 )
-from repro.ranking.composite import CompositeScorer, ScoreWeights
+from repro.ranking.composite import ScoreWeights
 
 
 class TestBM25:
@@ -50,22 +49,6 @@ class TestBM25:
         )
         assert short_doc[0] == pytest.approx(long_doc[0])
 
-    def test_impacts_equal_idf_times_tf(self):
-        params = BM25Params()
-        impacts = bm25_impacts(
-            term_freq=np.asarray([3.0]),
-            doc_length=np.asarray([120.0]),
-            doc_frequency=40,
-            n_docs=1000,
-            avg_doc_length=100.0,
-            params=params,
-        )
-        idf = bm25_idf(np.asarray([40]), 1000)[0]
-        tf = bm25_tf_component(
-            np.asarray([3.0]), np.asarray([120.0]), 100.0, params
-        )[0]
-        assert impacts[0] == pytest.approx(idf * tf)
-
     def test_reference_scorer_additive(self):
         params = BM25Params()
         single = bm25_score_document([3], [40], 120, 1000, 100.0, params)
@@ -80,28 +63,8 @@ class TestBM25:
 
 
 class TestComposite:
-    def test_combine_blends_relevance_and_prior(self):
-        static = np.asarray([0.9, 0.5, 0.1])
-        scorer = CompositeScorer(static, ScoreWeights(1.0, 2.0))
-        combined = scorer.combine(np.asarray([0, 2]), np.asarray([1.0, 1.0]))
-        assert combined[0] == pytest.approx(1.0 + 2.0 * 0.9)
-        assert combined[1] == pytest.approx(1.0 + 2.0 * 0.1)
-
-    def test_prior_bound_monotone(self):
-        static = np.sort(np.random.default_rng(0).random(50))[::-1]
-        scorer = CompositeScorer(static, ScoreWeights())
-        bounds = [scorer.max_prior_from(d) for d in range(50)]
-        assert bounds == sorted(bounds, reverse=True)
-
-    def test_prior_bound_past_end_is_zero(self):
-        scorer = CompositeScorer(np.asarray([0.5]), ScoreWeights())
-        assert scorer.max_prior_from(10) == 0.0
-
-    def test_relevance_bound_sums_maxima(self):
-        scorer = CompositeScorer(np.asarray([0.5]), ScoreWeights(2.0, 1.0))
-        assert scorer.relevance_bound([1.0, 3.0]) == pytest.approx(8.0)
-
     def test_zero_static_weight_allowed(self):
         weights = ScoreWeights(relevance_weight=1.0, static_weight=0.0)
-        scorer = CompositeScorer(np.asarray([0.9]), weights)
-        assert scorer.static_prior(0) == 0.0
+        assert weights.static_weight == 0.0
+        with pytest.raises(Exception):
+            ScoreWeights(relevance_weight=1.0, static_weight=-0.5)

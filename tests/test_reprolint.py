@@ -75,7 +75,6 @@ RULE_FIXTURES = {
     "R007": "r007_swallowed_exceptions.py",
     "R008": "r008_annotations.py",
     "R009": "r009_units.py",
-    "R010": "r010_stream_collision.py",
     "R011": "r011_config_typed.py",
     "R012": "r012_thread_safety.py",
     "R014": "r014_layering",
@@ -229,7 +228,7 @@ class TestRealTreeGate:
         'kernel_layers = ["kernel"]\n'
         'forbidden_modules = ["time", "asyncio", "datetime", "sched"]\n'
         'clock_classes = ["ClockProtocol", "SchedulerProtocol", '
-        '"VirtualClock", "WallClock", "SystemState"]\n'
+        '"VirtualClock", "SystemState"]\n'
         "\n"
         "[purity]\n"
         'layers = ["kernel"]\n'

@@ -10,7 +10,6 @@ whole-program layer exists for:
 
 * a seconds interval fed to a milliseconds deadline parameter across a
   module boundary (R009);
-* the same RNG stream label derived twice from one factory (R010);
 * a shared-state write outside the lock in the threaded executor
   (R012).
 """
@@ -55,16 +54,6 @@ class TestCrossModuleFixtures:
             FIXTURES / "r009_crossmodule"
         )
 
-    def test_r010_collision_across_modules(self, tmp_path):
-        # setup.py derives stream("arrivals") and passes the SAME factory
-        # to helper.sample_stream, which derives "arrivals" again. Both
-        # sites must be reported.
-        tree = _copy_tree_fixture(tmp_path, "r010_crossmodule")
-        result = lint_paths([str(tree)], select=["R010"])
-        assert actual_findings(result) == expected_findings(
-            FIXTURES / "r010_crossmodule"
-        )
-
     def test_project_model_resolves_fixture_imports(self, tmp_path):
         # The machinery under the rules: modules under a tmp prefix must
         # still resolve each other by dotted-suffix.
@@ -81,20 +70,6 @@ class TestCrossModuleFixtures:
 
 class TestRealTreeMutations:
     """Reintroduce realistic bugs into copies of real files."""
-
-    def test_r010_duplicate_arrivals_stream_in_cluster(self, tmp_path):
-        # sim/cluster.py derives "arrivals" and "sample" from one
-        # factory; renaming the second back to "arrivals" is the classic
-        # stream-collision bug and must flag BOTH derivation sites.
-        target, bad_line = _mutated_copy(
-            tmp_path,
-            "src/repro/sim/cluster.py",
-            'sample_rng = streams.stream("sample")',
-            'sample_rng = streams.stream("arrivals")',
-        )
-        result = lint_paths([str(target)], select=["R010"])
-        assert sorted(f.line for f in result.findings) == [bad_line - 1, bad_line]
-        assert {f.rule_id for f in result.findings} == {"R010"}
 
     def test_r009_percentile_scale_in_cluster(self, tmp_path):
         # np.percentile takes [0, 100]; 0.99 is the [0, 1] quantile

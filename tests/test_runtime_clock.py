@@ -1,12 +1,12 @@
-"""Tests for the runtime clocks: FakeClock (the simulator's heap under
-manual-drive verbs) and WallClock."""
+"""Tests for the runtime clock: FakeClock (the simulator's heap under
+manual-drive verbs)."""
 
 import pytest
 
 from conftest import EventHeapContract
 from repro.core.clock import ClockProtocol, SchedulerProtocol
 from repro.errors import SimulationError
-from repro.runtime.clock import FakeClock, WallClock
+from repro.runtime.clock import FakeClock
 
 
 class TestProtocolConformance:
@@ -14,16 +14,6 @@ class TestProtocolConformance:
         clock = FakeClock()
         assert isinstance(clock, ClockProtocol)
         assert isinstance(clock, SchedulerProtocol)
-
-    def test_wall_clock_is_a_clock(self):
-        assert isinstance(WallClock(), ClockProtocol)
-
-    def test_wall_clock_monotone(self):
-        clock = WallClock()
-        a = clock.now
-        b = clock.now
-        assert 0 <= a <= b
-
 
 class TestFakeClockScheduling(EventHeapContract):
     """The shared heap contract through FakeClock's verbs, then the

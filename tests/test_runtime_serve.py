@@ -417,10 +417,9 @@ class TestAsyncioScheduler:
 
         asyncio.run(scenario())
 
-    def test_dilation_converts_model_to_wall(self):
+    def test_dilation_is_exposed(self):
         async def scenario():
             scheduler = AsyncioScheduler(dilation=20.0)
-            assert scheduler.to_wall(2.0) == 40.0
             assert scheduler.dilation == 20.0
 
         asyncio.run(scenario())

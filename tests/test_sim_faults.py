@@ -82,36 +82,3 @@ class TestClusterFaultPlan:
     def test_type_checked(self):
         with pytest.raises(FaultInjectionError):
             ClusterFaultPlan({0: [FaultWindow(0.0, 1.0, 2.0)]})
-
-    def test_generate_deterministic(self):
-        a = ClusterFaultPlan.generate(
-            7, n_shards=8, duration=20.0, slowdown_rate=0.2, crash_rate=0.1
-        )
-        b = ClusterFaultPlan.generate(
-            7, n_shards=8, duration=20.0, slowdown_rate=0.2, crash_rate=0.1
-        )
-        assert sorted(a.schedules) == sorted(b.schedules)
-        for shard_id, schedule in a.schedules.items():
-            assert schedule.windows == b.schedules[shard_id].windows
-
-    def test_generate_schedules_valid_and_bounded(self):
-        plan = ClusterFaultPlan.generate(
-            3, n_shards=6, duration=10.0, slowdown_rate=0.5, crash_rate=0.3,
-            multiplier_range=(2.0, 4.0),
-        )
-        for schedule in plan.schedules.values():
-            for window in schedule.windows:
-                assert 0.0 <= window.start < window.end <= 10.0
-                if not window.is_crash:
-                    assert 2.0 <= window.multiplier <= 4.0
-
-    def test_generate_zero_rates_is_empty(self):
-        plan = ClusterFaultPlan.generate(0, n_shards=4, duration=10.0)
-        assert not plan.has_faults
-
-    def test_generate_validates(self):
-        with pytest.raises(FaultInjectionError):
-            ClusterFaultPlan.generate(0, n_shards=0, duration=10.0)
-        with pytest.raises(FaultInjectionError):
-            ClusterFaultPlan.generate(0, n_shards=2, duration=10.0,
-                                      slowdown_rate=-1.0)

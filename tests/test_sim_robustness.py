@@ -153,8 +153,7 @@ class TestPartialAggregation:
     def test_quorum_answers_partial(self):
         oracle = ServiceOracle(_cluster_table())
         config = ClusterConfig(n_shards=2, n_cores_per_shard=2, rate=50.0,
-                               duration=4.0, warmup=1.0,
-                               aggregation_overhead=0.0, seed=3, quorum=1)
+                               duration=4.0, warmup=1.0,  seed=3, quorum=1)
         summary = run_cluster_point(oracle, SequentialPolicy, config)
         assert summary.observed > 0
         assert summary.n_partial == summary.observed
@@ -166,8 +165,7 @@ class TestPartialAggregation:
         # answer is forced out at the timeout with coverage 1/2.
         oracle = ServiceOracle(_cluster_table())
         config = ClusterConfig(n_shards=2, n_cores_per_shard=4, rate=20.0,
-                               duration=4.0, warmup=1.0,
-                               aggregation_overhead=0.0, seed=4,
+                               duration=4.0, warmup=1.0,  seed=4,
                                shard_timeout=0.05)
         summary = run_cluster_point(
             oracle, SequentialPolicy, config,
@@ -211,7 +209,7 @@ class TestHedging:
     def test_hedging_cuts_tail_under_slow_shard(self):
         oracle = ServiceOracle(_cluster_table())
         base = dict(n_shards=2, n_cores_per_shard=4, rate=50.0,
-                    duration=4.0, warmup=1.0, aggregation_overhead=0.0,
+                    duration=4.0, warmup=1.0,
                     seed=7)
         faults = ClusterFaultPlan.slow_shard(0, 0.0, 4.0, 50.0)
         plain = run_cluster_point(

@@ -5,10 +5,12 @@ run_load_point's online RNG draws exactly, and replaying it must give
 the same summary as the online run.
 """
 
+import numpy as np
 import pytest
 
 from conftest import constant_table, summary_json
 from repro.policies.fixed import FixedPolicy, SequentialPolicy
+from repro.profiles.measurement import QueryCostTable
 from repro.sim.experiment import LoadPointConfig, run_load_point
 from repro.sim.oracle import ServiceOracle
 from repro.sim.script import (
@@ -66,6 +68,19 @@ class TestBuildArrivalScript:
             build_arrival_script(0, config)
 
 
+def _varied_table(n_queries=10):
+    """Per-query costs differ, so *which* query each arrival draws shows
+    in the summary: a script whose ``sample`` stream drifts from the
+    online run's (say, by deriving it under the ``arrivals`` label) no
+    longer replays to the same numbers."""
+    table = constant_table(n_queries)
+    scale = np.linspace(0.5, 1.5, n_queries)[:, None]
+    return QueryCostTable(
+        table.queries, table.degrees, table.latency * scale,
+        table.cpu * scale, table.chunks,
+    )
+
+
 class TestScriptedVsOnline:
     @pytest.mark.parametrize("deadline,max_queue", [
         (None, None),
@@ -75,7 +90,7 @@ class TestScriptedVsOnline:
         """run_scripted_point on the built script must equal the online
         run_load_point draw for draw — the whole parity tier rests on
         this equivalence."""
-        oracle = ServiceOracle(constant_table())
+        oracle = ServiceOracle(_varied_table())
         config = LoadPointConfig(
             rate=6.0, duration=6.0, warmup=1.0, n_cores=4, seed=7,
             deadline=deadline, max_queue_length=max_queue,

@@ -18,10 +18,6 @@ class TestZipfMandelbrot:
         pmf = z.pmf_array()
         assert np.all(np.diff(pmf) <= 0)
 
-    def test_head_mass_monotone(self):
-        z = ZipfMandelbrot(100)
-        assert z.head_mass(10) < z.head_mass(50) <= z.head_mass(100) == pytest.approx(1.0)
-
     def test_samples_in_support(self, rng):
         z = ZipfMandelbrot(50)
         draws = z.sample(rng, 2000)
@@ -42,10 +38,6 @@ class TestZipfMandelbrot:
         flat = ZipfMandelbrot(100, exponent=0.5, shift=0.0)
         steep = ZipfMandelbrot(100, exponent=2.0, shift=0.0)
         assert steep.pmf(0) > flat.pmf(0)
-
-    def test_expected_rank_finite_and_positive(self):
-        z = ZipfMandelbrot(100)
-        assert 0 < z.expected_rank() < 100
 
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.util.rng import RngFactory, derive_seed, make_rng, spawn_streams
+from repro.util.rng import RngFactory, derive_seed, make_rng
 
 
 class TestDeriveSeed:
@@ -46,10 +46,6 @@ class TestMakeRng:
         with pytest.raises(ConfigurationError, match="explicit seed"):
             make_rng(None)  # reprolint: disable=R001 -- asserting the refusal itself
 
-    def test_spawn_streams_none_seed_rejected(self):
-        with pytest.raises(ConfigurationError):
-            spawn_streams(None, ["arrivals"])
-
     def test_bad_seed_type_rejected(self):
         with pytest.raises(ConfigurationError):
             make_rng(3.14)
@@ -65,8 +61,8 @@ class TestRngFactory:
     def test_same_name_same_stream(self):
         factory = RngFactory(9)
         assert np.allclose(
-            factory.stream("x").random(4),  # reprolint: disable=R010 -- this test asserts the replay property itself
-            factory.stream("x").random(4),  # reprolint: disable=R010 -- deliberate same-label replay
+            factory.stream("x").random(4),
+            factory.stream("x").random(4),
         )
 
     def test_child_factory_differs_from_parent(self):
@@ -86,9 +82,3 @@ class TestRngFactory:
     def test_seed_for_matches_derive_seed(self):
         factory = RngFactory(3)
         assert factory.seed_for("a") == derive_seed(3, "a")
-
-
-def test_spawn_streams_returns_named_generators():
-    streams = spawn_streams(4, ["arrivals", "service"])
-    assert set(streams) == {"arrivals", "service"}
-    assert all(isinstance(g, np.random.Generator) for g in streams.values())

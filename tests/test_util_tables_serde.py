@@ -54,9 +54,10 @@ class TestTable:
         with pytest.raises(ConfigurationError):
             Table([])
 
-    def test_add_rows_and_records(self):
+    def test_records(self):
         table = Table(["x", "y"])
-        table.add_rows([[1, 2], [3, 4]])
+        table.add_row([1, 2])
+        table.add_row([3, 4])
         assert table.n_rows == 2
         assert table.as_records()[1] == {"x": "3", "y": "4"}
 

@@ -7,9 +7,7 @@ from repro.util.validation import (
     require,
     require_in_range,
     require_int_in_range,
-    require_nonempty,
     require_positive,
-    require_type,
 )
 
 
@@ -20,18 +18,6 @@ class TestRequire:
     def test_raises_on_false(self):
         with pytest.raises(ConfigurationError, match="boom"):
             require(False, "boom")
-
-
-class TestRequireType:
-    def test_accepts_matching_type(self):
-        assert require_type(3, int, "x") == 3
-
-    def test_accepts_tuple_of_types(self):
-        assert require_type("s", (int, str), "x") == "s"
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(ConfigurationError, match="x must be int"):
-            require_type("s", int, "x")
 
 
 class TestRequirePositive:
@@ -83,16 +69,3 @@ class TestRequireIntInRange:
     def test_rejects_float(self):
         with pytest.raises(ConfigurationError):
             require_int_in_range(3.0, "x")
-
-
-class TestRequireNonempty:
-    def test_accepts_nonempty(self):
-        assert require_nonempty([1], "x") == [1]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError, match="empty"):
-            require_nonempty([], "x")
-
-    def test_rejects_unsized(self):
-        with pytest.raises(ConfigurationError):
-            require_nonempty(iter([1]), "x")

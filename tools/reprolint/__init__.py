@@ -10,7 +10,7 @@ arguments, no swallowed exceptions in sim hot paths, and fully annotated
 public simulation APIs.
 
 The whole-program analyses (R009+) add cross-module checks: units of
-measure (R009), RNG stream collisions (R010), typed config consumption
+measure (R009), typed config consumption
 (R011), thread safety (R012), architectural layering + kernel clock
 discipline driven by the declarative map in ``layers.toml`` (R014),
 async/blocking safety (R015), policy-kernel purity (R017), and deadline

@@ -1,8 +1,8 @@
 """Whole-program project model for cross-module analyses.
 
 The R001-R008 rules each look at one file. The analyses on top of this
-module — units-of-measure dataflow (R009), RNG stream collisions (R010),
-typed config-field consumption (R011), thread-safety (R012) — all need
+module — units-of-measure dataflow (R009), typed config-field
+consumption (R011), thread-safety (R012) — all need
 to see the program, not a file: a seconds-valued interval produced in
 ``sim/arrivals.py`` flows into a deadline parameter in ``sim/server.py``
 through two call sites in ``sim/experiment.py``.

@@ -1,12 +1,8 @@
-"""Whole-program rules R010-R012 (RNG streams, configs, threads).
+"""Whole-program rules R011-R012 (configs, threads).
 
-All three are project rules over the :class:`~tools.reprolint.project.
+Both are project rules over the :class:`~tools.reprolint.project.
 ProjectModel`:
 
-* **R010** — two call sites deriving the *same* named RNG stream from
-  the same factory get bit-identical generators: the components are
-  silently correlated. Factory values are tracked through assignments,
-  ``child()`` derivations, and cross-module calls.
 * **R011** — every ``*Config`` dataclass field must be consumed: read,
   outside the class's own methods, through a receiver *of that config
   class* (or an untyped receiver). A name-coincidence read on a
@@ -27,14 +23,7 @@ from tools.reprolint.project import (
     FunctionInfo,
     ModuleInfo,
     ProjectModel,
-    match_call_args,
 )
-
-_FACTORY_CONSTRUCTORS = {"RngFactory"}
-_STREAM_METHODS = {"stream", "child"}
-
-Label = Tuple[object, ...]
-Token = Tuple[str, Label]  # (factory origin, child-label prefix)
 
 
 def _terminal(node: ast.AST) -> Optional[str]:
@@ -43,279 +32,6 @@ def _terminal(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def _const_labels(call: ast.Call) -> Optional[Label]:
-    """The call's label path if every argument is a literal, else None."""
-    if call.keywords:
-        return None
-    labels: List[object] = []
-    for arg in call.args:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, (str, int)):
-            labels.append(arg.value)
-        else:
-            return None
-    return tuple(labels)
-
-
-class _StreamUse:
-    """One ``factory.stream(...)`` / ``factory.child(...)`` call site."""
-
-    __slots__ = ("token", "method", "labels", "ctx", "node", "in_loop")
-
-    def __init__(
-        self,
-        token: Token,
-        method: str,
-        labels: Label,
-        ctx: FileContext,
-        node: ast.Call,
-        in_loop: bool,
-    ) -> None:
-        self.token = token
-        self.method = method
-        self.labels = labels
-        self.ctx = ctx
-        self.node = node
-        self.in_loop = in_loop
-
-
-@register
-class RngStreamCollisionRule(Rule):
-    """R010 — no two call sites may derive the same RNG stream label path."""
-
-    rule_id = "R010"
-    summary = "no colliding RngFactory stream/child label paths"
-    rationale = (
-        "RngFactory.stream('x') is deterministic in its label: two call "
-        "sites requesting the same label from the same factory receive "
-        "bit-identical generators, silently correlating components that "
-        "should be independent (the exact bug class hash-derived streams "
-        "were introduced to prevent). Each component must use a distinct "
-        "label; deliberate replay of a stream needs a suppression."
-    )
-    project_rule = True
-
-    def check_project(
-        self, ctxs: Sequence[FileContext], project: ProjectModel
-    ) -> Iterator[Finding]:
-        uses: List[_StreamUse] = []
-        #: (qualname, frozenset of param->token) already analyzed
-        visited: Set[Tuple[str, frozenset]] = set()
-        pending: List[Tuple[FunctionInfo, Dict[str, Token]]] = []
-
-        def analyze_scope(
-            ctx: FileContext,
-            module: ModuleInfo,
-            body: Sequence[ast.stmt],
-            env: Dict[str, Token],
-            scope_key: str,
-            owner: Optional[ClassInfo],
-            info: Optional[FunctionInfo],
-        ) -> None:
-            local_types = (
-                project.infer_local_types(info, owner) if info is not None else {}
-            )
-
-            def token_of(expr: ast.expr) -> Optional[Token]:
-                if isinstance(expr, ast.Name):
-                    return env.get(expr.id)
-                if isinstance(expr, ast.Call):
-                    name = _terminal(expr.func)
-                    if name in _FACTORY_CONSTRUCTORS:
-                        # Identity: the seed expression within this scope
-                        # (two RngFactory(cfg.seed) in one scope are the
-                        # SAME root), falling back to the call site.
-                        seed_dump = "|".join(
-                            ast.dump(a) for a in list(expr.args)
-                        ) or f"line{expr.lineno}"
-                        return (f"{scope_key}::{seed_dump}", ())
-                    if (
-                        name == "child"
-                        and isinstance(expr.func, ast.Attribute)
-                    ):
-                        base = token_of(expr.func.value)
-                        labels = _const_labels(expr)
-                        if base is not None and labels is not None:
-                            return (base[0], base[1] + labels)
-                return None
-
-            def walk(statements: Sequence[ast.stmt], in_loop: bool) -> None:
-                for statement in statements:
-                    if isinstance(
-                        statement,
-                        (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                    ):
-                        continue
-                    for node in ast.walk(statement):
-                        if isinstance(
-                            node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                        ):
-                            break
-                        if isinstance(node, ast.Call):
-                            self._visit_call(
-                                node, env, token_of, uses, ctx, in_loop,
-                                project, module, local_types, owner,
-                                pending,
-                            )
-                    if isinstance(statement, ast.Assign) and len(
-                        statement.targets
-                    ) == 1:
-                        target = statement.targets[0]
-                        token = token_of(statement.value)
-                        if isinstance(target, ast.Name):
-                            if token is not None:
-                                env[target.id] = token
-                            elif target.id in env:
-                                del env[target.id]
-                    elif isinstance(statement, (ast.For, ast.While)):
-                        walk(statement.body, True)
-                        walk(statement.orelse, in_loop)
-                    elif isinstance(statement, ast.If):
-                        walk(statement.body, in_loop)
-                        walk(statement.orelse, in_loop)
-                    elif isinstance(statement, (ast.With, ast.Try)):
-                        for field_name in ("body", "orelse", "finalbody"):
-                            walk(getattr(statement, field_name, []) or [], in_loop)
-                        for handler in getattr(statement, "handlers", []):
-                            walk(handler.body, in_loop)
-
-            walk(body, False)
-
-        # Seed: every function and the module level of every file.
-        for ctx in ctxs:
-            module = project.by_path.get(ctx.path)
-            if module is None:  # pragma: no cover - defensive
-                continue
-            analyze_scope(
-                ctx, module, ctx.tree.body, {}, f"{ctx.path}:<module>", None, None
-            )
-            for fn, owner in self._module_functions(module):
-                analyze_scope(
-                    ctx, module, list(fn.node.body), {},  # type: ignore[attr-defined]
-                    f"{ctx.path}:{fn.qualname}", owner, fn,
-                )
-
-        # Cross-module propagation: factories passed into callees.
-        while pending:
-            fn, bindings = pending.pop()
-            if not isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # synthetic dataclass constructor: no body
-            key = (f"{fn.module.name}.{fn.qualname}", frozenset(bindings.items()))
-            if key in visited:
-                continue
-            visited.add(key)
-            owner = None
-            if fn.is_method:
-                class_name = fn.qualname.split(".")[0]
-                owner = fn.module.classes.get(class_name)
-            analyze_scope(
-                fn.module.ctx, fn.module, list(fn.node.body),  # type: ignore[attr-defined]
-                dict(bindings),
-                f"{fn.path}:{fn.qualname}", owner, fn,
-            )
-
-        yield from self._collisions(uses)
-
-    @staticmethod
-    def _module_functions(
-        module: ModuleInfo,
-    ) -> Iterator[Tuple[FunctionInfo, Optional[ClassInfo]]]:
-        for fn in module.functions.values():
-            yield fn, None
-        for cls_info in module.classes.values():
-            for fn in cls_info.methods.values():
-                yield fn, cls_info
-
-    def _visit_call(
-        self,
-        node: ast.Call,
-        env: Dict[str, Token],
-        token_of,
-        uses: List[_StreamUse],
-        ctx: FileContext,
-        in_loop: bool,
-        project: ProjectModel,
-        module: ModuleInfo,
-        local_types: Dict[str, ClassInfo],
-        owner: Optional[ClassInfo],
-        pending: List[Tuple[FunctionInfo, Dict[str, Token]]],
-    ) -> None:
-        # stream() usage on a tracked factory. child() calls are not
-        # recorded as uses — identical child factories surface as
-        # colliding tokens at the stream() calls they feed, so reporting
-        # the derivation too would double-count every collision.
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _STREAM_METHODS
-        ):
-            if node.func.attr == "stream":
-                token = token_of(node.func.value)
-                labels = _const_labels(node)
-                if token is not None and labels is not None:
-                    uses.append(
-                        _StreamUse(token, "stream", labels, ctx, node, in_loop)
-                    )
-            return
-        # A tracked factory passed to a project function: follow it.
-        factory_args = [
-            (index, arg)
-            for index, arg in enumerate(node.args)
-            if isinstance(arg, ast.Name) and arg.id in env
-        ] + [
-            (kw.arg, kw.value)
-            for kw in node.keywords
-            if isinstance(kw.value, ast.Name) and kw.value.id in env
-        ]
-        if not factory_args:
-            return
-        callee = project.resolve_call(module, node, local_types, owner)
-        if callee is None:
-            return
-        bindings: Dict[str, Token] = {}
-        for param, arg in match_call_args(callee, node):
-            if isinstance(arg, ast.Name) and arg.id in env:
-                bindings[param.arg] = env[arg.id]
-        if bindings:
-            pending.append((callee, bindings))
-
-    def _collisions(self, uses: Sequence[_StreamUse]) -> Iterator[Finding]:
-        grouped: Dict[Tuple[Token, str, Label], List[_StreamUse]] = {}
-        for use in uses:
-            grouped.setdefault((use.token, use.method, use.labels), []).append(use)
-        emitted: Set[Tuple[str, int, str]] = set()
-        for (token, method, labels), group in grouped.items():
-            label_text = "/".join(str(piece) for piece in labels)
-            sites = sorted(
-                {(use.ctx.path, use.node.lineno) for use in group}
-            )
-            for use in group:
-                site = (use.ctx.path, use.node.lineno, label_text)
-                if site in emitted:
-                    continue
-                if use.in_loop:
-                    emitted.add(site)
-                    yield self.finding(
-                        use.ctx, use.node,
-                        f"'{method}(\"{label_text}\")' with a constant label "
-                        "inside a loop derives the SAME stream every "
-                        "iteration; include the loop variable in the label",
-                    )
-                    continue
-                if len(sites) > 1:
-                    emitted.add(site)
-                    others = ", ".join(
-                        f"{path}:{line}"
-                        for path, line in sites
-                        if (path, line) != (use.ctx.path, use.node.lineno)
-                    )
-                    yield self.finding(
-                        use.ctx, use.node,
-                        f"stream label path '{label_text}' is derived from "
-                        f"the same factory at multiple call sites (also "
-                        f"{others}); the streams are bit-identical — use "
-                        "distinct labels, or suppress if replay is intended",
-                    )
 
 
 @register
