@@ -243,13 +243,13 @@ class RunObserver:
     def _consume_records(self) -> None:
         """Fold completion records seen since the last tick into the
         granted-degree histogram (read-only; the collector owns them)."""
-        records = self._collector.records
         histogram = self.registry.histogram(
             "granted_degree", bounds=(1, 2, 3, 4, 6, 8, 12, 16)
         )
-        while self._record_cursor < len(records):
-            histogram.observe(records[self._record_cursor].degree)
-            self._record_cursor += 1
+        degrees = self._collector.degrees(since=self._record_cursor)
+        self._record_cursor += int(degrees.size)
+        for degree in degrees.tolist():
+            histogram.observe(degree)
 
     def finish(self) -> None:
         """Flush: one final record sweep, then emit the timeline."""

@@ -235,17 +235,15 @@ class OnlineDegreeController:
 
     def _window_feedback(self) -> Tuple[float, float, int, int]:
         """(p99_s, shed_rate, n_completed, n_shed) since the last tick."""
-        records = self._collector.records
-        fresh = records[self._record_cursor:]
-        self._record_cursor = len(records)
+        latencies = self._collector.latencies(since=self._record_cursor)
+        n_completed = int(latencies.size)
+        self._record_cursor += n_completed
         n_shed_total = self._collector.n_shed
         n_shed = n_shed_total - self._shed_cursor
         self._shed_cursor = n_shed_total
-        n_completed = len(fresh)
         demand = n_completed + n_shed
         shed_rate = n_shed / demand if demand else 0.0
         if n_completed >= self.config.min_samples:
-            latencies = np.asarray([r.latency for r in fresh], dtype=np.float64)
             p99_s = float(np.percentile(latencies, 99))
         else:
             p99_s = float("nan")

@@ -13,7 +13,8 @@ pins.
 
 Completion delivery is callback-shaped (``submit`` takes an optional
 ``on_done``) so the node itself stays synchronous and clock-agnostic;
-the asyncio front door adapts callbacks to futures. When an engine
+the asyncio front door's callback serialises the reply itself (no
+future, no task — :mod:`repro.runtime.serve`). When an engine
 search function is attached, each completed query additionally carries
 real ranked results from the hosted
 :class:`~repro.engine.executor.Engine` — executed synchronously at

@@ -2,47 +2,51 @@
 
 ``python -m repro serve`` hosts a :class:`~repro.runtime.node.
 ServingNode` — and through it the real :class:`~repro.engine.executor.
-Engine` — behind a newline-delimited-JSON TCP protocol built on
-nothing but asyncio (no new dependencies). One request per line::
+Engine` — behind newline-delimited JSON over TCP, on asyncio alone::
 
     {"id": 1, "op": "search", "query_index": 42}
     {"id": 2, "op": "stats", "rate": 800.0}
     {"id": 3, "op": "ping"}
 
-and one JSON reply per request (``id`` echoes the request; replies may
-arrive out of order because each search is handled by its own task).
-Search replies carry the query's outcome — completed with latency,
-degree, and ranked results in engine mode, or shed with the kernel's
-reason — and ``stats`` returns the node's counters plus, when a rate
-is supplied, the full shared :class:`~repro.sim.experiment.
-LoadPointSummary` schema. Unparseable lines are answered ``bad-json``;
-a line over the stream limit (64 KiB) ``line-too-long`` and a hang-up.
+One request per line, one JSON reply per request (``id`` echoes the
+request; replies leave in completion order, so a fast search overtakes
+a slow one). Search replies carry the query's outcome — completed with
+latency, degree, and ranked results in engine mode, or shed with the
+kernel's reason — and ``stats`` returns the node's counters plus, given
+a rate, the shared :class:`~repro.sim.experiment.LoadPointSummary`
+schema. An unparseable line is answered ``bad-json``, a bad field with
+a typed error, a line over 64 KiB ``line-too-long`` and a hang-up.
 
 Two scheduler hostings, same node code:
 
 * :class:`AsyncioScheduler` — wall time from the running event loop,
   optionally *dilated*: with ``dilation=20`` one model second takes 20
   wall seconds, which shrinks event-loop jitter twentyfold in model
-  units. That is what makes live smoke runs comparable to simulator
-  predictions on a noisy CI machine while keeping every model-seconds
-  quantity (deadlines, latencies, metrics windows) untouched.
+  units — what makes a live smoke run on a noisy CI machine comparable
+  to the simulator's prediction.
 * :class:`~repro.runtime.clock.FakeClock` (the simulator's heap) —
   tests instantiate :class:`LiveServer` on one and advance it by hand:
   entire query lifecycles execute deterministically, zero real sleeps.
 
-Deadline discipline (reprolint R019): every awaited read, drain, and
-connection-shutdown call is bounded by ``asyncio.wait_for``; each
-search waits on its completion future under a budget derived from the
-request (model seconds, converted to wall seconds through the
-dilation); connection tasks are tracked per connection and cancelled
-on hangup.
+The request path is synchronous callbacks on one :class:`asyncio.
+Protocol` per connection: ``data_received`` dispatches every complete
+line of a wake-up; a search hands the node a completion callback and
+arms one cancellable budget timer (model seconds, dilated to wall
+seconds) — no task, future or ``await`` per request, so reprolint R015 /
+R019 have only :meth:`LiveServer.serve`'s bounded awaits to inspect.
+Replies collect per connection and leave in one ``transport.write`` per
+loop pass; a client that does not read them has *its* reads paused
+(``pause_writing``), nobody waits on a drain; one lazily re-armed
+quiet-period timer per connection hangs up the idle.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Set
+import sys
+from contextlib import suppress
+from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import SimulationError
 from repro.runtime.node import QueryOutcome, ServingNode
@@ -57,6 +61,8 @@ _BIND_TIMEOUT_S = 10.0
 _CLOSE_TIMEOUT_S = 5.0
 #: Wall-seconds quiet period after which a connection is hung up.
 _IDLE_TIMEOUT_S = 300.0
+#: Longest request line accepted, in bytes (the newline excluded).
+_LINE_LIMIT = 1 << 16
 #: Ranked results per search reply (bounds the wire for any search hook).
 _RESULTS_LIMIT = 10
 
@@ -113,10 +119,7 @@ class LiveServer:
     """
 
     def __init__(
-        self,
-        node: ServingNode,
-        dilation: float = 1.0,
-        request_budget_s: float = 60.0,
+        self, node: ServingNode, dilation: float = 1.0, request_budget_s: float = 60.0
     ) -> None:
         """``request_budget_s`` is the default per-search completion
         budget in *model* seconds (a request may lower it with its own
@@ -128,12 +131,11 @@ class LiveServer:
         self.port: Optional[int] = None
         self._ready = asyncio.Event()
         self._shutdown = asyncio.Event()
-        # Open connections (handler task -> writer), hung up at shutdown.
-        self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
-
-    # ----------------------------------------------------------------
-    # Lifecycle
-    # ----------------------------------------------------------------
+        # Open connections, hung up at shutdown; ``_quiet`` is set while
+        # there are none (what serve() waits for before it returns).
+        self._connections: Set["_Connection"] = set()
+        self._quiet = asyncio.Event()
+        self._quiet.set()
 
     def request_shutdown(self) -> None:
         """Stop accepting and return from :meth:`serve` (idempotent)."""
@@ -146,171 +148,38 @@ class LiveServer:
         return self.port
 
     async def serve(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        duration_s: Optional[float] = None,
+        self, host: str = "127.0.0.1", port: int = 0, duration_s: Optional[float] = None
     ) -> None:
         """Accept connections until shutdown is requested (by the
         ``shutdown`` op or :meth:`request_shutdown`) or ``duration_s``
         wall seconds elapse."""
+        loop = asyncio.get_running_loop()
         server = await asyncio.wait_for(
-            asyncio.start_server(self._handle_connection, host, port),
+            loop.create_server(lambda: _Connection(self, loop), host, port),
             timeout=_BIND_TIMEOUT_S,
         )
         self.port = server.sockets[0].getsockname()[1]
         self._ready.set()
         try:
-            if duration_s is None:
-                await self._shutdown.wait()
-            else:
-                try:
-                    await asyncio.wait_for(
-                        self._shutdown.wait(), timeout=duration_s
-                    )
-                except asyncio.TimeoutError:
-                    pass
+            with suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._shutdown.wait(), timeout=duration_s)
         finally:
             server.close()
-            # Hang up open connections too: their handlers read EOF and
-            # return, instead of being cancelled by the loop's teardown.
-            for writer in self._connections.values():
-                writer.close()
-            if self._connections:
-                await asyncio.wait(
-                    list(self._connections), timeout=_CLOSE_TIMEOUT_S
-                )
-            try:
-                await asyncio.wait_for(
-                    server.wait_closed(), timeout=_CLOSE_TIMEOUT_S
-                )
-            except asyncio.TimeoutError:
-                pass
+            # Hang up open connections too, each flushing what it owes,
+            # and see them gone (before 3.12 Server.wait_closed does not):
+            # nothing is left for the loop's teardown to cancel or log.
+            for connection in list(self._connections):
+                connection.flush(hang_up=True)
+            with suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._quiet.wait(), timeout=_CLOSE_TIMEOUT_S)
 
-    # ----------------------------------------------------------------
-    # Connection handling
-    # ----------------------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        tasks: Set["asyncio.Task[None]"] = set()
-        write_lock = asyncio.Lock()
-        loop = asyncio.get_running_loop()
-        handler = asyncio.current_task()
-        assert handler is not None
-        self._connections[handler] = writer
-        handler.add_done_callback(self._connections.pop)
-        try:
-            while not self._shutdown.is_set():
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), timeout=_IDLE_TIMEOUT_S
-                    )
-                except asyncio.TimeoutError:
-                    break  # idle connection: hang up
-                except ValueError:
-                    # Over the stream limit: framing is lost. Say so, then
-                    # swallow what is still arriving before hanging up —
-                    # closing on unread input resets the reply away.
-                    try:
-                        await self._reply(
-                            {"id": None, "ok": False, "error": "line-too-long"},
-                            writer, write_lock,
-                        )
-                        while await asyncio.wait_for(
-                            reader.read(1 << 16), timeout=_CLOSE_TIMEOUT_S
-                        ):
-                            pass
-                    except (asyncio.TimeoutError, OSError):
-                        pass
-                    break
-                if not line:
-                    break  # client closed
-                # One task per request so slow searches never head-of-
-                # line-block the next request on this connection.
-                task = loop.create_task(
-                    self._handle_line(line, writer, write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        finally:
-            if tasks:
-                budget = self.request_budget_s * self.dilation + _CLOSE_TIMEOUT_S
-                try:
-                    await asyncio.wait_for(
-                        asyncio.gather(*tasks, return_exceptions=True),
-                        timeout=budget,
-                    )
-                except asyncio.TimeoutError:
-                    for task in tasks:
-                        task.cancel()
-            writer.close()
-            try:
-                await asyncio.wait_for(
-                    writer.wait_closed(), timeout=_CLOSE_TIMEOUT_S
-                )
-            except (asyncio.TimeoutError, OSError):
-                pass
-
-    async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        try:
-            message = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            message = None
-        if not isinstance(message, dict):
-            reply: Dict[str, Any] = {"id": None, "ok": False, "error": "bad-json"}
-        else:
-            reply = await self._dispatch(message)
-        await self._reply(reply, writer, write_lock)
-
-    async def _reply(
-        self,
-        reply: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        data = (json.dumps(reply, sort_keys=True) + "\n").encode("utf-8")
-        async with write_lock:
-            writer.write(data)
-            await asyncio.wait_for(writer.drain(), timeout=_CLOSE_TIMEOUT_S)
-
-    # ----------------------------------------------------------------
-    # Operations
-    # ----------------------------------------------------------------
-
-    async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        op = message.get("op")
-        request_id = message.get("id")
-        if op == "ping":
-            return {
-                "id": request_id,
-                "ok": True,
-                "op": "ping",
-                "now_s": self.node.scheduler.now,
-            }
-        if op == "stats":
-            return self._stats_reply(request_id, message)
-        if op == "shutdown":
-            self.request_shutdown()
-            return {"id": request_id, "ok": True, "op": "shutdown"}
-        if op == "search":
-            return await self._search(request_id, message)
-        return {"id": request_id, "ok": False, "error": f"unknown-op:{op!r}"}
-
-    def _stats_reply(
-        self, request_id: Any, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    def stats_reply(self, request_id: Any, message: Dict[str, Any]) -> Dict[str, Any]:
         node = self.node
+        rate = message.get("rate")
+        if rate is not None and not _is_positive_finite(rate):
+            return {"id": request_id, "ok": False, "error": "bad-rate"}
         reply: Dict[str, Any] = {
-            "id": request_id,
-            "ok": True,
-            "op": "stats",
+            "id": request_id, "ok": True, "op": "stats",
             "now_s": node.scheduler.now,
             "n_queries": node.oracle.n_queries,
             "n_cores": node.config.n_cores,
@@ -321,66 +190,197 @@ class LiveServer:
             "queue_length": node.server.queue_length,
             "n_running": node.server.n_running,
         }
-        rate = message.get("rate")
         if rate is not None:
             reply["summary"] = to_jsonable(node.summary(float(rate)))
         return reply
 
-    async def _search(
-        self, request_id: Any, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        query_index = message.get("query_index")
-        if not isinstance(query_index, int) or not (
-            0 <= query_index < self.node.oracle.n_queries
-        ):
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": f"bad-query-index:{query_index!r}",
-            }
-        budget_s = message.get("budget_s", self.request_budget_s)
-        if not isinstance(budget_s, (int, float)) or budget_s <= 0:
-            return {"id": request_id, "ok": False, "error": "bad-budget"}
-        query_class = message.get("query_class")
 
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[QueryOutcome]" = loop.create_future()
+def _outcome_reply(request_id: Any, outcome: QueryOutcome) -> Dict[str, Any]:
+    reply: Dict[str, Any] = {
+        "id": request_id, "ok": True, "op": "search",
+        "status": outcome.status,
+        "query_index": outcome.query_index,
+        "arrival_s": outcome.arrival_s,
+        "finished_s": outcome.finished_s,
+        "latency_s": outcome.latency_s,
+    }
+    if outcome.status == "completed":
+        reply["degree"] = outcome.degree
+        if outcome.results is not None:
+            # (doc_id, score) tuples: JSON arrays on the wire.
+            reply["results"] = outcome.results[:_RESULTS_LIMIT]
+    else:
+        reply["shed_reason"] = outcome.shed_reason
+    return reply
 
-        def resolve(outcome: QueryOutcome) -> None:
-            # May fire synchronously inside submit() (admission shed) or
-            # later from a scheduler callback; either way exactly once.
-            if not future.done():
-                future.set_result(outcome)
 
-        self.node.submit(query_index, on_done=resolve, query_class=query_class)
-        try:
-            outcome = await asyncio.wait_for(
-                future, timeout=float(budget_s) * self.dilation
-            )
-        except asyncio.TimeoutError:
-            return {"id": request_id, "ok": False, "error": "timeout"}
-        return self._outcome_reply(request_id, outcome)
+def _is_positive_finite(value: Any) -> bool:
+    """A JSON number in (0, inf): not a bool (``isinstance`` calls it an
+    int), not NaN / Infinity (``json.loads`` accepts both), not an int
+    too large for the float it is about to become."""
+    return type(value) in (int, float) and 0 < value <= sys.float_info.max
 
-    def _outcome_reply(
-        self, request_id: Any, outcome: QueryOutcome
-    ) -> Dict[str, Any]:
-        reply: Dict[str, Any] = {
-            "id": request_id,
-            "ok": True,
-            "op": "search",
-            "status": outcome.status,
-            "query_index": outcome.query_index,
-            "arrival_s": outcome.arrival_s,
-            "finished_s": outcome.finished_s,
-            "latency_s": outcome.latency_s,
-        }
-        if outcome.status == "completed":
-            reply["degree"] = outcome.degree
-            if outcome.results is not None:
-                reply["results"] = [
-                    [doc_id, score]
-                    for doc_id, score in outcome.results[:_RESULTS_LIMIT]
-                ]
+
+class _Connection(asyncio.Protocol):
+    """One client connection: synchronous callbacks only (module docstring)."""
+
+    _transport: asyncio.Transport  # set, like the quiet timer, by connection_made
+
+    def __init__(self, service: LiveServer, loop: asyncio.AbstractEventLoop) -> None:
+        self._service = service
+        self._loop = loop
+        self._pending = b""  # the incomplete last line
+        self._out: List[str] = []  # replies owed; non-empty = a flush is armed
+        self._in_flight = 0  # searches not yet answered
+        # Input is read (lines dispatched), then swallowed (framing lost:
+        # discarded until EOF or a quiet spell), then closed (hang up
+        # once every in-flight search has answered).
+        self._reading = True
+        self._closed = False
+        self._quiet_limit_s = _IDLE_TIMEOUT_S
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._transport = transport
+        self._last_read_s = self._loop.time()
+        self._quiet_timer = self._loop.call_later(_IDLE_TIMEOUT_S, self._on_quiet)
+        self._service._connections.add(self)
+        self._service._quiet.clear()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # The one place a disconnect is seen. Replies still owed to this
+        # client are dropped (``_send``); its searches run on.
+        self._quiet_timer.cancel()
+        self._service._connections.discard(self)
+        if not self._service._connections:
+            self._service._quiet.set()
+
+    def data_received(self, data: bytes) -> None:
+        self._last_read_s = self._loop.time()
+        if not self._reading:
+            return
+        lines = (self._pending + data).split(b"\n")
+        self._pending = lines.pop()
+        for line in lines:
+            if self._service._shutdown.is_set():
+                return  # lines after a shutdown are ignored
+            if len(line) > _LINE_LIMIT:
+                return self._framing_lost()
+            self._handle_line(line)
+        if len(self._pending) > _LINE_LIMIT:
+            self._framing_lost()
+
+    def _framing_lost(self) -> None:
+        # A line over the limit. Say so, then swallow what still arrives
+        # before hanging up: closing on unread input resets the reply away.
+        self._pending = b""
+        self._reading = False
+        self._send({"id": None, "ok": False, "error": "line-too-long"})
+        self._quiet_limit_s = _CLOSE_TIMEOUT_S
+        self._on_quiet()
+
+    def eof_received(self) -> bool:
+        # A half-close: what was asked is still answered. True keeps the
+        # transport open for writing; flush() hangs up after the last reply.
+        if self._reading and self._pending:
+            self._handle_line(self._pending)
+        self._close_input()
+        return True
+
+    def pause_writing(self) -> None:
+        # The client is not reading its replies: stop reading its requests.
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def _on_quiet(self) -> None:
+        """The one quiet-period timer, re-armed lazily: a read only stamps
+        ``_last_read_s``; the timer sleeps out what is left or closes."""
+        self._quiet_timer.cancel()
+        left_s = self._last_read_s + self._quiet_limit_s - self._loop.time()
+        if left_s > 0:
+            self._quiet_timer = self._loop.call_later(left_s, self._on_quiet)
         else:
-            reply["shed_reason"] = outcome.shed_reason
-        return reply
+            self._close_input()
+
+    def _close_input(self) -> None:
+        self._reading = False
+        self._closed = True
+        self.flush()
+
+    def _send(self, reply: Dict[str, Any]) -> None:
+        if self._transport.is_closing():
+            return  # hung up, or the client is gone
+        if not self._out:
+            self._loop.call_soon(self.flush)
+        self._out.append(json.dumps(reply, sort_keys=True) + "\n")
+
+    def flush(self, hang_up: bool = False) -> None:
+        """Write what is owed; hang up if the input is closed and nothing
+        is in flight — or regardless (``hang_up``: server shutdown)."""
+        if self._out and not self._transport.is_closing():
+            self._transport.write("".join(self._out).encode("utf-8"))
+        self._out.clear()
+        if hang_up or (self._closed and not self._in_flight):
+            self._transport.close()
+
+    def _handle_line(self, line: bytes) -> None:
+        try:
+            message = json.loads(line.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError is one
+            message = None
+        if not isinstance(message, dict):
+            self._send({"id": None, "ok": False, "error": "bad-json"})
+            return
+        service = self._service
+        op = message.get("op")
+        request_id = message.get("id")
+        if op == "search":
+            self._search(request_id, message)
+        elif op == "ping":
+            now_s = service.node.scheduler.now
+            self._send({"id": request_id, "ok": True, "op": "ping", "now_s": now_s})
+        elif op == "stats":
+            self._send(service.stats_reply(request_id, message))
+        elif op == "shutdown":
+            service.request_shutdown()
+            self._send({"id": request_id, "ok": True, "op": "shutdown"})
+        else:
+            self._send({"id": request_id, "ok": False, "error": f"unknown-op:{op!r}"})
+
+    def _search(self, request_id: Any, message: Dict[str, Any]) -> None:
+        service = self._service
+        query_index = message.get("query_index")
+        query_class = message.get("query_class")
+        budget_s = message.get("budget_s", service.request_budget_s)
+        error = None
+        # type(), not isinstance(): a JSON ``true`` is no query index.
+        n_queries = service.node.oracle.n_queries
+        if type(query_index) is not int or not 0 <= query_index < n_queries:
+            error = f"bad-query-index:{query_index!r}"
+        elif not _is_positive_finite(budget_s):
+            error = "bad-budget"
+        elif query_class is not None and not isinstance(query_class, str):
+            error = "bad-query-class"
+        if error is not None:
+            self._send({"id": request_id, "ok": False, "error": error})
+            return
+
+        def answer(outcome: Optional[QueryOutcome] = None) -> None:
+            # Called by the node with the outcome (synchronously inside
+            # submit() on an admission shed) and by the budget timer with
+            # none: whichever comes first answers and cancels the timer,
+            # whose cancelled flag is the latch that drops the other.
+            if timer.cancelled():
+                return
+            timer.cancel()
+            self._in_flight -= 1
+            if outcome is None:
+                self._send({"id": request_id, "ok": False, "error": "timeout"})
+            else:
+                self._send(_outcome_reply(request_id, outcome))
+
+        self._in_flight += 1
+        timer = self._loop.call_later(float(budget_s) * service.dilation, answer)
+        service.node.submit(query_index, on_done=answer, query_class=query_class)

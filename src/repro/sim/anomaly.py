@@ -298,13 +298,11 @@ class AnomalyGuard:
         n_arrivals = self._collector.n_arrivals
         window_arrivals = n_arrivals - self._arrival_cursor
         self._arrival_cursor = n_arrivals
-        records = self._collector.records
-        fresh = records[self._record_cursor:]
-        self._record_cursor = len(records)
+        latencies_s = self._collector.latencies(since=self._record_cursor)
+        self._record_cursor += int(latencies_s.size)
         n_shed_total = self._collector.n_shed
         n_shed = n_shed_total - self._shed_cursor
         self._shed_cursor = n_shed_total
-        latencies_s = np.asarray([r.latency for r in fresh], dtype=np.float64)
         return window_arrivals / self.config.window_s, latencies_s, n_shed
 
     def _set_level(self, level: DegradationLevel, now_s: float, cause: str) -> None:

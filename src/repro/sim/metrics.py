@@ -4,10 +4,16 @@ Records one row per completed query (arrival, start, completion, granted
 degree) plus core-busy integrals, with warmup discarding, and summarizes
 into the statistics the experiments report (mean / percentile latency,
 queueing delay, throughput, utilization, degree mix).
+
+Rows are stored as columns — 40 bytes per completed query, no object
+per row — because a live node keeps its collector for as long as it
+serves: a list of :class:`QueryRecord` retained ~230 B per answered
+request, a megabyte a second at the front door's saturation rate.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -52,7 +58,10 @@ class MetricsCollector:
         self.warmup = float(warmup)
         self.horizon = float(horizon)
         self.n_cores = int(n_cores)
-        self.records: List[QueryRecord] = []
+        # The observed rows, interleaved so a completion is one extend
+        # per array: (arrival, start, completion) and (query_index, degree).
+        self._times = array("d")
+        self._ints = array("q")
         self.busy_core_seconds = 0.0
         self.n_arrivals = 0
         self.n_completions = 0
@@ -82,7 +91,8 @@ class MetricsCollector:
         """
         self.n_completions += 1
         if record.arrival >= self.warmup:
-            self.records.append(record)
+            self._times.extend((record.arrival, record.start, record.completion))
+            self._ints.extend((record.query_index, record.degree))
         if self.warmup <= record.completion <= self.horizon:
             self.n_completed_in_window += 1
 
@@ -111,16 +121,37 @@ class MetricsCollector:
 
     @property
     def n_observed(self) -> int:
-        return len(self.records)
+        return len(self._ints) // 2
 
-    def latencies(self) -> npt.NDArray[np.float64]:
-        return np.asarray([r.latency for r in self.records], dtype=np.float64)
+    def _time_columns(self, since: int = 0) -> npt.NDArray[np.float64]:
+        """Rows ``since`` onward as an ``(n, 3)`` view of arrival, start,
+        completion. The view pins the store (an ``array`` cannot grow
+        while exported): derive from it, never keep it."""
+        return np.frombuffer(self._times, dtype=np.float64).reshape(-1, 3)[since:]
+
+    @property
+    def records(self) -> List[QueryRecord]:
+        """The observed rows materialised as records (a fresh list per
+        read: for tests and debugging, not for per-tick consumers)."""
+        times, ints = self._times, self._ints
+        return [
+            QueryRecord(ints[2 * i], times[3 * i], times[3 * i + 1],
+                        times[3 * i + 2], ints[2 * i + 1])
+            for i in range(self.n_observed)
+        ]
+
+    def latencies(self, since: int = 0) -> npt.NDArray[np.float64]:
+        """Latency of every observed row from index ``since`` on (a
+        periodic consumer keeps the cursor and reads only its window)."""
+        times = self._time_columns(since)
+        return times[:, 2] - times[:, 0]
 
     def queue_delays(self) -> npt.NDArray[np.float64]:
-        return np.asarray([r.queue_delay for r in self.records], dtype=np.float64)
+        times = self._time_columns()
+        return times[:, 1] - times[:, 0]
 
-    def degrees(self) -> npt.NDArray[np.int64]:
-        return np.asarray([r.degree for r in self.records], dtype=np.int64)
+    def degrees(self, since: int = 0) -> npt.NDArray[np.int64]:
+        return np.frombuffer(self._ints, dtype=np.int64)[2 * since + 1::2].copy()
 
     def latency_percentile(self, q_pct: float) -> float:
         """Latency percentile; ``q_pct`` is on the [0, 100] scale."""
@@ -167,13 +198,14 @@ class MetricsCollector:
         overload a system can stay busy finishing queries nobody is
         still waiting for, and goodput is the metric that exposes it.
         """
-        in_slo = sum(
-            1
-            for r in self.records
-            if self.warmup <= r.completion <= self.horizon
-            and r.latency <= deadline
+        times = self._time_columns()
+        completion = times[:, 2]
+        in_slo = np.count_nonzero(
+            (self.warmup <= completion)
+            & (completion <= self.horizon)
+            & (completion - times[:, 0] <= deadline)
         )
-        return in_slo / self.window_s
+        return int(in_slo) / self.window_s
 
     def conservation(self) -> Dict[str, int]:
         """Flow-conservation accounting over the whole run.

@@ -8,8 +8,7 @@ response to sustained load steps.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,8 +117,11 @@ class _FakeSimulator:
 
 class _FakeCollector:
     def __init__(self):
-        self.records = []
+        self._latencies = []
         self.n_shed = 0
+
+    def latencies(self, since=0):
+        return np.asarray(self._latencies[since:], dtype=np.float64)
 
 
 CONFIG = OnlineControllerConfig(
@@ -142,9 +144,7 @@ def _drive(windows, config=CONFIG, tracer=None):
     collector = _FakeCollector()
     controller.attach(simulator, None, collector, horizon_s=10 * len(windows) + 10)
     for latencies, n_shed in windows:
-        collector.records = collector.records + [
-            SimpleNamespace(latency=float(v)) for v in latencies
-        ]
+        collector._latencies.extend(float(v) for v in latencies)
         collector.n_shed += n_shed
         simulator.step()
     return controller

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -172,14 +170,15 @@ class _FakeSimulator:
 class _FakeCollector:
     def __init__(self):
         self.n_arrivals = 0
-        self.records = []
+        self._latencies = []
         self.n_shed = 0
+
+    def latencies(self, since=0):
+        return np.asarray(self._latencies[since:], dtype=np.float64)
 
     def add_window(self, n_arrivals, latencies, n_shed=0):
         self.n_arrivals += n_arrivals
-        self.records = self.records + [
-            SimpleNamespace(latency=float(v)) for v in latencies
-        ]
+        self._latencies.extend(float(v) for v in latencies)
         self.n_shed += n_shed
 
 
