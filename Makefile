@@ -39,19 +39,19 @@ experiments-small:
 # nonstationary/adversarial traffic (flash crowd, slow-query flood,
 # query of death) with the anomaly-guarded degradation ladder.
 e20:
-	REPRO_SCALE=small python -m repro e20 --smoke
+	python -m repro e20 --scale small
 
 # Exercise the trace CLI end-to-end: run a traced load point and render
 # the waterfall + timeline report (fast smoke preset).
 trace-demo:
-	REPRO_SCALE=small python -m repro trace e05 --smoke
+	python -m repro trace e05 --scale small
 
 # Sim-vs-live parity smoke: boot the asyncio serving node in-process,
 # replay identical seeded arrival scripts through it and the simulator,
 # and check the live curves against the sim predictions within
 # tolerance bands. Writes live_parity.json (uploaded as a CI artifact).
 livesmoke:
-	python -m repro livesmoke --smoke --duration 1.5 --dilation 6 \
+	python -m repro livesmoke --scale small --duration 1.5 --dilation 6 \
 	  --output live_parity.json
 
 report:

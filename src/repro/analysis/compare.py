@@ -80,13 +80,9 @@ class PolicyComparison:
         envelope = self.envelope_p99(envelope_policies)
         return own / envelope - 1.0
 
-    def crossover(
-        self, policy_a: str, policy_b: str, attribute: str = "p99_latency"
-    ) -> Optional[float]:
-        """Rate at which ``policy_a`` stops beating ``policy_b``."""
-        return find_crossover(
-            self.rates, self.metric(policy_a, attribute), self.metric(policy_b, attribute)
-        )
+    def crossover(self, policy_a: str, policy_b: str) -> Optional[float]:
+        """Rate at which ``policy_a``'s P99 stops beating ``policy_b``'s."""
+        return find_crossover(self.rates, self.p99(policy_a), self.p99(policy_b))
 
     def capacity_at_slo(self, policy: str, slo: float) -> Optional[float]:
         """Highest swept rate whose P99 meets ``slo`` (None if none does).

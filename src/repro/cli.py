@@ -56,12 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="experiment scale (default: REPRO_SCALE env var or 'reference')",
     )
     parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fast CI pass: force the small scale (overrides --scale and "
-        "REPRO_SCALE)",
-    )
-    parser.add_argument(
         "--json-dir",
         type=Path,
         default=None,
@@ -113,11 +107,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.trace and args.json_dir is None:
         print("--trace requires --json-dir", file=sys.stderr)
         return 2
+    if args.report is not None and args.json_dir is None:
+        print("--report requires --json-dir", file=sys.stderr)
+        return 2
 
-    if args.smoke:
-        scale = Scale.SMALL
-    else:
-        scale = Scale(args.scale) if args.scale else None
+    scale = Scale(args.scale) if args.scale else None
     tracer = RecordingTracer() if args.trace else None
     ctx = ExperimentContext(scale=scale, seed=args.seed, tracer=tracer)
     print(f"context: {ctx}\n")
@@ -158,9 +152,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         write_manifest(manifest, args.json_dir / "manifest.json")
 
     if args.report is not None:
-        if args.json_dir is None:
-            print("--report requires --json-dir", file=sys.stderr)
-            return 2
         from repro.harness.report import generate_report
 
         generate_report(args.json_dir, args.report)
@@ -344,9 +335,6 @@ def _trace_main(argv: List[str]) -> int:
         default=None,
         help="experiment scale (default: REPRO_SCALE env var or 'reference')",
     )
-    parser.add_argument(
-        "--smoke", action="store_true", help="force the small scale"
-    )
     parser.add_argument("--seed", type=int, default=0, help="root seed")
     parser.add_argument(
         "--out",
@@ -359,10 +347,7 @@ def _trace_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.smoke:
-        scale = Scale.SMALL
-    else:
-        scale = Scale(args.scale) if args.scale else None
+    scale = Scale(args.scale) if args.scale else None
     tracer = RecordingTracer()
     ctx = ExperimentContext(scale=scale, seed=args.seed, tracer=tracer)
     runner, _ = _TRACE_PRESETS[args.experiment]
@@ -500,6 +485,7 @@ def _loadgen_main(argv: List[str]) -> int:
     """Replay a seeded arrival script against a live server."""
     import asyncio
     import json
+    from contextlib import suppress
 
     from repro.runtime.loadgen import (
         ReplayOptions,
@@ -532,23 +518,34 @@ def _loadgen_main(argv: List[str]) -> int:
     parser.add_argument("--think", type=float, default=0.0,
                         help="closed-loop mean think time (model seconds)")
     args = parser.parse_args(argv)
+    options = ReplayOptions(dilation=args.dilation, budget_s=args.budget)
 
     async def _amain() -> Dict[str, object]:
-        reader, writer = await asyncio.open_connection(args.host, args.port)
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(args.host, args.port),
+            timeout=options.connect_timeout_s,
+        )
 
-        async def ask(payload: Dict[str, object]) -> Dict[str, object]:
+        async def ask(
+            payload: Dict[str, object], timeout_s: float
+        ) -> Dict[str, object]:
             writer.write((json.dumps(payload) + "\n").encode("utf-8"))
-            await writer.drain()
-            return json.loads(await reader.readline())
+            await asyncio.wait_for(writer.drain(), timeout=timeout_s)
+            return json.loads(
+                await asyncio.wait_for(reader.readline(), timeout=timeout_s)
+            )
 
-        stats = await ask({"id": "probe", "op": "stats"})
+        # The probe is the rest of connection setup: a listener that
+        # accepts and never answers it is not a server.
+        stats = await ask(
+            {"id": "probe", "op": "stats"}, options.connect_timeout_s
+        )
         n_queries = int(stats["n_queries"])
         config = LoadPointConfig(
             rate=args.rate, duration=args.duration, warmup=0.0,
             n_cores=int(stats["n_cores"]), seed=args.seed,
         )
         script = build_arrival_script(n_queries, config)
-        options = ReplayOptions(dilation=args.dilation, budget_s=args.budget)
         if args.closed is None:
             replies = await replay_open_loop(
                 args.host, args.port, script, options
@@ -559,9 +556,15 @@ def _loadgen_main(argv: List[str]) -> int:
                 think_time_s=args.think, options=options,
             )
             replies = [reply for chunk in per_client for reply in chunk]
-        final = await ask({"id": "final", "op": "stats", "rate": args.rate})
+        final = await ask(
+            {"id": "final", "op": "stats", "rate": args.rate},
+            options.reply_timeout_s,
+        )
         writer.close()
-        await writer.wait_closed()
+        with suppress(asyncio.TimeoutError, OSError):
+            await asyncio.wait_for(
+                writer.wait_closed(), timeout=options.connect_timeout_s
+            )
         answered = sum(
             1 for r in replies if r and r.get("status") == "completed"
         )
@@ -574,7 +577,14 @@ def _loadgen_main(argv: List[str]) -> int:
             "server_summary": final.get("summary"),
         }
 
-    outcome = asyncio.run(_amain())
+    try:
+        outcome = asyncio.run(_amain())
+    except asyncio.TimeoutError:
+        print(
+            f"repro loadgen: {args.host}:{args.port} did not answer in time",
+            file=sys.stderr,
+        )
+        return 1
     print(json.dumps(outcome, indent=2, sort_keys=True))
     return 0
 
@@ -595,8 +605,6 @@ def _livesmoke_main(argv: List[str]) -> int:
         "--scale", choices=[s.value for s in Scale], default=None,
         help="system scale (default: REPRO_SCALE env var or 'reference')",
     )
-    parser.add_argument("--smoke", action="store_true",
-                        help="force the small scale")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--duration", type=float, default=2.0,
                         help="per-point horizon in model seconds")
@@ -608,10 +616,7 @@ def _livesmoke_main(argv: List[str]) -> int:
                         help="run the real engine per completed query")
     args = parser.parse_args(argv)
 
-    if args.smoke:
-        scale = Scale.SMALL
-    else:
-        scale = Scale(args.scale) if args.scale else None
+    scale = Scale(args.scale) if args.scale else None
     ctx = ExperimentContext(scale=scale, seed=args.seed)
     print(f"context: {ctx}")
     report, ok = run_live_smoke(

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.core.controller import AdaptiveSearchSystem
-from repro.util.validation import require, require_in_range, require_positive
+from repro.util.validation import require_in_range, require_positive
+
+#: The bisection's bracket, as fractions of sequential saturation.
+_LOW_UTILIZATION = 0.02
+_HIGH_UTILIZATION = 1.2
+#: Every probe replays the same arrival stream.
+_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -30,12 +36,9 @@ def capacity_at_slo(
     system: AdaptiveSearchSystem,
     policy_name: str,
     slo: float,
-    low_utilization: float = 0.02,
-    high_utilization: float = 1.2,
     tolerance: float = 0.02,
     duration: float = 15.0,
     warmup: float = 3.0,
-    seed: int = 7,
 ) -> CapacityResult:
     """Bisect on the arrival rate for the highest P99-compliant load.
 
@@ -44,8 +47,6 @@ def capacity_at_slo(
     *probed* compliant rate (conservative).
     """
     require_positive(slo, "slo")
-    require_in_range(low_utilization, "low_utilization", low=0.0, low_inclusive=False)
-    require(high_utilization > low_utilization, "need high > low utilization")
     require_in_range(tolerance, "tolerance", low=1e-4, high=0.5)
 
     evaluated: List[Tuple[float, float]] = []
@@ -53,12 +54,12 @@ def capacity_at_slo(
     def p99_at(utilization: float) -> float:
         rate = system.rate_for_utilization(utilization)
         summary = system.run_point(
-            policy_name, rate, duration=duration, warmup=warmup, seed=seed
+            policy_name, rate, duration=duration, warmup=warmup, seed=_SEED
         )
         evaluated.append((rate, summary.p99_latency))
         return summary.p99_latency
 
-    low, high = low_utilization, high_utilization
+    low, high = _LOW_UTILIZATION, _HIGH_UTILIZATION
     if p99_at(low) > slo:
         # SLO unattainable even at trivial load.
         return CapacityResult(

@@ -73,8 +73,8 @@ class VirtualClock:
 
     __slots__ = ("_now_s",)
 
-    def __init__(self, start_s: float = 0.0) -> None:
-        self._now_s = float(start_s)
+    def __init__(self) -> None:
+        self._now_s = 0.0
 
     @property
     def now(self) -> float:

@@ -50,6 +50,8 @@ LONG_QUERY_CUTOFF_PERCENTILE = 66.7
 PREDICTOR_TRAIN_FRACTION = 0.5
 #: Sequential-latency percentile the incremental policy probes for.
 INCREMENTAL_PROBE_PERCENTILE = 50.0
+#: Seed of a sweep's first load point.
+SWEEP_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -252,12 +254,12 @@ class AdaptiveSearchSystem:
         utilizations: Sequence[float],
         duration: float = 20.0,
         warmup: float = 4.0,
-        seed: int = 42,
     ) -> PolicyComparison:
         """Load sweep: every policy at every utilization level.
 
         All policies see identically seeded arrival/workload streams at
-        each load point, so comparisons are paired.
+        each load point (``SWEEP_SEED`` + its index), so comparisons are
+        paired.
         """
         rates = [self.rate_for_utilization(u) for u in utilizations]
         summaries: Dict[str, List[LoadPointSummary]] = {}
@@ -267,7 +269,7 @@ class AdaptiveSearchSystem:
                 rows.append(
                     self.run_point(
                         name, rate, duration=duration, warmup=warmup,
-                        seed=seed + i,
+                        seed=SWEEP_SEED + i,
                     )
                 )
             summaries[self.policy(name).name] = rows

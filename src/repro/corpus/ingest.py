@@ -60,7 +60,6 @@ class IngestVocabulary:
 
 def ingest_documents(
     documents: Iterable[Tuple[str, float]],
-    tokenizer: Optional[Tokenizer] = None,
 ) -> Tuple[Corpus, IngestVocabulary]:
     """Build a (corpus, vocabulary) pair from (text, static_rank) pairs.
 
@@ -68,7 +67,7 @@ def ingest_documents(
     (0, 1] and documents are re-ordered descending, as the index
     requires. Empty documents (no tokens after analysis) are rejected.
     """
-    tokenizer = tokenizer or Tokenizer()
+    tokenizer = Tokenizer()
     vocabulary = IngestVocabulary()
 
     token_lists: List[List[int]] = []
@@ -137,14 +136,13 @@ def parse_query(
     vocabulary: IngestVocabulary,
     k: int = 10,
     mode: MatchMode = MatchMode.ALL,
-    tokenizer: Optional[Tokenizer] = None,
 ) -> Query:
     """Parse a query string against an ingested vocabulary.
 
     Unknown words are dropped (they cannot match anything); a query with
     no known words raises :class:`QueryError`.
     """
-    tokenizer = tokenizer or Tokenizer()
+    tokenizer = Tokenizer()
     term_ids = [
         term_id
         for token in tokenizer.tokenize(text)

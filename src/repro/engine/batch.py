@@ -22,7 +22,6 @@ from repro.engine.sequential import execute_sequential
 from repro.engine.termination import TerminationConfig
 from repro.engine.trace import ChunkTrace
 from repro.index.inverted import InvertedIndex
-from repro.ranking.composite import ScoreWeights
 
 
 @dataclass
@@ -46,12 +45,10 @@ class BatchExecutor:
     def __init__(
         self,
         index: InvertedIndex,
-        weights: Optional[ScoreWeights] = None,
         cost_model: Optional[CostModel] = None,
         termination: Optional[TerminationConfig] = None,
     ) -> None:
         self.index = index
-        self.weights = weights or ScoreWeights()
         self.cost_model = cost_model or CostModel()
         self.termination = termination or TerminationConfig()
         self.last_stats = BatchStats()
@@ -62,7 +59,7 @@ class BatchExecutor:
         stats = BatchStats(queries=len(queries))
         results = []
         for query in queries:
-            plan = QueryPlan(query, self.index, self.weights)
+            plan = QueryPlan(query, self.index)
             trace = ChunkTrace(plan, self.cost_model)
             result = execute_sequential(trace, self.termination)
             results.append(result)

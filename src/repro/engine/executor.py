@@ -17,7 +17,6 @@ from repro.engine.threads import execute_threaded
 from repro.engine.trace import ChunkTrace
 from repro.errors import ExecutionError
 from repro.index.inverted import InvertedIndex
-from repro.ranking.composite import ScoreWeights
 from repro.util.validation import require_int_in_range
 
 
@@ -30,7 +29,6 @@ class EngineConfig:
     policies cannot silently oversubscribe.
     """
 
-    weights: ScoreWeights = field(default_factory=ScoreWeights)
     cost_model: CostModel = field(default_factory=CostModel)
     termination: TerminationConfig = field(default_factory=TerminationConfig)
     max_degree: int = 12
@@ -52,7 +50,7 @@ class Engine:
 
     def plan(self, query: Query) -> QueryPlan:
         """Build the execution plan for ``query``."""
-        return QueryPlan(query, self.index, self.config.weights)
+        return QueryPlan(query, self.index)
 
     def trace(self, query: Query) -> ChunkTrace:
         """Build a memoizing chunk trace for ``query`` (reusable across
@@ -107,7 +105,6 @@ class Engine:
         engine's index and configuration."""
         return BatchExecutor(
             self.index,
-            weights=self.config.weights,
             cost_model=self.config.cost_model,
             termination=self.config.termination,
         )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,18 +68,17 @@ def _take_ranges(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> n
     return values[indices]
 
 
+#: The one relevance / static-rank blend every plan scores with.
+_WEIGHTS = ScoreWeights()
+
+
 class QueryPlan:
     """Planned execution state for one query over one index."""
 
-    def __init__(
-        self,
-        query: Query,
-        index: InvertedIndex,
-        weights: Optional[ScoreWeights] = None,
-    ) -> None:
+    def __init__(self, query: Query, index: InvertedIndex) -> None:
         self.query = query
         self.index = index
-        self.weights = weights or ScoreWeights()
+        self.weights = _WEIGHTS
 
         found = index.lexicon.posting_lists(list(query.term_ids))
         missing = len(query.term_ids) - len(found)

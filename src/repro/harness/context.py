@@ -1,8 +1,8 @@
-"""Shared experiment context: one profiled system per scale.
+"""Shared experiment context: one profiled system per scale and seed.
 
 Building the reference shard and measuring the cost table takes tens of
 seconds; every experiment shares one cached
-:class:`~repro.core.controller.AdaptiveSearchSystem` per scale. The
+:class:`~repro.core.controller.AdaptiveSearchSystem` per (scale, seed). The
 ``REPRO_SCALE`` environment variable (``small`` / ``reference``)
 selects the scale globally, so CI can run the full harness quickly while
 full runs use the paper-comparable configuration.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.controller import AdaptiveSearchSystem, SystemConfig
 from repro.errors import ConfigurationError
@@ -28,10 +28,10 @@ class Scale(enum.Enum):
     REFERENCE = "reference"
 
     @staticmethod
-    def from_env(default: "Scale" = None) -> "Scale":
+    def from_env() -> "Scale":
         raw = os.environ.get("REPRO_SCALE")
         if raw is None:
-            return default if default is not None else Scale.REFERENCE
+            return Scale.REFERENCE
         try:
             return Scale(raw.lower())
         except ValueError:
@@ -70,9 +70,9 @@ class _ScaleParams:
 
 
 class ExperimentContext:
-    """Lazily built, cached per-scale experiment state."""
+    """Lazily built experiment state, cached per (scale, seed)."""
 
-    _SYSTEMS: Dict[Scale, AdaptiveSearchSystem] = {}
+    _SYSTEMS: Dict[Tuple[Scale, int], AdaptiveSearchSystem] = {}
 
     def __init__(
         self,
@@ -94,18 +94,20 @@ class ExperimentContext:
 
     @property
     def system(self) -> AdaptiveSearchSystem:
-        """The profiled system for this scale (built once per process)."""
-        cached = self._SYSTEMS.get(self.scale)
+        """The profiled system for this scale and seed (built once per
+        process)."""
+        key = (self.scale, self.seed)
+        cached = self._SYSTEMS.get(key)
         if cached is None:
             workbench = cached_workbench(self.workbench_config())
             cached = AdaptiveSearchSystem.from_workbench(
                 workbench,
                 SystemConfig(n_queries=self.params.n_profile_queries, seed=self.seed),
             )
-            self._SYSTEMS[self.scale] = cached
+            self._SYSTEMS[key] = cached
         # The system instance is shared across contexts (cached per
-        # scale); the most recent context's tracer wins, and the common
-        # untraced case keeps it cleared.
+        # scale and seed); the most recent context's tracer wins, and
+        # the common untraced case keeps it cleared.
         cached.tracer = self.tracer
         return cached
 

@@ -46,7 +46,7 @@ def _build_topical_system(ctx: ExperimentContext) -> AdaptiveSearchSystem:
         config=base_config,
         corpus=corpus,
         index=index,
-        engine=Engine(index, base_config.engine),
+        engine=Engine(index),
         rng_factory=base.workbench.rng_factory.child("topical"),
     )
     generator = TopicalQueryGenerator(

@@ -89,7 +89,6 @@ def load_results_dir(results_dir: Union[str, Path]) -> List[Dict]:
 def generate_report(
     results_dir: Union[str, Path],
     output: Optional[Union[str, Path]] = None,
-    title: str = "Reproduction report — Adaptive Parallelism for Web Search",
 ) -> str:
     """Build the markdown report; optionally write it to ``output``."""
     payloads = load_results_dir(results_dir)
@@ -101,7 +100,9 @@ def generate_report(
         if not c["passed"]
     ]
 
-    lines: List[str] = [f"# {title}", ""]
+    lines: List[str] = [
+        "# Reproduction report — Adaptive Parallelism for Web Search", ""
+    ]
     lines.append(
         f"{len(payloads)} experiments, {total_checks} shape checks, "
         f"{total_checks - len(failed)} passed / {len(failed)} failed."

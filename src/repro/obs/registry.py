@@ -192,8 +192,8 @@ class TimelineSampler:
             self.simulator.schedule(self.interval_s, self._tick)
 
 
-#: Default number of timeline samples per run when no interval is given.
-DEFAULT_SAMPLES_PER_RUN = 100
+#: Timeline samples per run.
+SAMPLES_PER_RUN = 100
 
 
 class RunObserver:
@@ -205,13 +205,8 @@ class RunObserver:
     virtual-time ticker, and hands the finished timeline to the tracer.
     """
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        sample_interval_s: Optional[float] = None,
-    ) -> None:
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.tracer: Tracer = tracer if tracer is not None else RecordingTracer()
-        self.sample_interval_s = sample_interval_s
         self.registry = MetricsRegistry()
         self.sampler: Optional[TimelineSampler] = None
         self._meta: Dict[str, Any] = {}
@@ -232,11 +227,9 @@ class RunObserver:
         registry.gauge("arrivals", lambda: collector.n_arrivals)
         registry.gauge("completions", lambda: collector.n_completions)
         registry.gauge("shed", lambda: collector.n_shed)
-        interval = self.sample_interval_s
-        if interval is None:
-            interval = horizon_s / DEFAULT_SAMPLES_PER_RUN
         self.sampler = TimelineSampler(
-            simulator, registry, interval, horizon_s, on_tick=self._consume_records
+            simulator, registry, horizon_s / SAMPLES_PER_RUN, horizon_s,
+            on_tick=self._consume_records,
         )
         self.sampler.install()
 

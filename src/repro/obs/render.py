@@ -8,7 +8,7 @@ virtual time via :mod:`repro.util.ascii_chart`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.spans import QueryTrace, Span
@@ -76,9 +76,6 @@ def render_waterfall(trace: QueryTrace, width: int = 60) -> str:
 def render_timeline(
     rows: Sequence[Mapping[str, Any]],
     fields: Sequence[str] = ("queue_depth", "busy_cores"),
-    width: int = 64,
-    height: int = 12,
-    title: Optional[str] = None,
 ) -> str:
     """Timeline samples as a multi-series ASCII chart over virtual time."""
     if len(rows) < 2:
@@ -93,8 +90,8 @@ def render_timeline(
             f"none of {tuple(fields)} present in timeline rows"
         )
     return line_chart(
-        x, series, width=width, height=height,
-        title=title or "timeline", x_label="virtual time (s)", y_label="value",
+        x, series, width=64, height=12,
+        title="timeline", x_label="virtual time (s)", y_label="value",
     )
 
 
@@ -125,7 +122,6 @@ def render_trace_report(
     traces: Sequence[QueryTrace],
     timeline_rows: Sequence[Mapping[str, Any]],
     n_waterfalls: int = 3,
-    width: int = 60,
 ) -> str:
     """The ``repro trace`` output: summary, timeline, picked waterfalls.
 
@@ -165,6 +161,6 @@ def render_trace_report(
         if len(completed) > 1:
             picks.append(completed[0])
         for trace in picks[:n_waterfalls]:
-            lines.append(render_waterfall(trace, width=width))
+            lines.append(render_waterfall(trace))
             lines.append("")
     return "\n".join(lines)

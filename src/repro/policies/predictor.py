@@ -16,7 +16,6 @@ import numpy as np
 from repro.engine.executor import Engine
 from repro.engine.query import Query
 from repro.errors import PolicyError
-from repro.util.validation import require_in_range
 
 
 def _features(engine: Engine, query: Query) -> np.ndarray:
@@ -37,13 +36,14 @@ def _features(engine: Engine, query: Query) -> np.ndarray:
         dtype=np.float64,
     )
 
+#: Ridge penalty on the five coefficients.
+_RIDGE = 1e-3
+
 
 class QueryLatencyPredictor:
     """Ridge regression on log sequential latency."""
 
-    def __init__(self, ridge: float = 1e-3) -> None:
-        require_in_range(ridge, "ridge", low=0.0)
-        self.ridge = float(ridge)
+    def __init__(self) -> None:
         self._coef: Optional[np.ndarray] = None
 
     def fit(
@@ -60,7 +60,7 @@ class QueryLatencyPredictor:
             raise PolicyError("latencies must be positive")
         design = np.stack([_features(engine, q) for q in queries])
         target = np.log(y)
-        gram = design.T @ design + self.ridge * np.eye(design.shape[1])
+        gram = design.T @ design + _RIDGE * np.eye(design.shape[1])
         self._coef = np.linalg.solve(gram, design.T @ target)
         return self
 

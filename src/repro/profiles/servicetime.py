@@ -67,9 +67,9 @@ class ServiceTimeDistribution:
     def percentile(self, q: float) -> float:
         return float(np.percentile(self.samples, q))
 
-    def tail_ratio(self, high: float = 99.0, low: float = 50.0) -> float:
-        """Skew indicator: p``high`` / p``low`` (≈10–50 for web search)."""
-        return self.percentile(high) / self.percentile(low)
+    def tail_ratio(self) -> float:
+        """Skew indicator: p99 / p50 (≈10–50 for web search)."""
+        return self.percentile(99.0) / self.percentile(50.0)
 
     def fit_lognormal(self) -> LognormalFit:
         logs = np.log(self.samples)

@@ -19,16 +19,18 @@ server-side in the node's collector (fetch them with a ``stats``
 request, or read the node directly in-process) so simulated and live
 load points are summarized by literally the same code path.
 
-Deadline discipline (reprolint R019): connection setup, every reply
-read, every drain, and the final teardown are bounded with
-``asyncio.wait_for``; the reply-reader task handle is kept and awaited
-under a bound.
+Deadline discipline: connection setup, every reply read, every drain,
+and the final teardown are bounded with ``asyncio.wait_for``; the
+reply-reader task handle is kept and awaited under a bound
+(``tests/test_runtime_frontdoor.py`` pins both, for every ``async def``
+under ``src/repro``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -133,6 +135,10 @@ async def replay_open_loop(
             )
         except (asyncio.TimeoutError, OSError):
             pass
+        # Cancelled here, so seen through here: a failed replay must not
+        # leave the reader pending for the loop's teardown to complain of.
+        with suppress(asyncio.CancelledError):
+            await reader_task
     return [replies.get(i) for i in range(len(script))]
 
 

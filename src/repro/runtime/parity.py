@@ -135,7 +135,6 @@ def run_scripted_live(
     script: Sequence[ScriptedArrival],
     controllers: Sequence[object] = (),
     tracer: Optional[Tracer] = None,
-    engine_search: Optional[Any] = None,
 ) -> Tuple[LoadPointSummary, ServingNode]:
     """Replay ``script`` through the live node on a :class:`FakeClock`.
 
@@ -148,7 +147,7 @@ def run_scripted_live(
     clock = FakeClock()
     node = ServingNode(
         clock, oracle, policy, ServingConfig.from_load_point(config),
-        engine_search=engine_search, tracer=tracer,
+        tracer=tracer,
     )
     node.attach_controllers(controllers)
     for arrival in script:

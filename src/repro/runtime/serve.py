@@ -32,8 +32,9 @@ The request path is synchronous callbacks on one :class:`asyncio.
 Protocol` per connection: ``data_received`` dispatches every complete
 line of a wake-up; a search hands the node a completion callback and
 arms one cancellable budget timer (model seconds, dilated to wall
-seconds) — no task, future or ``await`` per request, so reprolint R015 /
-R019 have only :meth:`LiveServer.serve`'s bounded awaits to inspect.
+seconds) — no task, future or ``await`` per request; the only awaits
+are :meth:`LiveServer.serve`'s bounded ones
+(``tests/test_runtime_frontdoor.py`` pins both).
 Replies collect per connection and leave in one ``transport.write`` per
 loop pass; a client that does not read them has *its* reads paused
 (``pause_writing``), nobody waits on a drain; one lazily re-armed
@@ -80,13 +81,9 @@ class AsyncioScheduler:
 
     __slots__ = ("_loop", "_origin", "_dilation")
 
-    def __init__(
-        self,
-        dilation: float = 1.0,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
-    ) -> None:
+    def __init__(self, dilation: float = 1.0) -> None:
         require_positive(dilation, "dilation")
-        self._loop = loop if loop is not None else asyncio.get_running_loop()
+        self._loop = asyncio.get_running_loop()
         self._dilation = float(dilation)
         self._origin = self._loop.time()
 

@@ -42,19 +42,15 @@ async def run_live_point(
     script: Sequence[ScriptedArrival],
     dilation: float = 1.0,
     engine_search: Optional[Any] = None,
-    request_budget_s: Optional[float] = None,
 ) -> Tuple[LoadPointSummary, ServingNode]:
     """Serve ``script`` over localhost TCP and summarize the node.
 
-    ``request_budget_s`` bounds each request's completion wait in model
-    seconds; the default covers the full drain window (10× the
-    horizon, matching the simulator's bounded drain) so the open-loop
-    client never gives up before the server's own shedding machinery
-    has spoken.
+    Each request's completion budget covers the full drain window (10×
+    the horizon, matching the simulator's bounded drain) so the
+    open-loop client never gives up before the server's own shedding
+    machinery has spoken.
     """
-    budget_s = request_budget_s
-    if budget_s is None:
-        budget_s = config.duration * DRAIN_HORIZONS
+    budget_s = config.duration * DRAIN_HORIZONS
     scheduler = AsyncioScheduler(dilation=dilation)
     node = ServingNode(
         scheduler, oracle, policy, ServingConfig.from_load_point(config),

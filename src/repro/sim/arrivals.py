@@ -21,6 +21,9 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.util.validation import require, require_positive
 
+#: Share of time :meth:`MMPP2Arrivals.with_mean_rate` spends in the high state.
+HIGH_FRACTION = 0.2
+
 
 class ArrivalProcess(abc.ABC):
     """Generates successive inter-arrival times (seconds)."""
@@ -101,24 +104,22 @@ class MMPP2Arrivals(ArrivalProcess):
         burst_ratio: float,
         mean_dwell_s: float,
         rng: np.random.Generator,
-        high_fraction: float = 0.2,
     ) -> "MMPP2Arrivals":
         """Construct an MMPP2 with a target mean rate.
 
-        ``burst_ratio`` is rate_high / rate_low; ``high_fraction`` is the
-        fraction of time spent in the high state; ``mean_dwell_s`` is the
-        mean high-state dwell in seconds.
+        ``burst_ratio`` is rate_high / rate_low; ``mean_dwell_s`` is the
+        mean high-state dwell in seconds; a fifth of the time
+        (``HIGH_FRACTION``) is spent in the high state.
         """
         require_positive(mean_rate, "mean_rate")
         require(burst_ratio >= 1.0, "burst_ratio must be >= 1")
-        require(0.0 < high_fraction < 1.0, "high_fraction must be in (0, 1)")
         # mean = rl*(1-f) + rh*f with rh = ratio*rl.
-        rate_low = mean_rate / ((1.0 - high_fraction) + burst_ratio * high_fraction)
+        rate_low = mean_rate / ((1.0 - HIGH_FRACTION) + burst_ratio * HIGH_FRACTION)
         rate_high = burst_ratio * rate_low
         return MMPP2Arrivals(
             rate_low=rate_low,
             rate_high=rate_high,
-            mean_dwell_low_s=mean_dwell_s * (1.0 - high_fraction) / high_fraction,
+            mean_dwell_low_s=mean_dwell_s * (1.0 - HIGH_FRACTION) / HIGH_FRACTION,
             mean_dwell_high_s=mean_dwell_s,
             rng=rng,
         )

@@ -66,15 +66,13 @@ def build_arrival_script(
     n_queries: int,
     config: LoadPointConfig,
     arrivals: Optional[ArrivalProcess] = None,
-    query_sampler: Optional[object] = None,
 ) -> List[ScriptedArrival]:
     """Materialize the arrival stream ``run_load_point`` would generate.
 
     Draw-for-draw identical to the online path: interarrival gaps come
     from the ``arrivals`` child stream of ``config.seed`` (Poisson at
     ``config.rate`` unless an explicit process is given), query indices
-    from the ``sample`` child stream — or from ``query_sampler`` keyed
-    by the arrival's class label — and generation stops at the first
+    from the ``sample`` child stream, and generation stops at the first
     arrival that would land past ``config.duration``.
     """
     require_int_in_range(n_queries, "n_queries", low=1)
@@ -97,10 +95,7 @@ def build_arrival_script(
         # above (matches the read-before-next-draw order of the online
         # path in run_load_point).
         arrival_class = getattr(arrivals, "last_class", None)
-        if query_sampler is not None:
-            query_index = int(query_sampler.sample(arrival_class))
-        else:
-            query_index = int(sample_rng.integers(n_queries))
+        query_index = int(sample_rng.integers(n_queries))
         script.append(ScriptedArrival(now, query_index, arrival_class))
     return script
 

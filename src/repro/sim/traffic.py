@@ -70,14 +70,13 @@ BURST_SHAPES = (SHAPE_SQUARE, SHAPE_GAUSSIAN)
 class DiurnalProfile:
     """Sinusoidal day/night background rate (mean ``base_rate`` qps).
 
-    ``rate(t) = base_rate · (1 + amplitude · sin(2π t / period_s + phase))``.
+    ``rate(t) = base_rate · (1 + amplitude · sin(2π t / period_s))``.
     ``amplitude`` in [0, 1) keeps the rate strictly positive.
     """
 
     base_rate: float
     amplitude: float = 0.0
     period_s: float = 86_400.0
-    phase: float = 0.0
 
     def __post_init__(self) -> None:
         require_positive(self.base_rate, "base_rate")
@@ -85,7 +84,6 @@ class DiurnalProfile:
             self.amplitude, "amplitude", low=0.0, high=1.0, high_inclusive=False
         )
         require_positive(self.period_s, "period_s")
-        require(math.isfinite(self.phase), "phase must be finite")
 
     @property
     def max_rate(self) -> float:
@@ -94,7 +92,7 @@ class DiurnalProfile:
 
     def rate_at(self, time_s: float) -> float:
         """Instantaneous background rate at virtual time ``time_s``."""
-        angle = 2.0 * math.pi * time_s / self.period_s + self.phase
+        angle = 2.0 * math.pi * time_s / self.period_s
         return self.base_rate * (1.0 + self.amplitude * math.sin(angle))
 
 

@@ -47,12 +47,12 @@ def to_jsonable(obj: Any) -> Any:
     raise ConfigurationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dump_json(obj: Any, path: Union[str, Path], indent: int = 2) -> Path:
+def dump_json(obj: Any, path: Union[str, Path]) -> Path:
     """Serialize ``obj`` to ``path`` as JSON and return the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(to_jsonable(obj), handle, indent=indent, sort_keys=True)
+        json.dump(to_jsonable(obj), handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
 

@@ -41,21 +41,15 @@ class Table:
     >>> print(t.render())  # doctest: +SKIP
     """
 
-    def __init__(
-        self,
-        columns: Sequence[str],
-        title: Optional[str] = None,
-        float_digits: int = 3,
-    ) -> None:
+    def __init__(self, columns: Sequence[str], title: Optional[str] = None) -> None:
         if not columns:
             raise ConfigurationError("Table requires at least one column")
         self.columns: List[str] = [str(c) for c in columns]
         self.title = title
-        self.float_digits = float_digits
         self._rows: List[List[str]] = []
 
     def add_row(self, values: Iterable[Any]) -> None:
-        row = [format_float(v, self.float_digits) for v in values]
+        row = [format_float(v) for v in values]
         if len(row) != len(self.columns):
             raise ConfigurationError(
                 f"row has {len(row)} cells, table has {len(self.columns)} columns"

@@ -35,6 +35,8 @@ from repro.util.validation import (
 
 #: Zipf–Mandelbrot shift of query-term popularity.
 TERM_ZIPF_SHIFT = 1.0
+#: Results every generated query asks for.
+TOP_K = 10
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,6 @@ class QueryWorkloadConfig:
     term_zipf_exponent: float = 1.2
     term_count_p: float = 0.45  # geometric success prob; mean terms ≈ 1/p
     max_terms: int = 6
-    k: int = 10
     mode: MatchMode = MatchMode.ALL
     seed: int = 0
 
@@ -57,7 +58,6 @@ class QueryWorkloadConfig:
             low_inclusive=False, high_inclusive=True,
         )
         require_int_in_range(self.max_terms, "max_terms", low=1)
-        require_int_in_range(self.k, "k", low=1)
         require(isinstance(self.mode, MatchMode), "mode must be a MatchMode")
 
 
@@ -96,7 +96,7 @@ class QueryGenerator:
                 seen.add(draw)
                 terms.append(draw)
         query = Query.of(
-            terms, k=self.config.k, mode=self.config.mode, query_id=self._next_id
+            terms, k=TOP_K, mode=self.config.mode, query_id=self._next_id
         )
         self._next_id += 1
         return query

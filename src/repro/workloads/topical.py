@@ -17,8 +17,17 @@ import numpy as np
 from repro.corpus.topical import TopicModel
 from repro.engine.query import Query
 from repro.util.rng import make_rng
-from repro.util.validation import require_in_range, require_int_in_range
-from repro.workloads.queries import QueryWorkloadConfig
+from repro.util.validation import require_int_in_range
+from repro.workloads.queries import TOP_K, QueryWorkloadConfig
+
+#: Share of a query's term draws that come from the background
+#: distribution instead of its topic.
+OFF_TOPIC_FRACTION = 0.15
+#: Fraction of queries that straddle two topics. These are the "hard"
+#: queries of a topical stream: their terms rarely co-occur, so they
+#: scan deep — the tail of the service-time distribution, without which
+#: a topical workload degenerates into uniformly cheap queries.
+CROSS_TOPIC_FRACTION = 0.3
 
 
 class TopicalQueryGenerator:
@@ -29,27 +38,12 @@ class TopicalQueryGenerator:
         model: TopicModel,
         config: Optional[QueryWorkloadConfig] = None,
         rng: Optional[np.random.Generator] = None,
-        off_topic_fraction: float = 0.15,
-        cross_topic_fraction: float = 0.3,
     ) -> None:
-        require_in_range(
-            off_topic_fraction, "off_topic_fraction", low=0.0, high=1.0
-        )
-        require_in_range(
-            cross_topic_fraction, "cross_topic_fraction", low=0.0, high=1.0
-        )
         self.model = model
         self.config = config or QueryWorkloadConfig(
             vocab_size=model.vocab_size
         )
         self._rng = rng or make_rng(self.config.seed)
-        self.off_topic_fraction = off_topic_fraction
-        # Fraction of queries that straddle two topics. These are the
-        # "hard" queries of a topical stream: their terms rarely
-        # co-occur, so they scan deep — the tail of the service-time
-        # distribution, without which a topical workload degenerates
-        # into uniformly cheap queries.
-        self.cross_topic_fraction = cross_topic_fraction
         self._next_id = 0
 
     def sample_term_count(self) -> int:
@@ -63,7 +57,7 @@ class TopicalQueryGenerator:
         if (
             n_terms > 1
             and self.model.n_topics > 1
-            and self._rng.random() < self.cross_topic_fraction
+            and self._rng.random() < CROSS_TOPIC_FRACTION
         ):
             second = int(self._rng.integers(self.model.n_topics))
             if second != first_topic:
@@ -73,7 +67,7 @@ class TopicalQueryGenerator:
         attempts = 0
         while len(terms) < n_terms and attempts < 50 * n_terms:
             attempts += 1
-            if self._rng.random() < self.off_topic_fraction:
+            if self._rng.random() < OFF_TOPIC_FRACTION:
                 draw = int(self.model.background.sample(self._rng))
             else:
                 topic = topics[len(terms) % len(topics)]
@@ -83,7 +77,7 @@ class TopicalQueryGenerator:
                 terms.append(draw)
         query = Query.of(
             terms,
-            k=self.config.k,
+            k=TOP_K,
             mode=self.config.mode,
             query_id=self._next_id,
         )

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 from repro.corpus.documents import Corpus
 from repro.corpus.generator import CorpusConfig, generate_corpus
-from repro.engine.executor import Engine, EngineConfig
+from repro.engine.executor import Engine
 from repro.index.builder import IndexConfig, build_index
 from repro.index.inverted import InvertedIndex
 from repro.util.rng import RngFactory
@@ -35,7 +35,6 @@ class WorkbenchConfig:
 
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     index: IndexConfig = field(default_factory=IndexConfig)
-    engine: EngineConfig = field(default_factory=EngineConfig)
     workload: QueryWorkloadConfig = field(default_factory=QueryWorkloadConfig)
     seed: int = 0
 
@@ -88,7 +87,7 @@ def build_workbench(config: Optional[WorkbenchConfig] = None) -> Workbench:
     factory = RngFactory(config.seed)
     corpus = generate_corpus(config.corpus, factory.stream("corpus"))
     index = build_index(corpus, config.index)
-    engine = Engine(index, config.engine)
+    engine = Engine(index)
     return Workbench(
         config=config,
         corpus=corpus,

@@ -1,7 +1,14 @@
 """Tests for the command-line entry point."""
 
+import os
 
 from repro.cli import main
+
+
+def _subprocess_env():
+    """The environment a ``python -m repro`` child needs: this tree's src."""
+    repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.path.abspath(repo_src))
 
 
 class TestCli:
@@ -52,14 +59,11 @@ class TestServeCli:
         """Boot `repro serve` in a subprocess, drive it with the
         in-process `repro loadgen`, then shut it down over the wire."""
         import json
-        import os
         import re
         import subprocess
         import sys
 
-        env = dict(os.environ)
-        repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(repo_src)
+        env = _subprocess_env()
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--scale", "small",
              "--port", "0", "--no-engine", "--duration", "60"],
@@ -102,11 +106,33 @@ class TestServeCli:
                 proc.kill()
                 proc.wait(timeout=10)
 
+    def test_loadgen_gives_up_on_a_silent_listener(self):
+        """A socket that accepts and never answers: `repro loadgen` exits
+        non-zero once its connection-setup bound (10 s) has passed."""
+        import socket
+        import subprocess
+        import sys
+
+        env = _subprocess_env()
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)  # the kernel accepts; nobody ever reads
+            port = listener.getsockname()[1]
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "loadgen", "--port", str(port),
+                 "--rate", "10", "--duration", "0.2"],
+                capture_output=True, text=True, env=env, timeout=30,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == (
+            f"repro loadgen: 127.0.0.1:{port} did not answer in time"
+        )
+
     def test_livesmoke_writes_report(self, capsys, tmp_path):
         import json
 
         out = tmp_path / "report.json"
-        code = main(["livesmoke", "--smoke", "--duration", "0.4",
+        code = main(["livesmoke", "--scale", "small", "--duration", "0.4",
                      "--dilation", "2.0", "--output", str(out)])
         stdout = capsys.readouterr().out
         # The calibrated-band gate is the CI livesmoke step; here we pin

@@ -181,3 +181,50 @@ class TestContext:
 
     def test_system_cached_per_scale(self, ctx):
         assert ctx.system is ExperimentContext(scale=Scale.SMALL).system
+
+    def test_system_cached_per_scale_and_seed(self, monkeypatch):
+        from repro.harness import context
+
+        built = []
+
+        class _System:
+            def __init__(self, config):
+                built.append(config.seed)
+
+        monkeypatch.setattr(context, "cached_workbench", lambda config: config)
+        monkeypatch.setattr(
+            context.AdaptiveSearchSystem,
+            "from_workbench",
+            staticmethod(lambda workbench, config: _System(config)),
+        )
+        monkeypatch.setattr(ExperimentContext, "_SYSTEMS", {})
+        one = ExperimentContext(Scale.SMALL, seed=1).system
+        two = ExperimentContext(Scale.SMALL, seed=2).system
+        assert one is not two and built == [1, 2]
+        assert ExperimentContext(Scale.SMALL, seed=1).system is one
+        assert built == [1, 2]
+
+
+class TestRegimeRecovery:
+    def test_recovery_waits_for_the_bucket_p99(self):
+        # E20's small-scale runs recover on shedding alone, so the golden
+        # never sees this branch: 3 slow answers in 100 hold a bucket
+        # over the SLO at its 99th percentile (not at its 0.99th).
+        from types import SimpleNamespace
+
+        from repro.harness.experiments.e20_regimes import _recovery_s
+
+        def bucket(start_s, n_slow):
+            return [
+                SimpleNamespace(
+                    arrival_s=start_s + 0.001 * i, shed_reason=None,
+                    completed=True, latency_s=5.0 if i < n_slow else 0.1,
+                )
+                for i in range(100)
+            ]
+
+        traces = bucket(10.0, 3) + bucket(11.0, 0) + bucket(12.0, 0)
+        recovery_s = _recovery_s(
+            traces, burst_end_s=10.0, horizon_s=13.0, slo_s=1.0, bucket_s=1.0
+        )
+        assert recovery_s == 1.0

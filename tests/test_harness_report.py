@@ -87,6 +87,8 @@ class TestCliReport:
         from repro.cli import main
 
         assert main(["e02", "--scale", "small", "--report", "r.md"]) == 2
+        # Rejected before the loop, like --trace: nothing ran.
+        assert "context:" not in capsys.readouterr().out
 
     def test_report_flag_end_to_end(self, tmp_path, capsys):
         from repro.cli import main

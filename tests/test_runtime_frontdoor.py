@@ -323,6 +323,57 @@ class TestNoTaskPerRequest:
         ]
 
 
+class TestAsyncDefsAreBoundedAndNonBlocking:
+    """Every ``async def`` under ``src/repro``, by syntax alone: nothing
+    blocks the loop, no network await is unbounded, no task handle is
+    dropped, no handler swallows a cancellation."""
+
+    def test_every_async_def_under_src(self):
+        def terminal(call):
+            return ast.unparse(call.func).rpartition(".")[2]
+
+        root = SERVE_PY.parents[1]
+        problems = set()
+        for path in sorted(root.rglob("*.py")):
+            for function in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(function, ast.AsyncFunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    problem = None
+                    if isinstance(node, ast.Call):
+                        name = ast.unparse(node.func)
+                        if name in ("time.sleep", "open") or name.startswith(
+                            ("subprocess.", "socket.", "requests.")
+                        ):
+                            problem = f"{name}() blocks the loop"
+                    if isinstance(node, ast.Await) and isinstance(node.value, ast.Call):
+                        name = terminal(node.value)
+                        network = name.startswith("read") or name in (
+                            "drain", "wait_closed", "open_connection",
+                            "create_server", "wait", "gather",
+                        )
+                        bounds = {keyword.arg for keyword in node.value.keywords}
+                        if network and not bounds & {"timeout", "timeout_s"}:
+                            problem = f"await {name}() outside asyncio.wait_for"
+                    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                        if terminal(node.value) in ("create_task", "ensure_future"):
+                            problem = f"{terminal(node.value)}() handle dropped"
+                    if isinstance(node, ast.ExceptHandler):
+                        caught = ast.unparse(node.type) if node.type else ""
+                        if (
+                            not caught
+                            or "BaseException" in caught
+                            or "CancelledError" in caught
+                        ) and not any(
+                            isinstance(inner, ast.Raise) for inner in ast.walk(node)
+                        ):
+                            problem = f"except {caught}: swallows cancellation"
+                    if problem:
+                        where = path.relative_to(root).as_posix()
+                        problems.add(f"{where}:{node.lineno}: {problem}")
+        assert not problems, "\n".join(sorted(problems))
+
+
 class TestColumnStore:
     """``MetricsCollector`` keeps columns, not a row object per query."""
 

@@ -86,6 +86,30 @@ class TestLoadgen:
         ]
         assert node.n_answered == 20
 
+    def test_failed_replay_leaves_no_task_behind(self):
+        async def scenario():
+            # A listener that accepts and never answers; the replay is
+            # cancelled while it waits for its first send to fall due.
+            silent = await asyncio.start_server(
+                lambda reader, writer: None, "127.0.0.1", 0
+            )
+            port = silent.sockets[0].getsockname()[1]
+            replay = asyncio.ensure_future(replay_open_loop(
+                "127.0.0.1", port, [ScriptedArrival(30.0, 0)], ReplayOptions()
+            ))
+            await asyncio.sleep(0.05)
+            replay.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await replay
+            left = [
+                task for task in asyncio.all_tasks()
+                if task is not asyncio.current_task() and not task.done()
+            ]
+            silent.close()
+            return left
+
+        assert asyncio.run(scenario()) == []
+
     def test_closed_loop_round_robin(self):
         async def scenario():
             oracle = ServiceOracle(_fast_table())

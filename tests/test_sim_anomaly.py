@@ -301,3 +301,13 @@ class TestAnomalyGuardLadder:
         _drive(guard, sim, coll, [CALM] * 10 + [ATTACK] * 2)
         assert guard.level == DegradationLevel.SHEDDING
         assert server.shed_classes == frozenset({"slow_query_flood"})
+
+    def test_rate_signal_is_arrivals_per_second(self):
+        # The CUSUM standardises its input, so a constant factor on the
+        # rate cancels out of every ladder test above (and of the e20
+        # golden); a window that is not one second long pins the unit.
+        guard = AnomalyGuard(AnomalyGuardConfig(slo_s=1.0, window_s=0.25))
+        sim, coll, server = _FakeSimulator(), _FakeCollector(), _FakeServer()
+        guard.attach(sim, server, coll, horizon_s=1000.0)
+        _drive(guard, sim, coll, [CALM] * 12)
+        assert guard.rate_detector.mean == pytest.approx(100 / 0.25)

@@ -65,6 +65,21 @@ class TestClusterModel:
         assert summary.p99_latency == pytest.approx(
             summary.shard_p99_latency + AGGREGATION_OVERHEAD_S, rel=1e-9)
 
+    def test_median_is_the_fiftieth_percentile(self):
+        # Three equally likely service times and no queueing: the median
+        # answer is the middle one plus the merge step, exactly.
+        times = np.array([[0.001], [0.002], [0.010]])
+        table = QueryCostTable(
+            [Query.of([0], query_id=i) for i in range(3)],
+            (1,), times, times.copy(), np.ones((3, 1), dtype=np.int64),
+        )
+        config = ClusterConfig(n_shards=1, n_cores_per_shard=4, rate=50.0,
+                               duration=8.0, warmup=1.0, seed=5)
+        summary = run_cluster_point(ServiceOracle(table), SequentialPolicy, config)
+        assert summary.observed > 200
+        assert summary.p50_latency == pytest.approx(
+            0.002 + AGGREGATION_OVERHEAD_S, rel=1e-9)
+
     def test_policy_factory_called_per_shard(self):
         oracle = ServiceOracle(_table())
         created = []

@@ -9,17 +9,14 @@ simulated-time code, no float equality on latencies, no mutable default
 arguments, no swallowed exceptions in sim hot paths, and fully annotated
 public simulation APIs.
 
-The whole-program analyses (R009+) add cross-module checks: units of
-measure (R009), typed config consumption
-(R011), thread safety (R012), architectural layering + kernel clock
-discipline driven by the declarative map in ``layers.toml`` (R014),
-async/blocking safety (R015), policy-kernel purity (R017), and deadline
-propagation through the async runtime (R019). A rule stays only while
-it catches a mutant nothing else does (CONTRIBUTING.md, "What each
-rule costs and catches").
+The whole-program analyses (R011+) add cross-module checks: typed
+config consumption (R011), thread safety (R012), architectural layering
++ kernel clock discipline driven by the declarative map in
+``layers.toml`` (R014), and policy-kernel purity (R017). A rule stays
+only while it catches a mutant nothing else does (CONTRIBUTING.md,
+"What each rule costs and catches").
 
-Every run is from scratch — read, parse, run the rules, report — about
-5 s for ``src tests tools`` on a 2-core box.
+Every run is from scratch — read, parse, run the rules, report.
 
 Usage::
 

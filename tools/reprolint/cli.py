@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based determinism & simulation-correctness linter for "
             "this repository (per-file rules R001-R008 and whole-program "
-            "analyses R009-R019; see CONTRIBUTING.md). Exit codes: "
+            "analyses R011-R017; see CONTRIBUTING.md). Exit codes: "
             "0 clean, 1 findings, 2 usage error, 3 internal analyzer "
             "error."
         ),

@@ -3,7 +3,7 @@
 Rules are small classes registered with :func:`register`. Each parsed
 file becomes a :class:`FileContext` (source, AST, suppression table,
 path components); per-file rules yield :class:`Finding` objects from
-``check(ctx)``, and project rules (the cross-file analyses R009-R019)
+``check(ctx)``, and project rules (the cross-file analyses R011-R017)
 yield findings from ``check_project(ctxs, project)`` after every file
 is parsed, where ``project`` is the
 :class:`~tools.reprolint.project.ProjectModel` built once per run.
@@ -192,11 +192,8 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> Dict[str, Type[Rule]]:
     """Return the registry (importing the built-in rules on demand)."""
     # Imported for their side effect of registering rules.
-    from tools.reprolint import asyncsafety as _asyncsafety  # noqa: F401
-    from tools.reprolint import deadlines as _deadlines  # noqa: F401
     from tools.reprolint import layering as _layering  # noqa: F401
     from tools.reprolint import rules as _rules  # noqa: F401
-    from tools.reprolint import units as _units  # noqa: F401
     from tools.reprolint import wholeprogram as _wholeprogram  # noqa: F401
 
     return dict(_REGISTRY)

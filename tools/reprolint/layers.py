@@ -1,11 +1,11 @@
-"""Layer-map loading and module→layer resolution for R014/R017/R019.
+"""Layer-map loading and module→layer resolution for R014/R017.
 
 The map is declarative TOML (``layers.toml``): layer assignments by
 dotted module-name prefix, an allowed-import order, the clock-discipline
-configuration, the purity scope, and the deadline scope. The rules
-find the map *next to the linted tree*: for each linted file the nearest
-ancestor directory containing ``layers.toml`` or
-``tools/reprolint/layers.toml`` wins. Fixture trees therefore carry
+configuration and the purity scope. The rules find the map *next to
+the linted tree*: for each linted file the nearest ancestor directory
+containing ``layers.toml`` or ``tools/reprolint/layers.toml`` wins.
+Fixture trees therefore carry
 their own miniature maps, and a tree without any map simply disables the
 layer-based rules (sound-by-omission, like unresolved calls elsewhere in
 reprolint).
@@ -49,26 +49,6 @@ class PurityConfig:
     layers: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class DeadlineConfig:
-    """Deadline/cancellation-propagation scope for R019.
-
-    ``layers`` lists the layer names whose async code must thread
-    deadlines (the live-serving runtime). ``deadline_params`` extends
-    the built-in set of keyword names recognised as a deadline bound;
-    ``io_methods`` extends the built-in set of awaited method names
-    treated as I/O-like.
-    """
-
-    layers: Tuple[str, ...] = ()
-    deadline_params: Tuple[str, ...] = ()
-    io_methods: Tuple[str, ...] = ()
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.layers)
-
-
 @dataclass
 class LayerMap:
     """Parsed layer map: assignments, import order, and rule configs."""
@@ -79,7 +59,6 @@ class LayerMap:
     imports: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     clock: ClockConfig = field(default_factory=ClockConfig)
     purity: PurityConfig = field(default_factory=PurityConfig)
-    deadlines: DeadlineConfig = field(default_factory=DeadlineConfig)
     #: where the map was loaded from (diagnostics)
     source: Optional[str] = None
 
@@ -111,9 +90,6 @@ class LayerMap:
     def is_purity_layer(self, layer: Optional[str]) -> bool:
         return layer is not None and layer in self.purity.layers
 
-    def is_deadline_layer(self, layer: Optional[str]) -> bool:
-        return layer is not None and layer in self.deadlines.layers
-
 
 def _as_str_tuple(value: object) -> Tuple[str, ...]:
     if not isinstance(value, (list, tuple)):
@@ -137,7 +113,6 @@ def parse_layer_map(text: str, source: Optional[str] = None) -> LayerMap:
     }
     clock_raw = dict(data.get("clock", {}))
     purity_raw = dict(data.get("purity", {}))
-    deadline_raw = dict(data.get("deadlines", {}))
     return LayerMap(
         layers=layers,
         imports=imports,
@@ -149,13 +124,6 @@ def parse_layer_map(text: str, source: Optional[str] = None) -> LayerMap:
             clock_classes=_as_str_tuple(clock_raw.get("clock_classes", ())),
         ),
         purity=PurityConfig(layers=_as_str_tuple(purity_raw.get("layers", ()))),
-        deadlines=DeadlineConfig(
-            layers=_as_str_tuple(deadline_raw.get("layers", ())),
-            deadline_params=_as_str_tuple(
-                deadline_raw.get("deadline_params", ())
-            ),
-            io_methods=_as_str_tuple(deadline_raw.get("io_methods", ())),
-        ),
         source=source,
     )
 
@@ -198,11 +166,6 @@ def _parse_minimal_toml(text: str) -> Dict[str, Dict[str, object]]:
 
 #: directory (resolved) -> LayerMap or None, cached per process
 _MAP_CACHE: Dict[str, Optional[LayerMap]] = {}
-
-
-def clear_layer_map_cache() -> None:
-    """Drop the per-process map cache (tests rewrite maps in place)."""
-    _MAP_CACHE.clear()
 
 
 def find_layer_map(path: str) -> Optional[LayerMap]:

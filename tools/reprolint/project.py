@@ -1,11 +1,10 @@
 """Whole-program project model for cross-module analyses.
 
 The R001-R008 rules each look at one file. The analyses on top of this
-module — units-of-measure dataflow (R009), typed config-field
-consumption (R011), thread-safety (R012) — all need
-to see the program, not a file: a seconds-valued interval produced in
-``sim/arrivals.py`` flows into a deadline parameter in ``sim/server.py``
-through two call sites in ``sim/experiment.py``.
+module — typed config-field consumption (R011), thread-safety (R012),
+layering and kernel purity (R014, R017) — all need to see the program,
+not a file: a worker closure in ``engine/threads.py`` reaches the
+shared-counter writes in ``engine/scan.py`` through one call.
 
 The model is deliberately syntactic (no imports are executed):
 
@@ -66,19 +65,14 @@ def module_name_for_path(parts: Sequence[str]) -> str:
 
 @dataclass
 class FunctionInfo:
-    """One function or method, with enough signature to match call args."""
+    """One function or method and its parameters."""
 
     name: str
     qualname: str  # "f" or "Class.f"
     module: "ModuleInfo"
     node: ast.AST  # FunctionDef / AsyncFunctionDef
     params: List[ast.arg]  # positional+kwonly, self/cls already dropped
-    kwonly_names: Tuple[str, ...]
     is_method: bool
-
-    @property
-    def path(self) -> str:
-        return self.module.ctx.path
 
 
 @dataclass
@@ -117,7 +111,6 @@ class ClassInfo:
             module=self.module,
             node=self.node,
             params=params,
-            kwonly_names=(),
             is_method=True,
         )
 
@@ -157,14 +150,12 @@ def _function_info(
         names = {getattr(d, "id", getattr(d, "attr", None)) for d in decorators}
         if "staticmethod" not in names:
             positional = positional[1:]  # drop self / cls
-    kwonly = list(args.kwonlyargs)
     return FunctionInfo(
         name=node.name,
         qualname=f"{owner}.{node.name}" if owner else node.name,
         module=module,
         node=node,
-        params=positional + kwonly,
-        kwonly_names=tuple(a.arg for a in kwonly),
+        params=positional + list(args.kwonlyargs),
         is_method=owner is not None,
     )
 
@@ -487,28 +478,3 @@ class ProjectModel:
                     return self._annotation_class(module, inner)
         return None
 
-
-def match_call_args(
-    fn: FunctionInfo, call: ast.Call
-) -> List[Tuple[ast.arg, ast.expr]]:
-    """Pair call arguments with the callee's parameters (best-effort).
-
-    Starred args / **kwargs abort matching for the remainder; keywords
-    match by name.
-    """
-    pairs: List[Tuple[ast.arg, ast.expr]] = []
-    n_positional = len(fn.params) - len(fn.kwonly_names)
-    for index, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred):
-            break
-        if index >= n_positional:
-            break
-        pairs.append((fn.params[index], arg))
-    by_name = {p.arg: p for p in fn.params}
-    for keyword in call.keywords:
-        if keyword.arg is None:  # **kwargs
-            continue
-        param = by_name.get(keyword.arg)
-        if param is not None:
-            pairs.append((param, keyword.value))
-    return pairs
