@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install test coverage lint reprolint experiments experiments-small e20 trace-demo livesmoke report csv clean
+.PHONY: install test coverage lint experiments experiments-small e20 trace-demo livesmoke report csv clean
 
 install:
 	pip install -e .
@@ -16,18 +16,16 @@ coverage:
 		pytest tests/ --cov=repro --cov-report=term --cov-report=xml; \
 	else echo "pytest-cov not installed; skipping (pip install -e '.[test]')"; fi
 
-# Static analysis: reprolint (always available — stdlib only), plus
-# ruff and mypy when installed (CI installs both; local dev may not).
-lint: reprolint
+# Static analysis: the source-rule tests (stdlib ast, always available),
+# plus ruff and mypy when installed (CI installs both; local dev may not).
+lint:
+	python -m pytest tests/test_source_rules.py -q
 	@if python -c "import ruff" >/dev/null 2>&1; then \
-		python -m ruff check src tests tools; \
+		python -m ruff check src tests; \
 	else echo "ruff not installed; skipping (pip install ruff)"; fi
 	@if python -c "import mypy" >/dev/null 2>&1; then \
 		python -m mypy; \
 	else echo "mypy not installed; skipping (pip install mypy)"; fi
-
-reprolint:
-	python -m tools.reprolint src tests tools
 
 experiments:
 	python -m repro --all --json-dir results/reference --report results/reference_report.md

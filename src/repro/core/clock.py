@@ -17,7 +17,7 @@ interface:
 
 The wall-clock counterpart, :class:`repro.runtime.serve.AsyncioScheduler`,
 lives in the ``runtime`` package: the kernel never imports wall-clock
-code (reprolint R014 enforces this), it only ever sees these protocols.
+code (``tests/test_source_rules.py`` enforces this), it only ever sees these protocols.
 """
 
 from __future__ import annotations

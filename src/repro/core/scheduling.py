@@ -5,8 +5,8 @@ extracted from the simulator driver so they are *clock-agnostic and
 pure*: every function is a deterministic map from explicit arguments to
 a value, reads no clocks (timestamps arrive as plain floats captured by
 the driver), performs no I/O, and mutates nothing. The same functions
-will back the live wall-clock runtime; reprolint's R014/R017 hold this
-module to that contract.
+will back the live wall-clock runtime; the layering and purity tests in
+``tests/test_source_rules.py`` hold this module to that contract.
 
 The driver (``sim/server.py`` today, the asyncio front door next)
 retains ownership of all mutable state — queues, core accounting,

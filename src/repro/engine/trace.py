@@ -73,12 +73,13 @@ class ChunkTrace:
         start, end = _block(position)
         positions = range(start, min(end, self.n_positions))
         chunk_time = self.cost_model.chunk_time
-        # Benign race: the block and its outcomes are deterministic in
+        # Unlocked on purpose, a benign race: these are idempotent memo
+        # writes. The block and its outcomes are deterministic in
         # `position`, so two threads can only store equal values, and each
         # dict store is a single GIL-atomic bytecode — no torn state is
         # observable.
         for at, outcome in zip(positions, self.plan.score_chunks(positions)):
-            self._cache[at] = (outcome, chunk_time(outcome))  # reprolint: disable=R012 -- idempotent memo writes; a block's values are deterministic per position and dict stores are GIL-atomic
+            self._cache[at] = (outcome, chunk_time(outcome))
         return self._cache[position]
 
     @property

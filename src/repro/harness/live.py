@@ -3,7 +3,8 @@
 Everything that needs both a profiled
 :class:`~repro.core.controller.AdaptiveSearchSystem` *and* the
 wall-clock runtime lives here, on the harness layer, so the runtime
-package itself stays free of system/harness imports (reprolint R014):
+package itself stays free of system/harness imports (the layer table in
+``tests/test_source_rules.py``):
 
 * :func:`engine_search_for` — adapt a system's engine + profiled query
   pool into the :class:`~repro.runtime.node.ServingNode` search hook;

@@ -18,7 +18,7 @@ time —
   sim-vs-live verification tier (exact decision parity on FakeClock,
   tolerance-band smoke validation over real sockets).
 
-Layering (enforced by reprolint R014): ``runtime`` may use the kernel,
+Layering (enforced by ``tests/test_source_rules.py``): ``runtime`` may use the kernel,
 models, observability, and the ``sim`` workload/metrics/server-model
 modules it rehosts, but neither ``sim`` nor the kernel ever imports
 ``runtime`` — kernel code only sees

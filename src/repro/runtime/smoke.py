@@ -13,7 +13,7 @@ tolerance bands in :mod:`repro.runtime.parity`, not exact equality.
 The experiment harness (``python -m repro livesmoke``) layers point
 selection, the simulator reference runs, and report writing on top of
 this; keeping this module free of harness imports keeps the runtime
-layer's dependency story one-way (reprolint R014).
+layer's dependency story one-way (``tests/test_source_rules.py``).
 """
 
 from __future__ import annotations

@@ -62,7 +62,6 @@ class _InFlight:
         "responded",
         "outstanding",
         "n_responded",
-        "last_completion",
         "hedged",
         "done",
         "trace",
@@ -77,7 +76,6 @@ class _InFlight:
         self.responded = [False] * n_shards
         self.outstanding = [1] * n_shards  # live attempts per shard
         self.n_responded = 0
-        self.last_completion = arrival
         self.hedged = False
         self.done = False
         # Aggregator-side span builder (tracer enabled only).
@@ -203,7 +201,7 @@ def run_cluster_point(
     # Named streams derived by hashing, not by drawing from a parent
     # generator: child streams must not depend on the parent's
     # consumption position (see util/rng.py). One-time stream change vs
-    # the pre-reprolint derivation, documented in CHANGES.md.
+    # the earlier ``rng.integers`` derivation, documented in CHANGES.md.
     streams = RngFactory(config.seed)
     arrival_rng = streams.stream("arrivals")
     sample_rng = streams.stream("sample")
@@ -282,7 +280,6 @@ def run_cluster_point(
         if not state.responded[shard_id]:
             state.responded[shard_id] = True
             state.n_responded += 1
-            state.last_completion = max(state.last_completion, record.completion)
             if from_replica:
                 counters["hedge_wins"] += 1
             check_done(cluster_tag, state, record.completion)

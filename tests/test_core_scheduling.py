@@ -1,9 +1,9 @@
 """Unit tests for the pure scheduling-kernel decisions (repro.core.scheduling).
 
 Each function is a deterministic map from explicit arguments to a value
-— no clock reads, no I/O, no mutation (reprolint R014/R017 enforce the
-contract; these tests pin the decision semantics the simulator driver
-relies on).
+— no clock reads, no I/O, no mutation (``tests/test_source_rules.py``
+enforces the contract; these tests pin the decision semantics the
+simulator driver relies on).
 """
 
 import pytest

@@ -7,12 +7,7 @@ the same workloads traced and untraced and asserting the *serialized*
 results are identical, byte for byte (string comparison also sidesteps
 ``NaN != NaN``, which breaks naive dataclass equality for summaries
 without a deadline).
-
-The second half keeps ``src/repro/obs`` itself honest: the reprolint
-gate must pass over it with no suppression comments.
 """
-
-from pathlib import Path
 
 import pytest
 
@@ -26,11 +21,8 @@ from repro.sim.experiment import LoadPointConfig, run_load_point
 from repro.sim.faults import ClusterFaultPlan, FaultSchedule, FaultWindow
 from repro.sim.oracle import ServiceOracle
 from repro.util.serde import dumps
-from tools.reprolint import lint_paths
 
 from conftest import constant_table
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Shrunken scale for the experiment-level regression: same code paths
 #: as the real small-scale runs, a fraction of the virtual time.
@@ -108,18 +100,3 @@ class TestTracedRunsAreBitIdentical:
         assert len(tracer.runs) > 1
         assert tracer.traces
 
-
-class TestObsPassesLintCleanly:
-    """src/repro/obs must hold the determinism bar without exceptions."""
-
-    def test_reprolint_suppression_free(self):
-        result = lint_paths([str(REPO_ROOT / "src" / "repro" / "obs")])
-        assert result.files_scanned >= 5
-        assert result.parse_errors == []
-        assert result.findings == []
-        # Clean by construction, not by silencing.
-        assert result.suppressed == []
-
-    def test_no_disable_comments_in_sources(self):
-        for path in (REPO_ROOT / "src" / "repro" / "obs").rglob("*.py"):
-            assert "reprolint: disable" not in path.read_text(), path

@@ -44,7 +44,7 @@ class TestMakeRng:
         # An unseeded generator would make an experiment silently
         # nondeterministic; make_rng must refuse rather than oblige.
         with pytest.raises(ConfigurationError, match="explicit seed"):
-            make_rng(None)  # reprolint: disable=R001 -- asserting the refusal itself
+            make_rng(None)
 
     def test_bad_seed_type_rejected(self):
         with pytest.raises(ConfigurationError):
