@@ -46,9 +46,12 @@ class ClockProtocol(Protocol):
 class SchedulerProtocol(Protocol):
     """A clock that can also run callbacks later (event-loop shaped).
 
-    ``schedule`` runs ``callback`` after ``delay_s`` seconds of *this
-    clock's* time — virtual seconds under the simulator, wall seconds
-    under a live event loop. The kernel never cares which.
+    ``schedule`` runs ``callback(*args)`` after ``delay_s`` seconds of
+    *this clock's* time — virtual seconds under the simulator, wall
+    seconds under a live event loop. The kernel never cares which. The
+    arguments travel with the callback, as with ``loop.call_later``, so
+    a caller scheduling one event per query need not build a closure
+    per query to bind them.
     """
 
     @property
@@ -56,7 +59,7 @@ class SchedulerProtocol(Protocol):
         ...
 
     def schedule(
-        self, delay_s: float, callback: Callable[[], Any]
+        self, delay_s: float, callback: Callable[..., Any], *args: Any
     ) -> None:  # pragma: no cover - protocol signature
         ...
 

@@ -32,8 +32,7 @@ machinery's types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Container, Optional
+from typing import Callable, Container, NamedTuple, Optional
 
 from repro.policies.base import SystemState
 
@@ -48,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhasePlan:
+class PhasePlan(NamedTuple):
     """An execution phase the driver should start, as inert data.
 
     ``escalation_degree``/``probe_time`` are set only for a probe phase
@@ -117,14 +115,11 @@ def observe_state(
     """The load snapshot a policy decides from, at a driver-captured
     timestamp. ``overloaded`` is set when this dispatch cycle already
     shed a query or the queue sits at the admission cap."""
+    # Positional: a keyword-built NamedTuple costs twice as much, and
+    # this runs once per dispatch.
     return SystemState(
-        now=now,
-        n_queued=n_queued,
-        n_running=n_running,
-        free_cores=free_cores,
-        n_cores=n_cores,
-        n_shed=n_shed,
-        overloaded=shed_this_cycle
+        now, n_queued, n_running, free_cores, n_cores, n_shed,
+        shed_this_cycle
         or (max_queue_length is not None and n_queued >= max_queue_length),
     )
 
@@ -169,12 +164,8 @@ def plan_initial_phase(
                 escalation_degree=granted,
                 probe_time=float(probe),
             )
-        return PhasePlan(degree=1, duration=t1 * slowdown, kind="gang")
-    return PhasePlan(
-        degree=granted,
-        duration=parallel_latency(granted) * slowdown,
-        kind="gang",
-    )
+        return PhasePlan(1, t1 * slowdown, "gang")
+    return PhasePlan(granted, parallel_latency(granted) * slowdown, "gang")
 
 
 def plan_escalation(
@@ -197,6 +188,4 @@ def plan_escalation(
         duration = t1 * remaining_fraction
     else:
         duration = parallel_latency(actual) * remaining_fraction
-    return PhasePlan(
-        degree=actual, duration=duration * slowdown, kind="escalated"
-    )
+    return PhasePlan(actual, duration * slowdown, "escalated")

@@ -55,6 +55,12 @@ class ThresholdTable:
                 )
             last_limit = limit
             last_degree = degree
+        # degree_for as one index: entry n is the degree at load n, for
+        # n up to the last limit (entry 0 pads; loads start at 1).
+        by_load = [0]
+        for limit, degree in self.entries:
+            by_load += [degree] * (limit + 1 - len(by_load))
+        object.__setattr__(self, "_by_load", tuple(by_load))
 
     @staticmethod
     def from_pairs(pairs: Sequence[Tuple[int, int]]) -> "ThresholdTable":
@@ -63,10 +69,8 @@ class ThresholdTable:
     def degree_for(self, n_in_system: int) -> int:
         if n_in_system < 1:
             raise PolicyError(f"n_in_system must be >= 1, got {n_in_system}")
-        for limit, degree in self.entries:
-            if n_in_system <= limit:
-                return degree
-        return 1
+        by_load = self._by_load
+        return by_load[n_in_system] if n_in_system < len(by_load) else 1
 
     @property
     def max_degree(self) -> int:

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import PolicyError
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """Snapshot of the ISN at a dispatch decision.
+class SystemState(NamedTuple):
+    """Snapshot of the ISN at a dispatch decision (one is built per
+    dispatch, hence a tuple rather than a frozen dataclass).
 
     Attributes
     ----------

@@ -152,8 +152,7 @@ def run_scripted_live(
     node.attach_controllers(controllers)
     for arrival in script:
         clock.schedule_at(
-            arrival.time_s,
-            lambda a=arrival: node.submit(a.query_index, query_class=a.query_class),
+            arrival.time_s, node.submit, arrival.query_index, None, arrival.query_class,
         )
     run_to_horizon(clock, config.duration, node.server.busy)
     return node.summary(config.rate), node

@@ -96,11 +96,11 @@ class AsyncioScheduler:
         """Model seconds since construction."""
         return (self._loop.time() - self._origin) / self._dilation
 
-    def schedule(self, delay_s: float, callback: Any) -> None:
-        """Run ``callback`` after ``delay_s`` *model* seconds."""
+    def schedule(self, delay_s: float, callback: Any, *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay_s`` *model* seconds."""
         if delay_s < 0:
             raise SimulationError(f"cannot schedule {delay_s}s in the past")
-        self._loop.call_later(delay_s * self._dilation, callback)
+        self._loop.call_later(delay_s * self._dilation, callback, *args)
 
     def __repr__(self) -> str:
         return f"AsyncioScheduler(now={self.now:.6f}, dilation={self._dilation})"

@@ -14,7 +14,7 @@ returning the time to the next arrival. Provided models:
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,10 @@ HIGH_FRACTION = 0.2
 
 class ArrivalProcess(abc.ABC):
     """Generates successive inter-arrival times (seconds)."""
+
+    #: Traffic class of the arrival the latest ``next_interarrival``
+    #: produced; labelled streams (:mod:`repro.sim.traffic`) set it.
+    last_class: Optional[str] = None
 
     @abc.abstractmethod
     def next_interarrival(self) -> float:

@@ -395,9 +395,9 @@ def run_cluster_point(
             # Independent work per partition for the same logical query.
             shard.submit(indices[shard_id], tag=(tag, shard_id))
         if config.hedge_delay is not None:
-            simulator.schedule(config.hedge_delay, lambda t=tag: hedge(t))
+            simulator.schedule(config.hedge_delay, hedge, tag)
         if config.shard_timeout is not None:
-            simulator.schedule(config.shard_timeout, lambda t=tag: timeout(t))
+            simulator.schedule(config.shard_timeout, timeout, tag)
         schedule_next()
 
     def schedule_next() -> None:

@@ -5,18 +5,22 @@ times fire in scheduling order (a monotone sequence number breaks ties),
 so simulations are exactly reproducible for a given seed. The only
 event heap in the tree: :class:`repro.runtime.clock.FakeClock`, which
 server tests advance by hand, is this class under other verbs.
+
+An entry is ``(time, seq, callback, args)``: a caller hands over the
+callback's arguments instead of a closure binding them, so the events
+a load point schedules per query allocate no function objects.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.clock import VirtualClock
 from repro.errors import SimulationError
 
-EventCallback = Callable[[], None]
+EventCallback = Callable[..., None]
 
 
 class Simulator:
@@ -28,7 +32,7 @@ class Simulator:
         # the shape the wall-clock runtime mirrors (see core/clock.py).
         self._clock = VirtualClock()
         self._sequence = 0
-        self._heap: List[Tuple[float, int, EventCallback]] = []
+        self._heap: List[Tuple[float, int, EventCallback, Tuple[Any, ...]]] = []
         self._processed = 0
 
     @property
@@ -48,31 +52,38 @@ class Simulator:
     def processed_events(self) -> int:
         return self._processed
 
-    def schedule_at(self, time_s: float, callback: EventCallback) -> None:
-        """Schedule ``callback`` at absolute virtual ``time_s`` (seconds)."""
+    def schedule_at(self, time_s: float, callback: EventCallback, *args: Any) -> None:
+        """Schedule ``callback(*args)`` at absolute virtual ``time_s`` (seconds)."""
         if not math.isfinite(time_s):
             raise SimulationError(f"event time must be finite, got {time_s}")
         if time_s < self._clock.now:
             raise SimulationError(
                 f"cannot schedule in the past: {time_s} < now {self._clock.now}"
             )
-        heapq.heappush(self._heap, (time_s, self._sequence, callback))
+        heapq.heappush(self._heap, (time_s, self._sequence, callback, args))
         self._sequence += 1
 
-    def schedule(self, delay_s: float, callback: EventCallback) -> None:
-        """Schedule ``callback`` after ``delay_s`` seconds of virtual time."""
+    def schedule(self, delay_s: float, callback: EventCallback, *args: Any) -> None:
+        """Schedule ``callback(*args)`` after ``delay_s`` seconds of virtual time."""
         if delay_s < 0:
             raise SimulationError(f"delay must be >= 0, got {delay_s}")
-        self.schedule_at(self._clock.now + delay_s, callback)
+        # schedule_at inlined (this is the per-phase call): a finite
+        # non-negative delay cannot land in the past, so only a
+        # non-finite one needs the check.
+        time_s = self._clock.now + delay_s
+        if not math.isfinite(time_s):
+            raise SimulationError(f"event time must be finite, got {time_s}")
+        heapq.heappush(self._heap, (time_s, self._sequence, callback, args))
+        self._sequence += 1
 
     def step(self) -> bool:
         """Process one event; returns False if none remain."""
         if not self._heap:
             return False
-        time_s, _, callback = heapq.heappop(self._heap)
+        time_s, _, callback, args = heapq.heappop(self._heap)
         self._clock.advance_to(time_s)
         self._processed += 1
-        callback()
+        callback(*args)
         return True
 
     def run(self, until_s: Optional[float] = None) -> None:

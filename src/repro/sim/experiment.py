@@ -180,6 +180,7 @@ def run_load_point(
     simulator, server = wire_load_point(oracle, policy, config, attached, tracer)
 
     n_queries = oracle.n_queries
+    horizon_s = config.duration
 
     def arrive() -> None:
         # The class label belongs to the arrival scheduled by the most
@@ -199,9 +200,10 @@ def run_load_point(
             return
         # Stop generating arrivals at the horizon; queries already in
         # flight drain below so the slow tail is never censored.
-        if simulator.now + gap > config.duration:
+        time_s = simulator.now + gap
+        if time_s > horizon_s:
             return
-        simulator.schedule(gap, arrive)
+        simulator.schedule_at(time_s, arrive)
 
     schedule_next()
     run_to_horizon(simulator, config.duration, server.busy)

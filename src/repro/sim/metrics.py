@@ -14,8 +14,7 @@ request, a megabyte a second at the front door's saturation rate.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -23,8 +22,7 @@ import numpy.typing as npt
 from repro.errors import SimulationError
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     """Lifecycle of one completed query."""
 
     query_index: int

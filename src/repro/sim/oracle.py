@@ -6,10 +6,18 @@ per-query, per-degree virtual-time measurements captured in a
 carries optional predicted latencies (for the predictive policy) and
 answers "what is the largest measured degree <= d" so grants clamp onto
 the measured grid.
+
+Every lookup the dispatch path makes is precomputed at construction as
+plain Python lists — t1 and the per-degree latencies of each query, the
+clamp indexed by degree, the plan chunk limit, one shared
+:class:`~repro.policies.base.QueryInfo` per query — so a dispatch
+indexes lists instead of calling into numpy. The cost is
+O(queries × degrees), paid once per oracle.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +37,6 @@ class ServiceOracle:
     ) -> None:
         self.table = table
         self.degrees = table.degrees
-        self._sorted_degrees = np.asarray(sorted(self.degrees), dtype=np.int64)
         if predicted_latencies is not None:
             predictions = np.asarray(predicted_latencies, dtype=np.float64)
             if predictions.shape[0] != table.n_queries:
@@ -39,7 +46,34 @@ class ServiceOracle:
             self.predicted = predictions
         else:
             self.predicted = None
+        # Raises ProfileError for a table without degree 1: there is no
+        # sequential baseline, and nothing to clamp a grant onto.
         self._t1 = table.sequential_latencies()
+        t1 = self._t1.tolist()
+        predicted = self.predicted.tolist() if self.predicted is not None else None
+        self._t1_rows = t1
+        self._expected_rows = predicted if predicted is not None else t1
+        self._latency_rows = table.latency.tolist()
+        self._column = {p: j for j, p in enumerate(table.degrees)}
+        grid = sorted(self.degrees)
+        # _clamp[d] is the largest measured degree <= d; degree 0 is
+        # rejected before the lookup, so index 0 only pads.
+        self._clamp = [0] + [
+            grid[bisect.bisect_right(grid, d) - 1] for d in range(1, grid[-1] + 1)
+        ]
+        sequential = table.degree_column(1)
+        self._plan_limits = [max(1, c) for c in table.chunks[:, sequential].tolist()]
+        self._infos = [
+            QueryInfo(
+                query_id=query.query_id,
+                n_terms=query.n_terms,
+                predicted_sequential_latency=(
+                    predicted[i] if predicted is not None else None
+                ),
+                true_sequential_latency=t1[i],
+            )
+            for i, query in enumerate(table.queries)
+        ]
 
     @property
     def n_queries(self) -> int:
@@ -47,31 +81,31 @@ class ServiceOracle:
 
     @property
     def max_degree(self) -> int:
-        return int(self._sorted_degrees[-1])
+        return self._clamp[-1]
 
     def clamp_degree(self, degree: int) -> int:
         """Largest measured degree <= ``degree`` (at least 1)."""
         if degree < 1:
             raise SimulationError(f"degree must be >= 1, got {degree}")
-        idx = int(np.searchsorted(self._sorted_degrees, degree, side="right")) - 1
-        if idx < 0:
-            raise SimulationError("cost table does not include degree 1")
-        return int(self._sorted_degrees[idx])
+        clamp = self._clamp
+        return clamp[degree] if degree < len(clamp) else clamp[-1]
 
     def latency(self, query_index: int, degree: int) -> float:
         """Virtual service time of the query at a *measured* degree."""
-        return self.table.latency_of(query_index, degree)
+        column = self._column.get(degree)
+        if column is None:
+            # Unmeasured: the table raises ProfileError naming its grid.
+            column = self.table.degree_column(degree)
+        return self._latency_rows[query_index][column]
 
     def sequential_latency(self, query_index: int) -> float:
-        return float(self._t1[query_index])
+        return self._t1_rows[query_index]
 
     def expected_sequential_latency(self, query_index: int) -> float:
         """Best *pre-execution* estimate of t1: the predictor's value
         when the table carries predictions, else the true latency (the
         fallback keeps unpredicted tables usable in tests/tools)."""
-        if self.predicted is not None:
-            return float(self.predicted[query_index])
-        return float(self._t1[query_index])
+        return self._expected_rows[query_index]
 
     def plan_chunk_limit(self, query_index: int) -> int:
         """Useful-parallelism bound: the query's sequential chunk count.
@@ -83,22 +117,12 @@ class ServiceOracle:
         count; a deployed system would approximate it with the same
         pre-execution features the latency predictor uses.
         """
-        sequential = self.table.degree_column(1)
-        return max(1, int(self.table.chunks[query_index, sequential]))
+        return self._plan_limits[query_index]
 
     def info(self, query_index: int) -> QueryInfo:
-        """Policy-visible information for one query."""
-        query = self.table.queries[query_index]
-        return QueryInfo(
-            query_id=query.query_id,
-            n_terms=query.n_terms,
-            predicted_sequential_latency=(
-                float(self.predicted[query_index])
-                if self.predicted is not None
-                else None
-            ),
-            true_sequential_latency=float(self._t1[query_index]),
-        )
+        """Policy-visible information for one query (one shared, immutable
+        instance per query)."""
+        return self._infos[query_index]
 
     def mean_sequential_latency(self) -> float:
         return float(self._t1.mean())

@@ -28,8 +28,7 @@ workload.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs.spans import Tracer
 from repro.policies.base import ParallelismPolicy
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScriptedArrival:
+class ScriptedArrival(NamedTuple):
     """One pre-drawn arrival: when, which query, which traffic class."""
 
     time_s: float
@@ -120,10 +118,8 @@ def run_scripted_point(
     simulator, server = wire_load_point(oracle, policy, config, controllers, tracer)
     for arrival in script:
         simulator.schedule_at(
-            arrival.time_s,
-            lambda a=arrival: server.submit(
-                a.query_index, query_class=a.query_class
-            ),
+            arrival.time_s, server.submit,
+            arrival.query_index, None, arrival.query_class,
         )
     run_to_horizon(simulator, config.duration, server.busy)
     return summarize_load_point(server, config.rate, slo=config.slo), server

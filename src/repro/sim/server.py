@@ -15,11 +15,14 @@ Dispatch model (mirrors the paper's system):
 
 The model is clock-agnostic: it touches time only through the injected
 :class:`~repro.core.clock.SchedulerProtocol` (``.now`` plus
-``.schedule(delay_s, callback)``). The virtual-time
+``.schedule(delay_s, callback, *args)``). The virtual-time
 :class:`~repro.sim.engine.Simulator` satisfies it for simulation; the
 live runtime rehosts the *same* model on a wall-clock scheduler
 (:mod:`repro.runtime.serve`) or on the manually-advanced
 :class:`~repro.runtime.clock.FakeClock` in deterministic server tests.
+Each scheduler callback (an arrival, a phase end) reads ``now`` once and
+hands it down: a gang query costs two clock reads (an escalated one
+three), however many queued queries its completion dispatches.
 
 Incremental ("few-to-many") policies yield two-phase jobs: a sequential
 probe, then — if the query outlives the probe — an escalation to the
@@ -57,6 +60,7 @@ dispatch path is byte-for-byte the untraced one.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Optional
 
 from repro.core.scheduling import (
@@ -97,7 +101,13 @@ class _Job:
         "trace",
     )
 
-    def __init__(self, query_index: int, arrival: float, tag: Any = None) -> None:
+    def __init__(
+        self,
+        query_index: int,
+        arrival: float,
+        tag: Any,
+        trace: Optional[QueryTraceBuilder],
+    ) -> None:
         self.query_index = query_index
         self.arrival = arrival
         self.tag = tag
@@ -108,7 +118,7 @@ class _Job:
         self.escalation_degree: Optional[int] = None
         self.probe_time: Optional[float] = None
         # Span builder; populated only when the server's tracer is enabled.
-        self.trace: Optional[QueryTraceBuilder] = None
+        self.trace = trace
 
 
 class IndexServerModel:
@@ -138,6 +148,10 @@ class IndexServerModel:
         self.simulator = simulator
         self.oracle = oracle
         self.policy = policy
+        # Incremental policies carry a probe budget. Read once: a policy's
+        # attributes are fixed, and a getattr that misses pays for an
+        # AttributeError raised and caught inside it.
+        self._probe_time: Optional[float] = getattr(policy, "probe_time", None)
         self.n_cores = n_cores
         self.metrics = metrics
         # When set, grants are additionally capped at the query's plan
@@ -182,12 +196,12 @@ class IndexServerModel:
         to ``on_query_complete`` (used by the cluster aggregator);
         ``query_class`` is an optional traffic-class label consulted by
         class-based shedding during anomaly degradation."""
+        now = self.simulator.now
         self.metrics.on_arrival()
         trace: Optional[QueryTraceBuilder] = None
         if self.tracer.enabled:
             trace = QueryTraceBuilder(
-                self._n_submitted, query_index, self.simulator.now,
-                server_id=self.server_id,
+                self._n_submitted, query_index, now, server_id=self.server_id,
             )
         self._n_submitted += 1
         shed_reason = admission_decision(
@@ -195,12 +209,10 @@ class IndexServerModel:
             self.max_queue_length,
         )
         if shed_reason is not None:
-            self._shed(query_index, tag, self.simulator.now, shed_reason, trace)
+            self._shed(query_index, tag, now, shed_reason, now, trace)
             return
-        job = _Job(query_index, self.simulator.now, tag)
-        job.trace = trace
-        self._queue.append(job)
-        self._dispatch()
+        self._queue.append(_Job(query_index, now, tag, trace))
+        self._dispatch(now)
 
     @property
     def queue_length(self) -> int:
@@ -211,7 +223,8 @@ class IndexServerModel:
         return bool(self.n_running or self._queue)
 
     # ----------------------------------------------------------------
-    # Dispatch
+    # Dispatch — every method below runs inside one scheduler callback
+    # and takes that callback's ``now`` rather than reading the clock.
     # ----------------------------------------------------------------
 
     def _shed(
@@ -220,40 +233,43 @@ class IndexServerModel:
         tag: Any,
         arrival: float,
         reason: str,
-        trace: Optional[QueryTraceBuilder] = None,
+        now: float,
+        trace: Optional[QueryTraceBuilder],
     ) -> None:
         """Drop a query without serving it."""
         self.n_shed += 1
         self.metrics.on_shed(arrival, reason)
         if trace is not None:
-            self.tracer.on_trace(trace.shed(self.simulator.now, reason))
+            self.tracer.on_trace(trace.shed(now, reason))
         if self.on_query_shed is not None:
-            self.on_query_shed(query_index, tag, reason, self.simulator.now)
+            self.on_query_shed(query_index, tag, reason, now)
 
-    def _dispatch(self) -> None:
+    def _dispatch(self, now: float) -> None:
+        queue = self._queue
+        oracle = self.oracle
         shed_this_cycle = False
-        while self._queue and self.free_cores >= 1:
-            job = self._queue.popleft()
-            now = self.simulator.now
+        while queue and self.free_cores >= 1:
+            job = queue.popleft()
+            query_index = job.query_index
             # A query is not worth serving once its remaining budget
             # cannot cover its expected service time (a negative
             # prediction degrades to wait-only shedding).
             if self.deadline is not None:
-                expected = self.oracle.expected_sequential_latency(job.query_index)
+                expected = oracle.expected_sequential_latency(query_index)
                 if deadline_exceeded(now, job.arrival, self.deadline, expected):
-                    self._shed(job.query_index, job.tag, job.arrival, "deadline",
+                    self._shed(query_index, job.tag, job.arrival, "deadline", now,
                                job.trace)
                     shed_this_cycle = True
                     continue
             # A crashed server answers nothing until it recovers.
             if self.faults is not None and self.faults.crashed_at(now):
-                self._shed(job.query_index, job.tag, job.arrival, "fault",
+                self._shed(query_index, job.tag, job.arrival, "fault", now,
                            job.trace)
                 shed_this_cycle = True
                 continue
             state = observe_state(
                 now=now,
-                n_queued=len(self._queue),
+                n_queued=len(queue),
                 n_running=self.n_running,
                 free_cores=self.free_cores,
                 n_cores=self.n_cores,
@@ -261,20 +277,17 @@ class IndexServerModel:
                 shed_this_cycle=shed_this_cycle,
                 max_queue_length=self.max_queue_length,
             )
-            info = self.oracle.info(job.query_index)
-            requested = self.policy.choose_degree(state, info)
+            requested = self.policy.choose_degree(state, oracle.info(query_index))
             granted = grant_degree(
                 requested,
                 self.free_cores,
-                self.oracle.clamp_degree,
-                self.oracle.plan_chunk_limit(job.query_index)
-                if self.clamp_to_plan
-                else None,
+                oracle.clamp_degree,
+                oracle.plan_chunk_limit(query_index) if self.clamp_to_plan else None,
             )
-            job.start = self.simulator.now
+            job.start = now
             if job.trace is not None:
                 job.trace.degree_granted(
-                    self.simulator.now, requested=requested, granted=granted,
+                    now, requested=requested, granted=granted,
                     free_cores=self.free_cores,
                 )
             self.n_running += 1
@@ -282,22 +295,18 @@ class IndexServerModel:
             slowdown = (
                 self.faults.multiplier_at(now) if self.faults is not None else 1.0
             )
-            probe = getattr(self.policy, "probe_time", None)
-            t1 = self.oracle.sequential_latency(job.query_index)
             # Incremental policies (probe set) start sequentially;
             # queries that outlive the probe carry an escalation plan.
             plan = plan_initial_phase(
-                granted, probe, t1,
-                lambda d: self.oracle.latency(job.query_index, d),
-                slowdown,
+                granted, self._probe_time, oracle.sequential_latency(query_index),
+                partial(oracle.latency, query_index), slowdown,
             )
             job.probe_time = plan.probe_time
             job.escalation_degree = plan.escalation_degree
-            self._start_phase(job, degree=plan.degree,
-                              duration=plan.duration, kind=plan.kind)
+            self._start_phase(job, plan.degree, plan.duration, plan.kind, now)
 
     def _start_phase(
-        self, job: _Job, degree: int, duration: float, kind: str = "gang"
+        self, job: _Job, degree: int, duration: float, kind: str, now: float
     ) -> None:
         if degree > self.free_cores:
             raise SimulationError(
@@ -308,60 +317,54 @@ class IndexServerModel:
         self.free_cores -= degree
         job.cores_held = degree
         job.max_degree_used = max(job.max_degree_used, degree)
-        now = self.simulator.now
         if job.trace is not None:
             job.trace.phase_started(now, degree, kind)
         self.metrics.on_core_usage(now, now + duration, degree)
-        self.simulator.schedule(duration, lambda: self._phase_end(job))
+        self.simulator.schedule(duration, self._phase_end, job)
 
     def _phase_end(self, job: _Job) -> None:
+        now = self.simulator.now
         self.free_cores += job.cores_held
         job.cores_held = 0
         if job.trace is not None:
-            job.trace.phase_ended(self.simulator.now)
+            job.trace.phase_ended(now)
         if job.escalation_degree is not None:
-            self._escalate(job)
+            self._escalate(job, now)
         else:
-            self._complete(job)
-        self._dispatch()
+            self._complete(job, now)
+        self._dispatch(now)
 
-    def _escalate(self, job: _Job) -> None:
+    def _escalate(self, job: _Job, now: float) -> None:
         """The probe elapsed and the query is still running: widen it."""
         target = job.escalation_degree
         probe = job.probe_time
         job.escalation_degree = None
         job.probe_time = None
-        t1 = self.oracle.sequential_latency(job.query_index)
         slowdown = (
-            self.faults.multiplier_at(self.simulator.now)
-            if self.faults is not None
-            else 1.0
+            self.faults.multiplier_at(now) if self.faults is not None else 1.0
         )
         plan = plan_escalation(
-            target, probe, t1, self.free_cores,
-            self.oracle.clamp_degree,
-            lambda d: self.oracle.latency(job.query_index, d),
-            slowdown,
+            target, probe, self.oracle.sequential_latency(job.query_index),
+            self.free_cores, self.oracle.clamp_degree,
+            partial(self.oracle.latency, job.query_index), slowdown,
         )
         if job.trace is not None:
-            job.trace.escalated(self.simulator.now, target=target,
-                                actual=plan.degree)
-        self._start_phase(job, degree=plan.degree, duration=plan.duration,
-                          kind=plan.kind)
+            job.trace.escalated(now, target=target, actual=plan.degree)
+        self._start_phase(job, plan.degree, plan.duration, plan.kind, now)
 
-    def _complete(self, job: _Job) -> None:
+    def _complete(self, job: _Job, now: float) -> None:
         self.n_running -= 1
         if self.n_running < 0 or not 0 <= self.free_cores <= self.n_cores:
             raise SimulationError("core accounting went inconsistent")
         record = QueryRecord(
-            query_index=job.query_index,
-            arrival=job.arrival,
-            start=float(job.start if job.start is not None else job.arrival),
-            completion=self.simulator.now,
-            degree=job.max_degree_used,
+            job.query_index,
+            job.arrival,
+            float(job.start if job.start is not None else job.arrival),
+            now,
+            job.max_degree_used,
         )
         self.metrics.on_completion(record)
         if job.trace is not None:
-            self.tracer.on_trace(job.trace.completed(self.simulator.now))
+            self.tracer.on_trace(job.trace.completed(now))
         if self.on_query_complete is not None:
             self.on_query_complete(record, job.tag)

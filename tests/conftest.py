@@ -71,6 +71,20 @@ class EventHeapContract:
         self.drain(heap)
         assert fired == ["a", "b", "c", "d"]
 
+    def test_callback_arguments_keep_fifo_order(self):
+        # Callbacks with and without arguments, due at one instant, fire
+        # in scheduling order, each with exactly the arguments it was
+        # given.
+        heap = self.make()
+        fired = []
+        heap.schedule_at(1.0, fired.append, "a")
+        heap.schedule_at(1.0, lambda: fired.append("b"))
+        heap.schedule(1.0, lambda *args: fired.append(args), "c", "d")
+        heap.schedule(1.0, lambda: fired.append("e"))
+        heap.schedule_at(1.0, fired.append, "f")
+        self.drain(heap)
+        assert fired == ["a", "b", ("c", "d"), "e", "f"]
+
     def test_now_advances(self):
         # `now` reads each callback's own fire time while it runs, then
         # lands exactly on the target.

@@ -417,6 +417,16 @@ class TestAsyncioScheduler:
 
         asyncio.run(scenario())
 
+    def test_schedule_passes_arguments(self):
+        async def scenario():
+            scheduler = AsyncioScheduler()
+            fired = []
+            scheduler.schedule(0.0, lambda *args: fired.append(args), "a", "b")
+            assert await _yield_until(lambda: fired)
+            return fired
+
+        assert asyncio.run(scenario()) == [("a", "b")]
+
     def test_dilation_is_exposed(self):
         async def scenario():
             scheduler = AsyncioScheduler(dilation=20.0)
