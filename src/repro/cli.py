@@ -224,82 +224,30 @@ def _trace_e12(ctx: ExperimentContext, seed: int) -> str:
 
 
 def _trace_e19(ctx: ExperimentContext, seed: int) -> str:
+    from repro.harness.experiments import e19_overload as e19
+
     system = ctx.system
-    slo = 2.5 * float(system.service_distribution.percentile(99))
+    slo = e19.SLO_MULTIPLE * float(system.service_distribution.percentile(99))
     system.run_point(
         "adaptive",
-        system.rate_for_utilization(1.2),
+        system.rate_for_utilization(e19.OVER_SATURATION),
         duration=ctx.sim_duration,
         warmup=ctx.sim_warmup,
         seed=seed,
         deadline=slo,
-        max_queue_length=32 * system.n_cores,
+        max_queue_length=e19.QUEUE_CAP_PER_CORE * system.n_cores,
     )
     return (
-        f"adaptive at u=1.2 with deadline {slo * 1e3:.1f}ms and an "
-        "admission cap (E19 overload point)"
+        f"adaptive at u={e19.OVER_SATURATION} with deadline {slo * 1e3:.1f}ms "
+        "and an admission cap (E19 overload point)"
     )
 
 
 def _trace_e20(ctx: ExperimentContext, seed: int) -> str:
-    from repro.policies.online import (
-        OnlineAdaptivePolicy,
-        OnlineControllerConfig,
-        OnlineDegreeController,
-    )
-    from repro.sim.anomaly import AnomalyGuard, AnomalyGuardConfig
-    from repro.sim.traffic import (
-        FLASH_CROWD,
-        Burst,
-        ClassAwareQuerySampler,
-        DiurnalProfile,
-        RegimeTraffic,
-        TrafficConfig,
-    )
-    from repro.util.rng import RngFactory
+    from repro.harness.experiments import e20_regimes as e20
 
-    system = ctx.system
-    slo = 2.5 * float(system.service_distribution.percentile(99))
-    horizon = 5.0 * ctx.sim_duration
-    saturation = system.saturation_rate
-    streams = RngFactory(seed + 20)
-    scenario = TrafficConfig(
-        background=DiurnalProfile(base_rate=0.5 * saturation, amplitude=0.15,
-                                  period_s=horizon),
-        bursts=(
-            Burst(kind=FLASH_CROWD, start_s=0.3 * horizon,
-                  duration_s=0.25 * horizon, peak_rate=0.55 * saturation),
-        ),
-    )
-    traffic = RegimeTraffic(scenario, streams, horizon_s=horizon)
-    sampler = ClassAwareQuerySampler(
-        system.cost_table.sequential_latencies(), streams
-    )
-    policy = OnlineAdaptivePolicy(system.threshold_table)
-    window = horizon / 40.0
-    controller = OnlineDegreeController(
-        policy,
-        OnlineControllerConfig(target_p99_s=slo, window_s=window,
-                               max_scale=1.0),
-        tracer=ctx.tracer,
-    )
-    guard = AnomalyGuard(
-        AnomalyGuardConfig(slo_s=slo, window_s=window),
-        policy=policy,
-        tracer=ctx.tracer,
-    )
-    system.run_point(
-        policy,
-        scenario.background.base_rate,
-        duration=horizon,
-        warmup=horizon / 10.0,
-        seed=seed,
-        arrivals=traffic,
-        deadline=slo,
-        max_queue_length=32 * system.n_cores,
-        slo=slo,
-        controllers=(controller, guard),
-        query_sampler=sampler,
+    e20.run_scenario(
+        ctx.system, ctx.sim_duration, "flash crowd", seed, online=True, tracer=ctx.tracer
     )
     return (
         "online-adaptive through a flash crowd with tail-feedback control "
@@ -488,6 +436,7 @@ def _loadgen_main(argv: List[str]) -> int:
     from contextlib import suppress
 
     from repro.runtime.loadgen import (
+        CONNECT_TIMEOUT_S,
         ReplayOptions,
         replay_open_loop,
         run_closed_loop,
@@ -523,7 +472,7 @@ def _loadgen_main(argv: List[str]) -> int:
     async def _amain() -> Dict[str, object]:
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(args.host, args.port),
-            timeout=options.connect_timeout_s,
+            timeout=CONNECT_TIMEOUT_S,
         )
 
         async def ask(
@@ -538,7 +487,7 @@ def _loadgen_main(argv: List[str]) -> int:
         # The probe is the rest of connection setup: a listener that
         # accepts and never answers it is not a server.
         stats = await ask(
-            {"id": "probe", "op": "stats"}, options.connect_timeout_s
+            {"id": "probe", "op": "stats"}, CONNECT_TIMEOUT_S
         )
         n_queries = int(stats["n_queries"])
         config = LoadPointConfig(
@@ -563,7 +512,7 @@ def _loadgen_main(argv: List[str]) -> int:
         writer.close()
         with suppress(asyncio.TimeoutError, OSError):
             await asyncio.wait_for(
-                writer.wait_closed(), timeout=options.connect_timeout_s
+                writer.wait_closed(), timeout=CONNECT_TIMEOUT_S
             )
         answered = sum(
             1 for r in replies if r and r.get("status") == "completed"

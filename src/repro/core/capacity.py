@@ -12,11 +12,13 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.core.controller import AdaptiveSearchSystem
-from repro.util.validation import require_in_range, require_positive
+from repro.util.validation import require_positive
 
 #: The bisection's bracket, as fractions of sequential saturation.
 _LOW_UTILIZATION = 0.02
 _HIGH_UTILIZATION = 1.2
+#: The bisection's stopping width, as a fraction of sequential saturation.
+_TOLERANCE = 0.02
 #: Every probe replays the same arrival stream.
 _SEED = 7
 
@@ -36,18 +38,15 @@ def capacity_at_slo(
     system: AdaptiveSearchSystem,
     policy_name: str,
     slo: float,
-    tolerance: float = 0.02,
     duration: float = 15.0,
     warmup: float = 3.0,
 ) -> CapacityResult:
     """Bisect on the arrival rate for the highest P99-compliant load.
 
-    ``tolerance`` is the bisection stopping width, as a fraction of the
-    sequential saturation rate. The returned capacity is the highest
-    *probed* compliant rate (conservative).
+    The returned capacity is the highest *probed* compliant rate
+    (conservative).
     """
     require_positive(slo, "slo")
-    require_in_range(tolerance, "tolerance", low=1e-4, high=0.5)
 
     evaluated: List[Tuple[float, float]] = []
 
@@ -78,7 +77,7 @@ def capacity_at_slo(
             evaluated_points=tuple(evaluated),
         )
     best = low
-    while high - low > tolerance:
+    while high - low > _TOLERANCE:
         mid = (low + high) / 2.0
         if p99_at(mid) <= slo:
             best = mid

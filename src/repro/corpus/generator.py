@@ -42,6 +42,9 @@ QUALITY_BETA = 5.0
 DOC_LENGTH_SIGMA = 0.6
 MIN_DOC_LENGTH = 8
 MAX_DOC_LENGTH = 4_000
+#: Documents generated per batch, which bounds peak memory. Batching
+#: consumes the RNG, so a different size draws a different corpus.
+BATCH_DOCS = 16_384
 
 
 @dataclass(frozen=True)
@@ -95,18 +98,16 @@ def _sample_static_ranks(config: CorpusConfig, rng: np.random.Generator) -> np.n
 def generate_corpus(
     config: Optional[CorpusConfig] = None,
     rng: Optional[np.random.Generator] = None,
-    batch_docs: int = 16_384,
 ) -> Corpus:
     """Generate a synthetic corpus per ``config``.
 
-    Documents are produced in batches to bound peak memory. Each batch
+    Documents are produced in batches of ``BATCH_DOCS``. Each batch
     samples its token stream from the Zipf model and reduces it to sorted
     unique (doc, term, frequency) triples with one vectorized
     sort + run-length encoding pass.
     """
     config = config or CorpusConfig()
     rng = rng or make_rng(config.seed)
-    require_int_in_range(batch_docs, "batch_docs", low=1)
 
     zipf = ZipfMandelbrot(config.vocab_size, ZIPF_EXPONENT, ZIPF_SHIFT)
     doc_lengths = _sample_doc_lengths(config, rng)
@@ -116,8 +117,8 @@ def generate_corpus(
     term_chunks: List[np.ndarray] = []
     freq_chunks: List[np.ndarray] = []
 
-    for batch_start in range(0, config.n_docs, batch_docs):
-        batch_end = min(batch_start + batch_docs, config.n_docs)
+    for batch_start in range(0, config.n_docs, BATCH_DOCS):
+        batch_end = min(batch_start + BATCH_DOCS, config.n_docs)
         batch_lengths = doc_lengths[batch_start:batch_end]
         tokens = zipf.sample(rng, int(batch_lengths.sum()))
         doc_of_token = np.repeat(

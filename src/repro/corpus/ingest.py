@@ -26,9 +26,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.corpus.documents import Corpus
-from repro.engine.query import MatchMode, Query
+from repro.engine.query import Query
 from repro.errors import CorpusError, QueryError
-from repro.text.tokenizer import Tokenizer
+from repro.text.tokenizer import tokenize
 
 
 class IngestVocabulary:
@@ -67,7 +67,6 @@ def ingest_documents(
     (0, 1] and documents are re-ordered descending, as the index
     requires. Empty documents (no tokens after analysis) are rejected.
     """
-    tokenizer = Tokenizer()
     vocabulary = IngestVocabulary()
 
     token_lists: List[List[int]] = []
@@ -79,7 +78,7 @@ def ingest_documents(
             raise CorpusError(
                 f"document {position} must be a (text, static_rank) pair"
             ) from None
-        tokens = tokenizer.tokenize(str(text))
+        tokens = tokenize(str(text))
         if not tokens:
             raise CorpusError(f"document {position} has no tokens after analysis")
         token_lists.append(
@@ -135,19 +134,18 @@ def parse_query(
     text: str,
     vocabulary: IngestVocabulary,
     k: int = 10,
-    mode: MatchMode = MatchMode.ALL,
 ) -> Query:
-    """Parse a query string against an ingested vocabulary.
+    """Parse a query string against an ingested vocabulary into a
+    conjunctive query.
 
     Unknown words are dropped (they cannot match anything); a query with
     no known words raises :class:`QueryError`.
     """
-    tokenizer = Tokenizer()
     term_ids = [
         term_id
-        for token in tokenizer.tokenize(text)
+        for token in tokenize(text)
         if (term_id := vocabulary.id_for(token)) is not None
     ]
     if not term_ids:
         raise QueryError(f"no indexed terms in query {text!r}")
-    return Query.of(term_ids, k=k, mode=mode)
+    return Query.of(term_ids, k=k)

@@ -11,7 +11,7 @@ predicts. This module provides a latent-topic generative model:
   and split the torso/tail) with its own within-topic Zipf ranking;
 * every document mixes one or two topics plus a global background:
   tokens come from the document's topics with probability
-  ``topical_fraction`` and from the background Zipf otherwise;
+  ``TOPICAL_FRACTION`` and from the background Zipf otherwise;
 * :class:`TopicalQueryGenerator` (in :mod:`repro.workloads.topical`)
   draws a query's terms from a single topic, modeling users asking about
   *something* rather than about independent random words.
@@ -37,12 +37,15 @@ from repro.corpus.generator import (
 )
 from repro.text.zipf import ZipfMandelbrot
 from repro.util.rng import make_rng
-from repro.util.validation import require_in_range, require_int_in_range
+from repro.util.validation import require_int_in_range
 
 #: Share of documents that mix two topics instead of one.
 TWO_TOPIC_FRACTION = 0.3
 #: Exponent of the within-topic Zipf ranking.
 TOPIC_ZIPF_EXPONENT = 1.1
+#: Share of a document's tokens drawn from its topics (the rest from the
+#: background Zipf).
+TOPICAL_FRACTION = 0.7
 
 
 @dataclass(frozen=True)
@@ -51,14 +54,10 @@ class TopicModelConfig:
 
     n_topics: int = 40
     topic_vocab: int = 2_000
-    topical_fraction: float = 0.7
 
     def __post_init__(self) -> None:
         require_int_in_range(self.n_topics, "n_topics", low=1)
         require_int_in_range(self.topic_vocab, "topic_vocab", low=2)
-        require_in_range(
-            self.topical_fraction, "topical_fraction", low=0.0, high=1.0
-        )
 
 
 class TopicModel:
@@ -143,11 +142,10 @@ def generate_topical_corpus(
     term_chunks: List[np.ndarray] = []
     freq_chunks: List[np.ndarray] = []
     count = 0
-    topical_fraction = topic_config.topical_fraction
     for doc_id in range(corpus_config.n_docs):
         length = int(doc_lengths[doc_id])
         topics = model.sample_document_topics(rng)
-        from_topics = int(np.round(topical_fraction * length))
+        from_topics = int(np.round(TOPICAL_FRACTION * length))
         tokens = []
         if from_topics:
             per_topic = np.array_split(np.arange(from_topics), len(topics))

@@ -32,9 +32,7 @@ class BatchStats:
     #: kernel calls: blocks the traces filled.
     waves: int = 0
     chunks_evaluated: int = 0
-    chunks_skipped: int = 0
-    #: chunks a trace scored and no scan read, because a stop or a skip
-    #: came first (wasted compute, zero result skew).
+    #: chunks a trace scored and no scan read, because a stop came first (wasted compute, zero result skew).
     chunks_speculative: int = 0
 
 
@@ -65,7 +63,6 @@ class BatchExecutor:
             results.append(result)
             stats.waves += trace.n_blocks
             stats.chunks_evaluated += result.chunks_evaluated
-            stats.chunks_skipped += result.chunks_skipped
             stats.chunks_speculative += trace.n_evaluated - result.chunks_evaluated
         self.last_stats = stats
         return results

@@ -66,31 +66,20 @@ class Engine:
                 f"degree {degree} exceeds max_degree {self.config.max_degree}"
             )
 
-    def execute(
-        self, query: Query, degree: int = 1, collect_spans: bool = False
-    ) -> ExecutionResult:
+    def execute(self, query: Query, degree: int = 1) -> ExecutionResult:
         """Execute ``query`` with ``degree`` workers in virtual time."""
-        return self.execute_trace(self.trace(query), degree, collect_spans)
+        return self.execute_trace(self.trace(query), degree)
 
-    def execute_trace(
-        self, trace: ChunkTrace, degree: int = 1, collect_spans: bool = False
-    ) -> ExecutionResult:
+    def execute_trace(self, trace: ChunkTrace, degree: int = 1) -> ExecutionResult:
         """Execute a previously built trace at ``degree`` workers.
 
         Reusing one trace across degrees scores each chunk at most
         once, which is what makes speedup-profile measurement affordable.
-
-        ``collect_spans`` attaches per-chunk claim spans to the result
-        (parallel executions only — a sequential run is one long claim,
-        so there is nothing to record); see
-        :class:`~repro.engine.results.ChunkSpan`.
         """
         self._check_degree(degree)
         if degree == 1:
             return execute_sequential(trace, self.config.termination)
-        return execute_parallel(
-            trace, self.config.termination, degree, collect_spans=collect_spans
-        )
+        return execute_parallel(trace, self.config.termination, degree)
 
     def execute_threaded(self, query: Query, degree: int) -> ExecutionResult:
         """Execute on real threads (validation mode; see

@@ -20,9 +20,9 @@ validate result equivalence.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.engine.results import ChunkSpan, ExecutionResult
+from repro.engine.results import ExecutionResult
 from repro.engine.scan import ChunkScan
 from repro.engine.termination import TerminationConfig
 from repro.engine.trace import ChunkTrace
@@ -32,17 +32,8 @@ def execute_parallel(
     trace: ChunkTrace,
     termination: TerminationConfig,
     degree: int,
-    collect_spans: bool = False,
 ) -> ExecutionResult:
-    """Run the traced query with ``degree`` parallel workers.
-
-    With ``collect_spans`` the result carries one
-    :class:`~repro.engine.results.ChunkSpan` per chunk claim (worker,
-    position, phase-relative start/end) and the instant the first worker
-    observed early termination. Span collection is pure bookkeeping: the
-    execution schedule, result set, and every statistic are identical
-    with it on or off.
-    """
+    """Run the traced query with ``degree`` parallel workers."""
     cost_model = trace.cost_model
     scan = ChunkScan(trace.plan, termination)
 
@@ -58,17 +49,10 @@ def execute_parallel(
     heapq.heapify(events)
 
     parallel_makespan = 0.0
-    spans: Optional[List[ChunkSpan]] = [] if collect_spans else None
-    claim_starts: Dict[int, float] = {}
-    termination_s: Optional[float] = None
 
     while events:
         now, worker, completed = heapq.heappop(events)
         if completed is not None:
-            if spans is not None:
-                spans.append(
-                    ChunkSpan(worker, completed, claim_starts.pop(completed), now)
-                )
             outcome, _ = trace.get(completed)
             scan.merge(outcome)
             busy[worker] += merge_cost
@@ -79,12 +63,8 @@ def execute_parallel(
         if position >= 0:
             _, cost = trace.get(position)
             busy[worker] += cost
-            if spans is not None:
-                claim_starts[position] = now
             heapq.heappush(events, (now + cost, worker, position))
         else:
-            if spans is not None and termination_s is None:
-                termination_s = now
             parallel_makespan = max(parallel_makespan, now)
 
     serial_overhead = (
@@ -98,6 +78,4 @@ def execute_parallel(
         latency=serial_overhead + parallel_makespan,
         cpu_time=serial_overhead + sum(busy),
         worker_busy=tuple(busy),
-        chunk_spans=tuple(spans) if spans is not None else None,
-        termination_s=termination_s if scan.state.terminated_early else None,
     )

@@ -13,12 +13,6 @@ everything both the sequential and the parallel executor need:
   chunks. Bounds combine per-term per-chunk max impacts (suffix maxima)
   with the static-rank prior at the chunk boundary, which is
   non-increasing in doc id by index construction;
-* **per-chunk score bounds** — for each individual candidate chunk, an
-  upper bound on the composite score of any document *inside that one
-  chunk* (per-term maxima summed, no suffix max). Unlike the suffix
-  bounds these are not monotone, which is exactly why they are useful:
-  a weak chunk sitting before a strong one can be skipped on its own
-  without stopping the scan (see ``TerminationState.should_skip``);
 * the scoring kernel, :meth:`QueryPlan.score_chunks`, which produces the
   :class:`ChunkOutcome` values of many candidate chunks in one set of
   numpy dispatches. Every executor scores through it, a wave of
@@ -39,7 +33,7 @@ from repro.engine.query import MatchMode, Query
 from repro.errors import ExecutionError
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
-from repro.ranking.composite import ScoreWeights
+from repro.ranking.composite import RELEVANCE_WEIGHT, STATIC_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -68,17 +62,12 @@ def _take_ranges(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> n
     return values[indices]
 
 
-#: The one relevance / static-rank blend every plan scores with.
-_WEIGHTS = ScoreWeights()
-
-
 class QueryPlan:
     """Planned execution state for one query over one index."""
 
     def __init__(self, query: Query, index: InvertedIndex) -> None:
         self.query = query
         self.index = index
-        self.weights = _WEIGHTS
 
         found = index.lexicon.posting_lists(list(query.term_ids))
         missing = len(query.term_ids) - len(found)
@@ -89,8 +78,7 @@ class QueryPlan:
             self.posting_lists = found
 
         self.candidate_chunks = self._candidate_chunks()
-        self.chunk_bounds: np.ndarray
-        self.bounds_from = self._suffix_bounds()  # also sets chunk_bounds
+        self.bounds_from = self._suffix_bounds()
         # Built here, not on first use: every executed plan scores through
         # score_chunks, and a plan shared by threads must not be mutated.
         self._slice_starts, self._slice_sizes = self._chunk_slices()
@@ -131,10 +119,8 @@ class QueryPlan:
         n = self.n_candidate_chunks
         bounds = np.full(n + 1, -np.inf, dtype=np.float64)
         if n == 0:
-            self.chunk_bounds = np.empty(0, dtype=np.float64)
             return bounds
         relevance = np.zeros(n, dtype=np.float64)
-        chunk_relevance = np.zeros(n, dtype=np.float64)
         # Shared all-zeros row for terms with no chunks at all (ANY mode
         # only); read-only below, so one allocation serves every term.
         absent = np.zeros(n, dtype=np.float64)
@@ -152,20 +138,9 @@ class QueryPlan:
             # any remaining doc scores at most the sum of the remaining
             # per-term maxima.
             relevance += np.maximum.accumulate(per_chunk[::-1])[::-1]
-            # Per-chunk sum (no suffix max): the best any doc *inside*
-            # candidate chunk i can score from this term.
-            chunk_relevance += per_chunk
         chunk_starts = self.index.chunk_map.bounds[self.candidate_chunks]
         prior = self.index.static_ranks[chunk_starts]
-        bounds[:n] = (
-            self.weights.relevance_weight * relevance
-            + self.weights.static_weight * prior
-        )
-        # Individual-chunk upper bounds, used by safe per-chunk skipping.
-        self.chunk_bounds = (
-            self.weights.relevance_weight * chunk_relevance
-            + self.weights.static_weight * prior
-        )
+        bounds[:n] = RELEVANCE_WEIGHT * relevance + STATIC_WEIGHT * prior
         return bounds
 
     # ------------------------------------------------------------------
@@ -194,8 +169,8 @@ class QueryPlan:
             doc_ids, relevance = self._accumulate(slices, chunk_id)
 
         scores = (
-            self.weights.relevance_weight * relevance
-            + self.weights.static_weight * self.index.static_ranks[doc_ids]
+            RELEVANCE_WEIGHT * relevance
+            + STATIC_WEIGHT * self.index.static_ranks[doc_ids]
             if doc_ids.shape[0]
             else np.empty(0, dtype=np.float64)
         )
@@ -256,8 +231,8 @@ class QueryPlan:
 
         if doc_ids.shape[0]:
             scores = (
-                self.weights.relevance_weight * relevance
-                + self.weights.static_weight * self.index.static_ranks[doc_ids]
+                RELEVANCE_WEIGHT * relevance
+                + STATIC_WEIGHT * self.index.static_ranks[doc_ids]
             )
         else:
             scores = np.empty(0, dtype=np.float64)

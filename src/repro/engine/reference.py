@@ -15,20 +15,15 @@ import numpy as np
 
 from repro.engine.query import MatchMode, Query
 from repro.index.inverted import InvertedIndex
-from repro.ranking.composite import ScoreWeights
+from repro.ranking.composite import RELEVANCE_WEIGHT, STATIC_WEIGHT
 
 
-def brute_force_search(
-    index: InvertedIndex,
-    query: Query,
-    weights: ScoreWeights = None,
-) -> List[Tuple[int, float]]:
+def brute_force_search(index: InvertedIndex, query: Query) -> List[Tuple[int, float]]:
     """Exhaustively rank documents for ``query``.
 
     Returns the top-``query.k`` (doc_id, score) pairs under the same
     composite score and tie rule as the engine (score desc, doc id asc).
     """
-    weights = weights or ScoreWeights()
     n_docs = index.n_docs
     relevance = np.zeros(n_docs, dtype=np.float64)
     match_count = np.zeros(n_docs, dtype=np.int64)
@@ -53,8 +48,8 @@ def brute_force_search(
         return []
 
     scores = (
-        weights.relevance_weight * relevance[doc_ids]
-        + weights.static_weight * index.static_ranks[doc_ids]
+        RELEVANCE_WEIGHT * relevance[doc_ids]
+        + STATIC_WEIGHT * index.static_ranks[doc_ids]
     )
     # Sort by (score desc, doc id asc); doc_ids is ascending, and a
     # stable sort on descending score preserves ascending ids for ties.

@@ -18,25 +18,6 @@ class RankedDocument:
 
 
 @dataclass(frozen=True)
-class ChunkSpan:
-    """One worker's evaluation of one chunk, in phase-relative time.
-
-    ``start_s`` / ``end_s`` are virtual seconds from the start of the
-    *parallel phase* (serial prologue excluded), so spans from one
-    execution tile the per-worker busy timelines exactly.
-    """
-
-    worker: int
-    position: int
-    start_s: float
-    end_s: float
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-
-@dataclass(frozen=True)
 class ExecutionResult:
     """Outcome of executing one query at one parallelism degree.
 
@@ -53,19 +34,10 @@ class ExecutionResult:
     Work counters:
 
     * ``chunks_evaluated`` — candidate chunks actually scored;
-    * ``chunks_skipped`` — candidate chunks bypassed by the safe
-      per-chunk score-bound skip (no postings touched);
     * ``postings_scanned`` / ``docs_matched`` — low-level work units;
     * ``terminated_early`` / ``termination_rule`` — why execution stopped;
     * ``worker_busy`` — per-worker busy time (parallel only), whose spread
       measures load imbalance.
-
-    Observability (opt-in via ``collect_spans=True``, otherwise None so
-    the default path allocates nothing):
-
-    * ``chunk_spans`` — one :class:`ChunkSpan` per evaluated chunk;
-    * ``termination_s`` — phase-relative instant at which the first
-      worker observed the stop condition (None unless terminated early).
     """
 
     query: Query
@@ -79,9 +51,6 @@ class ExecutionResult:
     terminated_early: bool
     termination_rule: Optional[str]
     worker_busy: Tuple[float, ...] = field(default_factory=tuple)
-    chunks_skipped: int = 0
-    chunk_spans: Optional[Tuple[ChunkSpan, ...]] = None
-    termination_s: Optional[float] = None
 
     @property
     def n_results(self) -> int:

@@ -1,21 +1,20 @@
-"""The claim–skip–stop–merge protocol, expressed once.
+"""The claim–stop–merge protocol, expressed once.
 
 Every executor runs one protocol over a plan's candidate chunks: claim
-positions in document order from a shared cursor, pass over chunks the
-safe per-chunk bound rules out, consult the stop rules *at claim time*,
-and merge evaluated chunks into a shared top-k. :class:`ChunkScan` holds
-that state and is the only place that knows how cursor, skip, stop and
-merge interleave. The executors are *drivers*: they decide when a claim
-or a merge happens (in lockstep, at a virtual completion event, or under
-a lock) and what it costs — never how.
+positions in document order from a shared cursor, consult the stop rules
+*at claim time*, and merge evaluated chunks into a shared top-k.
+:class:`ChunkScan` holds that state and is the only place that knows how
+cursor, stop and merge interleave. The executors are *drivers*: they
+decide when a claim or a merge happens (in lockstep, at a virtual
+completion event, or under a lock) and what it costs — never how.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.engine.plan import ChunkOutcome, QueryPlan
-from repro.engine.results import ChunkSpan, ExecutionResult, make_ranked
+from repro.engine.results import ExecutionResult, make_ranked
 from repro.engine.termination import TerminationConfig, TerminationState
 from repro.engine.topk import TopK
 
@@ -33,7 +32,6 @@ class ChunkScan:
         "state",
         "position",
         "chunks_evaluated",
-        "chunks_skipped",
         "postings_scanned",
         "docs_matched",
     )
@@ -44,7 +42,6 @@ class ChunkScan:
         self.state = TerminationState(termination, plan, self.topk)
         self.position = 0
         self.chunks_evaluated = 0
-        self.chunks_skipped = 0
         self.postings_scanned = 0
         self.docs_matched = 0
 
@@ -56,22 +53,12 @@ class ChunkScan:
 
     def claim(self) -> int:
         """Hand out the next position to evaluate, or -1 when execution
-        should stop.
-
-        Advances the cursor past individually skippable chunks (their own
-        bound cannot beat the current threshold, so they are bypassed
-        without touching their postings), counting each once.
-        """
-        state = self.state
+        should stop."""
         position = self.position
-        while not state.should_stop(position):
-            if not state.should_skip(position):
-                self.position = position + 1
-                return position
-            position += 1
-            self.chunks_skipped += 1
-        self.position = position
-        return -1
+        if self.state.should_stop(position):
+            return -1
+        self.position = position + 1
+        return position
 
     def merge(self, outcome: ChunkOutcome) -> None:
         """Fold one evaluated chunk into the top-k and the counters."""
@@ -87,8 +74,6 @@ class ChunkScan:
         latency: float,
         cpu_time: float,
         worker_busy: Tuple[float, ...],
-        chunk_spans: Optional[Tuple[ChunkSpan, ...]] = None,
-        termination_s: Optional[float] = None,
     ) -> ExecutionResult:
         """Assemble the execution result; timing is the driver's."""
         return ExecutionResult(
@@ -103,7 +88,4 @@ class ChunkScan:
             terminated_early=self.state.terminated_early,
             termination_rule=self.state.fired_rule,
             worker_busy=worker_busy,
-            chunks_skipped=self.chunks_skipped,
-            chunk_spans=chunk_spans,
-            termination_s=termination_s,
         )

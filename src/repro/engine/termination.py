@@ -1,4 +1,4 @@
-"""Early-termination and chunk-skipping rules.
+"""Early-termination rules.
 
 An ISN evaluates documents in static-rank order, so it can stop long
 before exhausting the index. Two *stop* rules are implemented; both may
@@ -15,14 +15,6 @@ be active at once and the executor stops at the first that fires:
   beat the current k-th score, using the plan's suffix bounds. With this
   rule alone, early-terminated results are bit-identical to exhaustive
   evaluation.
-
-Orthogonally, **per-chunk skipping** (``skip_chunks``, safe) skips an
-*individual* candidate chunk whose own score bound cannot beat the
-current k-th score and keeps scanning — the suffix rule can only cut
-the tail of the scan, skipping also removes weak chunks in the middle.
-Skipping never changes the top-k: the skipped chunk provably contains
-no admissible document (a tie at the threshold loses because every doc
-in an unmerged chunk has a higher doc id than everything in the heap).
 
 Setting ``match_budget=None`` disables the approximate rule (used by the
 equivalence tests); ``use_score_bound=False`` disables the safe stop
@@ -42,27 +34,22 @@ from repro.util.validation import require, require_int_in_range
 
 @dataclass(frozen=True)
 class TerminationConfig:
-    """Which termination/skipping rules are active, and their parameters."""
+    """Which termination rules are active, and their parameters."""
 
     match_budget: Optional[int] = 256
     use_score_bound: bool = True
-    skip_chunks: bool = False
 
     def __post_init__(self) -> None:
         if self.match_budget is not None:
             require_int_in_range(self.match_budget, "match_budget", low=1)
         # The real invariant is on field domains, not on rule presence:
         # disabling every rule is valid (exhaustive reference mode), but
-        # the flags must be actual booleans — a stray positional int
+        # the flag must be an actual boolean — a stray positional int
         # (e.g. a budget landing in use_score_bound) would silently
-        # enable rules with a truthy garbage value.
+        # enable the rule with a truthy garbage value.
         require(
             isinstance(self.use_score_bound, bool),
             f"use_score_bound must be a bool, got {self.use_score_bound!r}",
-        )
-        require(
-            isinstance(self.skip_chunks, bool),
-            f"skip_chunks must be a bool, got {self.skip_chunks!r}",
         )
 
 class TerminationState:
@@ -79,12 +66,12 @@ class TerminationState:
         self.topk = topk
         self.matches_seen = 0
         self.fired_rule: Optional[str] = None
-        # Bound arrays mirrored as plain float lists, built lazily: the
-        # rules probe one scalar per position, and list indexing avoids
-        # the numpy scalar-extraction cost on every probe. ``tolist()``
-        # preserves the exact float64 values, so decisions are identical.
+        # The bound array mirrored as a plain float list, built lazily:
+        # the rule probes one scalar per position, and list indexing
+        # avoids the numpy scalar-extraction cost on every probe.
+        # ``tolist()`` preserves the exact float64 values, so decisions
+        # are identical.
         self._suffix_bounds: Optional[List[float]] = None
-        self._chunk_bounds: Optional[List[float]] = None
 
     def record_matches(self, n_matched: int) -> None:
         self.matches_seen += int(n_matched)
@@ -109,24 +96,6 @@ class TerminationState:
             if bounds[next_position] <= self.topk.threshold:
                 self.fired_rule = "score_bound"
         return self.fired_rule is not None
-
-    def should_skip(self, position: int) -> bool:
-        """True if the candidate chunk at ``position`` may be skipped.
-
-        Safe by the same argument as the score-bound stop rule, applied
-        to one chunk: once the heap is full, a chunk whose individual
-        upper bound is at or below the threshold contains no document
-        that could enter the top-k (ties lose — any doc in a chunk at or
-        past the claim cursor has a higher doc id than every doc already
-        merged). Thresholds only rise, so a skip decision never needs
-        revisiting.
-        """
-        if not (self.config.skip_chunks and self.topk.full):
-            return False
-        bounds = self._chunk_bounds
-        if bounds is None:
-            bounds = self._chunk_bounds = self.plan.chunk_bounds.tolist()
-        return bounds[position] <= self.topk.threshold
 
     @property
     def terminated_early(self) -> bool:

@@ -56,6 +56,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.controller import AdaptiveSearchSystem
 from repro.harness.context import ExperimentContext
 from repro.harness.result import ExperimentResult
 from repro.obs.registry import RunObserver
@@ -66,6 +67,7 @@ from repro.policies.online import (
     OnlineDegreeController,
 )
 from repro.sim.anomaly import AnomalyGuard, AnomalyGuardConfig, DegradationLevel
+from repro.sim.experiment import LoadPointSummary
 from repro.sim.traffic import (
     FLASH_CROWD,
     QUERY_OF_DEATH,
@@ -107,7 +109,8 @@ ATTACK_SCENARIOS = ("slow-query flood", "query of death")
 PARITY_TOLERANCE = 0.10
 
 
-def _scenarios(saturation: float, horizon_s: float) -> Dict[str, TrafficConfig]:
+def traffic_scenarios(saturation: float, horizon_s: float) -> Dict[str, TrafficConfig]:
+    """The four regimes, by label, at ``saturation`` qps over ``horizon_s``."""
     base = BACKGROUND_UTILIZATION * saturation
     return {
         "stationary": TrafficConfig(
@@ -149,6 +152,79 @@ def _scenarios(saturation: float, horizon_s: float) -> Dict[str, TrafficConfig]:
             ),
         ),
     }
+
+
+def run_scenario(
+    system: AdaptiveSearchSystem,
+    sim_duration: float,
+    label: str,
+    seed: int,
+    online: bool,
+    tracer: Optional[RecordingTracer],
+) -> Tuple[LoadPointSummary, Optional[TraceRun], Optional[OnlineDegreeController],
+           Optional[AnomalyGuard]]:
+    """One regime (``label`` of :func:`traffic_scenarios`) under the
+    offline or the online stack; with a ``tracer`` the run is recorded
+    and its bucket returned."""
+    horizon_s = HORIZON_MULTIPLE * sim_duration
+    window_s = horizon_s / 40.0
+    slo_s = SLO_MULTIPLE * float(system.service_distribution.percentile(99))
+    scenario = traffic_scenarios(system.saturation_rate, horizon_s)[label]
+    streams = RngFactory(seed)
+    traffic = RegimeTraffic(scenario, streams, horizon_s=horizon_s)
+    sampler = ClassAwareQuerySampler(
+        system.cost_table.sequential_latencies(), streams,
+        predicted_latencies=system.oracle.predicted,
+    )
+    controller: Optional[OnlineDegreeController] = None
+    guard: Optional[AnomalyGuard] = None
+    if online:
+        policy: object = OnlineAdaptivePolicy(system.threshold_table)
+        controller_config = OnlineControllerConfig(
+            target_p99_s=slo_s,
+            window_s=window_s,
+            step=0.3,
+            deadband=0.1,
+            min_scale=0.25,
+            # The offline calibration is the ceiling: the controller only
+            # tightens under distress and relaxes back to scale 1, so on
+            # stationary traffic it cannot do worse than the paper's policy.
+            max_scale=1.0,
+            shed_rate_high=0.02,
+            min_samples=5,
+        )
+        guard_config = AnomalyGuardConfig(
+            slo_s=slo_s,
+            window_s=window_s,
+            sla_epsilon=0.05,
+            degraded_degree_cap=max(2, system.threshold_table.max_degree // 4),
+            shedding_queue_cap=4 * system.n_cores,
+            shed_classes=(SLOW_QUERY_FLOOD, QUERY_OF_DEATH),
+            recovery_windows=2,
+        )
+        controller = OnlineDegreeController(policy, controller_config, tracer=tracer)
+        guard = AnomalyGuard(guard_config, policy=policy, tracer=tracer)
+        controllers: Tuple[object, ...] = (controller, guard)
+    else:
+        policy = system.policy("adaptive")
+        controllers = ()
+    n_runs_before = len(tracer.runs) if tracer is not None else 0
+    summary = system.run_point(
+        policy,
+        scenario.background.base_rate,
+        duration=horizon_s,
+        warmup=horizon_s / 10.0,
+        seed=seed,
+        arrivals=traffic,
+        deadline=slo_s,
+        max_queue_length=QUEUE_CAP_PER_CORE * system.n_cores,
+        slo=slo_s,
+        observer=RunObserver(tracer=tracer) if tracer is not None else None,
+        controllers=controllers,
+        query_sampler=sampler,
+    )
+    run_bucket = tracer.runs[n_runs_before] if tracer is not None else None
+    return summary, run_bucket, controller, guard
 
 
 def _window_stats(
@@ -233,45 +309,18 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         ),
     )
 
-    saturation = system.saturation_rate
     horizon_s = HORIZON_MULTIPLE * ctx.sim_duration
-    warmup_s = horizon_s / 10.0
     slo_s = SLO_MULTIPLE * float(system.service_distribution.percentile(99))
-    cap = QUEUE_CAP_PER_CORE * system.n_cores
     window_s = horizon_s / 40.0
-    t1 = system.cost_table.sequential_latencies()
-    predicted = system.oracle.predicted
     # The attack population (and its exclusion set for windowed metrics)
     # is a deterministic function of the profile: top residual decile.
     reference_sampler = ClassAwareQuerySampler(
-        t1, RngFactory(0), predicted_latencies=predicted
+        system.cost_table.sequential_latencies(), RngFactory(0),
+        predicted_latencies=system.oracle.predicted,
     )
     attack_population = frozenset(
         int(i) for i in reference_sampler.attack_indices
     ) | {reference_sampler.death_index}
-
-    controller_config = OnlineControllerConfig(
-        target_p99_s=slo_s,
-        window_s=window_s,
-        step=0.3,
-        deadband=0.1,
-        min_scale=0.25,
-        # The offline calibration is the ceiling: the controller only
-        # tightens under distress and relaxes back to scale 1, so on
-        # stationary traffic it cannot do worse than the paper's policy.
-        max_scale=1.0,
-        shed_rate_high=0.02,
-        min_samples=5,
-    )
-    guard_config = AnomalyGuardConfig(
-        slo_s=slo_s,
-        window_s=window_s,
-        sla_epsilon=0.05,
-        degraded_degree_cap=max(2, system.threshold_table.max_degree // 4),
-        shedding_queue_cap=4 * system.n_cores,
-        shed_classes=(SLOW_QUERY_FLOOD, QUERY_OF_DEATH),
-        recovery_windows=2,
-    )
 
     # One tracer for the burst scenarios: the CLI's --trace tracer when
     # it is a RecordingTracer (so spans export as usual), a local one
@@ -284,47 +333,7 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         else RecordingTracer()
     )
 
-    def run_one(
-        scenario: TrafficConfig, seed: int, online: bool, traced: bool
-    ) -> Tuple[object, Optional[TraceRun], Optional[OnlineDegreeController],
-               Optional[AnomalyGuard]]:
-        streams = RngFactory(seed)
-        traffic = RegimeTraffic(scenario, streams, horizon_s=horizon_s)
-        sampler = ClassAwareQuerySampler(
-            t1, streams, predicted_latencies=predicted
-        )
-        controller: Optional[OnlineDegreeController] = None
-        guard: Optional[AnomalyGuard] = None
-        run_tracer = tracer if traced else None
-        if online:
-            policy: object = OnlineAdaptivePolicy(system.threshold_table)
-            controller = OnlineDegreeController(
-                policy, controller_config, tracer=run_tracer
-            )
-            guard = AnomalyGuard(guard_config, policy=policy, tracer=run_tracer)
-            controllers: Tuple[object, ...] = (controller, guard)
-        else:
-            policy = system.policy("adaptive")
-            controllers = ()
-        n_runs_before = len(tracer.runs)
-        summary = system.run_point(
-            policy,
-            scenario.background.base_rate,
-            duration=horizon_s,
-            warmup=warmup_s,
-            seed=seed,
-            arrivals=traffic,
-            deadline=slo_s,
-            max_queue_length=cap,
-            slo=slo_s,
-            observer=RunObserver(tracer=tracer) if traced else None,
-            controllers=controllers,
-            query_sampler=sampler,
-        )
-        run_bucket = tracer.runs[n_runs_before] if traced else None
-        return summary, run_bucket, controller, guard
-
-    scenarios = _scenarios(saturation, horizon_s)
+    scenarios = traffic_scenarios(system.saturation_rate, horizon_s)
     summaries: Dict[Tuple[str, str], object] = {}
     run_buckets: Dict[Tuple[str, str], TraceRun] = {}
     burst_stats: Dict[Tuple[str, str], List[Dict[str, float]]] = {}
@@ -350,8 +359,9 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         traced = bool(scenario.bursts)
         exclude = attack_population if label in ATTACK_SCENARIOS else frozenset()
         for policy_label, online in ((OFFLINE, False), (ONLINE, True)):
-            summary, run_bucket, controller, guard = run_one(
-                scenario, seed, online, traced
+            summary, run_bucket, controller, guard = run_scenario(
+                system, ctx.sim_duration, label, seed, online,
+                tracer if traced else None,
             )
             key = (label, policy_label)
             summaries[key] = summary
@@ -482,7 +492,7 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         "slo_ms": slo_s * 1e3,
         "horizon_s": horizon_s,
         "window_s": window_s,
-        "saturation_qps": saturation,
+        "saturation_qps": system.saturation_rate,
         "attack_population_size": len(attack_population),
         "goodput_qps": {
             f"{s}/{p}": summaries[(s, p)].goodput for s, p in summaries

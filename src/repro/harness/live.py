@@ -10,8 +10,8 @@ package itself stays free of system/harness imports (the layer table in
   pool into the :class:`~repro.runtime.node.ServingNode` search hook;
 * :func:`smoke_points` — the matched load points for sim-vs-live
   validation: two E05-shaped points (below and near saturation, no
-  shedding) and one E19-shaped overload point (deadline + admission
-  cap at 1.2× saturation, the same knobs as the e19 experiment);
+  shedding) and E19's overload point (deadline + admission cap past
+  saturation, the e19 experiment's constants);
 * :func:`run_live_smoke` — for each point, build the seeded arrival
   script once, run it through the simulator
   (:func:`~repro.sim.script.run_scripted_point`) and through the real
@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.controller import AdaptiveSearchSystem
 from repro.engine.results import ExecutionResult
 from repro.harness.context import ExperimentContext
+from repro.harness.experiments import e19_overload as e19
 from repro.profiles.measurement import QueryCostTable
 from repro.runtime.node import RankedResults
 from repro.runtime.parity import DEFAULT_TOLERANCES, tolerance_report
@@ -73,10 +74,9 @@ _TARGET_MEAN_SERVICE_S = 0.025
 
 def scaled_smoke_system(
     system: AdaptiveSearchSystem,
-    target_mean_service_s: float = _TARGET_MEAN_SERVICE_S,
 ) -> Tuple[AdaptiveSearchSystem, float]:
     """Rebuild ``system`` with all cost-table times scaled by a common
-    factor so mean sequential service hits ``target_mean_service_s``.
+    factor so mean sequential service hits ``_TARGET_MEAN_SERVICE_S``.
 
     Returns ``(scaled_system, factor)``. Rebuilding (rather than
     patching the oracle) re-derives the threshold table, percentile
@@ -87,7 +87,7 @@ def scaled_smoke_system(
     """
     table = system.cost_table
     mean_t1 = float(np.mean(table.sequential_latencies()))
-    factor = target_mean_service_s / mean_t1
+    factor = _TARGET_MEAN_SERVICE_S / mean_t1
     if factor <= 1.0:
         return system, 1.0
     scaled = QueryCostTable(
@@ -96,16 +96,16 @@ def scaled_smoke_system(
         table.latency * factor,
         table.cpu * factor,
         table.chunks,
-        chunks_skipped=table.chunks_skipped,
     )
     return AdaptiveSearchSystem(system.workbench, scaled, system.config), factor
 
 
-def engine_search_for(system: AdaptiveSearchSystem, k: int = 10):
+def engine_search_for(system: AdaptiveSearchSystem):
     """Search hook over the system's engine and profiled query pool.
 
     The granted degree is honored up to the engine's configured
-    ``max_degree``; results are ``(doc_id, score)`` pairs, best first.
+    ``max_degree``; results are the query's top-k ``(doc_id, score)``
+    pairs, best first.
     """
     engine = system.workbench.engine
     queries = system.cost_table.queries
@@ -115,9 +115,7 @@ def engine_search_for(system: AdaptiveSearchSystem, k: int = 10):
         result: ExecutionResult = engine.execute(
             queries[query_index], degree=max(1, min(degree, max_degree))
         )
-        return tuple(
-            (doc.doc_id, doc.score) for doc in result.results[:k]
-        )
+        return tuple((doc.doc_id, doc.score) for doc in result.results)
 
     return search
 
@@ -137,11 +135,9 @@ def smoke_points(
     warmup_s: float,
     seed: int = 0,
 ) -> List[SmokePoint]:
-    """The validation points: E05-shaped light/heavy load plus the
-    E19-shaped overload point (same SLO and admission-cap recipe as
-    the e19 experiment: deadline 2.5× the p99 sequential service time,
-    queue capped at 32 cores' worth)."""
-    slo = 2.5 * float(system.service_distribution.percentile(99))
+    """The validation points: E05-shaped light/heavy load plus E19's
+    overload point (its load, deadline and admission cap)."""
+    slo = e19.SLO_MULTIPLE * float(system.service_distribution.percentile(99))
     points = []
     for name, utilization in (("e05-light", 0.3), ("e05-heavy", 0.7)):
         points.append(
@@ -162,13 +158,13 @@ def smoke_points(
             name="e19-overload",
             policy="adaptive",
             config=LoadPointConfig(
-                rate=system.rate_for_utilization(1.2),
+                rate=system.rate_for_utilization(e19.OVER_SATURATION),
                 duration=duration_s,
                 warmup=warmup_s,
                 n_cores=system.n_cores,
                 seed=seed,
                 deadline=slo,
-                max_queue_length=32 * system.n_cores,
+                max_queue_length=e19.QUEUE_CAP_PER_CORE * system.n_cores,
             ),
         )
     )
@@ -180,7 +176,6 @@ def run_live_smoke(
     duration_s: float = 2.0,
     dilation: float = 10.0,
     seed: int = 0,
-    tolerances: Optional[Mapping[str, float]] = None,
     output: Optional[str] = None,
     engine_results: bool = False,
 ) -> Tuple[Dict[str, Any], bool]:
@@ -195,7 +190,7 @@ def run_live_smoke(
     context = context if context is not None else ExperimentContext()
     system, time_scale = scaled_smoke_system(context.system)
     warmup_s = min(duration_s / 4.0, 0.5)
-    bands = dict(DEFAULT_TOLERANCES if tolerances is None else tolerances)
+    bands = dict(DEFAULT_TOLERANCES)
     search = engine_search_for(system) if engine_results else None
 
     entries: List[Dict[str, Any]] = []

@@ -19,6 +19,10 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 from repro.obs.spans import QueryTrace, Span, SpanEvent
 from repro.util.serde import to_jsonable
 
+#: Where the revision is looked up: the package's own checkout, not the
+#: process's working directory.
+_PACKAGE_DIR = Path(__file__).resolve().parent.parent
+
 
 def span_to_jsonable(span: Span) -> Dict[str, Any]:
     """Serialize one span subtree to plain JSON types."""
@@ -91,12 +95,13 @@ def config_hash(config: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def git_revision(repo_dir: Optional[Union[str, Path]] = None) -> str:
-    """Current git revision, or ``"unknown"`` outside a checkout."""
+def git_revision() -> str:
+    """Revision of the checkout the package was imported from, or
+    ``"unknown"`` when it is not in one."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short=12", "HEAD"],
-            cwd=str(repo_dir) if repo_dir is not None else None,
+            cwd=str(_PACKAGE_DIR),
             capture_output=True,
             text=True,
             timeout=10,

@@ -14,7 +14,7 @@ the determinism regression tests).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.spans import RecordingTracer, Tracer
@@ -30,10 +30,8 @@ class Counter:
         self.name = name
         self.value = 0
 
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ConfigurationError(f"counter {self.name!r} cannot decrease")
-        self.value += n
+    def inc(self) -> None:
+        self.value += 1
 
 
 class Gauge:

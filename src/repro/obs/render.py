@@ -14,6 +14,11 @@ from repro.errors import ConfigurationError
 from repro.obs.spans import QueryTrace, Span
 from repro.util.ascii_chart import line_chart
 
+#: Columns of the waterfall's bar area.
+_WATERFALL_WIDTH = 60
+#: The timeline series the chart draws.
+_TIMELINE_FIELDS = ("queue_depth", "busy_cores")
+
 
 def _fmt_ms(seconds: float) -> str:
     return f"{seconds * 1e3:.3f}ms"
@@ -27,12 +32,11 @@ def _attr_summary(attrs: Mapping[str, Any]) -> str:
 
 
 def _waterfall_rows(
-    span: Span, t0_s: float, window_s: float, width: int, depth: int,
-    rows: List[str],
+    span: Span, t0_s: float, window_s: float, depth: int, rows: List[str]
 ) -> None:
-    lo = round((span.start_s - t0_s) / window_s * (width - 1))
-    hi = round((span.end_s - t0_s) / window_s * (width - 1))
-    bar = [" "] * width
+    lo = round((span.start_s - t0_s) / window_s * (_WATERFALL_WIDTH - 1))
+    hi = round((span.end_s - t0_s) / window_s * (_WATERFALL_WIDTH - 1))
+    bar = [" "] * _WATERFALL_WIDTH
     if hi == lo:
         bar[lo] = "|"
     else:
@@ -46,13 +50,11 @@ def _waterfall_rows(
         f"{_attr_summary(span.attrs)}"
     )
     for child in span.children:
-        _waterfall_rows(child, t0_s, window_s, width, depth + 1, rows)
+        _waterfall_rows(child, t0_s, window_s, depth + 1, rows)
 
 
-def render_waterfall(trace: QueryTrace, width: int = 60) -> str:
+def render_waterfall(trace: QueryTrace) -> str:
     """One query's span tree as an indented bar waterfall."""
-    if width < 10:
-        raise ConfigurationError("waterfall width must be >= 10")
     root = trace.root
     window_s = max(root.duration_s, 1e-12)
     header = (
@@ -62,7 +64,7 @@ def render_waterfall(trace: QueryTrace, width: int = 60) -> str:
         f"[{root.start_s:.6f}s .. {root.end_s:.6f}s]"
     )
     rows: List[str] = [header]
-    _waterfall_rows(root, root.start_s, window_s, width, 0, rows)
+    _waterfall_rows(root, root.start_s, window_s, 0, rows)
     events = [e for e in root.events]
     if events:
         rows.append("  events: " + ", ".join(
@@ -73,21 +75,18 @@ def render_waterfall(trace: QueryTrace, width: int = 60) -> str:
     return "\n".join(rows)
 
 
-def render_timeline(
-    rows: Sequence[Mapping[str, Any]],
-    fields: Sequence[str] = ("queue_depth", "busy_cores"),
-) -> str:
+def render_timeline(rows: Sequence[Mapping[str, Any]]) -> str:
     """Timeline samples as a multi-series ASCII chart over virtual time."""
     if len(rows) < 2:
         return "(timeline has fewer than two samples; nothing to chart)"
     x = [float(row["t_s"]) for row in rows]
     series: Dict[str, List[float]] = {}
-    for field in fields:
+    for field in _TIMELINE_FIELDS:
         if any(field in row for row in rows):
             series[field] = [float(row.get(field, 0.0)) for row in rows]
     if not series:
         raise ConfigurationError(
-            f"none of {tuple(fields)} present in timeline rows"
+            f"none of {_TIMELINE_FIELDS} present in timeline rows"
         )
     return line_chart(
         x, series, width=64, height=12,

@@ -47,11 +47,7 @@ class QueryCostTable:
 
     ``latency[i, j]`` and ``cpu[i, j]`` are the virtual seconds for query
     ``i`` at degree ``degrees[j]``; ``chunks[i, j]`` is the number of
-    chunks evaluated (whose growth with ``j`` is the speculative waste);
-    ``chunks_skipped[i, j]`` counts candidate chunks bypassed by the safe
-    per-chunk score bound (all zeros unless the engine enables
-    ``skip_chunks``) — together the two chunk counters decompose where
-    the cost model's per-chunk time goes.
+    chunks evaluated (whose growth with ``j`` is the speculative waste).
     """
 
     def __init__(
@@ -61,17 +57,9 @@ class QueryCostTable:
         latency: np.ndarray,
         cpu: np.ndarray,
         chunks: np.ndarray,
-        chunks_skipped: Optional[np.ndarray] = None,
     ) -> None:
         n, d = len(queries), len(degrees)
-        if chunks_skipped is None:
-            chunks_skipped = np.zeros((n, d), dtype=np.int64)
-        for name, arr in (
-            ("latency", latency),
-            ("cpu", cpu),
-            ("chunks", chunks),
-            ("chunks_skipped", chunks_skipped),
-        ):
+        for name, arr in (("latency", latency), ("cpu", cpu), ("chunks", chunks)):
             if arr.shape != (n, d):
                 raise ProfileError(f"{name} must have shape ({n}, {d}), got {arr.shape}")
         self.queries = list(queries)
@@ -79,7 +67,6 @@ class QueryCostTable:
         self.latency = np.ascontiguousarray(latency, dtype=np.float64)
         self.cpu = np.ascontiguousarray(cpu, dtype=np.float64)
         self.chunks = np.ascontiguousarray(chunks, dtype=np.int64)
-        self.chunks_skipped = np.ascontiguousarray(chunks_skipped, dtype=np.int64)
         self._degree_index = {p: j for j, p in enumerate(self.degrees)}
 
     @property
@@ -127,7 +114,6 @@ class QueryCostTable:
             latency=self.latency[indices],
             cpu=self.cpu[indices],
             chunks=self.chunks[indices],
-            chunks_skipped=self.chunks_skipped[indices],
         )
 
 
@@ -148,7 +134,6 @@ def measure_cost_table(
     latency = np.empty((n, len(degrees)), dtype=np.float64)
     cpu = np.empty((n, len(degrees)), dtype=np.float64)
     chunks = np.empty((n, len(degrees)), dtype=np.int64)
-    skipped = np.empty((n, len(degrees)), dtype=np.int64)
     for i, query in enumerate(queries):
         trace = engine.trace(query)
         for j, degree in enumerate(degrees):
@@ -156,5 +141,4 @@ def measure_cost_table(
             latency[i, j] = result.latency
             cpu[i, j] = result.cpu_time
             chunks[i, j] = result.chunks_evaluated
-            skipped[i, j] = result.chunks_skipped
-    return QueryCostTable(queries, degrees, latency, cpu, chunks, chunks_skipped=skipped)
+    return QueryCostTable(queries, degrees, latency, cpu, chunks)

@@ -25,16 +25,17 @@ import numpy as np
 
 from repro.errors import ProfileError
 from repro.profiles.measurement import QueryCostTable
-from repro.util.validation import require, require_int_in_range
+from repro.util.validation import require
 
+#: Query-length classes, at equal-population quantiles of t(1).
 CLASS_NAMES = ("short", "medium", "long")
 
 
 class SpeedupProfile:
     """Measured speedup/efficiency summary of a query population."""
 
-    def __init__(self, table: QueryCostTable, n_classes: int = 3) -> None:
-        require_int_in_range(n_classes, "n_classes", low=1)
+    def __init__(self, table: QueryCostTable) -> None:
+        n_classes = len(CLASS_NAMES)
         if table.n_queries < n_classes:
             raise ProfileError(
                 f"need at least {n_classes} queries to build {n_classes} classes"
@@ -66,9 +67,7 @@ class SpeedupProfile:
         }
 
     def class_name(self, cls: int) -> str:
-        if self.n_classes == 3:
-            return CLASS_NAMES[cls]
-        return f"class{cls}"
+        return CLASS_NAMES[cls]
 
     def speedup(self, degree: int, cls: Optional[int] = None) -> float:
         """Mean speedup at ``degree``, overall or for one class."""

@@ -10,26 +10,9 @@ unseen document is bounded by (remaining max relevance impact) +
 (static-rank prior at the current position).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from repro.util.validation import require_in_range, require_positive
-
-
-@dataclass(frozen=True)
-class ScoreWeights:
-    """Blend weights for the composite score.
-
-    ``score(q, d) = relevance_weight * BM25(q, d)
-                  + static_weight * static_rank(d)``
-
-    The default static weight is sized so the prior meaningfully reorders
-    documents with similar relevance without drowning out relevance.
-    """
-
-    relevance_weight: float = 1.0
-    static_weight: float = 3.0
-
-    def __post_init__(self) -> None:
-        require_positive(self.relevance_weight, "relevance_weight")
-        require_in_range(self.static_weight, "static_weight", low=0.0)
+#: ``score(q, d) = RELEVANCE_WEIGHT * BM25(q, d) + STATIC_WEIGHT *
+#: static_rank(d)``. The static weight is sized so the prior meaningfully
+#: reorders documents with similar relevance without drowning out
+#: relevance.
+RELEVANCE_WEIGHT = 1.0
+STATIC_WEIGHT = 3.0

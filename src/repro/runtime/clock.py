@@ -10,6 +10,10 @@ from repro.sim.engine import Simulator
 
 __all__ = ["FakeClock"]
 
+#: Callbacks :meth:`FakeClock.drain` fires before it calls a reschedule
+#: loop runaway.
+_DRAIN_LIMIT = 1_000_000
+
 
 class FakeClock(Simulator):
     """The simulator's event heap under the verbs server tests use.
@@ -28,10 +32,6 @@ class FakeClock(Simulator):
     test says so, by amounts the test chose. Nothing here reads the
     wall clock, the environment, or any RNG.
     """
-
-    def __init__(self, start_s: float = 0.0) -> None:
-        super().__init__()
-        self.clock.advance_to(start_s)
 
     @property
     def pending(self) -> int:
@@ -54,15 +54,15 @@ class FakeClock(Simulator):
             raise SimulationError(f"delta must be >= 0, got {delta_s}")
         return self.advance_to(self.now + delta_s)
 
-    def drain(self, max_events: int = 1_000_000) -> int:
+    def drain(self) -> int:
         """Step until no callbacks remain (callbacks may schedule more;
-        ``max_events`` bounds runaway reschedule loops). Returns the
+        ``_DRAIN_LIMIT`` bounds runaway reschedule loops). Returns the
         number of callbacks fired."""
         fired = 0
         while self.pending_events:
-            if fired >= max_events:
+            if fired >= _DRAIN_LIMIT:
                 raise SimulationError(
-                    f"FakeClock.drain exceeded {max_events} events"
+                    f"FakeClock.drain exceeded {_DRAIN_LIMIT} events"
                 )
             self.step()
             fired += 1

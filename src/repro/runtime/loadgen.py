@@ -37,7 +37,10 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.sim.script import ScriptedArrival
 from repro.util.validation import require_int_in_range, require_positive
 
-__all__ = ["ReplayOptions", "replay_open_loop", "run_closed_loop"]
+__all__ = ["CONNECT_TIMEOUT_S", "ReplayOptions", "replay_open_loop", "run_closed_loop"]
+
+#: Wall-seconds bound on connection setup.
+CONNECT_TIMEOUT_S = 10.0
 
 #: Flush the pipelined writer every this many requests (flow control
 #: without a drain round-trip per send).
@@ -53,8 +56,6 @@ class ReplayOptions:
     #: Per-request completion budget sent to the server (model seconds);
     #: None uses the server default.
     budget_s: Optional[float] = None
-    #: Wall-seconds bound on connection setup.
-    connect_timeout_s: float = 10.0
     #: Wall-seconds bound on each reply read and each flush.
     reply_timeout_s: float = 120.0
 
@@ -62,7 +63,6 @@ class ReplayOptions:
         require_positive(self.dilation, "dilation")
         if self.budget_s is not None:
             require_positive(self.budget_s, "budget_s")
-        require_positive(self.connect_timeout_s, "connect_timeout_s")
         require_positive(self.reply_timeout_s, "reply_timeout_s")
 
 
@@ -105,7 +105,7 @@ async def replay_open_loop(
     request is sent at ``arrival.time_s * dilation`` wall seconds after
     the replay starts, falling behind only if the event loop does."""
     reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout=options.connect_timeout_s
+        asyncio.open_connection(host, port), timeout=CONNECT_TIMEOUT_S
     )
     loop = asyncio.get_running_loop()
     reader_task = loop.create_task(
@@ -131,7 +131,7 @@ async def replay_open_loop(
         writer.close()
         try:
             await asyncio.wait_for(
-                writer.wait_closed(), timeout=options.connect_timeout_s
+                writer.wait_closed(), timeout=CONNECT_TIMEOUT_S
             )
         except (asyncio.TimeoutError, OSError):
             pass
@@ -151,7 +151,7 @@ async def _closed_loop_client(
 ) -> List[Optional[Dict[str, Any]]]:
     """One closed-loop client: submit, await the reply, think, repeat."""
     reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout=options.connect_timeout_s
+        asyncio.open_connection(host, port), timeout=CONNECT_TIMEOUT_S
     )
     replies: List[Optional[Dict[str, Any]]] = []
     try:
@@ -173,7 +173,7 @@ async def _closed_loop_client(
         writer.close()
         try:
             await asyncio.wait_for(
-                writer.wait_closed(), timeout=options.connect_timeout_s
+                writer.wait_closed(), timeout=CONNECT_TIMEOUT_S
             )
         except (asyncio.TimeoutError, OSError):
             pass

@@ -2,7 +2,6 @@
 
 from repro.sim.arrivals import (
     ArrivalProcess,
-    DeterministicArrivals,
     MMPP2Arrivals,
     PoissonArrivals,
     TraceArrivals,
@@ -16,7 +15,6 @@ from repro.sim.server import IndexServerModel
 
 __all__ = [
     "ArrivalProcess",
-    "DeterministicArrivals",
     "MMPP2Arrivals",
     "PoissonArrivals",
     "TraceArrivals",

@@ -46,7 +46,6 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.policies.online import OnlineAdaptivePolicy
 from repro.util.validation import (
@@ -55,6 +54,9 @@ from repro.util.validation import (
     require_int_in_range,
     require_positive,
 )
+
+#: Observations a detector trains on before it scores any.
+CUSUM_WARMUP = 8
 
 
 class EwmaCusumDetector:
@@ -76,26 +78,22 @@ class EwmaCusumDetector:
     without it, a large shift parks ``S`` arbitrarily high and the alarm
     cannot clear for ``S/k`` windows after the signal normalizes. With
     the ceiling, recovery takes at most ``h/k`` windows once deviations
-    return to baseline. The first ``warmup`` observations only train the
-    baseline (no scoring): a freshly started detector has no variance
+    return to baseline. The first ``CUSUM_WARMUP`` observations only
+    train the baseline (no scoring): a freshly started detector has no variance
     estimate, and scoring against a cold one turns ordinary noise into
     huge standardized surprises.
     """
 
-    def __init__(
-        self, alpha: float, k: float = 1.0, h: float = 5.0, warmup: int = 8
-    ) -> None:
+    def __init__(self, alpha: float, k: float = 1.0, h: float = 5.0) -> None:
         require_in_range(
             alpha, "alpha", low=0.0, high=1.0,
             low_inclusive=False, high_inclusive=False,
         )
         require_positive(k, "k", strict=False)
         require_positive(h, "h")
-        require_int_in_range(warmup, "warmup", low=1)
         self.alpha = float(alpha)
         self.k = float(k)
         self.h = float(h)
-        self.warmup = int(warmup)
         self._n_observed = 0
         self._mean: Optional[float] = None
         self._var = 0.0
@@ -122,7 +120,7 @@ class EwmaCusumDetector:
             return False
         deviation = float(value) - self._mean
         var_alpha = 0.25 * self.alpha
-        if self._n_observed < self.warmup:
+        if self._n_observed < CUSUM_WARMUP:
             # Still learning the baseline: train mean/variance, no
             # scoring.
             self._n_observed += 1
@@ -191,9 +189,11 @@ class DegradationLevel(enum.IntEnum):
     DEGRADED = 1  # max-degree capped
     SHEDDING = 2  # + admission tightened, attack classes shed
 
-#: Smoothing and CUSUM slack (sigma units) of the guard's two detectors.
+#: Smoothing, CUSUM slack and CUSUM threshold (sigma units) of the
+#: guard's two detectors.
 EWMA_ALPHA = 0.3
 CUSUM_K = 1.0
+CUSUM_H = 5.0
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,6 @@ class AnomalyGuardConfig:
     slo_s: float
     window_s: float
     sla_epsilon: float = 0.05
-    cusum_h: float = 5.0
     degraded_degree_cap: int = 4
     shedding_queue_cap: int = 8
     shed_classes: Tuple[str, ...] = ()
@@ -226,7 +225,6 @@ class AnomalyGuardConfig:
             self.sla_epsilon, "sla_epsilon", low=0.0, high=1.0,
             high_inclusive=False,
         )
-        require_positive(self.cusum_h, "cusum_h")
         require_int_in_range(self.degraded_degree_cap, "degraded_degree_cap", low=1)
         require_int_in_range(self.shedding_queue_cap, "shedding_queue_cap", low=1)
         require_int_in_range(self.recovery_windows, "recovery_windows", low=1)
@@ -255,8 +253,8 @@ class AnomalyGuard:
         self.config = config
         self.policy = policy
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.rate_detector = EwmaCusumDetector(EWMA_ALPHA, CUSUM_K, config.cusum_h)
-        self.p99_detector = EwmaCusumDetector(EWMA_ALPHA, CUSUM_K, config.cusum_h)
+        self.rate_detector = EwmaCusumDetector(EWMA_ALPHA, CUSUM_K, CUSUM_H)
+        self.p99_detector = EwmaCusumDetector(EWMA_ALPHA, CUSUM_K, CUSUM_H)
         self.validator = SlaValidator(config.slo_s, config.sla_epsilon)
         self.level = DegradationLevel.NORMAL
         #: (time_s, level) history of every transition, for tests/reports.

@@ -5,7 +5,6 @@ returning the time to the next arrival. Provided models:
 
 * :class:`PoissonArrivals` — the paper's primary load model (open-loop
   Poisson, as produced by a large population of independent users);
-* :class:`DeterministicArrivals` — fixed spacing, for tests;
 * :class:`MMPP2Arrivals` — a 2-state Markov-modulated Poisson process
   modeling bursty traffic (the robustness experiment);
 * :class:`TraceArrivals` — replay of explicit timestamps.
@@ -50,17 +49,6 @@ class PoissonArrivals(ArrivalProcess):
 
     def next_interarrival(self) -> float:
         return float(self._rng.exponential(1.0 / self.rate))
-
-
-class DeterministicArrivals(ArrivalProcess):
-    """Evenly spaced arrivals at a fixed rate."""
-
-    def __init__(self, rate: float) -> None:
-        require_positive(rate, "rate")
-        self.rate = float(rate)
-
-    def next_interarrival(self) -> float:
-        return 1.0 / self.rate
 
 
 class MMPP2Arrivals(ArrivalProcess):

@@ -10,8 +10,7 @@ that story (the control side lives in :mod:`repro.policies.online` and
 * :class:`DiurnalProfile` — a smooth day/night background rate,
   ``rate(t) = base · (1 + a·sin(2πt/T + φ))``;
 * :class:`Burst` — an anomalous flow superimposed on the background for
-  a bounded window, with a square or Gaussian-modulated shape and one
-  of three kinds: ``flash_crowd`` (extra normal queries), a
+  a bounded window, at a constant rate, of one of three kinds: ``flash_crowd`` (extra normal queries), a
   ``slow_query_flood`` (extra *expensive* queries, the classic
   resource-exhaustion attack), and ``query_of_death`` (one pathological
   query repeated verbatim);
@@ -47,7 +46,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.sim.arrivals import ArrivalProcess
 from repro.util.rng import RngFactory
-from repro.util.validation import require, require_in_range, require_positive
+from repro.util.validation import require_in_range, require_positive
 
 #: Arrival-class label of the diurnal background flow.
 BACKGROUND = "background"
@@ -60,10 +59,8 @@ QUERY_OF_DEATH = "query_of_death"
 
 BURST_KINDS = (FLASH_CROWD, SLOW_QUERY_FLOOD, QUERY_OF_DEATH)
 
-#: Burst envelope shapes.
-SHAPE_SQUARE = "square"
-SHAPE_GAUSSIAN = "gaussian"
-BURST_SHAPES = (SHAPE_SQUARE, SHAPE_GAUSSIAN)
+#: Share of the table, by attack score, a slow-query flood draws from.
+HEAVY_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -100,8 +97,8 @@ class DiurnalProfile:
 class Burst:
     """One anomalous flow superimposed on the background.
 
-    ``peak_rate`` is the extra arrival rate (qps) at the envelope's
-    plateau. The window is half-open ``[start_s, end_s)``: the burst
+    ``peak_rate`` is the extra arrival rate (qps) inside the window. The
+    window is half-open ``[start_s, end_s)``: the burst
     contributes at exactly ``start_s`` and contributes nothing at
     exactly ``end_s`` (the regime-boundary convention).
     """
@@ -110,16 +107,11 @@ class Burst:
     start_s: float
     duration_s: float
     peak_rate: float
-    shape: str = SHAPE_SQUARE
 
     def __post_init__(self) -> None:
         if self.kind not in BURST_KINDS:
             raise ConfigurationError(
                 f"burst kind must be one of {BURST_KINDS}, got {self.kind!r}"
-            )
-        if self.shape not in BURST_SHAPES:
-            raise ConfigurationError(
-                f"burst shape must be one of {BURST_SHAPES}, got {self.shape!r}"
             )
         require_positive(self.start_s, "start_s", strict=False)
         if not self.duration_s > 0:
@@ -142,14 +134,7 @@ class Burst:
         """
         if time_s < self.start_s or time_s >= self.end_s:
             return 0.0
-        if self.shape == SHAPE_SQUARE:
-            return self.peak_rate
-        # Gaussian envelope centered mid-window; sigma chosen so the
-        # envelope has fallen to ~1% of peak at the window edges.
-        center_s = self.start_s + self.duration_s / 2.0
-        sigma_s = self.duration_s / 6.0
-        z = (time_s - center_s) / sigma_s
-        return self.peak_rate * math.exp(-0.5 * z * z)
+        return self.peak_rate
 
     def overlaps(self, other: "Burst") -> bool:
         """Whether the two half-open windows intersect."""
@@ -315,7 +300,7 @@ class ClassAwareQuerySampler:
 
     * ``background`` / ``flash_crowd`` — uniform over the whole table
       (a flash crowd is *legitimate* traffic, just more of it);
-    * ``slow_query_flood`` — uniform over the top ``heavy_fraction`` of
+    * ``slow_query_flood`` — uniform over the top ``HEAVY_FRACTION`` of
       queries by attack score;
     * ``query_of_death`` — always the single highest-scoring query.
 
@@ -335,13 +320,8 @@ class ClassAwareQuerySampler:
         self,
         sequential_latencies: Sequence[float],
         streams: RngFactory,
-        heavy_fraction: float = 0.1,
         predicted_latencies: Optional[Sequence[float]] = None,
     ) -> None:
-        require_in_range(
-            heavy_fraction, "heavy_fraction", low=0.0, high=1.0,
-            low_inclusive=False,
-        )
         t1 = np.asarray(sequential_latencies, dtype=np.float64)
         if t1.ndim != 1 or t1.size == 0:
             raise ConfigurationError(
@@ -359,7 +339,7 @@ class ClassAwareQuerySampler:
         else:
             score = t1
         order = np.argsort(score, kind="stable")
-        n_heavy = max(1, int(round(self._n_queries * heavy_fraction)))
+        n_heavy = max(1, int(round(self._n_queries * HEAVY_FRACTION)))
         self._heavy_indices = order[-n_heavy:]
         self._death_index = int(order[-1])
         self._rng = streams.stream("traffic", "queries")

@@ -1,6 +1,6 @@
 """Text substrate: term-frequency models and tokenization."""
 
-from repro.text.tokenizer import Tokenizer
+from repro.text.tokenizer import tokenize
 from repro.text.zipf import ZipfMandelbrot
 
-__all__ = ["Tokenizer", "ZipfMandelbrot"]
+__all__ = ["tokenize", "ZipfMandelbrot"]

@@ -19,6 +19,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ConfigurationError
 
 _GLYPHS = "*o+x#@%&"
+#: Columns of the longest bar in a bar chart.
+_BAR_WIDTH = 48
 
 
 def _fmt(value: float) -> str:
@@ -120,7 +122,6 @@ def line_chart(
 def bar_chart(
     labels: Sequence[str],
     values: Sequence[float],
-    width: int = 48,
     title: Optional[str] = None,
     unit: str = "",
 ) -> str:
@@ -134,7 +135,7 @@ def bar_chart(
     label_width = max(len(str(l)) for l in labels)
     lines: List[str] = [title] if title else []
     for label, value in zip(labels, numeric):
-        bar = "#" * max(1 if value > 0 else 0, round(value / peak * width))
+        bar = "#" * max(1 if value > 0 else 0, round(value / peak * _BAR_WIDTH))
         lines.append(
             f"{str(label):>{label_width}} | {bar} {_fmt(value)}{unit}"
         )

@@ -12,11 +12,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from repro.errors import ConfigurationError
 
 
-def format_float(value: Any, digits: int = 3) -> str:
+def format_float(value: Any) -> str:
     """Format a number compactly for table cells.
 
-    Integers print without a decimal point; floats use ``digits``
-    significant fractional digits; everything else goes through ``str``.
+    Integers print without a decimal point; floats use three fractional
+    digits (scientific notation outside [1e-4, 1e6)); everything else
+    goes through ``str``.
     """
     if isinstance(value, bool):
         return str(value)
@@ -28,8 +29,8 @@ def format_float(value: Any, digits: int = 3) -> str:
         if value == 0:
             return "0"
         if abs(value) >= 1e6 or abs(value) < 1e-4:
-            return f"{value:.{digits}e}"
-        return f"{value:.{digits}f}"
+            return f"{value:.3e}"
+        return f"{value:.3f}"
     return str(value)
 
 

@@ -23,11 +23,10 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.engine.query import MatchMode, Query
+from repro.engine.query import Query
 from repro.text.zipf import ZipfMandelbrot
 from repro.util.rng import make_rng
 from repro.util.validation import (
-    require,
     require_in_range,
     require_int_in_range,
     require_positive,
@@ -47,7 +46,6 @@ class QueryWorkloadConfig:
     term_zipf_exponent: float = 1.2
     term_count_p: float = 0.45  # geometric success prob; mean terms ≈ 1/p
     max_terms: int = 6
-    mode: MatchMode = MatchMode.ALL
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -58,7 +56,6 @@ class QueryWorkloadConfig:
             low_inclusive=False, high_inclusive=True,
         )
         require_int_in_range(self.max_terms, "max_terms", low=1)
-        require(isinstance(self.mode, MatchMode), "mode must be a MatchMode")
 
 
 class QueryGenerator:
@@ -95,9 +92,7 @@ class QueryGenerator:
             if draw not in seen:
                 seen.add(draw)
                 terms.append(draw)
-        query = Query.of(
-            terms, k=TOP_K, mode=self.config.mode, query_id=self._next_id
-        )
+        query = Query.of(terms, k=TOP_K, query_id=self._next_id)
         self._next_id += 1
         return query
 

@@ -75,12 +75,7 @@ class TopicalQueryGenerator:
             if draw not in seen:
                 seen.add(draw)
                 terms.append(draw)
-        query = Query.of(
-            terms,
-            k=TOP_K,
-            mode=self.config.mode,
-            query_id=self._next_id,
-        )
+        query = Query.of(terms, k=TOP_K, query_id=self._next_id)
         self._next_id += 1
         return query
 

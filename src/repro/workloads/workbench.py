@@ -17,7 +17,7 @@ Sizing presets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.corpus.documents import Corpus
@@ -35,17 +35,12 @@ class WorkbenchConfig:
 
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     index: IndexConfig = field(default_factory=IndexConfig)
-    workload: QueryWorkloadConfig = field(default_factory=QueryWorkloadConfig)
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.workload.vocab_size != self.corpus.vocab_size:
-            # Keep the query stream aligned with the corpus vocabulary.
-            object.__setattr__(
-                self,
-                "workload",
-                replace(self.workload, vocab_size=self.corpus.vocab_size),
-            )
+    @property
+    def workload(self) -> QueryWorkloadConfig:
+        """The query stream, aligned with the corpus vocabulary."""
+        return QueryWorkloadConfig(vocab_size=self.corpus.vocab_size)
 
     @staticmethod
     def small(seed: int = 0) -> "WorkbenchConfig":

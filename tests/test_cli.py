@@ -1,8 +1,13 @@
 """Tests for the command-line entry point."""
 
 import os
+from types import SimpleNamespace
 
+import pytest
+
+from repro import cli
 from repro.cli import main
+from repro.harness.experiments import e19_overload
 
 
 def _subprocess_env():
@@ -142,3 +147,33 @@ class TestServeCli:
         report = json.loads(out.read_text())
         assert len(report["points"]) == 3
         assert report["dilation"] == 2.0
+
+
+class TestTracePresets:
+    def test_e19_preset_is_the_e19_overload_point(self, small_system, monkeypatch):
+        # The preset and the experiment each run their overload point
+        # through run_point; both calls are captured and compared.
+        class Captured(Exception):
+            pass
+
+        calls = []
+        idle = SimpleNamespace(shed_rate=0.0, goodput=0.0, slo_attainment=1.0,
+                               p99_latency=0.0)
+
+        def run_point(policy, rate, **kwargs):
+            calls.append((policy, rate, kwargs))
+            over = small_system.rate_for_utilization(e19_overload.OVER_SATURATION)
+            if policy == "adaptive" and rate == over and "deadline" in kwargs:
+                raise Captured
+            return idle
+
+        monkeypatch.setattr(small_system, "run_point", run_point)
+        ctx = SimpleNamespace(system=small_system, sim_duration=1.0, sim_warmup=0.25)
+        with pytest.raises(Captured):
+            e19_overload.run(ctx)
+        with pytest.raises(Captured):
+            cli._trace_e19(ctx, 0)
+        experiment, preset = calls[-2], calls[-1]
+        assert preset[:2] == experiment[:2]
+        for knob in ("deadline", "max_queue_length"):
+            assert preset[2][knob] == experiment[2][knob]

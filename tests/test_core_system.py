@@ -100,11 +100,9 @@ class TestCapacity:
         slo = 3.0 * small_system.service_distribution.percentile(99)
         sequential = capacity_at_slo(
             small_system, "sequential", slo, duration=2.0, warmup=0.5,
-            tolerance=0.05,
         )
         fixed8 = capacity_at_slo(
             small_system, "fixed-8", slo, duration=2.0, warmup=0.5,
-            tolerance=0.05,
         )
         assert sequential.capacity_qps > fixed8.capacity_qps > 0
 
@@ -112,7 +110,6 @@ class TestCapacity:
         tiny_slo = small_system.service_distribution.percentile(1) / 100
         outcome = capacity_at_slo(
             small_system, "sequential", tiny_slo, duration=1.0, warmup=0.2,
-            tolerance=0.05,
         )
         assert outcome.capacity_qps == 0.0
 

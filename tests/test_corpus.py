@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.corpus import generator
 from repro.corpus.documents import Corpus
 from repro.corpus.generator import (
     MAX_DOC_LENGTH,
@@ -58,10 +59,12 @@ class TestGenerator:
             doc = corpus.document(doc_id)
             assert np.all(np.diff(doc.term_ids) > 0)
 
-    def test_batching_does_not_change_output(self):
+    def test_batching_does_not_change_output(self, monkeypatch):
         config = CorpusConfig(n_docs=100, vocab_size=300, seed=9)
-        small_batches = generate_corpus(config, batch_docs=7)
-        one_batch = generate_corpus(config, batch_docs=1000)
+        monkeypatch.setattr(generator, "BATCH_DOCS", 7)
+        small_batches = generate_corpus(config)
+        monkeypatch.setattr(generator, "BATCH_DOCS", 1000)
+        one_batch = generate_corpus(config)
         # Different batching consumes RNG differently, so only the
         # structure is comparable; both must be valid corpora.
         assert small_batches.n_docs == one_batch.n_docs

@@ -5,7 +5,6 @@ import pytest
 
 from repro.corpus.ingest import ingest_documents, parse_query
 from repro.engine.executor import Engine
-from repro.engine.query import MatchMode
 from repro.errors import CorpusError, QueryError
 from repro.index.builder import IndexConfig, build_index
 
@@ -90,12 +89,6 @@ class TestEndToEndSearch:
         engine = Engine(index)
         query = parse_query("web search", vocabulary)
         assert engine.execute(query, 1).doc_ids == engine.execute(query, 3).doc_ids
-
-    def test_disjunctive_parse(self, ingested):
-        _, vocabulary = ingested
-        query = parse_query("web OR nonsense latency", vocabulary,
-                            mode=MatchMode.ANY)
-        assert query.mode is MatchMode.ANY
 
     def test_unknown_words_dropped(self, ingested):
         _, vocabulary = ingested

@@ -1,12 +1,11 @@
-"""Batch execution, the multi-chunk kernel and safe per-chunk skipping.
+"""Batch execution and the multi-chunk kernel.
 
 ``execute_batch`` is the sequential driver once per query: for every
 termination configuration each result — documents, scores, virtual
 latency, work counters, fired rule — must equal
 ``engine.execute(query, 1)`` as a whole dataclass. These tests pin that
 across the rule matrix, ``BatchStats`` against a spy on the kernel, the
-kernel against the per-chunk reference scorer, and the skipping counters
-that feed the cost model.
+kernel against the per-chunk reference scorer.
 """
 
 from __future__ import annotations
@@ -26,14 +25,7 @@ TERMINATION_MATRIX = {
     "exhaustive": TerminationConfig(match_budget=None, use_score_bound=False),
     "bound_only": TerminationConfig(match_budget=None, use_score_bound=True),
     "budget_only": TerminationConfig(match_budget=64, use_score_bound=False),
-    "skip_bound": TerminationConfig(
-        match_budget=None, use_score_bound=True, skip_chunks=True
-    ),
-    "skip_only": TerminationConfig(
-        match_budget=None, use_score_bound=False, skip_chunks=True
-    ),
     "budget_3": TerminationConfig(match_budget=3),
-    "skip_3": TerminationConfig(match_budget=3, skip_chunks=True),
 }
 
 
@@ -76,7 +68,7 @@ class TestBatchExecutorEquivalence:
         self, small_workbench, sample_queries, kernel_calls
     ):
         queries = sample_queries[:20]
-        for name in ("default", "skip_only"):
+        for name in ("default", "exhaustive"):
             engine = _engine(small_workbench, TERMINATION_MATRIX[name])
             executor = engine.batch_executor()
             kernel_calls.clear()
@@ -85,11 +77,9 @@ class TestBatchExecutorEquivalence:
             assert stats.queries == 20
             assert stats.waves == len(kernel_calls) >= 1
             assert stats.chunks_evaluated == sum(r.chunks_evaluated for r in results)
-            assert stats.chunks_skipped == sum(r.chunks_skipped for r in results)
             assert (
                 stats.chunks_evaluated + stats.chunks_speculative == sum(kernel_calls)
             )
-            assert (stats.chunks_skipped > 0) == (name == "skip_only")
 
     def test_results_in_input_order(self, small_engine, sample_queries):
         queries = sample_queries[:12]
@@ -165,56 +155,6 @@ class TestScoreChunksKernel:
             plan.score_chunks([0, plan.n_candidate_chunks])  # out of range
         with pytest.raises(ExecutionError):
             plan.score_chunks([-1, 0])
-
-
-class TestSkippingSemantics:
-    def test_skipping_without_budget_is_bit_identical(
-        self, small_workbench, sample_queries
-    ):
-        skip = _engine(small_workbench, TERMINATION_MATRIX["skip_bound"])
-        exhaustive = _engine(small_workbench, TERMINATION_MATRIX["exhaustive"])
-        for query in sample_queries[:30]:
-            a = skip.execute(query, 1)
-            b = exhaustive.execute(query, 1)
-            assert a.doc_ids == b.doc_ids
-            assert list(a.scores) == list(b.scores)
-
-    def test_skipping_actually_skips(self, small_workbench, sample_queries):
-        skip = _engine(small_workbench, TERMINATION_MATRIX["skip_only"])
-        skipped = sum(
-            skip.execute(q, 1).chunks_skipped for q in sample_queries
-        )
-        assert skipped > 0, "per-chunk skipping never fired on 60 queries"
-
-    def test_skipped_chunks_not_counted_as_evaluated(
-        self, small_workbench, sample_queries
-    ):
-        skip = _engine(small_workbench, TERMINATION_MATRIX["skip_only"])
-        exhaustive = _engine(small_workbench, TERMINATION_MATRIX["exhaustive"])
-        for query in sample_queries[:30]:
-            a = skip.execute(query, 1)
-            b = exhaustive.execute(query, 1)
-            assert a.chunks_evaluated + a.chunks_skipped == b.chunks_evaluated
-
-    def test_parallel_skipping_matches_sequential(
-        self, small_workbench, sample_queries
-    ):
-        engine = _engine(small_workbench, TERMINATION_MATRIX["skip_bound"])
-        for query in sample_queries[:15]:
-            sequential = engine.execute(query, 1)
-            for degree in (2, 4):
-                parallel = engine.execute(query, degree)
-                assert parallel.doc_ids == sequential.doc_ids
-                assert list(parallel.scores) == list(sequential.scores)
-
-    def test_threaded_skipping_matches_sequential(
-        self, small_workbench, sample_queries
-    ):
-        engine = _engine(small_workbench, TERMINATION_MATRIX["skip_bound"])
-        for query in sample_queries[:8]:
-            threaded = engine.execute_threaded(query, 4)
-            sequential = engine.execute(query, 1)
-            assert threaded.doc_ids == sequential.doc_ids
 
 
 class TestBatchEdgeCases:

@@ -188,6 +188,14 @@ class TestThreadedExecution:
             threaded = exhaustive_engine.execute_threaded(query, 4)
             assert threaded.doc_ids == sequential.doc_ids
 
+    def test_safe_threaded_matches_sequential(self, safe_engine, sample_queries):
+        """Real threads, score bound only: the stop is safe, so results
+        are identical too."""
+        for query in sample_queries[:8]:
+            sequential = safe_engine.execute(query, 1)
+            threaded = safe_engine.execute_threaded(query, 4)
+            assert threaded.doc_ids == sequential.doc_ids
+
     def test_budget_threaded_scores_dominate(self, budget_engine, sample_queries):
         for query in sample_queries[:6]:
             sequential = budget_engine.execute(query, 1)

@@ -6,7 +6,7 @@ import pytest
 from repro.engine.plan import QueryPlan
 from repro.engine.query import MatchMode, Query
 from repro.errors import ExecutionError
-from repro.ranking.composite import ScoreWeights
+from repro.ranking.composite import RELEVANCE_WEIGHT, STATIC_WEIGHT
 
 
 def _plan(index, terms, mode=MatchMode.ALL, k=10):
@@ -107,11 +107,10 @@ class TestChunkScoring:
         terms = _common_terms(tiny_index, 2)
         plan = _plan(tiny_index, terms)
         outcome = plan.score_chunk(0)
-        weights = ScoreWeights()
         for doc_id, score in zip(outcome.doc_ids[:10], outcome.scores[:10]):
-            expected = weights.relevance_weight * sum(
+            expected = RELEVANCE_WEIGHT * sum(
                 tiny_index.lexicon.postings(t).impact_of(int(doc_id)) for t in terms
-            ) + weights.static_weight * tiny_index.static_ranks[int(doc_id)]
+            ) + STATIC_WEIGHT * tiny_index.static_ranks[int(doc_id)]
             assert score == pytest.approx(expected, rel=1e-9)
 
     def test_disjunctive_superset_of_conjunctive(self, tiny_index):

@@ -64,23 +64,6 @@ class TestEngineMatchesBruteForce:
             result = exhaustive_tiny_engine.execute(query, 4)
             assert result.doc_ids == [d for d, _ in expected]
 
-    def test_chunk_skipping_equals_reference(self, tiny_index, tiny_queries):
-        # skip_chunks is a *safe* rule: with no match budget the results
-        # must be bit-identical to the brute-force reference.
-        engine = Engine(
-            tiny_index,
-            EngineConfig(
-                termination=TerminationConfig(
-                    match_budget=None, use_score_bound=True, skip_chunks=True
-                )
-            ),
-        )
-        for query in tiny_queries:
-            expected = brute_force_search(tiny_index, query)
-            result = engine.execute(query, 1)
-            assert result.doc_ids == [d for d, _ in expected]
-            assert np.allclose(result.scores, [s for _, s in expected])
-
     def test_batched_executor_equals_reference(
         self, exhaustive_tiny_engine, tiny_index, tiny_queries
     ):

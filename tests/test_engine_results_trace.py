@@ -146,72 +146,3 @@ class TestChunkTraceStats:
         assert scored[: len(after_sequential)] == after_sequential
         assert scored == sorted(set(scored))
         assert len(scored) == trace.n_evaluated
-
-
-class TestChunkSpans:
-    def _spanning_query(self, small_engine, sample_queries, min_chunks=4):
-        return next(
-            q for q in sample_queries
-            if small_engine.plan(q).n_candidate_chunks >= min_chunks
-        )
-
-    def test_sequential_execution_has_no_spans(self, small_engine, sample_queries):
-        result = small_engine.execute(sample_queries[0], 1, collect_spans=True)
-        assert result.chunk_spans is None
-        assert result.termination_s is None
-
-    def test_spans_off_by_default(self, small_engine, sample_queries):
-        result = small_engine.execute(sample_queries[0], 4)
-        assert result.chunk_spans is None
-
-    def test_collection_does_not_change_the_result(
-        self, small_engine, sample_queries
-    ):
-        query = self._spanning_query(small_engine, sample_queries)
-        plain = small_engine.execute(query, 4)
-        spanned = small_engine.execute(query, 4, collect_spans=True)
-        assert spanned.results == plain.results
-        # Bit-identical by design: span collection must not perturb the
-        # schedule, so exact float equality is the property under test.
-        assert spanned.latency == plain.latency
-        assert spanned.cpu_time == plain.cpu_time
-        assert spanned.chunks_evaluated == plain.chunks_evaluated
-        assert spanned.worker_busy == plain.worker_busy
-        assert spanned.terminated_early == plain.terminated_early
-
-    def test_one_span_per_claimed_chunk(self, small_engine, sample_queries):
-        query = self._spanning_query(small_engine, sample_queries)
-        result = small_engine.execute(query, 4, collect_spans=True)
-        spans = result.chunk_spans
-        assert len(spans) == result.chunks_evaluated
-        # Chunks are claimed in document order starting at position 0.
-        assert sorted(s.position for s in spans) == list(range(len(spans)))
-        assert all(s.duration_s > 0 for s in spans)
-        assert all(0 <= s.worker < 4 for s in spans)
-
-    def test_spans_tile_each_worker_without_overlap(
-        self, small_engine, sample_queries
-    ):
-        query = self._spanning_query(small_engine, sample_queries)
-        result = small_engine.execute(query, 4, collect_spans=True)
-        by_worker = {}
-        for span in result.chunk_spans:
-            by_worker.setdefault(span.worker, []).append(span)
-        for spans in by_worker.values():
-            spans.sort(key=lambda s: s.start_s)
-            for earlier, later in zip(spans, spans[1:]):
-                # The gap is the merge step; claims never overlap.
-                assert later.start_s >= earlier.end_s
-
-    def test_termination_marked_only_on_early_exit(
-        self, small_engine, sample_queries
-    ):
-        for query in sample_queries[:20]:
-            if small_engine.plan(query).n_candidate_chunks < 2:
-                continue
-            result = small_engine.execute(query, 2, collect_spans=True)
-            if result.terminated_early:
-                assert result.termination_s is not None
-                assert result.termination_s >= 0
-            else:
-                assert result.termination_s is None

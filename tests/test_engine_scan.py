@@ -1,4 +1,4 @@
-"""The claim–skip–stop–merge protocol seam (:mod:`repro.engine.scan`).
+"""The claim–stop–merge protocol seam (:mod:`repro.engine.scan`).
 
 The executors' behaviour is pinned by the equivalence, bit-identity and
 golden tests; these tests pin the seam they all drive — the transition
@@ -21,9 +21,7 @@ from repro.engine.scan import ChunkScan
 from repro.engine.termination import TerminationConfig, TerminationState
 from repro.engine.trace import FIRST_WAVE, MAX_WAVE
 
-SKIP_BOUND = TerminationConfig(
-    match_budget=None, use_score_bound=True, skip_chunks=True
-)
+SCORE_BOUND = TerminationConfig(match_budget=None, use_score_bound=True)
 ENGINE_DIR = Path(__file__).resolve().parents[1] / "src" / "repro" / "engine"
 
 
@@ -44,43 +42,15 @@ def plans(small_engine, sample_queries):
 
 
 @pytest.fixture(scope="module")
-def skipping_plan(plans):
-    """A plan on which the safe per-chunk rule skips at least one chunk."""
-    for plan in plans:
-        scan = ChunkScan(plan, SKIP_BOUND)
-        _drive(scan, plan)
-        if scan.chunks_skipped > 0:
-            return plan
-    pytest.skip("no sample query skips a chunk")
+def longest_plan(plans):
+    return max(plans, key=lambda plan: plan.n_candidate_chunks)
 
 
 class TestChunkScanTransitions:
-    def test_claim_counts_each_skip_once(self, skipping_plan):
-        plan = skipping_plan
-        scan = ChunkScan(plan, SKIP_BOUND)
-        position = 0
-        while position >= 0:
-            cursor = scan.position
-            skipped = scan.chunks_skipped
-            position = scan.claim()
-            # Everything the cursor moved over was skipped, counted once,
-            # except the claimed position itself (a stopping claim leaves
-            # the cursor where the rule fired).
-            assert scan.chunks_skipped - skipped == scan.position - cursor - (
-                position >= 0
-            )
-            assert position in (scan.position - 1, -1)
-            if position >= 0:
-                scan.merge(plan.score_chunk(position))
-        assert scan.chunks_skipped > 0
-        after = (scan.position, scan.chunks_skipped)
-        assert scan.claim() == -1
-        assert (scan.position, scan.chunks_skipped) == after
-
     @pytest.mark.parametrize(
         "termination",
-        [TerminationConfig(), TerminationConfig(match_budget=8), SKIP_BOUND],
-        ids=["default", "tight_budget", "skip_bound"],
+        [TerminationConfig(), TerminationConfig(match_budget=8), SCORE_BOUND],
+        ids=["default", "tight_budget", "score_bound"],
     )
     def test_stop_latches(self, plans, termination):
         for plan in plans[:20]:
@@ -88,47 +58,40 @@ class TestChunkScanTransitions:
             assert not scan.stopped
             _drive(scan, plan)
             assert scan.stopped
-            latched = (scan.state.fired_rule, scan.position, scan.chunks_skipped)
+            latched = (scan.state.fired_rule, scan.position)
             assert scan.claim() == -1
             # A late merge (a worker that was mid-chunk at the stop) must
             # not reopen the scan or change which rule fired.
             if plan.n_candidate_chunks:
                 scan.merge(plan.score_chunk(0))
             assert scan.claim() == -1
-            assert (
-                scan.state.fired_rule, scan.position, scan.chunks_skipped
-            ) == latched
+            assert (scan.state.fired_rule, scan.position) == latched
 
     def test_safe_rules_account_for_every_candidate(self, plans):
-        skip_only = TerminationConfig(
-            match_budget=None, use_score_bound=False, skip_chunks=True
-        )
+        # Every candidate is either evaluated, in claim order, or cut off
+        # by the stop rule; the cursor ends where the rule fired.
         for plan in plans:
-            scan = ChunkScan(plan, skip_only)
+            scan = ChunkScan(plan, SCORE_BOUND)
             claimed = _drive(scan, plan)
-            assert scan.chunks_evaluated == len(claimed)
-            assert (
-                scan.chunks_evaluated + scan.chunks_skipped
-                == plan.n_candidate_chunks
-            )
-            assert scan.state.fired_rule == "exhausted"
+            assert claimed == list(range(scan.chunks_evaluated))
+            assert scan.position == scan.chunks_evaluated
+            exhausted = scan.state.fired_rule == "exhausted"
+            assert exhausted == (scan.position == plan.n_candidate_chunks)
 
-    def test_result_carries_scan_state_and_driver_timing(self, skipping_plan):
-        scan = ChunkScan(skipping_plan, SKIP_BOUND)
-        _drive(scan, skipping_plan)
+    def test_result_carries_scan_state_and_driver_timing(self, longest_plan):
+        scan = ChunkScan(longest_plan, SCORE_BOUND)
+        _drive(scan, longest_plan)
         result = scan.result(
             degree=3, latency=2.0, cpu_time=5.0, worker_busy=(1.0, 1.5, 2.0)
         )
         assert (result.degree, result.latency, result.cpu_time) == (3, 2.0, 5.0)
         assert result.worker_busy == (1.0, 1.5, 2.0)
-        assert result.query is skipping_plan.query
+        assert result.query is longest_plan.query
         assert result.doc_ids == scan.topk.doc_ids()
-        assert result.chunks_evaluated == scan.chunks_evaluated
-        assert result.chunks_skipped == scan.chunks_skipped > 0
+        assert result.chunks_evaluated == scan.chunks_evaluated > 0
         assert result.postings_scanned == scan.postings_scanned
         assert result.docs_matched == scan.docs_matched
         assert result.termination_rule == scan.state.fired_rule
-        assert result.chunk_spans is None and result.termination_s is None
 
 
 class TestThreadedDriver:
@@ -195,7 +158,6 @@ class TestOneLoop:
         [
             ("TerminationState", {"scan.py": ["__init__"]}),
             ("should_stop", {"scan.py": ["claim"]}),
-            ("should_skip", {"scan.py": ["claim"]}),
             ("ExecutionResult", {"scan.py": ["result"]}),
         ],
     )

@@ -100,51 +100,7 @@ class TestTerminationState:
         # enable a rule with a truthy garbage value.
         with pytest.raises(Exception):
             TerminationConfig(match_budget=None, use_score_bound=1)
-        with pytest.raises(Exception):
-            TerminationConfig(match_budget=None, skip_chunks=1)
 
     def test_all_rules_off_is_valid(self):
-        config = TerminationConfig(
-            match_budget=None, use_score_bound=False, skip_chunks=False
-        )
+        config = TerminationConfig(match_budget=None, use_score_bound=False)
         assert config.match_budget is None
-
-    def test_skip_requires_configuration_and_full_heap(self, plan):
-        topk = TopK(5)
-        off = TerminationState(
-            TerminationConfig(match_budget=None, use_score_bound=False),
-            plan,
-            topk,
-        )
-        assert not off.should_skip(0)  # rule not enabled
-        on = TerminationState(
-            TerminationConfig(
-                match_budget=None, use_score_bound=False, skip_chunks=True
-            ),
-            plan,
-            topk,
-        )
-        assert not on.should_skip(0)  # heap not full yet
-
-    def test_skip_fires_when_chunk_bound_beaten(self, plan):
-        topk = TopK(1)
-        topk.offer(float(plan.chunk_bounds[0]) + 1.0, 0)
-        state = TerminationState(
-            TerminationConfig(
-                match_budget=None, use_score_bound=False, skip_chunks=True
-            ),
-            plan,
-            topk,
-        )
-        assert state.should_skip(0)
-        # Skipping is not stopping: no rule fires and the scan continues.
-        assert state.fired_rule is None
-
-    def test_chunk_bounds_dominated_by_suffix_bounds(self, plan):
-        # The suffix bound at i covers chunks i..end, so each individual
-        # chunk bound can never exceed it.
-        import numpy as np
-
-        assert np.all(
-            plan.chunk_bounds <= plan.bounds_from[: plan.n_candidate_chunks]
-        )

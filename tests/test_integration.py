@@ -7,7 +7,6 @@ import pytest
 from repro.core.controller import AdaptiveSearchSystem, SystemConfig
 from repro.corpus.generator import CorpusConfig
 from repro.index.builder import IndexConfig
-from repro.workloads.queries import QueryWorkloadConfig
 from repro.workloads.workbench import WorkbenchConfig, build_workbench
 
 
@@ -17,7 +16,6 @@ def system():
         WorkbenchConfig(
             corpus=CorpusConfig(n_docs=6_000, vocab_size=8_000, seed=21),
             index=IndexConfig(chunk_size=128),
-            workload=QueryWorkloadConfig(seed=21),
             seed=21,
         )
     )

@@ -300,9 +300,7 @@ class TestRegimeClassShedAccounting:
             ),
         )
         arrivals = RegimeTraffic(traffic, streams, horizon_s=duration)
-        sampler = ClassAwareQuerySampler(
-            table.sequential_latencies(), streams, heavy_fraction=0.2
-        )
+        sampler = ClassAwareQuerySampler(table.sequential_latencies(), streams)
         policy = OnlineAdaptivePolicy(
             ThresholdTable.from_pairs([(2, 4), (4, 2), (8, 1)])
         )
@@ -364,7 +362,7 @@ class TestRegimeClassShedAccounting:
             DegradationLevel.SHEDDING,
         ]
         # Only attack-class arrivals carry attack query indices, and the
-        # sampler confines those to the top heavy_fraction of the table.
+        # sampler confines those to the top HEAVY_FRACTION of the table.
         attack = {int(i) for i in sampler.attack_indices}
         assert all(t.query_index in attack for t in class_sheds)
         assert all(

@@ -8,10 +8,13 @@ test_property_obs.py.
 """
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs import export
 from repro.obs.export import (
     config_hash,
     export_timeline_jsonl,
@@ -321,11 +324,11 @@ class TestTracers:
 class TestRegistry:
     def test_counter_monotone(self):
         counter = Counter("events")
-        counter.inc()
-        counter.inc(3)
-        assert counter.value == 4
-        with pytest.raises(ConfigurationError, match="decrease"):
-            counter.inc(-1)
+        values = []
+        for _ in range(4):
+            counter.inc()
+            values.append(counter.value)
+        assert values == [1, 2, 3, 4]
 
     def test_counter_is_idempotent_per_name(self):
         registry = MetricsRegistry()
@@ -365,7 +368,8 @@ class TestRegistry:
         registry = MetricsRegistry()
         state = {"depth": 5.0}
         registry.gauge("depth", lambda: state["depth"])
-        registry.counter("done").inc(2)
+        registry.counter("done").inc()
+        registry.counter("done").inc()
         assert registry.sample() == {"depth": 5.0, "done": 2}
         state["depth"] = 7.0
         assert registry.sample()["depth"] == 7.0
@@ -475,8 +479,33 @@ class TestExport:
         second = write_manifest(manifest, tmp_path / "b.json").read_bytes()
         assert first == second
 
-    def test_git_revision_fallback(self, tmp_path):
-        assert git_revision(tmp_path) == "unknown"
+    def test_git_revision_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(export, "_PACKAGE_DIR", tmp_path)
+        assert git_revision() == "unknown"
+
+    def test_manifest_records_the_package_revision_not_the_cwd(
+        self, tmp_path, monkeypatch
+    ):
+        # A run started from inside another checkout must still name the
+        # revision of the code that ran.
+        def git(*args, cwd):
+            return subprocess.run(
+                ["git", *args], cwd=cwd, capture_output=True, text=True,
+                timeout=10, check=False,
+            )
+
+        if git("--version", cwd=tmp_path).returncode != 0:
+            pytest.skip("git is not installed")
+        git("init", "-q", cwd=tmp_path)
+        git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+            "--allow-empty", "-m", "other", cwd=tmp_path)
+        other = git("rev-parse", "--short=12", "HEAD", cwd=tmp_path).stdout.strip()
+        assert other
+        package = git("rev-parse", "--short=12", "HEAD",
+                      cwd=Path(export.__file__).resolve().parent)
+        expected = package.stdout.strip() if package.returncode == 0 else "unknown"
+        monkeypatch.chdir(tmp_path)
+        assert run_manifest(seed=0, scale="small")["git_rev"] == expected != other
 
 
 class TestRender:
@@ -487,18 +516,15 @@ class TestRender:
         assert "server=s0" in text
         assert EVENT_DEGREE_GRANT in text
 
-    def test_waterfall_width_validated(self):
-        with pytest.raises(ConfigurationError, match="width"):
-            render_waterfall(_completed_trace(), width=5)
-
     def test_timeline_needs_two_rows(self):
         assert "fewer than two" in render_timeline([{"t_s": 0.0}])
 
     def test_timeline_rejects_unknown_fields(self):
         rows = [{"t_s": 0.0, "x": 1.0}, {"t_s": 1.0, "x": 2.0}]
         with pytest.raises(ConfigurationError, match="present"):
-            render_timeline(rows, fields=("missing",))
-        assert "timeline" in render_timeline(rows, fields=("x",))
+            render_timeline(rows)
+        rows = [{"t_s": 0.0, "queue_depth": 1.0}, {"t_s": 1.0, "queue_depth": 2.0}]
+        assert "timeline" in render_timeline(rows)
 
     def test_summarize_traces(self):
         traces = [

@@ -79,14 +79,7 @@ class TestMeasurement:
                 MeasurementConfig(degrees=(1, 64)),
             )
 
-    def test_chunks_skipped_defaults_to_zeros(self, cost_table):
-        # The default engine keeps skip_chunks off, so the counter is
-        # recorded but all-zero; shape tracks (queries, degrees).
-        assert cost_table.chunks_skipped.shape == cost_table.chunks.shape
-        assert np.all(cost_table.chunks_skipped == 0)
-        assert cost_table.chunks_skipped.dtype == np.int64
-
-    def test_chunks_skipped_shape_validated(self, cost_table):
+    def test_matrix_shapes_validated(self, cost_table):
         from repro.profiles.measurement import QueryCostTable
 
         with pytest.raises(ProfileError):
@@ -95,47 +88,18 @@ class TestMeasurement:
                 cost_table.degrees,
                 cost_table.latency,
                 cost_table.cpu,
-                cost_table.chunks,
-                chunks_skipped=np.zeros((1, 1), dtype=np.int64),
+                np.zeros((1, 1), dtype=np.int64),
             )
-
-    def test_chunks_skipped_subset_and_measurement(
-        self, small_workbench, sample_queries
-    ):
-        from repro.engine.executor import Engine, EngineConfig
-        from repro.engine.termination import TerminationConfig
-
-        engine = Engine(
-            small_workbench.index,
-            EngineConfig(
-                termination=TerminationConfig(
-                    match_budget=None, use_score_bound=True, skip_chunks=True
-                )
-            ),
-        )
-        table = measure_cost_table(
-            engine,
-            sample_queries[:25],
-            MeasurementConfig(degrees=(1, 2), n_queries=25),
-        )
-        assert table.chunks_skipped.sum() > 0, "skipping never fired"
-        for i, query in enumerate(sample_queries[:25]):
-            result = engine.execute(query, 1)
-            assert table.chunks_skipped[i, 0] == result.chunks_skipped
-        mask = np.zeros(25, dtype=bool)
-        mask[:5] = True
-        subset = table.subset(mask)
-        assert np.array_equal(subset.chunks_skipped, table.chunks_skipped[:5])
 
 
 class TestSpeedupProfile:
     def test_class_assignment_balanced(self, cost_table):
-        profile = SpeedupProfile(cost_table, n_classes=3)
+        profile = SpeedupProfile(cost_table)
         counts = np.bincount(profile.class_of_query, minlength=3)
         assert counts.min() >= cost_table.n_queries // 5
 
     def test_long_class_has_best_speedup(self, cost_table):
-        profile = SpeedupProfile(cost_table, n_classes=3)
+        profile = SpeedupProfile(cost_table)
         assert profile.speedup(4, 2) > profile.speedup(4, 0)
 
     def test_degree_one_speedup_is_one(self, cost_table):

@@ -130,14 +130,11 @@ class _ReferenceTrace:
     mode=st.sampled_from([MatchMode.ALL, MatchMode.ANY]),
     budget=st.sampled_from([None, 3, 256]),
     use_score_bound=st.booleans(),
-    skip_chunks=st.booleans(),
     degree=st.sampled_from([1, 2, 4]),
-    collect_spans=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 def test_block_filled_trace_executes_identically_to_per_chunk_reference(
-    params, query_terms, k, mode, budget, use_score_bound, skip_chunks,
-    degree, collect_spans,
+    params, query_terms, k, mode, budget, use_score_bound, degree,
 ):
     seed, n_docs, vocab, chunk_size = params
     index, _, _ = _build(seed, n_docs, vocab, chunk_size)
@@ -147,7 +144,6 @@ def test_block_filled_trace_executes_identically_to_per_chunk_reference(
             termination=TerminationConfig(
                 match_budget=budget,
                 use_score_bound=use_score_bound,
-                skip_chunks=skip_chunks,
             )
         ),
     )
@@ -155,10 +151,8 @@ def test_block_filled_trace_executes_identically_to_per_chunk_reference(
     trace = engine.trace(query)
     reference = _ReferenceTrace(engine.plan(query), engine.config.cost_model)
     # Dataclass equality: results, latency, cpu_time, worker_busy, every
-    # work counter, the fired rule, chunk_spans and termination_s.
-    assert engine.execute_trace(
-        trace, degree, collect_spans
-    ) == engine.execute_trace(reference, degree, collect_spans)
+    # work counter and the fired rule.
+    assert engine.execute_trace(trace, degree) == engine.execute_trace(reference, degree)
     # A second degree on the shared, already filled trace is exact too.
     assert engine.execute_trace(trace, 4) == engine.execute_trace(reference, 4)
 

@@ -2,7 +2,7 @@
 
 The guard these tests provide: every declared field of
 :class:`ExecutionResult` — including work counters like
-``chunks_skipped`` — must survive :func:`to_jsonable` serialization
+``chunks_evaluated`` — must survive :func:`to_jsonable` serialization
 with its value intact, and :class:`QueryCostTable` matrices must
 round-trip bit-exactly through JSON (and through ``subset``). A future
 counter added to either class cannot silently vanish from serialized
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.query import Query
-from repro.engine.results import ChunkSpan, ExecutionResult, make_ranked
+from repro.engine.results import ExecutionResult, make_ranked
 from repro.profiles.measurement import QueryCostTable
 from repro.util.serde import dumps, to_jsonable
 
@@ -35,13 +35,6 @@ def execution_results(draw):
     ]
     degree = draw(st.sampled_from([1, 2, 4, 8]))
     latency = draw(st.floats(1e-6, 1e3, allow_nan=False))
-    with_spans = draw(st.booleans())
-    spans = None
-    if with_spans:
-        spans = tuple(
-            ChunkSpan(worker=w, position=p, start_s=0.0, end_s=float(latency))
-            for w, p in [(0, 0), (1, 1)][: draw(st.integers(0, 2))]
-        )
     return ExecutionResult(
         query=Query.of(draw(st.lists(st.integers(0, 500), min_size=1,
                                      max_size=4, unique=True)),
@@ -56,9 +49,6 @@ def execution_results(draw):
         terminated_early=draw(st.booleans()),
         termination_rule=draw(st.sampled_from([None, "topk-bound", "budget"])),
         worker_busy=tuple(draw(st.lists(finite, max_size=4))),
-        chunks_skipped=draw(counts),
-        chunk_spans=spans,
-        termination_s=draw(st.one_of(st.none(), finite)),
     )
 
 
@@ -71,7 +61,6 @@ def test_execution_result_serializes_every_field(result):
     # undeclared may appear. A counter added to the dataclass later is
     # automatically covered.
     assert set(payload) == declared
-    assert payload["chunks_skipped"] == result.chunks_skipped
     assert payload["chunks_evaluated"] == result.chunks_evaluated
     assert payload["degree"] == result.degree
     assert payload["latency"] == result.latency
@@ -97,17 +86,11 @@ def cost_tables(draw):
                       min_size=n, max_size=n)),
         dtype=np.int64,
     )
-    skipped = np.array(
-        draw(st.lists(st.lists(st.integers(0, 100), min_size=d, max_size=d),
-                      min_size=n, max_size=n)),
-        dtype=np.int64,
-    )
     queries = [Query.of([i + 1], query_id=i) for i in range(n)]
-    return QueryCostTable(queries, degrees, latency, cpu, chunks,
-                          chunks_skipped=skipped)
+    return QueryCostTable(queries, degrees, latency, cpu, chunks)
 
 
-_TABLE_ARRAYS = ("latency", "cpu", "chunks", "chunks_skipped")
+_TABLE_ARRAYS = ("latency", "cpu", "chunks")
 
 
 @given(table=cost_tables())
@@ -123,7 +106,6 @@ def test_cost_table_matrices_roundtrip_through_json(table):
         latency=np.asarray(parsed["latency"], dtype=np.float64),
         cpu=np.asarray(parsed["cpu"], dtype=np.float64),
         chunks=np.asarray(parsed["chunks"], dtype=np.int64),
-        chunks_skipped=np.asarray(parsed["chunks_skipped"], dtype=np.int64),
     )
     for name in _TABLE_ARRAYS:
         np.testing.assert_array_equal(

@@ -9,7 +9,6 @@ from repro.ranking.bm25 import (
     bm25_score_document,
     bm25_tf_component,
 )
-from repro.ranking.composite import ScoreWeights
 
 
 class TestBM25:
@@ -60,11 +59,3 @@ class TestBM25:
             BM25Params(k1=0.0)
         with pytest.raises(Exception):
             BM25Params(b=1.5)
-
-
-class TestComposite:
-    def test_zero_static_weight_allowed(self):
-        weights = ScoreWeights(relevance_weight=1.0, static_weight=0.0)
-        assert weights.static_weight == 0.0
-        with pytest.raises(Exception):
-            ScoreWeights(relevance_weight=1.0, static_weight=-0.5)

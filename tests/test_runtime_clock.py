@@ -6,6 +6,7 @@ import pytest
 from conftest import EventHeapContract
 from repro.core.clock import ClockProtocol, SchedulerProtocol
 from repro.errors import SimulationError
+from repro.runtime import clock as runtime_clock
 from repro.runtime.clock import FakeClock
 
 
@@ -36,7 +37,8 @@ class TestFakeClockScheduling(EventHeapContract):
         assert clock.next_event_s() is None
 
     def test_advance_by_and_counts(self):
-        clock = FakeClock(start_s=5.0)
+        clock = FakeClock()
+        clock.advance_to(5.0)
         clock.schedule(1.0, lambda: None)
         clock.schedule(4.0, lambda: None)
         assert clock.advance_by(2.0) == 1
@@ -55,12 +57,14 @@ class TestFakeClockScheduling(EventHeapContract):
 
 class TestFakeClockErrors:
     def test_schedule_at_past_rejected(self):
-        clock = FakeClock(start_s=10.0)
+        clock = FakeClock()
+        clock.advance_to(10.0)
         with pytest.raises(SimulationError):
             clock.schedule_at(9.0, lambda: None)
 
     def test_advance_backwards_rejected(self):
-        clock = FakeClock(start_s=2.0)
+        clock = FakeClock()
+        clock.advance_to(2.0)
         with pytest.raises(SimulationError):
             clock.advance_to(1.0)
 
@@ -68,7 +72,8 @@ class TestFakeClockErrors:
         with pytest.raises(SimulationError):
             FakeClock().advance_by(-1.0)
 
-    def test_drain_bounds_runaway_reschedule(self):
+    def test_drain_bounds_runaway_reschedule(self, monkeypatch):
+        monkeypatch.setattr(runtime_clock, "_DRAIN_LIMIT", 100)
         clock = FakeClock()
 
         def reschedule():
@@ -76,7 +81,7 @@ class TestFakeClockErrors:
 
         clock.schedule(1.0, reschedule)
         with pytest.raises(SimulationError):
-            clock.drain(max_events=100)
+            clock.drain()
 
     def test_drain_returns_total_fired(self):
         clock = FakeClock()

@@ -26,6 +26,7 @@ from repro.policies.fixed import FixedPolicy
 from repro.profiles.measurement import QueryCostTable
 from repro.runtime.loadgen import ReplayOptions, replay_open_loop, run_closed_loop
 from repro.runtime.node import ServingConfig, ServingNode
+from repro.runtime.parity import DEFAULT_TOLERANCES
 from repro.runtime.serve import AsyncioScheduler, LiveServer
 from repro.runtime.smoke import run_live_point
 from repro.sim.experiment import LoadPointConfig
@@ -159,10 +160,10 @@ class TestSmokeHarness:
 
     def test_scaled_smoke_system_preserves_shape(self, context):
         system = context.system
-        scaled, factor = scaled_smoke_system(system, target_mean_service_s=0.02)
+        scaled, factor = scaled_smoke_system(system)
         assert factor > 1.0
         table, orig = scaled.cost_table, system.cost_table
-        assert np.mean(table.sequential_latencies()) == pytest.approx(0.02)
+        assert np.mean(table.sequential_latencies()) == pytest.approx(0.025)
         # Uniform scaling: every speedup ratio survives.
         assert np.allclose(table.latency, orig.latency * factor)
         assert np.allclose(table.cpu, orig.cpu * factor)
@@ -172,7 +173,7 @@ class TestSmokeHarness:
             system.saturation_rate / factor
         )
         # Already-slow systems pass through untouched.
-        same, factor2 = scaled_smoke_system(scaled, target_mean_service_s=0.02)
+        same, factor2 = scaled_smoke_system(scaled)
         assert same is scaled and factor2 == 1.0
 
     def test_smoke_points_cover_light_heavy_overload(self, context):
@@ -188,31 +189,31 @@ class TestSmokeHarness:
         assert overload.config.max_queue_length == 32 * system.n_cores
 
     def test_engine_search_hook_returns_ranked_results(self, context):
-        search = engine_search_for(context.system, k=5)
+        search = engine_search_for(context.system)
         results = search(0, 2)
-        assert 0 < len(results) <= 5
+        assert 0 < len(results) <= context.system.cost_table.queries[0].k
         scores = [score for _, score in results]
         assert scores == sorted(scores, reverse=True)
 
     def test_run_live_smoke_report_schema(self, context, tmp_path):
         out = tmp_path / "live_parity.json"
-        # Wide bands: this test pins the machinery and report schema;
-        # the calibrated-band validation is the CI livesmoke step.
-        wide = {"throughput": 2.0, "shed_rate": 1.0}
+        # This test pins the machinery and report schema, not the verdict
+        # (a 0.4 s point is too short for the calibrated bands); the
+        # band validation is the CI livesmoke step.
         report, ok = run_live_smoke(
             context=context, duration_s=0.4, dilation=2.0, seed=0,
-            tolerances=wide, output=str(out),
+            output=str(out),
         )
-        assert ok
-        assert report["ok"] and report["time_scale"] > 1.0
+        assert report["ok"] is ok == all(p["ok"] for p in report["points"])
+        assert report["time_scale"] > 1.0
         assert [p["point"] for p in report["points"]] == [
             "e05-light", "e05-heavy", "e19-overload"
         ]
         for point in report["points"]:
             assert point["n_arrivals"] > 0
-            assert set(point["metrics"]) == set(wide)
+            assert set(point["metrics"]) == set(DEFAULT_TOLERANCES)
             assert point["sim_summary"]["policy"] == "adaptive"
             assert point["live_summary"]["policy"] == "adaptive"
         on_disk = json.loads(out.read_text())
         assert on_disk["points"][0]["point"] == "e05-light"
-        assert on_disk["tolerances"] == wide
+        assert on_disk["tolerances"] == DEFAULT_TOLERANCES

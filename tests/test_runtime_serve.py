@@ -118,7 +118,8 @@ async def _shutdown(service, serve_task, *clients):
 class TestControlOps:
     def test_ping_reports_fake_time(self):
         async def scenario():
-            clock = FakeClock(start_s=3.5)
+            clock = FakeClock()
+            clock.advance_to(3.5)
             service, serve_task, port = await _boot(_node(clock))
             client = await _Client.connect(port)
             reply = await client.ask({"id": 1, "op": "ping"})

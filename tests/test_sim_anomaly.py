@@ -74,9 +74,10 @@ class TestEwmaCusumDetector:
         assert det.mean == pytest.approx(mean_before, rel=0.05)
 
     def test_reset_clears_statistic_only(self):
-        det = EwmaCusumDetector(alpha=0.3, k=0.5, h=2.0, warmup=2)
-        for v in (10.0, 10.0, 11.0, 10.0, 50.0, 50.0, 50.0):
+        det = EwmaCusumDetector(alpha=0.3, k=0.5, h=2.0)
+        for v in (10.0, 10.0, 11.0) * 3 + (50.0, 50.0, 50.0):
             det.update(v)
+        assert det.statistic > 0.0
         mean_before = det.mean
         det.reset()
         assert det.statistic == 0.0
@@ -95,8 +96,6 @@ class TestEwmaCusumDetector:
             EwmaCusumDetector(alpha=0.3, k=-1.0)
         with pytest.raises(ConfigurationError):
             EwmaCusumDetector(alpha=0.3, h=0.0)
-        with pytest.raises(ConfigurationError):
-            EwmaCusumDetector(alpha=0.3, warmup=0)
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +192,6 @@ def _make_guard(**overrides):
         slo_s=1.0,
         window_s=1.0,
         sla_epsilon=0.05,
-        cusum_h=3.0,
         degraded_degree_cap=2,
         shedding_queue_cap=8,
         shed_classes=("slow_query_flood",),
@@ -292,7 +290,7 @@ class TestAnomalyGuardLadder:
 
     def test_guard_without_policy_still_sheds(self):
         config = AnomalyGuardConfig(
-            slo_s=1.0, window_s=1.0, cusum_h=3.0,
+            slo_s=1.0, window_s=1.0,
             shedding_queue_cap=8, shed_classes=("slow_query_flood",),
         )
         guard = AnomalyGuard(config)  # no policy to cap

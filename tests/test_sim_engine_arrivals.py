@@ -9,7 +9,6 @@ import pytest
 from conftest import EventHeapContract
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.arrivals import (
-    DeterministicArrivals,
     MMPP2Arrivals,
     PoissonArrivals,
     TraceArrivals,
@@ -167,12 +166,6 @@ class TestPoissonArrivals:
     def test_bad_rate_rejected(self, rng):
         with pytest.raises(Exception):
             PoissonArrivals(rate=0.0, rng=rng)
-
-
-class TestDeterministicArrivals:
-    def test_constant_spacing(self):
-        process = DeterministicArrivals(rate=4.0)
-        assert [process.next_interarrival() for _ in range(3)] == [0.25] * 3
 
 
 class TestMMPP2:

@@ -347,3 +347,105 @@ def test_kernel_functions_are_pure():
                 if problem:
                     findings.append(_finding(rel, node, f"{function.name} {problem}"))
     _assert_none(findings)
+
+
+#: Defaulted parameters and dataclass fields that no call under ``src``,
+#: ``benchmarks`` or ``examples`` sets, each with why it stays. A key is
+#: ``Owner.name`` (``Class.field``, ``Class.param`` of ``__init__``,
+#: ``Class.method.param``, ``function.param``) or a class name for all
+#: of its fields.
+KEPT = {
+    "BatchStats": "accumulator: execute() adds to the zero defaults",
+    "ExperimentResult": "accumulator: experiments append tables, charts and checks",
+    "TraceRun": "accumulator: the tracer appends traces, samples and events",
+    "CostModel": "coefficients ROADMAP item 1b fits; tests pin the model's arithmetic",
+    "EngineConfig.cost_model": "tests vary the cost model to drive the executors' timing",
+    "TerminationConfig.use_score_bound": "exhaustive reference mode the equivalence and "
+                                         "brute-force tests compare the engine against",
+    "Query.of.mode": "tests build disjunctive queries to drive the plan's and kernel's ANY paths",
+    "CorpusConfig.mean_doc_length": "fixtures build short-document corpora to drive the index "
+                                    "and engine; TestOneLexicon pins tiny_corpus's bytes",
+    "SystemConfig.min_gain": "benchmarks/perf reads it (ROADMAP 0(i) re-points the probe)",
+    "ServingConfig.server_id": "goes with ServingConfig in ROADMAP 4a",
+    "run_scripted_point.controllers": "tests drive the online controller and guard through "
+                                      "the scripted point",
+    "run_scripted_point.tracer": "tests record the scripted point's spans",
+    "run_scripted_live.controllers": "the parity tests drive the live side's controllers",
+    "run_scripted_live.tracer": "the parity tests record the live side's spans",
+    "run_cluster_point.arrivals": "tests drive the cluster with TraceArrivals",
+    "build_arrival_script.arrivals": "tests script arrivals from TraceArrivals",
+}
+
+
+def _signatures(tree):
+    """``(callee name, owner key, [(name, has default)], n keyword-only)``
+    per module-level function, method and dataclass in ``tree``; a class
+    is called by its own name, so ``__init__`` and the dataclass's
+    fields register under it."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            yield node.name, node.name, *_parameters(node, method=False)
+    for cls in _nodes(tree, ast.ClassDef):
+        if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            fields = [(s.target.id, s.value is not None) for s in cls.body
+                      if isinstance(s, ast.AnnAssign) and "ClassVar" not in ast.unparse(s.annotation)]
+            yield cls.name, cls.name, fields, 0
+        for method in (m for m in cls.body if isinstance(m, FUNCTIONS)):
+            init = method.name == "__init__"
+            static = "staticmethod" in {_terminal(d) for d in method.decorator_list}
+            yield (cls.name if init else method.name,
+                   cls.name if init else f"{cls.name}.{method.name}",
+                   *_parameters(method, method=not static))
+
+
+def _parameters(function, method):
+    args = function.args
+    positional = [*args.posonlyargs, *args.args][int(method):]
+    first_default = len(positional) - len(args.defaults)
+    names = [(arg.arg, i >= first_default) for i, arg in enumerate(positional)]
+    names += [(arg.arg, default is not None)
+              for arg, default in zip(args.kwonlyargs, args.kw_defaults)]
+    return names, len(args.kwonlyargs)
+
+
+def test_every_parameter_has_a_customer():
+    """Every defaulted parameter of a module-level function or method in
+    ``src/repro``, and every dataclass field with a default, is set by a
+    call under ``src``, ``benchmarks`` or ``examples`` — by keyword, by
+    position, through ``cls(...)`` in a classmethod, ``partial`` or
+    ``dataclasses.replace`` — or is in ``KEPT`` with its reason: a knob
+    only a test turns is a path the program never takes. Calls resolve
+    by callee name, so two functions of one name share their callers."""
+    signatures = {}
+    for _, tree in _files(PACKAGE):
+        for name, owner, params, n_keyword_only in _signatures(tree):
+            signatures.setdefault(name, []).append((owner, params, n_keyword_only))
+    used = set()
+    for _, tree in _files(PACKAGE, REPO / "benchmarks", REPO / "examples"):
+        classes = {id(call): cls.name for cls in _nodes(tree, ast.ClassDef)
+                   for call in _nodes(cls, ast.Call) if _terminal(call.func) == "cls"}
+        for call in _nodes(tree, ast.Call):
+            name, args = classes.get(id(call), _terminal(call.func)), call.args
+            if name == "partial" and args:
+                name, args = _terminal(args[0]), args[1:]
+            keywords = {keyword.arg for keyword in call.keywords}
+            if name == "replace":
+                used |= {(owner, field) for candidates in signatures.values()
+                         for owner, params, _ in candidates for field, _ in params
+                         if field in keywords}
+            for owner, params, n_keyword_only in signatures.get(name, ()):
+                names = [param for param, _ in params]
+                positional = names[:len(names) - n_keyword_only]
+                if None in keywords:  # a ** mapping may hold any of them
+                    positional = names
+                elif not any(isinstance(arg, ast.Starred) for arg in args):
+                    positional = positional[:len(args)]
+                used |= {(owner, p) for p in names if p in positional or p in keywords}
+    unset = {f"{owner}.{param}" for candidates in signatures.values()
+             for owner, params, _ in candidates for param, default in params
+             if default and (owner, param) not in used}
+    report = [f"{key} is set only by tests, or by nothing" for key in sorted(unset)
+              if key not in KEPT and key.split(".")[0] not in KEPT]
+    report += [f"stale KEPT entry {key}" for key in sorted(KEPT)
+               if not any(key in (found, found.split(".")[0]) for found in unset)]
+    assert not report, "\n".join(report)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.text.tokenizer import Tokenizer
+from repro.text.tokenizer import tokenize
 from repro.text.zipf import ZipfMandelbrot
 
 
@@ -54,16 +54,10 @@ class TestZipfMandelbrot:
 
 class TestTokenizer:
     def test_lowercases_and_splits(self):
-        assert Tokenizer(stopwords=frozenset()).tokenize("Hello WORLD") == [
-            "hello", "world"]
+        assert tokenize("Hello WORLD") == ["hello", "world"]
 
     def test_strips_punctuation(self):
-        assert Tokenizer(stopwords=frozenset()).tokenize("web-search, now!") == [
-            "web", "search", "now"]
+        assert tokenize("web-search, now!") == ["web", "search", "now"]
 
     def test_drops_stopwords(self):
-        assert Tokenizer().tokenize("the cat and the hat") == ["cat", "hat"]
-
-    def test_min_token_length(self):
-        assert Tokenizer(stopwords=frozenset(), min_token_length=3).tokenize(
-            "go for it now") == ["for", "now"]
+        assert tokenize("the cat and the hat") == ["cat", "hat"]

@@ -48,8 +48,6 @@ class TestTopicModel:
         with pytest.raises(Exception):
             TopicModelConfig(n_topics=0)
         with pytest.raises(Exception):
-            TopicModelConfig(topical_fraction=1.5)
-        with pytest.raises(Exception):
             TopicModel(
                 TopicModelConfig(topic_vocab=100),
                 vocab_size=50,  # smaller than topic_vocab

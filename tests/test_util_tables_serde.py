@@ -16,7 +16,7 @@ class TestFormatFloat:
         assert format_float(12) == "12"
 
     def test_float_digits(self):
-        assert format_float(1.23456, digits=2) == "1.23"
+        assert format_float(1.23456) == "1.235"
 
     def test_tiny_uses_scientific(self):
         assert "e" in format_float(1e-7)

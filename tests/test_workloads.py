@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.engine.query import MatchMode
 from repro.workloads.queries import QueryGenerator, QueryWorkloadConfig
 from repro.workloads.workbench import (
     WorkbenchConfig,
@@ -50,10 +49,6 @@ class TestQueryGenerator:
         ]
         head_fraction = np.mean(np.asarray(terms) < 100)
         assert head_fraction > 0.3
-
-    def test_mode_propagates(self):
-        config = QueryWorkloadConfig(vocab_size=100, mode=MatchMode.ANY, seed=5)
-        assert QueryGenerator(config).sample().mode is MatchMode.ANY
 
     def test_iterator_protocol(self):
         generator = QueryGenerator(QueryWorkloadConfig(vocab_size=100, seed=6))
