@@ -50,16 +50,17 @@ def capacity_at_slo(
 
     evaluated: List[Tuple[float, float]] = []
 
-    def p99_at(utilization: float) -> float:
+    def compliant(utilization: float) -> bool:
+        # A NaN P99 (no query completed in the window) is a violation.
         rate = system.rate_for_utilization(utilization)
         summary = system.run_point(
             policy_name, rate, duration=duration, warmup=warmup, seed=_SEED
         )
         evaluated.append((rate, summary.p99_latency))
-        return summary.p99_latency
+        return summary.p99_latency <= slo
 
     low, high = _LOW_UTILIZATION, _HIGH_UTILIZATION
-    if p99_at(low) > slo:
+    if not compliant(low):
         # SLO unattainable even at trivial load.
         return CapacityResult(
             policy=policy_name,
@@ -68,7 +69,7 @@ def capacity_at_slo(
             capacity_utilization=0.0,
             evaluated_points=tuple(evaluated),
         )
-    if p99_at(high) <= slo:
+    if compliant(high):
         return CapacityResult(
             policy=policy_name,
             slo=slo,
@@ -79,7 +80,7 @@ def capacity_at_slo(
     best = low
     while high - low > _TOLERANCE:
         mid = (low + high) / 2.0
-        if p99_at(mid) <= slo:
+        if compliant(mid):
             best = mid
             low = mid
         else:

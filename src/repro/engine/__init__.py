@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`Query` / :class:`QueryPlan` — a parsed query and its planned
   posting lists, bounds and chunk trace;
-* :class:`EngineConfig` — matching semantics, termination, cost model;
+* :class:`EngineConfig` — termination, cost model;
 * :class:`Engine` — the facade: ``engine.execute(query, degree=p)``
   runs a query sequentially (``p == 1``) or with intra-query parallelism
   (``p > 1``) in deterministic virtual time, returning an
@@ -17,7 +17,7 @@ Public surface:
 from repro.engine.batch import BatchExecutor, BatchStats
 from repro.engine.cost import CostModel
 from repro.engine.executor import Engine, EngineConfig
-from repro.engine.query import Query, MatchMode
+from repro.engine.query import Query
 from repro.engine.results import ExecutionResult, RankedDocument
 from repro.engine.termination import TerminationConfig
 from repro.engine.topk import TopK
@@ -29,7 +29,6 @@ __all__ = [
     "Engine",
     "EngineConfig",
     "Query",
-    "MatchMode",
     "ExecutionResult",
     "RankedDocument",
     "TerminationConfig",

@@ -14,8 +14,8 @@ milliseconds, long tail tens of milliseconds):
 * ``posting_cost`` — per posting scanned (decode + score accumulate);
 * ``match_cost`` — per matched document (scoring + heap bookkeeping);
 * ``chunk_cost`` — per chunk claimed (work-queue claim, cursor setup);
-  a chunk *skipped* on its score bound is a metadata compare and costs
-  nothing, exactly like candidate-chunk selection;
+  a chunk outside the candidate list is never claimed and costs nothing
+  (candidate-chunk selection is metadata-only);
 * ``query_fixed_cost`` — per query (parse, plan, result assembly);
   *sequential*, paid once regardless of parallelism degree (Amdahl term);
 * ``fork_cost`` / ``join_cost`` — per *extra* worker when running with

@@ -4,10 +4,12 @@ A :class:`QueryPlan` is built once per (query, index) pair and captures
 everything both the sequential and the parallel executor need:
 
 * the posting lists of the query's terms;
-* the **candidate chunk list** — for conjunctive queries, only chunks in
-  which *every* term occurs can contain a match, so the executor walks
-  that (often short) list instead of the whole document space. Chunk
-  skipping is metadata-only in a real ISN, and is modeled as free here;
+* the **candidate chunk list** — the intersection of the terms' chunk
+  lists: a document matches only if it contains every term, so only
+  chunks in which every term occurs can hold a match, and the executor
+  walks that (often short) list instead of the whole document space.
+  Passing over the other chunks is metadata-only in a real ISN, and is
+  modeled as free here;
 * **suffix score bounds** — for each position in the candidate list, an
   upper bound on the composite score of any document in the remaining
   chunks. Bounds combine per-term per-chunk max impacts (suffix maxima)
@@ -29,7 +31,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.query import MatchMode, Query
+from repro.engine.query import Query
 from repro.errors import ExecutionError
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
@@ -70,12 +72,10 @@ class QueryPlan:
         self.index = index
 
         found = index.lexicon.posting_lists(list(query.term_ids))
-        missing = len(query.term_ids) - len(found)
-        if query.mode is MatchMode.ALL and missing > 0:
-            # A conjunctive query with an unindexed term matches nothing.
-            self.posting_lists: List[PostingList] = []
-        else:
-            self.posting_lists = found
+        # A query with an unindexed term matches nothing.
+        self.posting_lists: List[PostingList] = (
+            found if len(found) == len(query.term_ids) else []
+        )
 
         self.candidate_chunks = self._candidate_chunks()
         self.bounds_from = self._suffix_bounds()
@@ -92,24 +92,19 @@ class QueryPlan:
         return int(self.candidate_chunks.shape[0])
 
     def _candidate_chunks(self) -> np.ndarray:
-        """Chunks that can contain a match, in document order.
+        """Chunks in which every term occurs, in document order.
 
         ``PostingList.chunk_ids`` arrays are sorted-unique by
         construction (``np.nonzero`` output over chunk sizes), so the
         intersection runs with ``assume_unique=True`` — skipping the
-        per-operand ``np.unique`` sort — and the union is one
-        ``np.unique`` over the concatenation instead of a pairwise
-        reduce.
+        per-operand ``np.unique`` sort.
         """
         if not self.posting_lists:
             return np.empty(0, dtype=np.int64)
-        chunk_sets = [plist.chunk_ids for plist in self.posting_lists]
-        if self.query.mode is MatchMode.ALL:
-            combined = reduce(
-                lambda a, b: np.intersect1d(a, b, assume_unique=True), chunk_sets
-            )
-        else:
-            combined = np.unique(np.concatenate(chunk_sets))
+        combined = reduce(
+            lambda a, b: np.intersect1d(a, b, assume_unique=True),
+            [plist.chunk_ids for plist in self.posting_lists],
+        )
         return combined.astype(np.int64)
 
     def _suffix_bounds(self) -> np.ndarray:
@@ -121,19 +116,11 @@ class QueryPlan:
         if n == 0:
             return bounds
         relevance = np.zeros(n, dtype=np.float64)
-        # Shared all-zeros row for terms with no chunks at all (ANY mode
-        # only); read-only below, so one allocation serves every term.
-        absent = np.zeros(n, dtype=np.float64)
         for plist in self.posting_lists:
-            # Max impact of this term within each candidate chunk (0 when
-            # the term is absent — possible in ANY mode only).
+            # Max impact of this term within each candidate chunk; every
+            # candidate is one of the term's chunks, so the search is exact.
             idx = np.searchsorted(plist.chunk_ids, self.candidate_chunks)
-            idx_clipped = np.minimum(idx, max(plist.chunk_ids.shape[0] - 1, 0))
-            if plist.chunk_ids.shape[0]:
-                present = plist.chunk_ids[idx_clipped] == self.candidate_chunks
-                per_chunk = np.where(present, plist.chunk_max_impact[idx_clipped], 0.0)
-            else:
-                per_chunk = absent
+            per_chunk = plist.chunk_max_impact[idx]
             # Suffix max over the candidate list, then sum across terms:
             # any remaining doc scores at most the sum of the remaining
             # per-term maxima.
@@ -151,9 +138,9 @@ class QueryPlan:
         """Evaluate the candidate chunk at ``position`` on its own.
 
         The reference implementation of chunk scoring (with
-        :meth:`_intersect` and :meth:`_accumulate`): one chunk, one slice
-        per term, no batching. Tests hold :meth:`score_chunks` bit-identical
-        to it; production code scores through :meth:`score_chunks` only.
+        :meth:`_intersect`): one chunk, one slice per term, no batching.
+        Tests hold :meth:`score_chunks` bit-identical to it; production
+        code scores through :meth:`score_chunks` only.
         """
         if not 0 <= position < self.n_candidate_chunks:
             raise ExecutionError(
@@ -163,11 +150,7 @@ class QueryPlan:
         slices = [plist.chunk_slice(chunk_id) for plist in self.posting_lists]
         postings_scanned = int(sum(ids.shape[0] for ids, _ in slices))
 
-        if self.query.mode is MatchMode.ALL:
-            doc_ids, relevance = self._intersect(slices)
-        else:
-            doc_ids, relevance = self._accumulate(slices, chunk_id)
-
+        doc_ids, relevance = self._intersect(slices)
         scores = (
             RELEVANCE_WEIGHT * relevance
             + STATIC_WEIGHT * self.index.static_ranks[doc_ids]
@@ -189,8 +172,8 @@ class QueryPlan:
         one :class:`ChunkOutcome` per position, **bit-identical** to
         ``[self.score_chunk(p) for p in positions]``: the matched doc-id
         sets are recovered exactly (chunks partition the doc space, so
-        intersecting/accumulating the concatenated slices equals doing so
-        chunk by chunk), and relevance is accumulated per document in the
+        intersecting the concatenated slices equals doing so chunk by
+        chunk), and relevance is accumulated per document in the
         same term order and left-to-right grouping the per-chunk scorer
         uses, so the float64 sums agree to the last bit.
 
@@ -222,12 +205,7 @@ class QueryPlan:
 
         doc_starts = self.index.chunk_map.bounds[chunk_ids]
         doc_ends = self.index.chunk_map.bounds[chunk_ids + 1]
-        if self.query.mode is MatchMode.ALL:
-            doc_ids, relevance = self._intersect_many(starts, sizes, doc_starts)
-        else:
-            doc_ids, relevance = self._accumulate_many(
-                starts, sizes, doc_starts, doc_ends
-            )
+        doc_ids, relevance = self._intersect_many(starts, sizes, doc_starts)
 
         if doc_ids.shape[0]:
             scores = (
@@ -260,24 +238,21 @@ class QueryPlan:
         """Per-(term, plan position) posting-slice starts and sizes.
 
         Row ``t``, column ``i`` locates term ``t``'s postings for the
-        candidate chunk at position ``i`` (0-length when the term misses
-        the chunk — possible in ANY mode only). Built once per plan;
-        every wave then selects its columns with one fancy index instead
-        of per-term binary searches.
+        candidate chunk at position ``i`` (never empty: every term occurs
+        in every candidate chunk). Built once per plan; every wave then
+        selects its columns with one fancy index instead of per-term
+        binary searches.
         """
         n = self.n_candidate_chunks
         n_terms = len(self.posting_lists)
-        starts = np.zeros((n_terms, n), dtype=np.int64)
-        sizes = np.zeros((n_terms, n), dtype=np.int64)
+        starts = np.empty((n_terms, n), dtype=np.int64)
+        sizes = np.empty((n_terms, n), dtype=np.int64)
         for t, plist in enumerate(self.posting_lists):
-            if plist.chunk_ids.shape[0] == 0:
-                continue
-            idx = np.searchsorted(plist.chunk_ids, self.candidate_chunks)
-            idx_clipped = np.minimum(idx, plist.chunk_ids.shape[0] - 1)
-            present = plist.chunk_ids[idx_clipped] == self.candidate_chunks
-            offsets = plist.chunk_offsets[idx_clipped]
-            starts[t] = np.where(present, offsets[:, 0], 0)
-            sizes[t] = np.where(present, offsets[:, 1] - offsets[:, 0], 0)
+            offsets = plist.chunk_offsets[
+                np.searchsorted(plist.chunk_ids, self.candidate_chunks)
+            ]
+            starts[t] = offsets[:, 0]
+            sizes[t] = offsets[:, 1] - offsets[:, 0]
         return starts, sizes
 
     def _intersect_many(
@@ -301,8 +276,6 @@ class QueryPlan:
             if doc_ids.shape[0] == 0:
                 break
             other_ids = self.posting_lists[t].doc_ids
-            if other_ids.shape[0] == 0:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
             at = np.searchsorted(other_ids, doc_ids)
             at_clipped = np.minimum(at, other_ids.shape[0] - 1)
             doc_ids = doc_ids[other_ids[at_clipped] == doc_ids]
@@ -310,7 +283,7 @@ class QueryPlan:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
         # impacts[t, d]: impact of term t for matched doc d (every term
-        # matches every doc in ALL mode).
+        # matches every matched doc).
         n_docs = doc_ids.shape[0]
         impacts = np.empty((len(self.posting_lists), n_docs), dtype=np.float64)
         for t, plist in enumerate(self.posting_lists):
@@ -325,36 +298,6 @@ class QueryPlan:
         for j in range(1, len(self.posting_lists)):
             relevance += impacts[ordered[j], columns]
         return doc_ids, relevance
-
-    def _accumulate_many(
-        self,
-        starts: np.ndarray,
-        sizes: np.ndarray,
-        doc_starts: np.ndarray,
-        doc_ends: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched disjunctive match: one dense accumulator covering the
-        selected chunks' concatenated doc ranges, filled per term in
-        posting-list order — the same per-document addition order as the
-        per-chunk accumulator, hence bit-identical sums."""
-        lengths = doc_ends - doc_starts
-        acc_offsets = np.empty(lengths.shape[0] + 1, dtype=np.int64)
-        acc_offsets[0] = 0
-        np.cumsum(lengths, out=acc_offsets[1:])
-        accumulator = np.zeros(int(acc_offsets[-1]), dtype=np.float64)
-        n_sel = doc_starts.shape[0]
-        for t, plist in enumerate(self.posting_lists):
-            ids_t = _take_ranges(plist.doc_ids, starts[t], sizes[t])
-            if ids_t.shape[0] == 0:
-                continue
-            impacts_t = _take_ranges(plist.impacts, starts[t], sizes[t])
-            rows_t = np.repeat(np.arange(n_sel), sizes[t])
-            local = ids_t - doc_starts[rows_t] + acc_offsets[rows_t]
-            accumulator[local] += impacts_t
-        local_nz = np.nonzero(accumulator > 0.0)[0]
-        row = np.searchsorted(acc_offsets, local_nz, side="right") - 1
-        doc_ids = (local_nz - acc_offsets[row] + doc_starts[row]).astype(np.int64)
-        return doc_ids, accumulator[local_nz]
 
     @staticmethod
     def _intersect(
@@ -376,15 +319,3 @@ class QueryPlan:
             doc_ids = doc_ids[present]
             relevance = relevance[present] + other_impacts[pos_clipped[present]]
         return doc_ids, relevance
-
-    def _accumulate(
-        self, slices: List[Tuple[np.ndarray, np.ndarray]], chunk_id: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Disjunctive match: dense accumulator over the chunk's doc range."""
-        start, end = self.index.chunk_map.chunk_range(chunk_id)
-        accumulator = np.zeros(end - start, dtype=np.float64)
-        for ids, impacts in slices:
-            if ids.shape[0]:
-                accumulator[ids - start] += impacts
-        local = np.nonzero(accumulator > 0.0)[0]
-        return (local + start).astype(np.int64), accumulator[local]

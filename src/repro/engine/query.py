@@ -1,27 +1,19 @@
 """Query representation.
 
-A query is a bag of term ids with a match mode and a result size ``k``.
-The engine's default mode is conjunctive (``ALL``): a document matches
-only if it contains every query term — the primary matching semantics of
-web search, and the source of the wide service-time spread the paper
-exploits (queries over rare term combinations scan deep into the index
-before finding enough matches; common combinations terminate quickly).
+A query is a bag of term ids and a result size ``k``. The engine matches
+conjunctively: a document matches only if it contains every query term —
+the primary matching semantics of web search, and the source of the wide
+service-time spread the paper exploits (queries over rare term
+combinations scan deep into the index before finding enough matches;
+common combinations terminate quickly).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import QueryError
-
-
-class MatchMode(enum.Enum):
-    """Document-matching semantics."""
-
-    ALL = "all"  # conjunctive: every term must occur (web-search default)
-    ANY = "any"  # disjunctive: at least one term occurs
 
 
 @dataclass(frozen=True)
@@ -35,15 +27,12 @@ class Query:
         order is normalized at construction.
     k:
         Number of results to return (top-k).
-    mode:
-        Conjunctive or disjunctive matching.
     query_id:
         Optional external identifier (trace position, arrival index...).
     """
 
     term_ids: Tuple[int, ...]
     k: int = 10
-    mode: MatchMode = MatchMode.ALL
     query_id: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -55,19 +44,16 @@ class Query:
         object.__setattr__(self, "term_ids", normalized)
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise QueryError(f"k must be a positive integer, got {self.k!r}")
-        if not isinstance(self.mode, MatchMode):
-            raise QueryError(f"mode must be a MatchMode, got {self.mode!r}")
 
     @property
     def n_terms(self) -> int:
         return len(self.term_ids)
 
     @staticmethod
-    def of(terms: Sequence[int], k: int = 10, mode: MatchMode = MatchMode.ALL,
-           query_id: Optional[int] = None) -> "Query":
+    def of(terms: Sequence[int], k: int = 10, query_id: Optional[int] = None) -> "Query":
         """Convenience constructor from any term-id sequence."""
-        return Query(term_ids=tuple(terms), k=k, mode=mode, query_id=query_id)
+        return Query(term_ids=tuple(terms), k=k, query_id=query_id)
 
     def __repr__(self) -> str:
         terms = ",".join(str(t) for t in self.term_ids)
-        return f"Query([{terms}], k={self.k}, mode={self.mode.value})"
+        return f"Query([{terms}], k={self.k})"

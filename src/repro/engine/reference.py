@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.engine.query import MatchMode, Query
+from repro.engine.query import Query
 from repro.index.inverted import InvertedIndex
 from repro.ranking.composite import RELEVANCE_WEIGHT, STATIC_WEIGHT
 
@@ -28,22 +28,14 @@ def brute_force_search(index: InvertedIndex, query: Query) -> List[Tuple[int, fl
     relevance = np.zeros(n_docs, dtype=np.float64)
     match_count = np.zeros(n_docs, dtype=np.int64)
 
-    present_terms = 0
     for term_id in query.term_ids:
         plist = index.lexicon.postings_or_none(term_id)
         if plist is None:
-            continue
-        present_terms += 1
+            return []  # a document must contain every term
         relevance[plist.doc_ids] += plist.impacts
         match_count[plist.doc_ids] += 1
 
-    if query.mode is MatchMode.ALL:
-        if present_terms < query.n_terms or present_terms == 0:
-            return []
-        matched = match_count == present_terms
-    else:
-        matched = match_count > 0
-    doc_ids = np.nonzero(matched)[0]
+    doc_ids = np.nonzero(match_count == query.n_terms)[0]
     if doc_ids.size == 0:
         return []
 

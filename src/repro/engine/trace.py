@@ -14,7 +14,7 @@ The block is a pure function of the position, so the trace carries no
 wave state and two threads that miss in one block store equal entries.
 
 **Wall-clock speculation.** Positions of a block that the scan stops
-before, or skips, are scored and never read. That costs real time and
+before are scored and never read. That costs real time and
 nothing else: an outcome reaches the top-k heap, the work counters and
 virtual time only when a driver asks for its position, so every
 :class:`~repro.engine.results.ExecutionResult` is what scoring chunk by

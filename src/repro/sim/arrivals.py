@@ -35,9 +35,6 @@ class ArrivalProcess(abc.ABC):
     def next_interarrival(self) -> float:
         """Time until the next arrival; ``inf`` when the stream ends."""
 
-    def reset(self) -> None:  # pragma: no cover - optional override
-        """Restart the stream (only meaningful for finite traces)."""
-
 
 class PoissonArrivals(ArrivalProcess):
     """Exponential inter-arrivals at a fixed rate (queries/second)."""
@@ -165,7 +162,3 @@ class TraceArrivals(ArrivalProcess):
         if gap < 0:
             raise SimulationError("trace went backwards")
         return gap
-
-    def reset(self) -> None:
-        self._cursor = 0
-        self._last = 0.0

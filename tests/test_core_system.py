@@ -1,5 +1,8 @@
 """Tests for the AdaptiveSearchSystem facade, capacity, and threshold scaling."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.capacity import capacity_at_slo
@@ -112,6 +115,21 @@ class TestCapacity:
             small_system, "sequential", tiny_slo, duration=1.0, warmup=0.2,
         )
         assert outcome.capacity_qps == 0.0
+
+    def test_nan_p99_is_a_violation_at_every_probe(self):
+        # MetricsCollector reports a NaN P99 when no query completes in
+        # the window; no probe may count that as meeting the SLO.
+        class NoCompletions:
+            def rate_for_utilization(self, utilization):
+                return 1000.0 * utilization
+
+            def run_point(self, policy_name, rate, **kwargs):
+                return SimpleNamespace(p99_latency=math.nan)
+
+        outcome = capacity_at_slo(NoCompletions(), "sequential", slo=1.0)
+        assert outcome.capacity_utilization == 0.0
+        assert outcome.capacity_qps == 0.0
+        assert len(outcome.evaluated_points) == 1
 
 
 class TestCalibration:

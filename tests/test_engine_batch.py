@@ -16,7 +16,7 @@ import pytest
 from repro.engine.batch import BatchExecutor, BatchStats
 from repro.engine.executor import Engine, EngineConfig
 from repro.engine.plan import QueryPlan
-from repro.engine.query import MatchMode, Query
+from repro.engine.query import Query
 from repro.engine.termination import TerminationConfig
 from repro.errors import ExecutionError
 
@@ -54,15 +54,12 @@ class TestBatchExecutorEquivalence:
     ):
         engine = _engine(small_workbench, TERMINATION_MATRIX[name])
         vocab = small_workbench.index.lexicon.vocab_size
-        for mode in MatchMode:
-            queries = [
-                Query.of(q.term_ids, k=q.k, mode=mode) for q in sample_queries[:30]
+        queries = list(sample_queries[:30])
+        queries.append(Query.of([vocab - 1], k=5))  # likely absent
+        for batch in ([], queries[:1], queries):
+            assert engine.execute_batch(batch) == [
+                engine.execute(query, 1) for query in batch
             ]
-            queries.append(Query.of([vocab - 1], k=5, mode=mode))  # likely absent
-            for batch in ([], queries[:1], queries):
-                assert engine.execute_batch(batch) == [
-                    engine.execute(query, 1) for query in batch
-                ]
 
     def test_last_stats_accounting(
         self, small_workbench, sample_queries, kernel_calls
@@ -101,15 +98,10 @@ class TestBatchExecutorEquivalence:
 
 
 class TestScoreChunksKernel:
-    @pytest.mark.parametrize("mode", [MatchMode.ALL, MatchMode.ANY])
-    def test_bit_identical_to_per_chunk(self, small_engine, small_workbench, mode):
+    def test_bit_identical_to_per_chunk(self, small_engine, small_workbench):
         generator = small_workbench.query_generator("batch-kernel")
-        queries = [
-            Query.of(q.term_ids, k=q.k, mode=mode)
-            for q in generator.sample_many(20)
-        ]
         plan = max(
-            (small_engine.plan(q) for q in queries),
+            (small_engine.plan(q) for q in generator.sample_many(20)),
             key=lambda p: p.n_candidate_chunks,
         )
         assert plan.n_candidate_chunks >= 2, "need a multi-chunk plan"
@@ -215,10 +207,10 @@ class TestBatchEdgeCases:
         ]
         queries = [
             Query.of([terms[0]], k=5),
-            Query.of(present, k=5, mode=MatchMode.ANY),
+            Query.of(present, k=5),
             Query.of([terms[1]], k=5),
             Query.of([present[0]], k=5),
         ]
         results = sparse_engine.execute_batch(queries)
         assert results == [sparse_engine.execute(query, 1) for query in queries]
-        assert any(r.n_results > 0 for r in results)
+        assert results[1].n_results > 0

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.engine.plan import QueryPlan
-from repro.engine.query import MatchMode, Query
+from repro.engine.query import Query
 from repro.errors import ExecutionError
 from repro.ranking.composite import RELEVANCE_WEIGHT, STATIC_WEIGHT
 
 
-def _plan(index, terms, mode=MatchMode.ALL, k=10):
-    return QueryPlan(Query.of(terms, k=k, mode=mode), index)
+def _plan(index, terms, k=10):
+    return QueryPlan(Query.of(terms, k=k), index)
 
 
 def _common_terms(index, n=2):
@@ -29,25 +29,10 @@ class TestCandidateChunks:
         )
         assert np.array_equal(plan.candidate_chunks, expected)
 
-    def test_any_mode_candidates_are_chunk_union(self, tiny_index):
-        terms = _common_terms(tiny_index, 2)
-        plan = _plan(tiny_index, terms, mode=MatchMode.ANY)
-        expected = np.union1d(
-            tiny_index.lexicon.postings(terms[0]).chunk_ids,
-            tiny_index.lexicon.postings(terms[1]).chunk_ids,
-        )
-        assert np.array_equal(plan.candidate_chunks, expected)
-
     def test_missing_term_all_mode_gives_empty_plan(self, tiny_index):
         missing = tiny_index.lexicon.vocab_size + 7  # never indexed
         plan = _plan(tiny_index, [_common_terms(tiny_index, 1)[0], missing])
         assert plan.n_candidate_chunks == 0
-
-    def test_missing_term_any_mode_keeps_others(self, tiny_index):
-        missing = tiny_index.lexicon.vocab_size + 7
-        common = _common_terms(tiny_index, 1)[0]
-        plan = _plan(tiny_index, [common, missing], mode=MatchMode.ANY)
-        assert plan.n_candidate_chunks > 0
 
     def test_chunk_ids_are_sorted_unique(self, tiny_index):
         # The assume_unique=True fast path in _candidate_chunks is only
@@ -59,8 +44,8 @@ class TestCandidateChunks:
             assert np.array_equal(chunk_ids, np.unique(chunk_ids))
 
     def test_candidates_match_unoptimized_reference(self, tiny_index):
-        # assume_unique / single-pass union must compute the same sets as
-        # the naive sorted intersections/unions.
+        # assume_unique must compute the same set as the naive sorted
+        # intersections.
         terms = _common_terms(tiny_index, 3)
         plists = [tiny_index.lexicon.postings(t) for t in terms]
         all_plan = _plan(tiny_index, terms)
@@ -68,11 +53,6 @@ class TestCandidateChunks:
         for plist in plists[1:]:
             expected_all = np.intersect1d(expected_all, plist.chunk_ids)
         assert np.array_equal(all_plan.candidate_chunks, expected_all)
-        any_plan = _plan(tiny_index, terms, mode=MatchMode.ANY)
-        expected_any = plists[0].chunk_ids
-        for plist in plists[1:]:
-            expected_any = np.union1d(expected_any, plist.chunk_ids)
-        assert np.array_equal(any_plan.candidate_chunks, expected_any)
 
 
 class TestBounds:
@@ -112,16 +92,6 @@ class TestChunkScoring:
                 tiny_index.lexicon.postings(t).impact_of(int(doc_id)) for t in terms
             ) + STATIC_WEIGHT * tiny_index.static_ranks[int(doc_id)]
             assert score == pytest.approx(expected, rel=1e-9)
-
-    def test_disjunctive_superset_of_conjunctive(self, tiny_index):
-        terms = _common_terms(tiny_index, 2)
-        all_plan = _plan(tiny_index, terms)
-        any_plan = _plan(tiny_index, terms, mode=MatchMode.ANY)
-        chunk_id = int(all_plan.candidate_chunks[0])
-        any_position = int(np.searchsorted(any_plan.candidate_chunks, chunk_id))
-        all_docs = set(all_plan.score_chunk(0).doc_ids.tolist())
-        any_docs = set(any_plan.score_chunk(any_position).doc_ids.tolist())
-        assert all_docs <= any_docs
 
     def test_postings_scanned_counts_slices(self, tiny_index):
         terms = _common_terms(tiny_index, 2)

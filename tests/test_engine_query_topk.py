@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.query import MatchMode, Query
+from repro.engine.query import Query
 from repro.engine.topk import TopK
 from repro.errors import ExecutionError, QueryError
 
@@ -27,13 +27,6 @@ class TestQuery:
             Query.of([1], k=0)
         with pytest.raises(QueryError):
             Query.of([1], k=True)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(QueryError):
-            Query(term_ids=(1,), mode="all")
-
-    def test_default_mode_is_conjunctive(self):
-        assert Query.of([1]).mode is MatchMode.ALL
 
     def test_immutability(self):
         q = Query.of([1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.executor import Engine, EngineConfig
-from repro.engine.query import MatchMode, Query
+from repro.engine.query import Query
 from repro.engine.reference import brute_force_search
 from repro.engine.termination import TerminationConfig
 from repro.workloads.queries import QueryGenerator, QueryWorkloadConfig
@@ -73,21 +73,6 @@ class TestEngineMatchesBruteForce:
             assert result.doc_ids == [d for d, _ in expected]
             assert np.allclose(result.scores, [s for _, s in expected])
 
-    def test_disjunctive_mode(self, tiny_index, tiny_queries):
-        engine = Engine(
-            tiny_index,
-            EngineConfig(
-                termination=TerminationConfig(
-                    match_budget=None, use_score_bound=False
-                )
-            ),
-        )
-        for base in tiny_queries[:10]:
-            query = Query(term_ids=base.term_ids, k=base.k, mode=MatchMode.ANY)
-            expected = brute_force_search(tiny_index, query)
-            result = engine.execute(query, 1)
-            assert result.doc_ids == [d for d, _ in expected]
-
     def test_budget_results_are_prefix_quality(
         self, tiny_index, tiny_queries
     ):
@@ -100,8 +85,7 @@ class TestEngineMatchesBruteForce:
         for query in tiny_queries[:15]:
             exhaustive = dict(
                 brute_force_search(
-                    tiny_index, Query(term_ids=query.term_ids, k=10**9,
-                                      mode=query.mode)
+                    tiny_index, Query(term_ids=query.term_ids, k=10**9)
                 )
             )
             result = engine.execute(query, 1)

@@ -194,7 +194,6 @@ class TestOneKernel:
         [
             ("score_chunk", {}),
             ("_intersect", {"engine/plan.py": ["score_chunk"]}),
-            ("_accumulate", {"engine/plan.py": ["score_chunk"]}),
             ("score_chunks", {"engine/trace.py": ["get"]}),
         ],
     )

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.corpus.generator import CorpusConfig, generate_corpus
 from repro.engine.executor import Engine, EngineConfig
-from repro.engine.query import MatchMode, Query
+from repro.engine.query import Query
 from repro.engine.reference import brute_force_search
 from repro.engine.termination import TerminationConfig
 from repro.index.builder import IndexConfig, build_index
@@ -60,16 +60,13 @@ corpus_params = st.tuples(
     params=corpus_params,
     query_terms=st.lists(st.integers(0, 59), min_size=1, max_size=4),
     k=st.integers(1, 15),
-    mode=st.sampled_from([MatchMode.ALL, MatchMode.ANY]),
     degree=st.sampled_from([1, 2, 3, 5, 8]),
 )
 @settings(max_examples=30, deadline=None)
-def test_engine_agrees_with_brute_force_everywhere(
-    params, query_terms, k, mode, degree
-):
+def test_engine_agrees_with_brute_force_everywhere(params, query_terms, k, degree):
     seed, n_docs, vocab, chunk_size = params
     index, exhaustive, safe = _build(seed, n_docs, vocab, chunk_size)
-    query = Query.of([t % vocab for t in query_terms], k=k, mode=mode)
+    query = Query.of([t % vocab for t in query_terms], k=k)
     expected = brute_force_search(index, query)
     expected_ids = [d for d, _ in expected]
     expected_scores = [s for _, s in expected]
@@ -127,14 +124,13 @@ class _ReferenceTrace:
     params=corpus_params,
     query_terms=st.lists(st.integers(0, 59), min_size=1, max_size=4),
     k=st.integers(1, 15),
-    mode=st.sampled_from([MatchMode.ALL, MatchMode.ANY]),
     budget=st.sampled_from([None, 3, 256]),
     use_score_bound=st.booleans(),
     degree=st.sampled_from([1, 2, 4]),
 )
 @settings(max_examples=60, deadline=None)
 def test_block_filled_trace_executes_identically_to_per_chunk_reference(
-    params, query_terms, k, mode, budget, use_score_bound, degree,
+    params, query_terms, k, budget, use_score_bound, degree,
 ):
     seed, n_docs, vocab, chunk_size = params
     index, _, _ = _build(seed, n_docs, vocab, chunk_size)
@@ -147,7 +143,7 @@ def test_block_filled_trace_executes_identically_to_per_chunk_reference(
             )
         ),
     )
-    query = Query.of([t % vocab for t in query_terms], k=k, mode=mode)
+    query = Query.of([t % vocab for t in query_terms], k=k)
     trace = engine.trace(query)
     reference = _ReferenceTrace(engine.plan(query), engine.config.cost_model)
     # Dataclass equality: results, latency, cpu_time, worker_busy, every
@@ -159,7 +155,7 @@ def test_block_filled_trace_executes_identically_to_per_chunk_reference(
 
 def test_threads_missing_in_one_block_all_observe_reference_entries():
     index, exhaustive, _ = _build(seed=7, n_docs=250, vocab=12, chunk_size=5)
-    query = Query.of([0, 1, 2], k=10, mode=MatchMode.ANY)
+    query = Query.of([0, 1, 2], k=10)
     trace = exhaustive.trace(query)
     n_positions = trace.n_positions
     assert n_positions > 28, "need positions in at least four blocks"

@@ -215,12 +215,6 @@ class TestTraceArrivals:
         assert trace.next_interarrival() == 2.0
         assert trace.next_interarrival() == float("inf")
 
-    def test_reset(self):
-        trace = TraceArrivals([1.0, 2.0])
-        trace.next_interarrival()
-        trace.reset()
-        assert trace.next_interarrival() == 1.0
-
     def test_unsorted_rejected(self):
         with pytest.raises(ConfigurationError):
             TraceArrivals([2.0, 1.0])

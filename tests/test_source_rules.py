@@ -315,6 +315,21 @@ def test_imports_follow_the_layer_table():
     _assert_none(findings)
 
 
+def test_layer_table_in_docs_matches_the_code():
+    """The layer table in ``docs/architecture.md`` §8 (``layer | module
+    prefixes | may import``) states ``LAYERS`` and ``MAY_IMPORT`` row for
+    row, so the map a reader sees is the one the layering test enforces."""
+    text = (REPO / "docs" / "architecture.md").read_text()
+    section = text[text.index("## 8. Layering"):text.index("## 9.")]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    assert rows[0] == ["layer", "module prefixes", "may import"]
+    table = {layer: (prefixes.replace("`", "").split(", "),
+                     set() if may == "—" else set(may.split(", ")))
+             for layer, prefixes, may in rows[2:]}
+    assert table == {layer: (LAYERS[layer], MAY_IMPORT[layer]) for layer in LAYERS}
+
+
 def test_kernel_functions_are_pure():
     """Kernel functions do no I/O (``IO_CALL``), write no module-level
     state (``global``, or an assignment or mutator call through a
@@ -362,7 +377,6 @@ KEPT = {
     "EngineConfig.cost_model": "tests vary the cost model to drive the executors' timing",
     "TerminationConfig.use_score_bound": "exhaustive reference mode the equivalence and "
                                          "brute-force tests compare the engine against",
-    "Query.of.mode": "tests build disjunctive queries to drive the plan's and kernel's ANY paths",
     "CorpusConfig.mean_doc_length": "fixtures build short-document corpora to drive the index "
                                     "and engine; TestOneLexicon pins tiny_corpus's bytes",
     "SystemConfig.min_gain": "benchmarks/perf reads it (ROADMAP 0(i) re-points the probe)",
