@@ -21,14 +21,7 @@ milliseconds, long tail tens of milliseconds):
 * ``fork_cost`` / ``join_cost`` — per *extra* worker when running with
   intra-query parallelism (thread dispatch and final merge barrier);
 * ``merge_cost`` — per chunk-result merge into the shared top-k
-  (synchronization), paid only by parallel execution;
-* ``rerank_doc_cost`` / ``rerank_depth`` — optional second-phase (L2)
-  ranking: production ISNs run an expensive ranker over the best
-  candidates from the matching phase. Modeled as a *serial* epilogue of
-  ``rerank_doc_cost`` per candidate (up to ``rerank_depth``, bounded by
-  the matches actually found); being serial, it deepens the Amdahl
-  fraction and flattens parallel speedup. Disabled (0 cost) by default
-  so the headline experiments model a single-phase ISN.
+  (synchronization), paid only by parallel execution.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.plan import ChunkOutcome
-from repro.util.validation import require_in_range, require_int_in_range
+from repro.util.validation import require_in_range
 
 
 @dataclass(frozen=True)
@@ -50,8 +43,6 @@ class CostModel:
     fork_cost: float = 12e-6
     join_cost: float = 8e-6
     merge_cost: float = 3e-6
-    rerank_doc_cost: float = 0.0
-    rerank_depth: int = 0
 
     def __post_init__(self) -> None:
         for name in (
@@ -62,10 +53,8 @@ class CostModel:
             "fork_cost",
             "join_cost",
             "merge_cost",
-            "rerank_doc_cost",
         ):
             require_in_range(getattr(self, name), name, low=0.0)
-        require_int_in_range(self.rerank_depth, "rerank_depth", low=0)
 
     def chunk_time(self, outcome: ChunkOutcome) -> float:
         """Virtual seconds to evaluate one chunk (excluding merge)."""
@@ -86,9 +75,3 @@ class CostModel:
     def merge_time(self, degree: int) -> float:
         """Per-chunk merge/synchronization cost under parallel execution."""
         return self.merge_cost if degree > 1 else 0.0
-
-    def rerank_time(self, docs_matched: int) -> float:
-        """Serial second-phase ranking epilogue (0 when disabled)."""
-        if self.rerank_doc_cost <= 0.0 or self.rerank_depth <= 0:
-            return 0.0
-        return self.rerank_doc_cost * min(self.rerank_depth, docs_matched)

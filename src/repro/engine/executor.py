@@ -13,7 +13,6 @@ from repro.engine.query import Query
 from repro.engine.results import ExecutionResult
 from repro.engine.sequential import execute_sequential
 from repro.engine.termination import TerminationConfig
-from repro.engine.threads import execute_threaded
 from repro.engine.trace import ChunkTrace
 from repro.errors import ExecutionError
 from repro.index.inverted import InvertedIndex
@@ -80,14 +79,6 @@ class Engine:
         if degree == 1:
             return execute_sequential(trace, self.config.termination)
         return execute_parallel(trace, self.config.termination, degree)
-
-    def execute_threaded(self, query: Query, degree: int) -> ExecutionResult:
-        """Execute on real threads (validation mode; see
-        :mod:`repro.engine.threads`)."""
-        self._check_degree(degree)
-        return execute_threaded(
-            self.trace(query), self.config.termination, degree
-        )
 
     def batch_executor(self) -> BatchExecutor:
         """Build a :class:`~repro.engine.batch.BatchExecutor` sharing this

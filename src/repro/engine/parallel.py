@@ -12,9 +12,7 @@ factor is assumed anywhere, it emerges from the execution dynamics.
 The executor is an event-driven mini-simulation over worker completion
 times driving one shared :class:`~repro.engine.scan.ChunkScan` (merge at a
 worker's completion event, claim right after), so it is deterministic
-(ties broken by worker id) and independent of host thread scheduling; see
-:mod:`repro.engine.threads` for the real thread-pool counterpart used to
-validate result equivalence.
+(ties broken by worker id) and independent of host scheduling.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ def execute_parallel(
         cost_model.query_fixed_cost
         + cost_model.fork_time(degree)
         + cost_model.join_time(degree)
-        + cost_model.rerank_time(scan.docs_matched)
     )
     return scan.result(
         degree=degree,

@@ -80,7 +80,7 @@ class QueryPlan:
         self.candidate_chunks = self._candidate_chunks()
         self.bounds_from = self._suffix_bounds()
         # Built here, not on first use: every executed plan scores through
-        # score_chunks, and a plan shared by threads must not be mutated.
+        # score_chunks.
         self._slice_starts, self._slice_sizes = self._chunk_slices()
 
     # ------------------------------------------------------------------

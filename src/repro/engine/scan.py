@@ -5,8 +5,8 @@ positions in document order from a shared cursor, consult the stop rules
 *at claim time*, and merge evaluated chunks into a shared top-k.
 :class:`ChunkScan` holds that state and is the only place that knows how
 cursor, stop and merge interleave. The executors are *drivers*: they
-decide when a claim or a merge happens (in lockstep, at a virtual
-completion event, or under a lock) and what it costs — never how.
+decide when a claim or a merge happens (in lockstep, or at a virtual
+completion event) and what it costs — never how.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from repro.engine.topk import TopK
 class ChunkScan:
     """Cursor + top-k + termination state + work counters of one query.
 
-    Not synchronized: a concurrent driver serializes every transition
-    under its own lock (see :mod:`repro.engine.threads`).
+    Not synchronized: a driver applies one transition at a time. Any
+    order of claims and merges it produces gives the answer the
+    sequential driver gives (exactly, or dominating it under a match
+    budget); ``tests/test_property_engine.py`` draws those orders.
     """
 
     __slots__ = (

@@ -33,7 +33,6 @@ def execute_sequential(
         elapsed += cost
         scan.merge(outcome)
         position = scan.claim()
-    elapsed += cost_model.rerank_time(scan.docs_matched)
 
     return scan.result(
         degree=1,

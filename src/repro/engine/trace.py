@@ -3,15 +3,15 @@
 Evaluating a chunk is deterministic given (query, index), independent of
 execution order, degree, or termination state. :class:`ChunkTrace`
 memoizes chunk outcomes and their virtual costs, and is where the
-sequential, virtual-time parallel and real-thread executors get every
-chunk they merge — so running one query at several parallelism degrees
+sequential and virtual-time parallel executors get every chunk they
+merge — so running one query at several parallelism degrees
 (as the speedup-profile measurement does) scores each chunk at most once.
 
 A miss scores the whole fixed *block* of positions it falls in with one
 :meth:`~repro.engine.plan.QueryPlan.score_chunks` call: ``[0, 4)``,
 ``[4, 12)``, ``[12, 28)``, ``[28, 60)``, ``[60, 124)``, then 64 wide.
 The block is a pure function of the position, so the trace carries no
-wave state and two threads that miss in one block store equal entries.
+wave state.
 
 **Wall-clock speculation.** Positions of a block that the scan stops
 before are scored and never read. That costs real time and
@@ -73,11 +73,6 @@ class ChunkTrace:
         start, end = _block(position)
         positions = range(start, min(end, self.n_positions))
         chunk_time = self.cost_model.chunk_time
-        # Unlocked on purpose, a benign race: these are idempotent memo
-        # writes. The block and its outcomes are deterministic in
-        # `position`, so two threads can only store equal values, and each
-        # dict store is a single GIL-atomic bytecode — no torn state is
-        # observable.
         for at, outcome in zip(positions, self.plan.score_chunks(positions)):
             self._cache[at] = (outcome, chunk_time(outcome))
         return self._cache[position]
@@ -90,9 +85,9 @@ class ChunkTrace:
 
     @property
     def n_blocks(self) -> int:
-        """How many blocks have been scored so far — one kernel call
-        each when a single thread drives the trace. A block is stored
-        whole, so its first position stands for it."""
+        """How many blocks have been scored so far, one kernel call
+        each. A block is stored whole, so its first position stands for
+        it."""
         count = start = 0
         while start < self.n_positions:
             count += start in self._cache

@@ -11,7 +11,6 @@ queries while only the touched terms' pages are resident.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
@@ -31,12 +30,10 @@ class Lexicon:
     built from zero-copy column slices the first time the term is
     requested and cached thereafter, so construction cost is O(1) and
     queries touch only the terms (and, for memory-mapped columns, the
-    pages) they actually use.
+    pages) they actually use. Statistics that the columnar layout answers
+    directly (document frequencies) never materialize anything.
 
-    Materialization is guarded by a lock: the real-thread executors may
-    request the same term concurrently, and ``PostingList`` construction
-    must not be observed half-cached. Statistics that the columnar layout
-    answers directly (document frequencies) never materialize anything.
+    Unsynchronized by design; ``tests/test_source_rules.py`` keeps it so.
     """
 
     def __init__(
@@ -74,25 +71,20 @@ class Lexicon:
         self._freqs = freqs
         self._impacts = impacts
         self._chunk_map = chunk_map
-        self._lock = threading.Lock()
 
     def _materialize(self, term_id: int) -> PostingList:
-        with self._lock:
-            cached = self._postings.get(term_id)
-            if cached is not None:
-                return cached
-            slot = self._slots[term_id]
-            start = int(self._offsets[slot])
-            end = int(self._offsets[slot + 1])
-            plist = PostingList(
-                term_id=term_id,
-                doc_ids=self._doc_ids[start:end],
-                freqs=self._freqs[start:end],
-                impacts=self._impacts[start:end],
-                chunk_map=self._chunk_map,
-            )
-            self._postings[term_id] = plist
-            return plist
+        slot = self._slots[term_id]
+        start = int(self._offsets[slot])
+        end = int(self._offsets[slot + 1])
+        plist = PostingList(
+            term_id=term_id,
+            doc_ids=self._doc_ids[start:end],
+            freqs=self._freqs[start:end],
+            impacts=self._impacts[start:end],
+            chunk_map=self._chunk_map,
+        )
+        self._postings[term_id] = plist
+        return plist
 
     def __contains__(self, term_id: int) -> bool:
         return term_id in self._slots

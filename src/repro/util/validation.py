@@ -41,9 +41,12 @@ def require_in_range(
     low_inclusive: bool = True,
     high_inclusive: bool = True,
 ) -> float:
-    """Check that ``low <= value <= high`` with configurable open ends."""
+    """Check that ``low <= value <= high`` with configurable open ends.
+    NaN is in no range: it compares false with every bound."""
     if not isinstance(value, Real):
         raise ConfigurationError(f"{name} must be a number, got {type(value).__name__}")
+    if value != value:
+        raise ConfigurationError(f"{name} must not be NaN")
     if low is not None:
         if low_inclusive and value < low:
             raise ConfigurationError(f"{name} must be >= {low}, got {value}")

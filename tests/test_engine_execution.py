@@ -1,6 +1,6 @@
-"""Execution-level invariants: sequential, parallel, threaded, termination.
+"""Execution-level invariants: sequential, parallel, termination.
 
-These encode DESIGN.md §5: the correctness contract between the three
+These encode DESIGN.md §5: the correctness contract between the two
 executors and the termination rules.
 """
 
@@ -176,37 +176,6 @@ class TestParallelExecution:
             budget_engine.execute(sample_queries[0], 0)
         with pytest.raises(ExecutionError):
             budget_engine.execute(sample_queries[0], 99)
-
-
-class TestThreadedExecution:
-    def test_exhaustive_threaded_matches_sequential(
-        self, exhaustive_engine, sample_queries
-    ):
-        """Real threads, no termination: results must be identical."""
-        for query in sample_queries[:6]:
-            sequential = exhaustive_engine.execute(query, 1)
-            threaded = exhaustive_engine.execute_threaded(query, 4)
-            assert threaded.doc_ids == sequential.doc_ids
-
-    def test_safe_threaded_matches_sequential(self, safe_engine, sample_queries):
-        """Real threads, score bound only: the stop is safe, so results
-        are identical too."""
-        for query in sample_queries[:8]:
-            sequential = safe_engine.execute(query, 1)
-            threaded = safe_engine.execute_threaded(query, 4)
-            assert threaded.doc_ids == sequential.doc_ids
-
-    def test_budget_threaded_scores_dominate(self, budget_engine, sample_queries):
-        for query in sample_queries[:6]:
-            sequential = budget_engine.execute(query, 1)
-            threaded = budget_engine.execute_threaded(query, 4)
-            for t_score, s_score in zip(threaded.scores, sequential.scores):
-                assert t_score >= s_score - 1e-12
-
-    def test_threaded_degree_one(self, budget_engine, sample_queries):
-        sequential = budget_engine.execute(sample_queries[0], 1)
-        threaded = budget_engine.execute_threaded(sample_queries[0], 1)
-        assert threaded.doc_ids == sequential.doc_ids
 
 
 class TestCostModel:

@@ -3,22 +3,19 @@
 The executors' behaviour is pinned by the equivalence, bit-identity and
 golden tests; these tests pin the seam they all drive — the transition
 contracts of :class:`ChunkScan` — and guard structurally against a
-fourth driver quietly re-copying the loop instead of driving the scan, or
+third driver quietly re-copying the loop instead of driving the scan, or
 a production path scoring outside the trace.
 """
 
 from __future__ import annotations
 
 import ast
-import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.engine.executor import Engine, EngineConfig
 from repro.engine.scan import ChunkScan
-from repro.engine.termination import TerminationConfig, TerminationState
+from repro.engine.termination import TerminationConfig
 from repro.engine.trace import FIRST_WAVE, MAX_WAVE
 
 SCORE_BOUND = TerminationConfig(match_budget=None, use_score_bound=True)
@@ -92,43 +89,6 @@ class TestChunkScanTransitions:
         assert result.postings_scanned == scan.postings_scanned
         assert result.docs_matched == scan.docs_matched
         assert result.termination_rule == scan.state.fired_rule
-
-
-class TestThreadedDriver:
-    def test_no_lost_updates_under_contention(
-        self, small_workbench, sample_queries, monkeypatch
-    ):
-        # More workers than cores, a near-zero switch interval, and a GIL
-        # release *inside* the claim (between reading and advancing the
-        # cursor): without the executor's lock two workers claim the same
-        # position on nearly every run. With every rule off each
-        # candidate chunk must be claimed and merged exactly once, so a
-        # lost cursor or counter update shows as a count mismatch.
-        should_stop = TerminationState.should_stop
-
-        def yielding_should_stop(state, position):
-            time.sleep(0)
-            return should_stop(state, position)
-
-        monkeypatch.setattr(TerminationState, "should_stop", yielding_should_stop)
-        exhaustive = TerminationConfig(match_budget=None, use_score_bound=False)
-        engine = Engine(small_workbench.index, EngineConfig(termination=exhaustive))
-        queries = sorted(
-            sample_queries[:30],
-            key=lambda query: engine.plan(query).n_candidate_chunks,
-        )[-5:]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for query in queries:
-                sequential = engine.execute(query, 1)
-                threaded = engine.execute_threaded(query, 8)
-                assert threaded.chunks_evaluated == sequential.chunks_evaluated
-                assert threaded.postings_scanned == sequential.postings_scanned
-                assert threaded.docs_matched == sequential.docs_matched
-                assert threaded.doc_ids == sequential.doc_ids
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestOneLoop:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.query import Query
-from repro.errors import ExecutionError, SimulationError
+from repro.errors import SimulationError
 from repro.profiles.measurement import QueryCostTable
 from repro.sim.experiment import LoadPointConfig
 from repro.sim.oracle import ServiceOracle
@@ -57,12 +57,6 @@ class TestLoadPointConfigEdges:
             LoadPointConfig(rate=1.0, duration=5.0, warmup=5.0)
 
 class TestEngineEdges:
-    def test_threaded_respects_max_degree(self, small_engine, sample_queries):
-        with pytest.raises(ExecutionError):
-            small_engine.execute_threaded(
-                sample_queries[0], small_engine.config.max_degree + 1
-            )
-
     def test_empty_plan_trace_has_no_positions(self, small_engine, small_workbench):
         missing = small_workbench.corpus.vocab_size + 9
         trace = small_engine.trace(Query.of([missing]))

@@ -6,10 +6,15 @@ agree with the brute-force reference searcher, and an execution whose
 chunks were scored a block at a time through the batched kernel must
 equal — whole ``ExecutionResult`` — one whose chunks were scored one at a
 time by the reference scorer.
+
+The parallel protocol is correct only if its answer does not depend on
+the order in which workers finish. Two oracles draw that order instead of
+waiting for a host scheduler to produce it: drawn chunk costs reorder the
+parallel executor's completion events, and a drawn list of worker ids
+interleaves ``ChunkScan`` claims and merges directly.
 """
 
-import sys
-import threading
+import itertools
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,7 +24,9 @@ from repro.corpus.generator import CorpusConfig, generate_corpus
 from repro.engine.executor import Engine, EngineConfig
 from repro.engine.query import Query
 from repro.engine.reference import brute_force_search
+from repro.engine.scan import ChunkScan
 from repro.engine.termination import TerminationConfig
+from repro.engine.trace import ChunkTrace
 from repro.index.builder import IndexConfig, build_index
 
 
@@ -77,31 +84,140 @@ def test_engine_agrees_with_brute_force_everywhere(params, query_terms, k, degre
         assert np.allclose(result.scores, expected_scores)
 
 
+EXHAUSTIVE = TerminationConfig(match_budget=None, use_score_bound=False)
+SCORE_BOUND = TerminationConfig(match_budget=None, use_score_bound=True)
+#: Exhaustive and score-bound-only runs are exact at every degree; a
+#: small match budget lets extra chunks in, the speculative waste.
+terminations = st.one_of(
+    st.sampled_from([EXHAUSTIVE, SCORE_BOUND]),
+    st.builds(TerminationConfig, match_budget=st.integers(1, 64)),
+)
+
+
+class _DrawnCostTrace(ChunkTrace):
+    """The real outcomes at drawn virtual costs, cycled over positions:
+    the parallel executor's workers finish in the order the draw says."""
+
+    def __init__(self, plan, cost_model, costs):
+        super().__init__(plan, cost_model)
+        self._costs = costs
+
+    def get(self, position):
+        outcome, _ = super().get(position)
+        return outcome, self._costs[position % len(self._costs)]
+
+
+def _assert_matches_sequential(result, sequential, trace, termination):
+    """Exact under exhaustive and score-bound-only termination; under a
+    budget, scores dominate and work never shrinks. Either way the work
+    counters are those of the claimed prefix of positions."""
+    if termination.match_budget is None:
+        assert result.doc_ids == sequential.doc_ids
+        assert result.scores == sequential.scores
+    else:
+        assert result.chunks_evaluated >= sequential.chunks_evaluated
+        assert len(result.scores) >= len(sequential.scores)
+        for p_score, s_score in zip(result.scores, sequential.scores):
+            assert p_score >= s_score
+    outcomes = [trace.get(p)[0] for p in range(result.chunks_evaluated)]
+    assert result.postings_scanned == sum(o.postings_scanned for o in outcomes)
+    assert result.docs_matched == sum(o.n_matched for o in outcomes)
+
+
 @given(
     params=corpus_params,
     query_terms=st.lists(st.integers(0, 59), min_size=1, max_size=3),
-    budget=st.integers(1, 64),
-    degree=st.sampled_from([2, 4, 7]),
+    termination=terminations,
+    degree=st.integers(2, 8),
+    # None keeps the cost model's own schedule; 0 and repeats draw ties.
+    costs=st.none() | st.lists(st.sampled_from([0.0, 1e-6, 3e-6, 1e-5, 1e-4]), min_size=1),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_budget_parallel_dominates_sequential_everywhere(
-    params, query_terms, budget, degree
+    params, query_terms, termination, degree, costs
 ):
+    """Drawn chunk costs reorder the parallel workers' completions; the
+    answer stays the sequential one, or dominates it under a budget."""
     seed, n_docs, vocab, chunk_size = params
-    corpus_index, _, _ = _build(seed, n_docs, vocab, chunk_size)
-    engine = Engine(
-        corpus_index,
-        EngineConfig(termination=TerminationConfig(match_budget=budget)),
-    )
+    index, _, _ = _build(seed, n_docs, vocab, chunk_size)
+    engine = Engine(index, EngineConfig(termination=termination))
     query = Query.of([t % vocab for t in query_terms], k=10)
     trace = engine.trace(query)
+    if costs is not None:
+        trace = _DrawnCostTrace(trace.plan, trace.cost_model, costs)
     sequential = engine.execute_trace(trace, 1)
     parallel = engine.execute_trace(trace, degree)
-    # Parallel evaluates a superset of chunks: ranked scores dominate and
-    # work never shrinks.
-    assert parallel.chunks_evaluated >= sequential.chunks_evaluated
-    for p_score, s_score in zip(parallel.scores, sequential.scores):
-        assert p_score >= s_score - 1e-12
+    _assert_matches_sequential(parallel, sequential, trace, termination)
+
+
+def _rule_due(trace, termination, merged, position):
+    """The stop rule a claim of ``position`` must fire, recounted from the
+    outcomes merged so far, or None when the claim must be granted."""
+    if position >= trace.n_positions:
+        return "exhausted"
+    k = trace.plan.query.k
+    outcomes = [trace.get(p)[0] for p in merged]
+    budget = termination.match_budget
+    if budget is not None and sum(o.n_matched for o in outcomes) >= max(budget, k):
+        return "match_budget"
+    scores = sorted((s for o in outcomes for s in o.scores.tolist()), reverse=True)
+    if termination.use_score_bound and len(scores) >= k:
+        if trace.plan.bounds_from[position] <= scores[k - 1]:
+            return "score_bound"
+    return None
+
+
+@given(
+    params=corpus_params,
+    query_terms=st.lists(st.integers(0, 59), min_size=1, max_size=3),
+    k=st.integers(1, 15),
+    termination=terminations,
+    workers=st.integers(2, 8),
+    schedule=st.lists(st.integers(0, 7), min_size=16, max_size=64),
+)
+@settings(max_examples=300, deadline=None)
+def test_chunk_scan_is_order_independent_under_drawn_interleavings(
+    params, query_terms, k, termination, workers, schedule
+):
+    """A drawn list of worker ids, repeated until the scan drains, says who
+    acts next: an idle worker claims, a worker holding a position merges
+    it. Its first 64 steps can follow any order that a driver serialising
+    claim and merge produces. Each claim is granted exactly when no stop
+    rule is due, and the grants run 0, 1, 2, … in order."""
+    seed, n_docs, vocab, chunk_size = params
+    index, _, _ = _build(seed, n_docs, vocab, chunk_size)
+    engine = Engine(index, EngineConfig(termination=termination))
+    query = Query.of([t % vocab for t in query_terms], k=k)
+    trace = engine.trace(query)
+    scan = ChunkScan(trace.plan, termination)
+    holding = [None] * workers
+    merged, granted = [], []
+    fired = None
+    # Every worker that holds a position is named in the schedule, so the
+    # loop ends once the scan has stopped and every held position merged.
+    for worker in itertools.cycle(w % workers for w in schedule):
+        if fired is not None and holding == [None] * workers:
+            break
+        if holding[worker] is not None:
+            scan.merge(trace.get(holding[worker])[0])
+            merged.append(holding[worker])
+            holding[worker] = None
+            continue
+        due = fired or _rule_due(trace, termination, merged, len(granted))
+        position = scan.claim()
+        assert (position < 0) == (due is not None)
+        if position < 0:
+            fired = due
+            assert scan.state.fired_rule == fired
+        else:
+            assert position == len(granted)
+            granted.append(position)
+            holding[worker] = position
+
+    assert sorted(merged) == granted
+    result = scan.result(degree=workers, latency=0.0, cpu_time=0.0, worker_busy=())
+    sequential = engine.execute_trace(trace, 1)
+    _assert_matches_sequential(result, sequential, trace, termination)
 
 
 class _ReferenceTrace:
@@ -151,45 +267,3 @@ def test_block_filled_trace_executes_identically_to_per_chunk_reference(
     assert engine.execute_trace(trace, degree) == engine.execute_trace(reference, degree)
     # A second degree on the shared, already filled trace is exact too.
     assert engine.execute_trace(trace, 4) == engine.execute_trace(reference, 4)
-
-
-def test_threads_missing_in_one_block_all_observe_reference_entries():
-    index, exhaustive, _ = _build(seed=7, n_docs=250, vocab=12, chunk_size=5)
-    query = Query.of([0, 1, 2], k=10)
-    trace = exhaustive.trace(query)
-    n_positions = trace.n_positions
-    assert n_positions > 28, "need positions in at least four blocks"
-    reference = _ReferenceTrace(exhaustive.plan(query), trace.cost_model)
-    observed = [[] for _ in range(8)]
-    start = threading.Barrier(8)
-
-    def reader(slot):
-        start.wait(timeout=30)
-        # Overlapping walks: every thread reads every position, each
-        # starting in a different place, so misses collide inside blocks.
-        for step in range(n_positions):
-            position = (slot * 5 + step) % n_positions
-            observed[slot].append((position, trace.get(position)))
-
-    threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert trace.n_evaluated == n_positions
-    for entries in observed:
-        assert len(entries) == n_positions
-        for position, (outcome, cost) in entries:
-            expected, expected_cost = reference.get(position)
-            assert outcome.chunk_id == expected.chunk_id
-            assert np.array_equal(outcome.doc_ids, expected.doc_ids)
-            assert list(outcome.scores) == list(expected.scores)
-            assert outcome.postings_scanned == expected.postings_scanned
-            assert outcome.n_matched == expected.n_matched
-            assert cost == expected_cost

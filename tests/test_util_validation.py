@@ -1,5 +1,6 @@
 """Tests for repro.util.validation helpers."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -56,6 +57,16 @@ class TestRequireInRange:
     def test_above_high_rejected(self):
         with pytest.raises(ConfigurationError, match="<= 5"):
             require_in_range(6, "x", high=5)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [{}, {"low": 0.0}, {"high": 1.0}, {"low": 0.0, "high": 1.0, "low_inclusive": False}],
+    )
+    def test_nan_rejected_under_every_bound(self, bounds):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            require_in_range(float("nan"), "x", **bounds)
+        with pytest.raises(ConfigurationError, match="NaN"):
+            require_in_range(np.float64("nan"), "x", **bounds)
 
 
 class TestRequireIntInRange:
