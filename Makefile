@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install test coverage lint experiments experiments-small e20 trace-demo livesmoke report csv clean
+.PHONY: install test coverage lint experiments experiments-small e20 trace-demo livesmoke bench-pairs report csv clean
 
 install:
 	pip install -e .
@@ -51,6 +51,36 @@ trace-demo:
 livesmoke:
 	python -m repro livesmoke --scale small --duration 1.5 --dilation 6 \
 	  --output live_parity.json
+
+# Alternating benchmark pairs for a speed change: REF's committed tree
+# (git archive into a temporary directory outside the repo) and the
+# working tree take turns running one workload of benchmarks/perf, PAIRS
+# times, the side that goes first alternating from pair to pair; each run
+# prints its throughput, p50, p99, CPU/op and digest lines, at the run
+# length each side's BENCHMARK.json sets. Compare the sides pair by pair,
+# not run by run; fewer than ten pairs cannot back a gain claim. A run
+# that exits nonzero prints its output and stops the target.
+#   make bench-pairs REF=HEAD WORKLOAD=engine-single PAIRS=10
+REF ?= HEAD
+WORKLOAD ?= engine-single
+PAIRS ?= 10
+bench-pairs:
+	@ref_tree=$$(mktemp -d) && trap 'rm -rf "$$ref_tree"' EXIT && \
+	git archive $(REF) | tar -x -C "$$ref_tree" && \
+	for pair in $$(seq 1 $(PAIRS)); do \
+	  if [ $$((pair % 2)) = 1 ]; then order="ref change"; \
+	  else order="change ref"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = ref ]; then tree="$$ref_tree"; name="$(REF)"; \
+	    else tree="$(CURDIR)"; name="working tree"; fi; \
+	    echo "== pair $$pair  $$side  ($$name)"; \
+	    out=$$(cd "$$tree" && python3 benchmarks/perf/run.py \
+	      --workload $(WORKLOAD) 2>&1) || { printf '%s\n' "$$out"; \
+	      echo "== pair $$pair  $$side  FAILED"; exit 1; }; \
+	    printf '%s\n' "$$out" | grep -E \
+	      ' (throughput_qps|latency_p50_ms|latency_p99_ms|cpu_ms_per_op) |digest'; \
+	  done; \
+	done
 
 report:
 	python -c "from repro.harness.report import generate_report; \

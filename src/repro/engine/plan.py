@@ -25,9 +25,8 @@ everything both the sequential and the parallel executor need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -38,9 +37,13 @@ from repro.index.postings import PostingList
 from repro.ranking.composite import RELEVANCE_WEIGHT, STATIC_WEIGHT
 
 
-@dataclass(frozen=True)
-class ChunkOutcome:
-    """Result of evaluating one chunk: matches, scores, work counters."""
+class ChunkOutcome(NamedTuple):
+    """Result of evaluating one chunk: matches, scores, work counters.
+
+    A named tuple, not a frozen dataclass: the kernel builds one per
+    scored chunk, and a tuple is one allocation where a frozen
+    dataclass's ``__init__`` calls ``object.__setattr__`` per field.
+    """
 
     chunk_id: int
     doc_ids: np.ndarray  # matched documents (ascending)
@@ -58,9 +61,9 @@ def _take_ranges(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> n
     concatenated, in one vectorized fancy-index (no per-range Python loop)."""
     offsets = np.empty(sizes.shape[0] + 1, dtype=np.int64)
     offsets[0] = 0
-    np.cumsum(sizes, out=offsets[1:])
+    sizes.cumsum(out=offsets[1:])
     total = int(offsets[-1])
-    indices = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets[:-1], sizes)
+    indices = np.arange(total, dtype=np.int64) + (starts - offsets[:-1]).repeat(sizes)
     return values[indices]
 
 
@@ -78,6 +81,7 @@ class QueryPlan:
         )
 
         self.candidate_chunks = self._candidate_chunks()
+        self.n_candidate_chunks = int(self.candidate_chunks.shape[0])
         self.bounds_from = self._suffix_bounds()
         # Built here, not on first use: every executed plan scores through
         # score_chunks.
@@ -86,10 +90,6 @@ class QueryPlan:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-
-    @property
-    def n_candidate_chunks(self) -> int:
-        return int(self.candidate_chunks.shape[0])
 
     def _candidate_chunks(self) -> np.ndarray:
         """Chunks in which every term occurs, in document order.
@@ -119,7 +119,7 @@ class QueryPlan:
         for plist in self.posting_lists:
             # Max impact of this term within each candidate chunk; every
             # candidate is one of the term's chunks, so the search is exact.
-            idx = np.searchsorted(plist.chunk_ids, self.candidate_chunks)
+            idx = plist.chunk_ids.searchsorted(self.candidate_chunks)
             per_chunk = plist.chunk_max_impact[idx]
             # Suffix max over the candidate list, then sum across terms:
             # any remaining doc scores at most the sum of the remaining
@@ -191,7 +191,7 @@ class QueryPlan:
         if (
             int(pos[0]) < 0
             or int(pos[-1]) >= self.n_candidate_chunks
-            or bool(np.any(pos[:-1] >= pos[1:]))
+            or bool((pos[:-1] >= pos[1:]).any())
         ):
             raise ExecutionError(
                 f"positions must be strictly ascending within "
@@ -201,7 +201,7 @@ class QueryPlan:
         chunk_ids = self.candidate_chunks[pos]
         starts = self._slice_starts[:, pos]
         sizes = self._slice_sizes[:, pos]
-        postings_scanned = sizes.sum(axis=0)
+        postings_scanned = np.add.reduce(sizes, axis=0)
 
         doc_starts = self.index.chunk_map.bounds[chunk_ids]
         doc_ends = self.index.chunk_map.bounds[chunk_ids + 1]
@@ -217,20 +217,17 @@ class QueryPlan:
 
         # Split the batch-wide match arrays back into per-chunk outcomes:
         # matched ids are ascending, chunks are disjoint doc-id ranges.
-        cuts_lo = np.searchsorted(doc_ids, doc_starts)
-        cuts_hi = np.searchsorted(doc_ids, doc_ends)
+        # Every per-chunk value is a Python int from one tolist() each,
+        # so the loop does no numpy scalar indexing.
         outcomes = []
-        for i in range(n_sel):
-            lo = int(cuts_lo[i])
-            hi = int(cuts_hi[i])
+        for chunk_id, lo, hi, scanned in zip(
+            chunk_ids.tolist(),
+            doc_ids.searchsorted(doc_starts).tolist(),
+            doc_ids.searchsorted(doc_ends).tolist(),
+            postings_scanned.tolist(),
+        ):
             outcomes.append(
-                ChunkOutcome(
-                    chunk_id=int(chunk_ids[i]),
-                    doc_ids=doc_ids[lo:hi],
-                    scores=scores[lo:hi],
-                    postings_scanned=int(postings_scanned[i]),
-                    n_matched=hi - lo,
-                )
+                ChunkOutcome(chunk_id, doc_ids[lo:hi], scores[lo:hi], scanned, hi - lo)
             )
         return outcomes
 
@@ -249,7 +246,7 @@ class QueryPlan:
         sizes = np.empty((n_terms, n), dtype=np.int64)
         for t, plist in enumerate(self.posting_lists):
             offsets = plist.chunk_offsets[
-                np.searchsorted(plist.chunk_ids, self.candidate_chunks)
+                plist.chunk_ids.searchsorted(self.candidate_chunks)
             ]
             starts[t] = offsets[:, 0]
             sizes[t] = offsets[:, 1] - offsets[:, 0]
@@ -267,8 +264,8 @@ class QueryPlan:
         ``_intersect``'s ordering) as a left-to-right fold, which makes
         the float64 sums bit-identical to per-chunk scoring.
         """
-        totals = sizes.sum(axis=1)
-        order = np.argsort(totals, kind="stable")
+        totals = np.add.reduce(sizes, axis=1)
+        order = totals.argsort(kind="stable")
         base = int(order[0])
         base_plist = self.posting_lists[base]
         doc_ids = _take_ranges(base_plist.doc_ids, starts[base], sizes[base])
@@ -276,7 +273,7 @@ class QueryPlan:
             if doc_ids.shape[0] == 0:
                 break
             other_ids = self.posting_lists[t].doc_ids
-            at = np.searchsorted(other_ids, doc_ids)
+            at = other_ids.searchsorted(doc_ids)
             at_clipped = np.minimum(at, other_ids.shape[0] - 1)
             doc_ids = doc_ids[other_ids[at_clipped] == doc_ids]
         if doc_ids.shape[0] == 0:
@@ -287,11 +284,11 @@ class QueryPlan:
         n_docs = doc_ids.shape[0]
         impacts = np.empty((len(self.posting_lists), n_docs), dtype=np.float64)
         for t, plist in enumerate(self.posting_lists):
-            at = np.searchsorted(plist.doc_ids, doc_ids)
+            at = plist.doc_ids.searchsorted(doc_ids)
             impacts[t] = plist.impacts[at]
         # Each doc folds its terms in its own chunk's slice-length order.
-        term_order = np.argsort(sizes, axis=0, kind="stable")
-        row = np.searchsorted(doc_starts, doc_ids, side="right") - 1
+        term_order = sizes.argsort(axis=0, kind="stable")
+        row = doc_starts.searchsorted(doc_ids, side="right") - 1
         ordered = term_order[:, row]
         columns = np.arange(n_docs)
         relevance = impacts[ordered[0], columns]

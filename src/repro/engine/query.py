@@ -11,6 +11,7 @@ common combinations terminate quickly).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import QueryError
@@ -38,6 +39,11 @@ class Query:
     def __post_init__(self) -> None:
         if not self.term_ids:
             raise QueryError("query must contain at least one term")
+        for term in self.term_ids:
+            # int() would silently truncate 1.7, parse '5' and turn True
+            # into term 1; numpy integers are Integral and pass.
+            if isinstance(term, bool) or not isinstance(term, Integral):
+                raise QueryError(f"term ids must be integers, got {term!r}")
         normalized = tuple(sorted(set(int(t) for t in self.term_ids)))
         if any(t < 0 for t in normalized):
             raise QueryError("term ids must be non-negative")

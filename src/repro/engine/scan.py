@@ -64,11 +64,15 @@ class ChunkScan:
 
     def merge(self, outcome: ChunkOutcome) -> None:
         """Fold one evaluated chunk into the top-k and the counters."""
+        _, doc_ids, scores, postings_scanned, n_matched = outcome
         self.chunks_evaluated += 1
-        self.postings_scanned += outcome.postings_scanned
-        self.docs_matched += outcome.n_matched
-        self.topk.offer_many(outcome.scores, outcome.doc_ids)
-        self.state.record_matches(outcome.n_matched)
+        self.postings_scanned += postings_scanned
+        # A chunk without matches, common on long scans, changes neither
+        # the heap nor the match count.
+        if n_matched:
+            self.docs_matched += n_matched
+            self.topk.offer_many(scores, doc_ids)
+            self.state.record_matches(n_matched)
 
     def result(
         self,

@@ -66,6 +66,11 @@ class TerminationState:
         self.topk = topk
         self.matches_seen = 0
         self.fired_rule: Optional[str] = None
+        # The budget rule's per-query constant, computed once here rather
+        # than at every probe.
+        self._budget = (
+            None if config.match_budget is None else max(config.match_budget, topk.k)
+        )
         # The bound array mirrored as a plain float list, built lazily:
         # the rule probes one scalar per position, and list indexing
         # avoids the numpy scalar-extraction cost on every probe.
@@ -74,17 +79,17 @@ class TerminationState:
         self._suffix_bounds: Optional[List[float]] = None
 
     def record_matches(self, n_matched: int) -> None:
-        self.matches_seen += int(n_matched)
+        self.matches_seen += n_matched
 
     def should_stop(self, next_position: int) -> bool:
         """True if execution may stop before evaluating ``next_position``;
         the first rule that fires is latched in ``fired_rule``."""
         if self.fired_rule is not None:
             return True
-        budget = self.config.match_budget
+        budget = self._budget
         if next_position >= self.plan.n_candidate_chunks:
             self.fired_rule = "exhausted"
-        elif budget is not None and self.matches_seen >= max(budget, self.topk.k):
+        elif budget is not None and self.matches_seen >= budget:
             self.fired_rule = "match_budget"
         elif self.config.use_score_bound and self.topk.full:
             bounds = self._suffix_bounds

@@ -14,6 +14,7 @@ retained result at the root, so the admission threshold is O(1).
 from __future__ import annotations
 
 import heapq
+from operator import neg
 from typing import List, Tuple
 
 import numpy as np
@@ -64,23 +65,41 @@ class TopK:
     def offer_many(self, scores: np.ndarray, doc_ids: np.ndarray) -> int:
         """Offer a batch of candidates; returns how many were admitted.
 
-        Vectorized pre-filter: candidates at or below the current
-        threshold that cannot win a tie are skipped without touching the
-        heap.
+        Equivalent to :meth:`offer` on each pair in order, for float64
+        ``scores``. Both arrays become lists once. The heap is filled up
+        to ``k``; then each remaining score is compared with the root's
+        score, and only a candidate that reaches it builds a key and
+        meets the root's tie-break. The root is re-read only after a
+        replacement.
         """
-        if scores.shape[0] != doc_ids.shape[0]:
+        n = scores.shape[0]
+        if n != doc_ids.shape[0]:
             raise ExecutionError("scores and doc_ids must be parallel arrays")
-        if scores.shape[0] == 0:
+        if n == 0:
             return 0
+        heap = self._heap
+        scores = scores.tolist()
+        doc_ids = doc_ids.tolist()
         admitted = 0
-        if self.full:
-            # Only candidates with score >= root score can possibly enter.
-            mask = scores >= self._heap[0][0]
-            scores = scores[mask]
-            doc_ids = doc_ids[mask]
-        for score, doc_id in zip(scores.tolist(), doc_ids.tolist()):
-            if self.offer(score, doc_id):
-                admitted += 1
+        room = self.k - len(heap)
+        if room > 0:
+            heap.extend(zip(scores[:room], map(neg, doc_ids[:room])))
+            heapq.heapify(heap)
+            if n < room:
+                return n
+            admitted = room
+            scores = scores[room:]
+            doc_ids = doc_ids[room:]
+        root = heap[0]
+        floor = root[0]
+        for score, doc_id in zip(scores, doc_ids):
+            if score >= floor:
+                key = (score, -doc_id)
+                if key > root:
+                    heapq.heapreplace(heap, key)
+                    root = heap[0]
+                    floor = root[0]
+                    admitted += 1
         return admitted
 
     def results(self) -> List[Tuple[int, float]]:

@@ -22,6 +22,16 @@ class TestQuery:
         with pytest.raises(QueryError):
             Query.of([-1])
 
+    @pytest.mark.parametrize("term", [1.7, 2.0, True, "5", None])
+    def test_non_integer_term_rejected(self, term):
+        with pytest.raises(QueryError):
+            Query.of([3, term])
+
+    def test_numpy_integer_terms_accepted(self):
+        q = Query.of(np.array([7, 3], dtype=np.int64))
+        assert q.term_ids == (3, 7)
+        assert all(type(t) is int for t in q.term_ids)
+
     def test_bad_k_rejected(self):
         with pytest.raises(QueryError):
             Query.of([1], k=0)

@@ -66,3 +66,45 @@ def test_threshold_is_weakest_retained(pairs, k):
         assert topk.threshold == topk.results()[-1][1]
     else:
         assert topk.threshold == float("-inf")
+
+
+# Scores on a coarse grid, so equal scores are common.
+grid_pairs = st.tuples(
+    st.integers(min_value=-4, max_value=4).map(lambda i: i * 0.5),
+    st.integers(min_value=0, max_value=40),
+)
+
+
+@given(
+    k=st.integers(min_value=1, max_value=10),
+    prefill=st.lists(grid_pairs, min_size=10, max_size=30),
+    batches=st.lists(
+        st.lists(st.tuples(st.booleans(), grid_pairs), max_size=30),
+        min_size=2,
+        max_size=6,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_offer_many_batches_on_a_full_heap_equal_offer_loop(k, prefill, batches):
+    """The replace phase: several ``offer_many`` calls on a heap that is
+    already full, with candidates whose score ties the root's exactly
+    (a drawn ``True`` replaces the score with the root's at that batch),
+    so the doc-id tie-break decides. Results and the summed admitted
+    counts match an ``offer`` loop."""
+    looped = TopK(k)
+    batched = TopK(k)
+    for score, doc in prefill:
+        looped.offer(score, doc)
+        batched.offer(score, doc)
+    assert batched.full
+    admitted_looped = admitted_batched = 0
+    for batch in batches:
+        root = batched.threshold
+        pairs = [(root if tie else score, doc) for tie, (score, doc) in batch]
+        admitted_looped += sum(looped.offer(score, doc) for score, doc in pairs)
+        admitted_batched += batched.offer_many(
+            np.asarray([score for score, _ in pairs], dtype=np.float64),
+            np.asarray([doc for _, doc in pairs], dtype=np.int64),
+        )
+    assert batched.results() == looped.results()
+    assert admitted_batched == admitted_looped
