@@ -158,12 +158,12 @@ class ServingNode:
     def submit(
         self,
         query_index: int,
-        on_done: Optional[OutcomeCallback] = None,
         query_class: Optional[str] = None,
+        on_done: Optional[OutcomeCallback] = None,
     ) -> None:
         """Submit a query now; ``on_done`` fires exactly once with its
         outcome (synchronously if the query is shed at admission)."""
-        self.server.submit(query_index, tag=on_done, query_class=query_class)
+        self.server.submit(query_index, query_class, on_done)
 
     def attach_controllers(self, controllers: Sequence[object]) -> None:
         """Attach online control loops (same ``attach`` contract as the

@@ -42,7 +42,7 @@ from repro.runtime.clock import FakeClock
 from repro.runtime.node import ServingConfig, ServingNode
 from repro.sim.experiment import LoadPointConfig, LoadPointSummary, run_to_horizon
 from repro.sim.oracle import ServiceOracle
-from repro.sim.script import ScriptedArrival
+from repro.sim.script import ScriptedArrival, replay
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -139,7 +139,8 @@ def run_scripted_live(
     """Replay ``script`` through the live node on a :class:`FakeClock`.
 
     The schedule *is* :func:`~repro.sim.script.run_scripted_point`'s —
-    the clock is the simulator's heap, driven by the same
+    the clock is the simulator's heap, fed by the same
+    :func:`~repro.sim.script.replay` and driven by the same
     :func:`~repro.sim.experiment.run_to_horizon` — so what differs from
     the sim run is the node's hook routing and nothing else. No wall
     time passes: the clock only moves when this function advances it.
@@ -150,10 +151,7 @@ def run_scripted_live(
         tracer=tracer,
     )
     node.attach_controllers(controllers)
-    for arrival in script:
-        clock.schedule_at(
-            arrival.time_s, node.submit, arrival.query_index, None, arrival.query_class,
-        )
+    replay(clock, node.submit, script)
     run_to_horizon(clock, config.duration, node.server.busy)
     return node.summary(config.rate), node
 

@@ -147,6 +147,8 @@ class TraceArrivals(ArrivalProcess):
         arr = np.asarray(times, dtype=np.float64)
         if arr.ndim != 1:
             raise ConfigurationError("times must be a 1-D sequence")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigurationError("times must be finite")
         if arr.size and (np.any(np.diff(arr) < 0) or arr[0] < 0):
             raise ConfigurationError("times must be sorted and non-negative")
         self._times = arr

@@ -7,11 +7,13 @@ latency with cluster size — the "tail at scale" effect — and is the
 reason the paper targets the P99 of a single ISN: a per-node tail
 improvement compounds at the aggregator.
 
-:func:`run_cluster_point` instantiates N independent
-:class:`~repro.sim.server.IndexServerModel` shards over one simulator.
-Each cluster query draws an independent cost-table row per shard
-(different partitions do different work for the same query) and is
-recorded when its last shard response lands.
+:class:`ClusterAggregator` is the broker as a model on a
+:class:`~repro.core.clock.SchedulerProtocol`, as
+:class:`~repro.sim.server.IndexServerModel` is the node: it owns N
+independent shard servers, fans each query out with an independent
+cost-table row per shard (partitions do different work for the same
+query) and joins the responses in its hooks. :func:`run_cluster_point`
+feeds it on a simulator through :func:`~repro.sim.script.replay`.
 
 Graceful degradation (all opt-in; defaults reproduce the wait-for-all
 aggregator exactly):
@@ -36,18 +38,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.clock import SchedulerProtocol
 from repro.obs.spans import NULL_TRACER, ClusterTraceBuilder, Tracer
 from repro.policies.base import ParallelismPolicy
-from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
 from repro.sim.engine import Simulator
 from repro.sim.experiment import DRAIN_HORIZONS, run_to_horizon
 from repro.sim.faults import ClusterFaultPlan
 from repro.sim.metrics import MetricsCollector, QueryRecord
 from repro.sim.oracle import ServiceOracle
+from repro.sim.script import arrival_times, replay
 from repro.sim.server import IndexServerModel
 from repro.util.rng import RngFactory
 from repro.util.validation import require, require_int_in_range, require_positive
@@ -56,16 +59,8 @@ from repro.util.validation import require, require_int_in_range, require_positiv
 class _InFlight:
     """Join state for one fanned-out cluster query."""
 
-    __slots__ = (
-        "arrival",
-        "query_indices",
-        "responded",
-        "outstanding",
-        "n_responded",
-        "hedged",
-        "done",
-        "trace",
-    )
+    __slots__ = ("arrival", "query_indices", "responded", "outstanding", "n_responded",
+                 "hedged", "trace")
 
     def __init__(self, arrival: float, query_indices: List[int]) -> None:
         self.arrival = arrival
@@ -77,7 +72,6 @@ class _InFlight:
         self.outstanding = [1] * n_shards  # live attempts per shard
         self.n_responded = 0
         self.hedged = False
-        self.done = False
         # Aggregator-side span builder (tracer enabled only).
         self.trace: Optional[ClusterTraceBuilder] = None
 
@@ -175,18 +169,258 @@ class ClusterSummary:
         return self.n_full + self.n_partial
 
 
+class ClusterAggregator:
+    """The broker: fans each query out to every shard and joins the
+    responses. It owns ``config.n_shards`` shard servers and, when
+    hedging is on, one fault-free replica per shard, each built with a
+    fresh policy from ``policy_factory`` (policies may be stateful) and
+    with :meth:`on_complete` / :meth:`on_shed` as its hooks. A query is
+    in flight while its tag is in ``in_flight``; answering removes it,
+    so whatever arrives later is ignored."""
+
+    def __init__(
+        self,
+        scheduler: SchedulerProtocol,
+        oracle: ServiceOracle,
+        policy_factory: Callable[[], ParallelismPolicy],
+        config: ClusterConfig,
+        faults: Optional[ClusterFaultPlan] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        self.scheduler = scheduler
+        self.config = config
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Responses that answer a query: every shard unless a quorum is set.
+        self.quorum = config.n_shards if config.quorum is None else config.quorum
+        self.in_flight: Dict[int, _InFlight] = {}
+        self.next_tag = 0
+        self.latencies: List[float] = []
+        self.shard_latencies: List[float] = []
+        self.coverages: List[float] = []
+        self.n_full = self.n_partial = self.n_failed = self.n_timed_out = 0
+        self.n_hedges = self.n_hedge_wins = self.n_in_slo = 0
+        self.shards = self._servers(oracle, policy_factory, faults, "shard")
+        self.replicas = (
+            self._servers(oracle, policy_factory, None, "replica")
+            if config.hedge_delay is not None else []
+        )
+
+    def _servers(
+        self, oracle: ServiceOracle, policy_factory: Callable[[], ParallelismPolicy],
+        faults: Optional[ClusterFaultPlan], role: str,
+    ) -> List[IndexServerModel]:
+        config = self.config
+        return [
+            IndexServerModel(
+                self.scheduler, oracle, policy_factory(), config.n_cores_per_shard,
+                MetricsCollector(config.warmup, config.duration, config.n_cores_per_shard),
+                on_query_complete=self.on_complete,
+                deadline=config.deadline,
+                max_queue_length=config.max_queue_length,
+                faults=faults.schedule_for(shard_id) if faults is not None else None,
+                on_query_shed=self.on_shed,
+                tracer=self.tracer,
+                server_id=f"{role}{shard_id}",
+            )
+            for shard_id in range(config.n_shards)
+        ]
+
+    def submit(self, query_indices: List[int]) -> None:
+        """A query arrives now: send shard ``i`` cost-table row
+        ``query_indices[i]`` (independent work per partition for the
+        same logical query) and arm the hedge and the timeout."""
+        config = self.config
+        now = self.scheduler.now
+        tag = self.next_tag
+        self.next_tag += 1
+        state = _InFlight(now, query_indices)
+        if self.tracer.enabled:
+            state.trace = ClusterTraceBuilder(tag, now, config.n_shards)
+            for shard_id in range(config.n_shards):
+                state.trace.shard_submitted(now, shard_id, query_indices[shard_id])
+        self.in_flight[tag] = state
+        for shard_id, shard in enumerate(self.shards):
+            shard.submit(query_indices[shard_id], tag=(tag, shard_id, False))
+        if config.hedge_delay is not None:
+            self.scheduler.schedule(config.hedge_delay, self._hedge, tag)
+        if config.shard_timeout is not None:
+            self.scheduler.schedule(config.shard_timeout, self._timeout, tag)
+
+    def busy(self) -> bool:
+        """True while any query awaits its answer (the drain test)."""
+        return bool(self.in_flight)
+
+    def on_complete(self, record: QueryRecord, tag: Tuple[int, int, bool]) -> None:
+        """A shard or replica responded; the first copy per shard counts."""
+        cluster_tag, shard_id, replica = tag
+        if record.arrival >= self.config.warmup:
+            self.shard_latencies.append(record.latency)
+        state = self.in_flight.get(cluster_tag)
+        if state is None:
+            return  # the query was answered already
+        state.outstanding[shard_id] -= 1
+        first = not state.responded[shard_id]
+        if state.trace is not None:
+            state.trace.shard_responded(
+                record.completion, shard_id, replica=replica, won=first,
+            )
+        if first:
+            state.responded[shard_id] = True
+            state.n_responded += 1
+            if replica:
+                self.n_hedge_wins += 1
+            self._join(cluster_tag, state, record.completion)
+
+    def on_shed(
+        self, query_index: int, tag: Tuple[int, int, bool], reason: str, now: float
+    ) -> None:
+        """A shard or replica dropped its request: one attempt fewer."""
+        cluster_tag, shard_id, replica = tag
+        state = self.in_flight.get(cluster_tag)
+        if state is None:
+            return
+        if state.trace is not None:
+            state.trace.shard_shed(now, shard_id, reason, replica=replica)
+        state.outstanding[shard_id] -= 1
+        self._join(cluster_tag, state, now)
+
+    def _join(self, tag: int, state: _InFlight, now: float) -> None:
+        """Answer at quorum, or once every attempt is dead and no hedge
+        can revive the laggards (answer with what we have rather than
+        wait for nothing)."""
+        hedge_pending = self.config.hedge_delay is not None and not state.hedged
+        if state.n_responded >= self.quorum or not (
+            hedge_pending or any(state.outstanding)
+        ):
+            self._answer(tag, state, now, timed_out=False)
+
+    def _hedge(self, tag: int) -> None:
+        """Re-issue every laggard shard request to its replica. A query
+        still in flight has at least one laggard."""
+        state = self.in_flight.get(tag)
+        if state is None:
+            return
+        state.hedged = True
+        now = self.scheduler.now
+        laggards = [
+            shard_id
+            for shard_id in range(self.config.n_shards)
+            if not state.responded[shard_id]
+        ]
+        if state.trace is not None:
+            state.trace.hedged(now, laggards)
+        for shard_id in laggards:
+            state.outstanding[shard_id] += 1
+            self.n_hedges += 1
+            if state.trace is not None:
+                # Register the replica attempt before submit(): admission
+                # shed is synchronous and must land on an open attempt.
+                state.trace.shard_submitted(
+                    now, shard_id, state.query_indices[shard_id], replica=True,
+                )
+            self.replicas[shard_id].submit(
+                state.query_indices[shard_id], tag=(tag, shard_id, True)
+            )
+
+    def _timeout(self, tag: int) -> None:
+        state = self.in_flight.get(tag)
+        if state is not None:
+            self._answer(tag, state, self.scheduler.now, timed_out=True)
+
+    def _answer(self, tag: int, state: _InFlight, now: float, timed_out: bool) -> None:
+        """Emit the aggregator's answer (or record the failure)."""
+        del self.in_flight[tag]
+        config = self.config
+        n_responded = state.n_responded
+        outcome = (
+            "failed" if n_responded == 0
+            else "full" if n_responded == config.n_shards
+            else "partial"
+        )
+        if state.trace is not None:
+            answer_s = now + (AGGREGATION_OVERHEAD_S if n_responded else 0.0)
+            self.tracer.on_trace(
+                state.trace.finalized(
+                    answer_s, outcome, n_responded, config.n_shards,
+                    timed_out=timed_out, quorum=config.quorum,
+                )
+            )
+        if state.arrival < config.warmup:
+            return
+        if timed_out:
+            self.n_timed_out += 1
+        if outcome == "failed":
+            self.n_failed += 1
+            return
+        if outcome == "full":
+            self.n_full += 1
+        else:
+            self.n_partial += 1
+        latency = now + AGGREGATION_OVERHEAD_S - state.arrival
+        self.latencies.append(latency)
+        self.coverages.append(n_responded / config.n_shards)
+        if config.deadline is not None and latency <= config.deadline:
+            self.n_in_slo += 1
+
+    def summary(self) -> ClusterSummary:
+        """Summarize the run; warns when queries are still in flight
+        (a drain that tripped censors the tail)."""
+        config = self.config
+        unfinished = len(self.in_flight)
+        if unfinished:
+            warnings.warn(
+                f"cluster drain limit ({DRAIN_HORIZONS:g}x the horizon) tripped "
+                f"with {unfinished} queries still in flight; tail statistics are "
+                "censored (the load point is deeply saturated)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        cluster = np.asarray(self.latencies, dtype=np.float64)
+        shard_arr = np.asarray(self.shard_latencies, dtype=np.float64)
+        cluster_p99 = float(np.percentile(cluster, 99)) if cluster.size else float("nan")
+        shard_p99 = float(np.percentile(shard_arr, 99)) if shard_arr.size else float("nan")
+        demand = self.n_full + self.n_partial + self.n_failed
+        window_s = config.duration - config.warmup
+        return ClusterSummary(
+            policy=self.shards[0].policy.name or "unknown",
+            n_shards=config.n_shards,
+            rate=config.rate,
+            observed=int(cluster.size),
+            mean_latency=float(cluster.mean()) if cluster.size else float("nan"),
+            p50_latency=float(np.percentile(cluster, 50)) if cluster.size else float("nan"),
+            p95_latency=float(np.percentile(cluster, 95)) if cluster.size else float("nan"),
+            p99_latency=cluster_p99,
+            shard_p99_latency=shard_p99,
+            tail_amplification=(
+                cluster_p99 / shard_p99
+                if math.isfinite(shard_p99) and shard_p99 > 0
+                else float("nan")
+            ),
+            n_full=self.n_full,
+            n_partial=self.n_partial,
+            n_failed=self.n_failed,
+            n_timed_out=self.n_timed_out,
+            n_shed=sum(server.n_shed for server in self.shards + self.replicas),
+            n_hedges=self.n_hedges,
+            n_hedge_wins=self.n_hedge_wins,
+            unfinished=unfinished,
+            mean_coverage=float(np.mean(self.coverages)) if self.coverages else float("nan"),
+            slo_attainment=(
+                self.n_in_slo / demand if config.deadline is not None and demand else float("nan")
+            ),
+            goodput=self.n_in_slo / window_s if config.deadline is not None else float("nan"),
+        )
+
+
 def run_cluster_point(
     oracle: ServiceOracle,
     policy_factory: Callable[[], ParallelismPolicy],
     config: ClusterConfig,
-    arrivals: Optional[ArrivalProcess] = None,
     faults: Optional[ClusterFaultPlan] = None,
     tracer: Optional[Tracer] = None,
 ) -> ClusterSummary:
     """Simulate one cluster load point.
 
-    ``policy_factory`` is called once per shard — policies may be
-    stateful (e.g. EWMA variants), so shards must not share an instance.
     ``faults`` injects per-shard slowdown/crash schedules (replica
     servers used for hedging are deliberately fault-free — replicas are
     different machines, which is what hedging exploits).
@@ -197,267 +431,17 @@ def run_cluster_point(
     server (``server_id`` distinguishes them). Tracing is read-only:
     a traced run returns a summary bit-identical to an untraced one.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    # Named streams derived by hashing, not by drawing from a parent
-    # generator: child streams must not depend on the parent's
-    # consumption position (see util/rng.py). One-time stream change vs
-    # the earlier ``rng.integers`` derivation, documented in CHANGES.md.
-    streams = RngFactory(config.seed)
-    arrival_rng = streams.stream("arrivals")
-    sample_rng = streams.stream("sample")
-    if arrivals is None:
-        arrivals = PoissonArrivals(config.rate, arrival_rng)
-
     simulator = Simulator()
-    in_flight: Dict[int, _InFlight] = {}
-    cluster_latencies: List[float] = []
-    shard_latencies: List[float] = []
-    coverages: List[float] = []
-    counters = {
-        "full": 0, "partial": 0, "failed": 0, "timed_out": 0,
-        "hedges": 0, "hedge_wins": 0, "in_slo": 0,
-    }
-
-    def finalize(tag: int, state: _InFlight, now: float, timed_out: bool) -> None:
-        """Emit the aggregator's answer (or record the failure)."""
-        state.done = True
-        del in_flight[tag]
-        if state.trace is not None:
-            n_resp = state.n_responded
-            outcome = (
-                "failed" if n_resp == 0
-                else "full" if n_resp == config.n_shards
-                else "partial"
-            )
-            answer_s = now + (AGGREGATION_OVERHEAD_S if n_resp else 0.0)
-            tracer.on_trace(
-                state.trace.finalized(
-                    answer_s, outcome, n_resp, config.n_shards,
-                    timed_out=timed_out, quorum=config.quorum,
-                )
-            )
-        if state.arrival < config.warmup:
-            return
-        coverage = state.n_responded / config.n_shards
-        if timed_out:
-            counters["timed_out"] += 1
-        if state.n_responded == 0:
-            counters["failed"] += 1
-            return
-        counters["full" if coverage == 1.0 else "partial"] += 1
-        latency = now + AGGREGATION_OVERHEAD_S - state.arrival
-        cluster_latencies.append(latency)
-        coverages.append(coverage)
-        if config.deadline is not None and latency <= config.deadline:
-            counters["in_slo"] += 1
-
-    def check_done(tag: int, state: _InFlight, now: float) -> None:
-        if state.n_responded == config.n_shards:
-            finalize(tag, state, now, timed_out=False)
-            return
-        if config.quorum is not None and state.n_responded >= config.quorum:
-            finalize(tag, state, now, timed_out=False)
-            return
-        # Every attempt is dead and no hedge can revive the laggards:
-        # answer with what we have rather than wait for nothing.
-        hedge_pending = config.hedge_delay is not None and not state.hedged
-        if not hedge_pending and not any(state.outstanding):
-            finalize(tag, state, now, timed_out=False)
-
-    def on_shard_complete(record: QueryRecord, tag, from_replica: bool = False):
-        cluster_tag, shard_id = tag
-        if record.arrival >= config.warmup:
-            shard_latencies.append(record.latency)
-        state = in_flight.get(cluster_tag)
-        if state is None or state.done:
-            return  # duplicate of an already-answered query
-        state.outstanding[shard_id] -= 1
-        if state.trace is not None:
-            state.trace.shard_responded(
-                record.completion, shard_id,
-                replica=from_replica, won=not state.responded[shard_id],
-            )
-        if not state.responded[shard_id]:
-            state.responded[shard_id] = True
-            state.n_responded += 1
-            if from_replica:
-                counters["hedge_wins"] += 1
-            check_done(cluster_tag, state, record.completion)
-
-    def on_replica_complete(record: QueryRecord, tag) -> None:
-        on_shard_complete(record, tag, from_replica=True)
-
-    def on_shard_shed(
-        query_index: int, tag, reason: str, now: float, from_replica: bool = False
-    ) -> None:
-        cluster_tag, shard_id = tag
-        state = in_flight.get(cluster_tag)
-        if state is None or state.done:
-            return
-        if state.trace is not None:
-            state.trace.shard_shed(now, shard_id, reason, replica=from_replica)
-        state.outstanding[shard_id] -= 1
-        check_done(cluster_tag, state, now)
-
-    def on_replica_shed(query_index: int, tag, reason: str, now: float) -> None:
-        on_shard_shed(query_index, tag, reason, now, from_replica=True)
-
-    def make_shards(fault_plan, on_complete, on_shed, role) -> List[IndexServerModel]:
-        servers = []
-        for shard_id in range(config.n_shards):
-            policy: ParallelismPolicy = policy_factory()
-            metrics = MetricsCollector(
-                warmup=config.warmup,
-                horizon=config.duration,
-                n_cores=config.n_cores_per_shard,
-            )
-            servers.append(
-                IndexServerModel(
-                    simulator,
-                    oracle,
-                    policy,
-                    config.n_cores_per_shard,
-                    metrics,
-                    on_query_complete=on_complete,
-                    deadline=config.deadline,
-                    max_queue_length=config.max_queue_length,
-                    faults=(
-                        fault_plan.schedule_for(shard_id)
-                        if fault_plan is not None
-                        else None
-                    ),
-                    on_query_shed=on_shed,
-                    tracer=tracer,
-                    server_id=f"{role}{shard_id}",
-                )
-            )
-        return servers
-
-    shards = make_shards(faults, on_shard_complete, on_shard_shed, "shard")
-    policy_name = shards[0].policy.name
-    replicas: List[IndexServerModel] = (
-        make_shards(None, on_replica_complete, on_replica_shed, "replica")
-        if config.hedge_delay is not None
-        else []
+    aggregator = ClusterAggregator(
+        simulator, oracle, policy_factory, config, faults=faults, tracer=tracer,
     )
-
+    # Position-independent child streams (see util/rng.py): Poisson
+    # arrival times on "arrivals", one query index per shard on "sample".
+    sample_rng = RngFactory(config.seed).stream("sample")
     n_queries = oracle.n_queries
-    next_tag = [0]
-
-    def hedge(tag: int) -> None:
-        """Re-issue every laggard shard request to its replica."""
-        state = in_flight.get(tag)
-        if state is None or state.done:
-            return
-        state.hedged = True
-        laggards = [
-            shard_id
-            for shard_id in range(config.n_shards)
-            if not state.responded[shard_id]
-        ]
-        if state.trace is not None and laggards:
-            state.trace.hedged(simulator.now, laggards)
-        for shard_id in laggards:
-            state.outstanding[shard_id] += 1
-            counters["hedges"] += 1
-            if state.trace is not None:
-                # Register the replica attempt before submit(): admission
-                # shed is synchronous and must land on an open attempt.
-                state.trace.shard_submitted(
-                    simulator.now, shard_id,
-                    state.query_indices[shard_id], replica=True,
-                )
-            replicas[shard_id].submit(
-                state.query_indices[shard_id], tag=(tag, shard_id)
-            )
-        if not laggards:
-            check_done(tag, state, simulator.now)
-
-    def timeout(tag: int) -> None:
-        state = in_flight.get(tag)
-        if state is None or state.done:
-            return
-        finalize(tag, state, simulator.now, timed_out=True)
-
-    def arrive() -> None:
-        tag = next_tag[0]
-        next_tag[0] += 1
-        indices = [int(sample_rng.integers(n_queries)) for _ in shards]
-        state = _InFlight(simulator.now, indices)
-        if tracer.enabled:
-            state.trace = ClusterTraceBuilder(tag, simulator.now, config.n_shards)
-            for shard_id in range(config.n_shards):
-                state.trace.shard_submitted(
-                    simulator.now, shard_id, indices[shard_id]
-                )
-        in_flight[tag] = state
-        for shard_id, shard in enumerate(shards):
-            # Independent work per partition for the same logical query.
-            shard.submit(indices[shard_id], tag=(tag, shard_id))
-        if config.hedge_delay is not None:
-            simulator.schedule(config.hedge_delay, hedge, tag)
-        if config.shard_timeout is not None:
-            simulator.schedule(config.shard_timeout, timeout, tag)
-        schedule_next()
-
-    def schedule_next() -> None:
-        gap = arrivals.next_interarrival()
-        if not np.isfinite(gap) or simulator.now + gap > config.duration:
-            return
-        simulator.schedule(gap, arrive)
-
-    schedule_next()
-    run_to_horizon(simulator, config.duration, lambda: in_flight)
-    unfinished = len(in_flight)
-    if unfinished:
-        warnings.warn(
-            f"cluster drain limit ({DRAIN_HORIZONS:g}x the horizon) tripped with "
-            f"{unfinished} queries still in flight; tail statistics are "
-            "censored (the load point is deeply saturated)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    cluster = np.asarray(cluster_latencies, dtype=np.float64)
-    shard_arr = np.asarray(shard_latencies, dtype=np.float64)
-    cluster_p99 = float(np.percentile(cluster, 99)) if cluster.size else float("nan")
-    shard_p99 = float(np.percentile(shard_arr, 99)) if shard_arr.size else float("nan")
-    demand = counters["full"] + counters["partial"] + counters["failed"]
-    window_s = config.duration - config.warmup
-    return ClusterSummary(
-        policy=policy_name or "unknown",
-        n_shards=config.n_shards,
-        rate=config.rate,
-        observed=int(cluster.size),
-        mean_latency=float(cluster.mean()) if cluster.size else float("nan"),
-        p50_latency=float(np.percentile(cluster, 50)) if cluster.size else float("nan"),
-        p95_latency=float(np.percentile(cluster, 95)) if cluster.size else float("nan"),
-        p99_latency=cluster_p99,
-        shard_p99_latency=shard_p99,
-        tail_amplification=(
-            cluster_p99 / shard_p99
-            if math.isfinite(shard_p99) and shard_p99 > 0
-            else float("nan")
-        ),
-        n_full=counters["full"],
-        n_partial=counters["partial"],
-        n_failed=counters["failed"],
-        n_timed_out=counters["timed_out"],
-        n_shed=sum(s.n_shed for s in shards) + sum(r.n_shed for r in replicas),
-        n_hedges=counters["hedges"],
-        n_hedge_wins=counters["hedge_wins"],
-        unfinished=unfinished,
-        mean_coverage=(
-            float(np.mean(coverages)) if coverages else float("nan")
-        ),
-        slo_attainment=(
-            counters["in_slo"] / demand
-            if config.deadline is not None and demand
-            else float("nan")
-        ),
-        goodput=(
-            counters["in_slo"] / window_s
-            if config.deadline is not None
-            else float("nan")
-        ),
-    )
+    replay(simulator, aggregator.submit, (
+        (time_s, [int(sample_rng.integers(n_queries)) for _ in range(config.n_shards)])
+        for time_s, _ in arrival_times(config)
+    ))
+    run_to_horizon(simulator, config.duration, aggregator.busy)
+    return aggregator.summary()

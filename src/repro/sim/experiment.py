@@ -1,25 +1,24 @@
 """One simulated load point: drive arrivals into the server, summarize.
 
-:func:`run_load_point` wires workload → server → metrics for a single
-(policy, arrival-process) combination and returns a
-:class:`LoadPointSummary`. Load sweeps in the harness call it per rate.
+:func:`run_load_point` returns the :class:`LoadPointSummary` of a single
+(policy, arrival-process) combination; load sweeps call it per rate. It
+is :func:`~repro.sim.script.run_scripted_point` on the lazy
+:func:`~repro.sim.script.arrival_stream`, plus the observer's bookkeeping.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.obs.registry import RunObserver
 from repro.obs.spans import Tracer
 from repro.policies.base import ParallelismPolicy
-from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
+from repro.sim.arrivals import ArrivalProcess
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsCollector
 from repro.sim.oracle import ServiceOracle
 from repro.sim.server import IndexServerModel
-from repro.util.rng import RngFactory
 from repro.util.validation import require, require_int_in_range, require_positive
 
 
@@ -161,12 +160,8 @@ def run_load_point(
     the run's ``sample`` stream. Class labels also flow into
     ``server.submit(query_class=...)`` for class-based shedding.
     """
-    # Position-independent child streams (see util/rng.py docstring).
-    streams = RngFactory(config.seed)
-    arrival_rng = streams.stream("arrivals")
-    sample_rng = streams.stream("sample")
-    if arrivals is None:
-        arrivals = PoissonArrivals(config.rate, arrival_rng)
+    # repro.sim.script imports this module, so the import waits for the call.
+    from repro.sim.script import arrival_stream, run_scripted_point
 
     attached, tracer = list(controllers), None
     if observer is not None:
@@ -177,39 +172,11 @@ def run_load_point(
         # Attach order is event order at equal times: observer first.
         attached.insert(0, observer)
         tracer = observer.tracer
-    simulator, server = wire_load_point(oracle, policy, config, attached, tracer)
-
-    n_queries = oracle.n_queries
-    horizon_s = config.duration
-
-    def arrive() -> None:
-        # The class label belongs to the arrival scheduled by the most
-        # recent next_interarrival() call — read it before schedule_next
-        # overwrites it with the following arrival's label.
-        arrival_class = getattr(arrivals, "last_class", None)
-        if query_sampler is not None:
-            query_index = int(query_sampler.sample(arrival_class))
-        else:
-            query_index = int(sample_rng.integers(n_queries))
-        server.submit(query_index, query_class=arrival_class)
-        schedule_next()
-
-    def schedule_next() -> None:
-        gap = arrivals.next_interarrival()
-        if math.isinf(gap):
-            return
-        # Stop generating arrivals at the horizon; queries already in
-        # flight drain below so the slow tail is never censored.
-        time_s = simulator.now + gap
-        if time_s > horizon_s:
-            return
-        simulator.schedule_at(time_s, arrive)
-
-    schedule_next()
-    run_to_horizon(simulator, config.duration, server.busy)
+    script = arrival_stream(oracle.n_queries, config, arrivals, query_sampler)
+    summary, _ = run_scripted_point(oracle, policy, config, script, attached, tracer)
     if observer is not None:
         observer.finish()
-    return summarize_load_point(server, config.rate, slo=config.slo)
+    return summary
 
 
 def summarize_load_point(

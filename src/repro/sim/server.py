@@ -190,12 +190,12 @@ class IndexServerModel:
     # ----------------------------------------------------------------
 
     def submit(
-        self, query_index: int, tag: Any = None, query_class: Optional[str] = None
+        self, query_index: int, query_class: Optional[str] = None, tag: Any = None
     ) -> None:
-        """A query arrives now. ``tag`` is opaque correlation state passed
-        to ``on_query_complete`` (used by the cluster aggregator);
-        ``query_class`` is an optional traffic-class label consulted by
-        class-based shedding during anomaly degradation."""
+        """A query arrives now. ``query_class`` is an optional
+        traffic-class label consulted by class-based shedding during
+        anomaly degradation; ``tag`` is opaque correlation state passed
+        to ``on_query_complete`` (used by the cluster aggregator)."""
         now = self.simulator.now
         self.metrics.on_arrival()
         trace: Optional[QueryTraceBuilder] = None

@@ -223,6 +223,14 @@ class TestTraceArrivals:
         with pytest.raises(ConfigurationError):
             TraceArrivals([-1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        # NaN slips past both the order and the sign check (every
+        # comparison with it is False); the runners then disagreed on
+        # what a NaN arrival means instead of refusing it.
+        with pytest.raises(ConfigurationError, match="finite"):
+            TraceArrivals([0.1, bad, 0.3, 0.4])
+
 
 class TestMMPP2RegimeBoundary:
     """Regression: a candidate landing exactly on the dwell boundary

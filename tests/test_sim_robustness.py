@@ -9,12 +9,13 @@ from conftest import constant_table
 from repro.policies.base import ParallelismPolicy, QueryInfo, SystemState
 from repro.policies.fixed import FixedPolicy, SequentialPolicy
 from repro.sim.arrivals import TraceArrivals
-from repro.sim.cluster import ClusterConfig, run_cluster_point
+from repro.sim.cluster import ClusterAggregator, ClusterConfig, run_cluster_point
 from repro.sim.engine import Simulator
-from repro.sim.experiment import LoadPointConfig, run_load_point
+from repro.sim.experiment import LoadPointConfig, run_load_point, run_to_horizon
 from repro.sim.faults import ClusterFaultPlan, FaultSchedule
 from repro.sim.metrics import MetricsCollector
 from repro.sim.oracle import ServiceOracle
+from repro.sim.script import arrival_times, replay
 from repro.sim.server import IndexServerModel
 
 
@@ -263,6 +264,20 @@ class TestDeterminism:
         assert a.mean_coverage == b.mean_coverage
 
 
+def _run_cluster_trace(oracle, config, times):
+    """``run_cluster_point`` with arrivals at the given ``times`` (query
+    index 0 on every shard): the aggregator on a simulator, fed by the
+    shared arrival generator and replay."""
+    simulator = Simulator()
+    aggregator = ClusterAggregator(simulator, oracle, SequentialPolicy, config)
+    replay(simulator, aggregator.submit, (
+        (time_s, [0] * config.n_shards)
+        for time_s, _ in arrival_times(config, TraceArrivals(times))
+    ))
+    run_to_horizon(simulator, config.duration, aggregator.busy)
+    return aggregator.summary()
+
+
 class TestCensoredTailsVisible:
     def test_unfinished_counted_and_warned(self):
         # Service times (50 s) dwarf the drain limit (10x a 1 s horizon):
@@ -271,18 +286,14 @@ class TestCensoredTailsVisible:
         config = ClusterConfig(n_shards=1, n_cores_per_shard=1, rate=2.0,
                                duration=1.0, warmup=0.0, seed=13)
         with pytest.warns(RuntimeWarning, match="still in flight"):
-            summary = run_cluster_point(
-                oracle, SequentialPolicy, config,
-                arrivals=TraceArrivals([0.1, 0.2]),
-            )
+            summary = _run_cluster_trace(oracle, config, [0.1, 0.2])
         assert summary.unfinished == 1
 
     def test_empty_run_tail_amplification_is_nan(self):
         oracle = ServiceOracle(_cluster_table())
         config = ClusterConfig(n_shards=2, n_cores_per_shard=2, rate=1.0,
                                duration=1.0, warmup=0.0, seed=14)
-        summary = run_cluster_point(
-            oracle, SequentialPolicy, config, arrivals=TraceArrivals([]))
+        summary = _run_cluster_trace(oracle, config, [])
         assert summary.observed == 0
         assert math.isnan(summary.tail_amplification)
         assert math.isnan(summary.p99_latency)

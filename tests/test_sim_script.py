@@ -1,8 +1,10 @@
-"""Tests for scripted arrival streams (sim/script.py).
+"""Tests for arrival streams and their replay (sim/script.py).
 
-The script is the foundation of sim-vs-live parity: it must reproduce
-run_load_point's online RNG draws exactly, and replaying it must give
-the same summary as the online run.
+The script is the foundation of sim-vs-live parity. run_load_point is
+run_scripted_point on the lazy arrival stream, so a script built from
+the same config must be that stream draw for draw, and replaying it
+must give the same summary as the online run. The replay keeps one
+arrival pending at a time, which is what lets the stream stay lazy.
 """
 
 import numpy as np
@@ -11,11 +13,14 @@ import pytest
 from conftest import constant_table, summary_json
 from repro.policies.fixed import FixedPolicy, SequentialPolicy
 from repro.profiles.measurement import QueryCostTable
+from repro.sim.engine import Simulator
 from repro.sim.experiment import LoadPointConfig, run_load_point
 from repro.sim.oracle import ServiceOracle
 from repro.sim.script import (
     ScriptedArrival,
+    arrival_stream,
     build_arrival_script,
+    replay,
     run_scripted_point,
 )
 
@@ -56,10 +61,11 @@ class TestBuildArrivalScript:
 
         config = LoadPointConfig(rate=2.0, duration=3.0, warmup=0.0,
                                  n_cores=2, seed=0)
-        script = build_arrival_script(5, config, arrivals=LabelledArrivals())
-        assert [a.query_class for a in script[:4]] == [
+        stream = list(arrival_stream(5, config, LabelledArrivals()))
+        assert [query_class for _, _, query_class in stream[:4]] == [
             "head", "tail", "head", "tail"
         ]
+        assert [time_s for time_s, _, _ in stream] == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 
     def test_rejects_bad_n_queries(self):
         config = LoadPointConfig(rate=2.0, duration=1.0, warmup=0.0,
@@ -134,3 +140,35 @@ class TestScriptedVsOnline:
         )
         assert summary.observed == 3
         assert server.n_shed == 0
+
+
+class TestReplay:
+    def test_one_arrival_pending_at_a_time(self):
+        """The replay schedules the next arrival only when the current
+        one fires: before the run, one event is pending, not N (an eager
+        replay that scheduled the whole script up front would have N)."""
+        script = [ScriptedArrival(0.5 * k, k) for k in range(1, 6)]
+        simulator = Simulator()
+        submitted = []
+        replay(simulator, lambda *args: submitted.append((simulator.now, args)),
+               script)
+        assert simulator.pending_events == 1
+        assert submitted == []
+        simulator.run()
+        assert submitted == [(a.time_s, (a.query_index, None)) for a in script]
+
+    def test_submit_events_precede_the_next_arrival_at_equal_times(self):
+        """An arrival submits, then schedules the next: what the submit
+        scheduled at the next arrival's instant fires first (the online
+        runner's tie order)."""
+        simulator = Simulator()
+        fired = []
+
+        def submit(query_index, query_class):
+            fired.append(("arrive", query_index))
+            simulator.schedule(0.0 if query_index == 0 else 1.0,
+                               fired.append, ("event", query_index))
+
+        replay(simulator, submit, [ScriptedArrival(1.0, 0), ScriptedArrival(1.0, 1)])
+        simulator.run()
+        assert fired == [("arrive", 0), ("event", 0), ("arrive", 1), ("event", 1)]

@@ -379,13 +379,8 @@ KEPT = {
                                     "and engine; TestOneLexicon pins tiny_corpus's bytes",
     "SystemConfig.min_gain": "benchmarks/perf reads it (ROADMAP 0(i) re-points the probe)",
     "ServingConfig.server_id": "goes with ServingConfig in ROADMAP 4a",
-    "run_scripted_point.controllers": "tests drive the online controller and guard through "
-                                      "the scripted point",
-    "run_scripted_point.tracer": "tests record the scripted point's spans",
     "run_scripted_live.controllers": "the parity tests drive the live side's controllers",
     "run_scripted_live.tracer": "the parity tests record the live side's spans",
-    "run_cluster_point.arrivals": "tests drive the cluster with TraceArrivals",
-    "build_arrival_script.arrivals": "tests script arrivals from TraceArrivals",
 }
 
 
