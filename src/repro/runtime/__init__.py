@@ -1,8 +1,9 @@
 """Wall-clock runtime drivers.
 
 The counterpart of :mod:`repro.sim`: where the simulator drives the
-scheduling kernel on virtual time, this package drives it on *wall*
-time —
+scheduling kernel (the policies, and the decisions
+:class:`~repro.sim.server.IndexServerModel` makes) on virtual time, this
+package drives it on *wall* time —
 
 * :class:`~repro.runtime.clock.FakeClock` — the deterministic-test
   implementation of the kernel's clock interfaces (the live one is

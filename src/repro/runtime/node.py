@@ -1,8 +1,8 @@
 """The live serving node: the clock-agnostic server model on any clock.
 
-:class:`~repro.sim.server.IndexServerModel` drives every admission,
-deadline, degree-grant, and escalation decision through the pure
-kernel in :mod:`repro.core.scheduling` and touches time only through
+:class:`~repro.sim.server.IndexServerModel` is the scheduling kernel:
+it makes every admission, deadline, degree-grant, and escalation
+decision itself and touches time only through
 :class:`~repro.core.clock.SchedulerProtocol`. :class:`ServingNode`
 rehosts that exact model outside the simulator: hand it a scheduler —
 the asyncio adapter from :mod:`repro.runtime.serve` for live traffic,
@@ -194,14 +194,16 @@ class ServingNode:
             )
         )
 
-    def _on_shed(self, query_index: int, tag: Any, reason: str, now: float) -> None:
+    def _on_shed(
+        self, query_index: int, tag: Any, reason: str, arrival: float, now: float
+    ) -> None:
         if tag is None:
             return
         tag(
             QueryOutcome(
                 query_index=query_index,
                 status="shed",
-                arrival_s=now,
+                arrival_s=arrival,
                 finished_s=now,
                 shed_reason=reason,
             )

@@ -272,7 +272,8 @@ class ClusterAggregator:
             self._join(cluster_tag, state, record.completion)
 
     def on_shed(
-        self, query_index: int, tag: Tuple[int, int, bool], reason: str, now: float
+        self, query_index: int, tag: Tuple[int, int, bool], reason: str,
+        arrival: float, now: float,
     ) -> None:
         """A shard or replica dropped its request: one attempt fewer."""
         cluster_tag, shard_id, replica = tag

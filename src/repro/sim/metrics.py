@@ -35,10 +35,6 @@ class QueryRecord(NamedTuple):
     def latency(self) -> float:
         return self.completion - self.arrival
 
-    @property
-    def queue_delay(self) -> float:
-        return self.start - self.arrival
-
 
 class MetricsCollector:
     """Accumulates query records and core-busy time within a window.

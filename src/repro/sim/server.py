@@ -24,6 +24,14 @@ Each scheduler callback (an arrival, a phase end) reads ``now`` once and
 hands it down: a gang query costs two clock reads (an escalated one
 three), however many queued queries its completion dispatches.
 
+This class *is* the scheduling kernel: every decision — admission,
+deadline shedding, the policy's state snapshot, the degree grant, and
+gang vs. probe vs. escalation phases — is code in :meth:`submit`,
+``_dispatch`` and ``_escalate``, so the one model all three hostings
+share is the only place each is written. ``tests/test_source_rules.py``
+holds this module to the kernel's rules: no clock-module import, no
+I/O, no module-state writes, no RNG.
+
 Incremental ("few-to-many") policies yield two-phase jobs: a sequential
 probe, then — if the query outlives the probe — an escalation to the
 load-chosen degree using whatever cores are free at that moment.
@@ -60,21 +68,12 @@ dispatch path is byte-for-byte the untraced one.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Any, Callable, Deque, Optional
 
-from repro.core.scheduling import (
-    admission_decision,
-    deadline_exceeded,
-    grant_degree,
-    observe_state,
-    plan_escalation,
-    plan_initial_phase,
-)
 from repro.core.clock import SchedulerProtocol
 from repro.errors import SimulationError
 from repro.obs.spans import NULL_TRACER, QueryTraceBuilder, Tracer
-from repro.policies.base import ParallelismPolicy
+from repro.policies.base import ParallelismPolicy, SystemState
 from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import MetricsCollector, QueryRecord
 from repro.sim.oracle import ServiceOracle
@@ -82,8 +81,8 @@ from repro.util.validation import require_int_in_range, require_positive
 
 #: Fired with each completed query's record and its submit tag.
 CompletionHook = Callable[[QueryRecord, Any], None]
-#: Fired as (query_index, tag, reason, now) when a query is dropped.
-ShedHook = Callable[[int, Any, str, float], None]
+#: Fired as (query_index, tag, reason, arrival, now) when a query is dropped.
+ShedHook = Callable[[int, Any, str, float, float], None]
 
 
 class _Job:
@@ -171,8 +170,8 @@ class IndexServerModel:
         # "class". None (the default) disables the check entirely.
         self.shed_classes: Optional[Any] = None
         self.faults = faults if faults is not None and faults.has_faults else None
-        # Optional hook fired as (query_index, tag, reason, now) when a
-        # query is dropped; the cluster aggregator uses it to release
+        # Optional hook fired as (query_index, tag, reason, arrival, now)
+        # when a query is dropped; the cluster aggregator uses it to release
         # join state instead of waiting for a response that never comes.
         self.on_query_shed = on_query_shed
         # Observability (opt-in). With the default NULL_TRACER no span
@@ -204,12 +203,20 @@ class IndexServerModel:
                 self._n_submitted, query_index, now, server_id=self.server_id,
             )
         self._n_submitted += 1
-        shed_reason = admission_decision(
-            query_class, self.shed_classes, len(self._queue),
-            self.max_queue_length,
-        )
-        if shed_reason is not None:
-            self._shed(query_index, tag, now, shed_reason, now, trace)
+        # Class shedding (anomaly-guard degradation) is checked first, so
+        # a degraded class is reported as "class" even when the queue is
+        # also at the admission cap.
+        shed_classes = self.shed_classes
+        if (
+            shed_classes is not None
+            and query_class is not None
+            and query_class in shed_classes
+        ):
+            self._shed(query_index, tag, now, "class", now, trace)
+            return
+        max_queue_length = self.max_queue_length
+        if max_queue_length is not None and len(self._queue) >= max_queue_length:
+            self._shed(query_index, tag, now, "admission", now, trace)
             return
         self._queue.append(_Job(query_index, now, tag, trace))
         self._dispatch(now)
@@ -242,21 +249,24 @@ class IndexServerModel:
         if trace is not None:
             self.tracer.on_trace(trace.shed(now, reason))
         if self.on_query_shed is not None:
-            self.on_query_shed(query_index, tag, reason, now)
+            self.on_query_shed(query_index, tag, reason, arrival, now)
 
     def _dispatch(self, now: float) -> None:
         queue = self._queue
         oracle = self.oracle
+        deadline = self.deadline
+        max_queue_length = self.max_queue_length
         shed_this_cycle = False
         while queue and self.free_cores >= 1:
             job = queue.popleft()
             query_index = job.query_index
             # A query is not worth serving once its remaining budget
-            # cannot cover its expected service time (a negative
-            # prediction degrades to wait-only shedding).
-            if self.deadline is not None:
+            # cannot cover its expected sequential service time (a
+            # negative prediction degrades to wait-only shedding).
+            if deadline is not None:
+                wait = now - job.arrival
                 expected = oracle.expected_sequential_latency(query_index)
-                if deadline_exceeded(now, job.arrival, self.deadline, expected):
+                if wait >= deadline or wait + max(0.0, expected) > deadline:
                     self._shed(query_index, job.tag, job.arrival, "deadline", now,
                                job.trace)
                     shed_this_cycle = True
@@ -267,43 +277,52 @@ class IndexServerModel:
                            job.trace)
                 shed_this_cycle = True
                 continue
-            state = observe_state(
-                now=now,
-                n_queued=len(queue),
-                n_running=self.n_running,
-                free_cores=self.free_cores,
-                n_cores=self.n_cores,
-                n_shed=self.n_shed,
-                shed_this_cycle=shed_this_cycle,
-                max_queue_length=self.max_queue_length,
+            free_cores = self.free_cores
+            n_queued = len(queue)
+            # Positional: a keyword-built NamedTuple costs twice as much.
+            # Overloaded once this cycle has shed or the queue sits at
+            # the admission cap.
+            state = SystemState(
+                now, n_queued, self.n_running, free_cores, self.n_cores,
+                self.n_shed,
+                shed_this_cycle
+                or (max_queue_length is not None and n_queued >= max_queue_length),
             )
             requested = self.policy.choose_degree(state, oracle.info(query_index))
-            granted = grant_degree(
-                requested,
-                self.free_cores,
-                oracle.clamp_degree,
-                oracle.plan_chunk_limit(query_index) if self.clamp_to_plan else None,
-            )
+            # Grant what can be used: the free cores, the plan size when
+            # clamping to it, then the measured degree grid; never below 1.
+            cap = min(requested, free_cores)
+            if self.clamp_to_plan:
+                cap = min(cap, oracle.plan_chunk_limit(query_index))
+            granted = oracle.clamp_degree(max(1, cap))
             job.start = now
             if job.trace is not None:
                 job.trace.degree_granted(
                     now, requested=requested, granted=granted,
-                    free_cores=self.free_cores,
+                    free_cores=free_cores,
                 )
             self.n_running += 1
 
             slowdown = (
                 self.faults.multiplier_at(now) if self.faults is not None else 1.0
             )
-            # Incremental policies (probe set) start sequentially;
-            # queries that outlive the probe carry an escalation plan.
-            plan = plan_initial_phase(
-                granted, self._probe_time, oracle.sequential_latency(query_index),
-                partial(oracle.latency, query_index), slowdown,
-            )
-            job.probe_time = plan.probe_time
-            job.escalation_degree = plan.escalation_degree
-            self._start_phase(job, plan.degree, plan.duration, plan.kind, now)
+            probe = self._probe_time
+            if probe is None:
+                self._start_phase(
+                    job, granted, oracle.latency(query_index, granted) * slowdown,
+                    "gang", now,
+                )
+                continue
+            # Incremental policies start everything sequentially: a query
+            # that outlives the probe carries its escalation plan, a
+            # shorter one runs to completion at degree 1.
+            t1 = oracle.sequential_latency(query_index)
+            if granted > 1 and t1 > probe:
+                job.escalation_degree = granted
+                job.probe_time = float(probe)
+                self._start_phase(job, 1, float(probe) * slowdown, "probe", now)
+            else:
+                self._start_phase(job, 1, t1 * slowdown, "gang", now)
 
     def _start_phase(
         self, job: _Job, degree: int, duration: float, kind: str, now: float
@@ -335,22 +354,31 @@ class IndexServerModel:
         self._dispatch(now)
 
     def _escalate(self, job: _Job, now: float) -> None:
-        """The probe elapsed and the query is still running: widen it."""
+        """The probe elapsed and the query is still running: widen to up
+        to the planned degree, but never stall — at worst continue
+        sequentially on the core the probe was using. The remaining work
+        is approximated as parallelizing like the whole query does at
+        the chosen degree (DESIGN.md)."""
         target = job.escalation_degree
         probe = job.probe_time
         job.escalation_degree = None
         job.probe_time = None
+        oracle = self.oracle
+        query_index = job.query_index
         slowdown = (
             self.faults.multiplier_at(now) if self.faults is not None else 1.0
         )
-        plan = plan_escalation(
-            target, probe, self.oracle.sequential_latency(job.query_index),
-            self.free_cores, self.oracle.clamp_degree,
-            partial(self.oracle.latency, job.query_index), slowdown,
-        )
+        actual = oracle.clamp_degree(max(1, min(target, self.free_cores)))
+        t1 = oracle.sequential_latency(query_index)
+        # Clamped at zero: the remaining work is never negative.
+        remaining_fraction = max(0.0, 1.0 - probe / t1)
+        if actual == 1:
+            duration = t1 * remaining_fraction
+        else:
+            duration = oracle.latency(query_index, actual) * remaining_fraction
         if job.trace is not None:
-            job.trace.escalated(now, target=target, actual=plan.degree)
-        self._start_phase(job, plan.degree, plan.duration, plan.kind, now)
+            job.trace.escalated(now, target=target, actual=actual)
+        self._start_phase(job, actual, duration * slowdown, "escalated", now)
 
     def _complete(self, job: _Job, now: float) -> None:
         self.n_running -= 1

@@ -171,14 +171,6 @@ class TrafficConfig:
             rate += burst.rate_at(time_s)
         return rate
 
-    def classes(self) -> Tuple[str, ...]:
-        """Every arrival-class label this scenario can produce."""
-        seen = [BACKGROUND]
-        for burst in self.bursts:
-            if burst.kind not in seen:
-                seen.append(burst.kind)
-        return tuple(seen)
-
 
 class _Component:
     """One independent Poisson flow of the superposition.

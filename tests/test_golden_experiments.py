@@ -1,13 +1,14 @@
 """Golden regression: representative experiments are bit-identical.
 
-The clock/scheduling extraction (core/clock.py, core/scheduling.py)
-moved every dispatch decision out of ``sim/server.py`` with the promise
-that results change by *zero bits*. These goldens were captured at small
-scale before the refactor; e05 (fixed-degree load sweep), e09 (bursty
-MMPP2 arrivals with adaptive probing), and e19 (overload: deadlines,
-shedding, faults, hedging) jointly cover admission, deadline shedding,
-degree granting, probe planning, and escalation — the full extracted
-surface. e20 (regime shifts: online tail-feedback control, anomaly
+The clock extraction (core/clock.py) made the server model
+clock-agnostic with the promise that results change by *zero bits*, and
+the scheduling decisions it briefly moved into a separate module went
+back into ``sim/server.py`` under the same promise. These goldens were
+captured at small scale before the first refactor; e05 (fixed-degree
+load sweep), e09 (bursty MMPP2 arrivals with adaptive probing), and e19
+(overload: deadlines, shedding, faults, hedging) jointly cover
+admission, deadline shedding, degree granting, probe planning, and
+escalation — every decision the server model makes. e20 (regime shifts: online tail-feedback control, anomaly
 guard, class shedding) was added when the live serving runtime rehosted
 the server model on wall-clock schedulers: it exercises the
 controller-attachment path that both hostings now share.

@@ -308,6 +308,33 @@ class TestSearchLifecycle:
 
         asyncio.run(scenario())
 
+    def test_deadline_shed_reply_carries_the_wait(self):
+        """A query shed at dispatch answers with its own arrival time, so
+        its reply's latency is the wait it was shed after, not 0."""
+        async def scenario():
+            clock = FakeClock()
+            # One core, t1 = 1 s, 1.5 s budget: the second query waits
+            # for the first and is shed at t = 1 (wait 1 + t1 1 > 1.5).
+            node = _node(clock, policy=SequentialPolicy(), n_cores=1,
+                         deadline_s=1.5)
+            service, serve_task, port = await _boot(node)
+            client = await _Client.connect(port)
+            await client.send({"id": "served", "op": "search", "query_index": 0})
+            await client.send({"id": "shed", "op": "search", "query_index": 1})
+            assert await _yield_until(lambda: node.server.queue_length == 1)
+            clock.drain()
+            replies = {reply["id"]: reply for reply in
+                       [await client.recv(), await client.recv()]}
+            shed = replies["shed"]
+            assert (shed["status"], shed["shed_reason"]) == ("shed", "deadline")
+            assert (shed["arrival_s"], shed["finished_s"], shed["latency_s"]) == (
+                0.0, 1.0, 1.0
+            )
+            assert replies["served"]["latency_s"] == 1.0
+            await _shutdown(service, serve_task, client)
+
+        asyncio.run(scenario())
+
     def test_request_budget_timeout(self):
         async def scenario():
             clock = FakeClock()
@@ -392,6 +419,20 @@ class TestNodeDirect:
         clock.drain()
         assert sorted(o.status for o in outcomes) == [
             "completed", "completed", "shed"
+        ]
+
+    def test_dispatch_shed_outcome_keeps_its_arrival(self):
+        # Shed at t = 1 after arriving at t = 0: the outcome's latency is
+        # the second it waited (one core, t1 = 1 s, 1.5 s budget).
+        clock = FakeClock()
+        node = _node(clock, policy=SequentialPolicy(), n_cores=1, deadline_s=1.5)
+        outcomes = []
+        node.submit(0, on_done=outcomes.append)
+        node.submit(1, on_done=outcomes.append)
+        clock.drain()
+        assert [(o.query_index, o.status, o.arrival_s, o.finished_s, o.latency_s)
+                for o in outcomes] == [
+            (0, "completed", 0.0, 1.0, 1.0), (1, "shed", 0.0, 1.0, 1.0),
         ]
 
     def test_summary_uses_shared_schema(self):

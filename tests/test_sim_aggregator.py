@@ -50,7 +50,7 @@ def _respond(clock, aggregator, time_s, shard_id, replica=False, tag=0):
 
 def _shed(clock, aggregator, time_s, shard_id, replica=False, tag=0):
     clock.advance_to(time_s)
-    aggregator.on_shed(0, (tag, shard_id, replica), "deadline", time_s)
+    aggregator.on_shed(0, (tag, shard_id, replica), "deadline", 0.0, time_s)
 
 
 def test_fans_out_one_request_per_shard():

@@ -31,9 +31,10 @@ LAYERS = {
     "foundation": ["repro.errors", "repro.util"],
     "data": ["repro.text", "repro.ranking", "repro.corpus", "repro.index", "repro.engine"],
     "obs": ["repro.obs"],
-    # The clock-agnostic scheduling kernel: policy decisions, the clock
-    # protocols, and the pure admission/deadline/degree functions.
-    "kernel": ["repro.policies", "repro.core.clock", "repro.core.scheduling"],
+    # The clock-agnostic scheduling kernel: policy decisions and the clock
+    # protocols (the server model's decisions are held to its rules too,
+    # see KERNEL_RULED).
+    "kernel": ["repro.policies", "repro.core.clock"],
     "model": ["repro.profiles"],
     "sim": ["repro.sim"],
     "runtime": ["repro.runtime"],
@@ -55,6 +56,12 @@ MAY_IMPORT = {
     "system": {"foundation", "data", "obs", "kernel", "model", "sim", "runtime"},
     "harness": {"foundation", "data", "obs", "kernel", "model", "sim", "runtime", "system"},
 }
+#: Modules outside the kernel layer held to its import and purity rules:
+#: the server model makes the admission, deadline, degree-grant and phase
+#: decisions that the simulator, the FakeClock node and the asyncio node
+#: all share, so it must see time only through the injected scheduler and
+#: do no I/O, module-state writes or RNG draws, exactly like a policy.
+KERNEL_RULED = {"src/repro/sim/server.py"}
 CLOCK_MODULES = {"time", "asyncio", "datetime", "sched"}
 #: The standard-library modules that start threads.
 THREAD_MODULES = re.compile(r"(threading|concurrent\.futures)\b")
@@ -287,9 +294,11 @@ def test_no_module_imports_threads():
 def test_imports_follow_the_layer_table():
     """Every module is in ``LAYER_OF``, and every ``repro.*`` import, lazy
     ones included, targets its own layer or one ``MAY_IMPORT`` lists for
-    it. Kernel modules import none of ``time``, ``asyncio``, ``datetime``
-    or ``sched``: the kernel runs identically under virtual and wall time
-    and sees time only through ``repro.core.clock.ClockProtocol``."""
+    it. Kernel modules, and the ``KERNEL_RULED`` server model whose
+    decisions every hosting shares, import none of ``time``, ``asyncio``,
+    ``datetime`` or ``sched``: the kernel runs identically under virtual
+    and wall time and sees time only through ``repro.core.clock``'s
+    protocols."""
     findings = []
     for rel, tree in _files(PACKAGE):
         layer = _layer(rel)
@@ -300,7 +309,7 @@ def test_imports_follow_the_layer_table():
             # `from m import a` targets m; a relative import names no repro module.
             for target in {getattr(node, "module", None) or alias.name for alias in node.names}:
                 top, theirs = target.split(".")[0], _layer(target)
-                if layer == "kernel" and top in CLOCK_MODULES:
+                if (layer == "kernel" or rel in KERNEL_RULED) and top in CLOCK_MODULES:
                     findings.append(_finding(rel, node, f"kernel module imports {target}"))
                 elif top == "repro" and theirs not in MAY_IMPORT[layer] | {layer}:
                     findings.append(_finding(rel, node, f"{layer} imports {target} ({theirs})"))
@@ -323,13 +332,16 @@ def test_layer_table_in_docs_matches_the_code():
 
 
 def test_kernel_functions_are_pure():
-    """Kernel functions do no I/O (``IO_CALL``), write no module-level
-    state (``global``, or an assignment or mutator call through a
-    module-level name) and create no RNG (``RNG_CALL``): a policy decision
-    is a function of (state, info) alone, on every replay and host."""
+    """Functions of kernel modules and of the ``KERNEL_RULED`` server
+    model do no I/O (``IO_CALL``), write no module-level state
+    (``global``, or an assignment or mutator call through a module-level
+    name) and create no RNG (``RNG_CALL``): a policy decision is a
+    function of (state, info) alone, and a server decision of the
+    server's own state and the callback's ``now``, on every replay and
+    host."""
     findings = []
     for rel, tree in _files(PACKAGE):
-        if _layer(rel) != "kernel":
+        if _layer(rel) != "kernel" and rel not in KERNEL_RULED:
             continue
         module_names = {target.id for node in tree.body
                         for target in getattr(node, "targets", [getattr(node, "target", None)])
