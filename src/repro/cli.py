@@ -336,7 +336,7 @@ def _serve_main(argv: List[str]) -> int:
 
     from repro.harness.live import engine_search_for
     from repro.runtime.node import ServingConfig, ServingNode
-    from repro.runtime.serve import AsyncioScheduler, LiveServer
+    from repro.runtime.serve import AsyncioScheduler, LiveServer, run_live
 
     parser = argparse.ArgumentParser(
         prog="repro serve",
@@ -423,7 +423,7 @@ def _serve_main(argv: List[str]) -> int:
         )
 
     try:
-        asyncio.run(_amain())
+        run_live(_amain())
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         print("interrupted")
     return 0
@@ -441,6 +441,7 @@ def _loadgen_main(argv: List[str]) -> int:
         replay_open_loop,
         run_closed_loop,
     )
+    from repro.runtime.serve import run_live
     from repro.sim.experiment import LoadPointConfig
     from repro.sim.script import build_arrival_script
 
@@ -527,7 +528,7 @@ def _loadgen_main(argv: List[str]) -> int:
         }
 
     try:
-        outcome = asyncio.run(_amain())
+        outcome = run_live(_amain())
     except asyncio.TimeoutError:
         print(
             f"repro loadgen: {args.host}:{args.port} did not answer in time",

@@ -56,15 +56,16 @@ class ChunkOutcome(NamedTuple):
         return self.n_matched == 0
 
 
-def _take_ranges(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Gather ``values[starts[i] : starts[i] + sizes[i]]`` for all ``i``,
-    concatenated, in one vectorized fancy-index (no per-range Python loop)."""
+def _range_indices(starts: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The indices ``starts[i] : starts[i] + sizes[i]`` for all ``i``,
+    concatenated (one vectorized expression, no per-range Python loop),
+    and the ``len(sizes) + 1`` offsets at which each range begins in them."""
     offsets = np.empty(sizes.shape[0] + 1, dtype=np.int64)
     offsets[0] = 0
     sizes.cumsum(out=offsets[1:])
     total = int(offsets[-1])
     indices = np.arange(total, dtype=np.int64) + (starts - offsets[:-1]).repeat(sizes)
-    return values[indices]
+    return indices, offsets
 
 
 class QueryPlan:
@@ -82,10 +83,25 @@ class QueryPlan:
 
         self.candidate_chunks = self._candidate_chunks()
         self.n_candidate_chunks = int(self.candidate_chunks.shape[0])
-        self.bounds_from = self._suffix_bounds()
+        # Each term's chunk max impacts and posting offsets at the
+        # candidate chunks. A one-term plan's candidates are its term's
+        # chunks, so those are the term's own arrays as stored; otherwise
+        # one exact binary search per term locates them (every candidate
+        # is one of the term's chunks).
+        if len(self.posting_lists) == 1:
+            plist = self.posting_lists[0]
+            per_term = [(plist.chunk_max_impact, plist.chunk_offsets)]
+        else:
+            per_term = []
+            for plist in self.posting_lists:
+                idx = plist.chunk_ids.searchsorted(self.candidate_chunks)
+                per_term.append((plist.chunk_max_impact[idx], plist.chunk_offsets[idx]))
+        self.bounds_from = self._suffix_bounds([maxima for maxima, _ in per_term])
         # Built here, not on first use: every executed plan scores through
         # score_chunks.
-        self._slice_starts, self._slice_sizes = self._chunk_slices()
+        self._slice_starts, self._slice_sizes = self._chunk_slices(
+            [offsets for _, offsets in per_term]
+        )
 
     # ------------------------------------------------------------------
     # Planning
@@ -97,30 +113,30 @@ class QueryPlan:
         ``PostingList.chunk_ids`` arrays are sorted-unique by
         construction (``np.nonzero`` output over chunk sizes), so the
         intersection runs with ``assume_unique=True`` — skipping the
-        per-operand ``np.unique`` sort.
+        per-operand ``np.unique`` sort. One term needs no intersection:
+        its chunk list is the answer.
         """
         if not self.posting_lists:
             return np.empty(0, dtype=np.int64)
+        if len(self.posting_lists) == 1:
+            return self.posting_lists[0].chunk_ids
         combined = reduce(
             lambda a, b: np.intersect1d(a, b, assume_unique=True),
             [plist.chunk_ids for plist in self.posting_lists],
         )
         return combined.astype(np.int64)
 
-    def _suffix_bounds(self) -> np.ndarray:
+    def _suffix_bounds(self, chunk_maxima: List[np.ndarray]) -> np.ndarray:
         """``bounds_from[i]``: max composite score achievable by any doc in
         candidate chunks ``i..end``. Length ``n_candidate_chunks + 1``; the
-        final entry is ``-inf`` (nothing remains)."""
+        final entry is ``-inf`` (nothing remains). ``chunk_maxima[t]`` is
+        term ``t``'s max impact in each candidate chunk."""
         n = self.n_candidate_chunks
         bounds = np.full(n + 1, -np.inf, dtype=np.float64)
         if n == 0:
             return bounds
         relevance = np.zeros(n, dtype=np.float64)
-        for plist in self.posting_lists:
-            # Max impact of this term within each candidate chunk; every
-            # candidate is one of the term's chunks, so the search is exact.
-            idx = plist.chunk_ids.searchsorted(self.candidate_chunks)
-            per_chunk = plist.chunk_max_impact[idx]
+        for per_chunk in chunk_maxima:
             # Suffix max over the candidate list, then sum across terms:
             # any remaining doc scores at most the sum of the remaining
             # per-term maxima.
@@ -201,11 +217,24 @@ class QueryPlan:
         chunk_ids = self.candidate_chunks[pos]
         starts = self._slice_starts[:, pos]
         sizes = self._slice_sizes[:, pos]
-        postings_scanned = np.add.reduce(sizes, axis=0)
-
-        doc_starts = self.index.chunk_map.bounds[chunk_ids]
-        doc_ends = self.index.chunk_map.bounds[chunk_ids + 1]
-        doc_ids, relevance = self._intersect_many(starts, sizes, doc_starts)
+        if len(self.posting_lists) == 1:
+            # One term: every posting matches, relevance is its impact,
+            # and each chunk's matches are exactly its posting slice.
+            plist = self.posting_lists[0]
+            at, offsets = _range_indices(starts[0], sizes[0])
+            doc_ids = plist.doc_ids[at]
+            relevance = plist.impacts[at]
+            cuts = offsets.tolist()
+            los, his = cuts[:-1], cuts[1:]
+            postings_scanned = sizes[0].tolist()
+        else:
+            doc_starts = self.index.chunk_map.bounds[chunk_ids]
+            doc_ends = self.index.chunk_map.bounds[chunk_ids + 1]
+            doc_ids, relevance = self._intersect_many(starts, sizes, doc_starts)
+            # Matched ids are ascending, chunks are disjoint doc-id ranges.
+            los = doc_ids.searchsorted(doc_starts).tolist()
+            his = doc_ids.searchsorted(doc_ends).tolist()
+            postings_scanned = np.add.reduce(sizes, axis=0).tolist()
 
         if doc_ids.shape[0]:
             scores = (
@@ -215,39 +244,35 @@ class QueryPlan:
         else:
             scores = np.empty(0, dtype=np.float64)
 
-        # Split the batch-wide match arrays back into per-chunk outcomes:
-        # matched ids are ascending, chunks are disjoint doc-id ranges.
+        # Split the batch-wide match arrays back into per-chunk outcomes.
         # Every per-chunk value is a Python int from one tolist() each,
         # so the loop does no numpy scalar indexing.
         outcomes = []
         for chunk_id, lo, hi, scanned in zip(
-            chunk_ids.tolist(),
-            doc_ids.searchsorted(doc_starts).tolist(),
-            doc_ids.searchsorted(doc_ends).tolist(),
-            postings_scanned.tolist(),
+            chunk_ids.tolist(), los, his, postings_scanned
         ):
             outcomes.append(
                 ChunkOutcome(chunk_id, doc_ids[lo:hi], scores[lo:hi], scanned, hi - lo)
             )
         return outcomes
 
-    def _chunk_slices(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _chunk_slices(
+        self, chunk_offsets: List[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-(term, plan position) posting-slice starts and sizes.
 
         Row ``t``, column ``i`` locates term ``t``'s postings for the
         candidate chunk at position ``i`` (never empty: every term occurs
-        in every candidate chunk). Built once per plan; every wave then
-        selects its columns with one fancy index instead of per-term
-        binary searches.
+        in every candidate chunk); ``chunk_offsets[t]`` holds term ``t``'s
+        ``[start, end)`` per candidate chunk. Built once per plan; every
+        wave then selects its columns with one fancy index instead of
+        per-term binary searches.
         """
         n = self.n_candidate_chunks
         n_terms = len(self.posting_lists)
         starts = np.empty((n_terms, n), dtype=np.int64)
         sizes = np.empty((n_terms, n), dtype=np.int64)
-        for t, plist in enumerate(self.posting_lists):
-            offsets = plist.chunk_offsets[
-                plist.chunk_ids.searchsorted(self.candidate_chunks)
-            ]
+        for t, offsets in enumerate(chunk_offsets):
             starts[t] = offsets[:, 0]
             sizes[t] = offsets[:, 1] - offsets[:, 0]
         return starts, sizes
@@ -255,20 +280,22 @@ class QueryPlan:
     def _intersect_many(
         self, starts: np.ndarray, sizes: np.ndarray, doc_starts: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched conjunctive match over the selected chunks.
+        """Batched conjunctive match over the selected chunks (two or
+        more terms; :meth:`score_chunks` handles one itself).
 
         The matched doc-id *set* is order-independent, so membership is
         narrowed starting from the term with the fewest gathered
         postings. Relevance is then re-accumulated per document in each
         chunk's own slice-length term order (stable ascending — exactly
         ``_intersect``'s ordering) as a left-to-right fold, which makes
-        the float64 sums bit-identical to per-chunk scoring.
+        the float64 sums bit-identical to per-chunk scoring. Two terms
+        need no order: their one addition commutes.
         """
         totals = np.add.reduce(sizes, axis=1)
         order = totals.argsort(kind="stable")
         base = int(order[0])
         base_plist = self.posting_lists[base]
-        doc_ids = _take_ranges(base_plist.doc_ids, starts[base], sizes[base])
+        doc_ids = base_plist.doc_ids[_range_indices(starts[base], sizes[base])[0]]
         for t in order[1:].tolist():
             if doc_ids.shape[0] == 0:
                 break
@@ -278,6 +305,13 @@ class QueryPlan:
             doc_ids = doc_ids[other_ids[at_clipped] == doc_ids]
         if doc_ids.shape[0] == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        if len(self.posting_lists) == 2:
+            # IEEE addition commutes: either fold order gives these bits.
+            first, second = self.posting_lists
+            return doc_ids, (
+                first.impacts[first.doc_ids.searchsorted(doc_ids)]
+                + second.impacts[second.doc_ids.searchsorted(doc_ids)]
+            )
 
         # impacts[t, d]: impact of term t for matched doc d (every term
         # matches every matched doc).

@@ -22,8 +22,8 @@ package itself stays free of system/harness imports (the layer table in
   writer and uploaded as a CI artifact.
 
 Validation methodology (also in EXPERIMENTS.md): dilation stretches
-each model second over ``dilation`` wall seconds, so event-loop jitter
-shrinks by that factor in model units; the arrival script is
+each model second over ``dilation`` wall seconds, so event-loop timer
+lateness shrinks by that factor in model units; the arrival script is
 *identical* on both sides, so tolerance-band misses indicate hosting
 divergence, not workload noise. The smoke additionally runs on a
 *time-scaled* system (:func:`scaled_smoke_system`): the test-scale
@@ -39,7 +39,6 @@ system, so the comparison stays exact.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -52,6 +51,7 @@ from repro.harness.experiments import e19_overload as e19
 from repro.profiles.measurement import QueryCostTable
 from repro.runtime.node import RankedResults
 from repro.runtime.parity import DEFAULT_TOLERANCES, tolerance_report
+from repro.runtime.serve import run_live
 from repro.runtime.smoke import run_live_point
 from repro.sim.experiment import LoadPointConfig
 from repro.sim.script import build_arrival_script, run_scripted_point
@@ -182,6 +182,10 @@ def run_live_smoke(
     """Run the sim-vs-live validation suite; returns (report, ok).
 
     Wall cost is about ``len(points) × duration_s × dilation`` seconds.
+    Each live point runs on its own :func:`~repro.runtime.serve.run_live`
+    loop, the one ``repro serve`` runs on, whose timers fire within the
+    host's wake-up latency of their due time rather than up to a
+    millisecond late.
     ``engine_results`` additionally runs the real engine per completed
     query (off by default: the smoke validates *timing* parity, and
     engine execution is outside the timing model — see
@@ -204,7 +208,7 @@ def run_live_smoke(
         sim_summary, _ = run_scripted_point(
             system.oracle, policy_sim, point.config, script
         )
-        live_summary, _ = asyncio.run(
+        live_summary, _ = run_live(
             run_live_point(
                 system.oracle,
                 policy_live,

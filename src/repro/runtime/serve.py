@@ -21,9 +21,9 @@ Two scheduler hostings, same node code:
 
 * :class:`AsyncioScheduler` — wall time from the running event loop,
   optionally *dilated*: with ``dilation=20`` one model second takes 20
-  wall seconds, which shrinks event-loop jitter twentyfold in model
-  units — what makes a live smoke run on a noisy CI machine comparable
-  to the simulator's prediction.
+  wall seconds, which shrinks the loop's timer lateness (below)
+  twentyfold in model units — what makes a live smoke run on a noisy
+  CI machine comparable to the simulator's prediction.
 * :class:`~repro.runtime.clock.FakeClock` (the simulator's heap) —
   tests instantiate :class:`LiveServer` on one and advance it by hand:
   entire query lifecycles execute deterministically, zero real sleeps.
@@ -39,22 +39,35 @@ Replies collect per connection and leave in one ``transport.write`` per
 loop pass; a client that does not read them has *its* reads paused
 (``pause_writing``), nobody waits on a drain; one lazily re-armed
 quiet-period timer per connection hangs up the idle.
+
+Every live loop — ``repro serve``, ``repro loadgen``, the smoke
+harness, and the tests of this tier — is built and run by
+:func:`run_live`, whose loop's selector times its waits to the
+microsecond. The stock :class:`selectors.EpollSelector` rounds each
+wait up to a whole millisecond (``epoll_wait`` counts milliseconds), so
+on it every timer — a phase end, a budget, an arrival — fires 0-1 ms
+late: over 2,000 ``call_later`` timers of 0.2-3 ms on a 2-vCPU KVM
+guest, lateness had a mean of 0.61-0.64 ms and a p99 of 1.16-1.20 ms;
+on the live loop, 0.14-0.17 ms and 0.29-0.62 ms, the guest's own
+wake-up latency.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import select
+import selectors
 import sys
 from contextlib import suppress
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Awaitable, Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro.errors import SimulationError
 from repro.runtime.node import QueryOutcome, ServingNode
 from repro.util.serde import to_jsonable
 from repro.util.validation import require_positive
 
-__all__ = ["AsyncioScheduler", "LiveServer"]
+__all__ = ["AsyncioScheduler", "LiveServer", "new_live_loop", "run_live"]
 
 #: Wall-seconds bound on binding the listening socket.
 _BIND_TIMEOUT_S = 10.0
@@ -66,6 +79,84 @@ _IDLE_TIMEOUT_S = 300.0
 _LINE_LIMIT = 1 << 16
 #: Ranked results per search reply (bounds the wire for any search hook).
 _RESULTS_LIMIT = 10
+
+_T = TypeVar("_T")
+
+
+if sys.platform.startswith("linux"):
+
+    class _PreciseEpollSelector(selectors.EpollSelector):
+        """Epoll whose timed waits end when they are due, not up to a
+        millisecond later.
+
+        ``epoll_wait`` counts its timeout in whole milliseconds, and
+        :class:`selectors.EpollSelector` rounds every wait up to the next
+        one, so each timer of a loop on it fires 0-1 ms late. Here a
+        timed wait blocks in ``select()`` — a microsecond ``timeval`` —
+        on the epoll fd alone (readable once any registered fd is ready,
+        so ``FD_SETSIZE`` caps no connection count), then collects the
+        ready events with a zero-timeout ``epoll_wait``. Untimed and
+        zero-timeout waits go to epoll directly.
+        """
+
+        def select(
+            self, timeout: Optional[float] = None
+        ) -> List[Tuple[selectors.SelectorKey, int]]:
+            if timeout is not None and timeout > 0:
+                select.select([self.fileno()], [], [], timeout)
+                timeout = 0
+            return super().select(timeout)
+
+    def new_live_loop() -> asyncio.AbstractEventLoop:
+        """A new event loop whose timers fire when they are due."""
+        return asyncio.SelectorEventLoop(_PreciseEpollSelector())
+
+else:  # kqueue takes a float timeout already; elsewhere keep the default
+
+    def new_live_loop() -> asyncio.AbstractEventLoop:
+        """A new event loop (the platform's default)."""
+        return asyncio.new_event_loop()
+
+
+def run_live(main: Awaitable[_T]) -> _T:
+    """Run ``main`` to completion on a new :func:`new_live_loop` loop.
+
+    What :func:`asyncio.run` does, on that loop and on every Python the
+    package supports (``asyncio.Runner``'s ``loop_factory`` is 3.11+):
+    refuse to nest in a running loop, run ``main``, then cancel the
+    tasks it left, finalize async generators and the default executor,
+    and close the loop.
+    """
+    if asyncio._get_running_loop() is not None:
+        raise RuntimeError("run_live() cannot be called from a running event loop")
+    loop = new_live_loop()
+    try:
+        asyncio.set_event_loop(loop)
+        return loop.run_until_complete(main)
+    finally:
+        try:
+            _cancel_leftover_tasks(loop)
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.run_until_complete(loop.shutdown_default_executor())
+        finally:
+            asyncio.set_event_loop(None)
+            loop.close()
+
+
+def _cancel_leftover_tasks(loop: asyncio.AbstractEventLoop) -> None:
+    leftover = asyncio.all_tasks(loop)
+    if not leftover:
+        return
+    for task in leftover:
+        task.cancel()
+    loop.run_until_complete(asyncio.wait(leftover))
+    for task in leftover:
+        if not task.cancelled() and task.exception() is not None:
+            loop.call_exception_handler({
+                "message": "unhandled exception during run_live() shutdown",
+                "exception": task.exception(),
+                "task": task,
+            })
 
 
 class AsyncioScheduler:

@@ -9,6 +9,10 @@ down, and returns the node's summary in the shared load-point schema.
 Real wall time passes — ``duration × dilation`` seconds — which is why
 smoke runs use short horizons and validation happens through the
 tolerance bands in :mod:`repro.runtime.parity`, not exact equality.
+Run it with :func:`~repro.runtime.serve.run_live`, as the harness
+does: on that loop a timer fires ≈ 0.15 ms after it is due (mean), not
+the ≈ 0.6 ms of a loop on the stock epoll selector, so what the bands
+absorb is the host's wake-up latency, divided by the dilation.
 
 The experiment harness (``python -m repro livesmoke``) layers point
 selection, the simulator reference runs, and report writing on top of

@@ -262,11 +262,12 @@ class IndexServerModel:
             query_index = job.query_index
             # A query is not worth serving once its remaining budget
             # cannot cover its expected sequential service time (a
-            # negative prediction degrades to wait-only shedding).
+            # negative prediction degrades to wait-only shedding: then
+            # ``wait + expected <= wait``, which the first test decides).
             if deadline is not None:
                 wait = now - job.arrival
                 expected = oracle.expected_sequential_latency(query_index)
-                if wait >= deadline or wait + max(0.0, expected) > deadline:
+                if wait >= deadline or wait + expected > deadline:
                     self._shed(query_index, job.tag, job.arrival, "deadline", now,
                                job.trace)
                     shed_this_cycle = True
@@ -370,8 +371,10 @@ class IndexServerModel:
         )
         actual = oracle.clamp_degree(max(1, min(target, self.free_cores)))
         t1 = oracle.sequential_latency(query_index)
-        # Clamped at zero: the remaining work is never negative.
-        remaining_fraction = max(0.0, 1.0 - probe / t1)
+        # Never negative: a probe phase starts only when ``t1 > probe``,
+        # and a correctly rounded quotient of the smaller by the larger
+        # is at most 1.0.
+        remaining_fraction = 1.0 - probe / t1
         if actual == 1:
             duration = t1 * remaining_fraction
         else:

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: one small workbench/system per test
-session, plus the constant cost table and summary canonicaliser the
-sim/runtime tests share (``from conftest import ...``)."""
+session, plus the constant cost table, explicit-arrival server driver
+and summary canonicaliser the sim/runtime tests share (``from conftest
+import ...``)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,10 @@ from repro.engine.query import Query
 from repro.errors import SimulationError
 from repro.index.builder import IndexConfig, build_index
 from repro.profiles.measurement import QueryCostTable
+from repro.sim.engine import Simulator
+from repro.sim.metrics import MetricsCollector
+from repro.sim.oracle import ServiceOracle
+from repro.sim.server import IndexServerModel
 from repro.util.serde import to_jsonable
 from repro.workloads.workbench import WorkbenchConfig, build_workbench
 
@@ -29,6 +34,21 @@ def constant_table(n_queries=10, t1=1.0, degrees=(1, 2, 4), speedup=None):
     chunks = np.ones((n_queries, len(degrees)), dtype=np.int64)
     queries = [Query.of([0], query_id=i) for i in range(n_queries)]
     return QueryCostTable(queries, degrees, latency, cpu, chunks)
+
+
+def run_trace(policy, arrival_times, n_cores=4, table=None, horizon=100.0,
+              **server_kwargs):
+    """Drive explicit arrivals through a server; return (metrics, server)."""
+    table = table if table is not None else constant_table()
+    oracle = ServiceOracle(table)
+    sim = Simulator()
+    metrics = MetricsCollector(warmup=0.0, horizon=horizon, n_cores=n_cores)
+    server = IndexServerModel(sim, oracle, policy, n_cores, metrics,
+                              **server_kwargs)
+    for i, t in enumerate(arrival_times):
+        sim.schedule_at(t, lambda i=i: server.submit(i % oracle.n_queries))
+    sim.run()
+    return metrics, server
 
 
 def summary_json(summary):

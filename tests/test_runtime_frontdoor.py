@@ -22,6 +22,7 @@ import numpy as np
 from repro.policies.fixed import SequentialPolicy
 from repro.runtime import serve
 from repro.runtime.clock import FakeClock
+from repro.runtime.serve import run_live
 from repro.sim.metrics import MetricsCollector, QueryRecord
 
 from test_runtime_serve import _IO_S, _Client, _boot, _node, _shutdown, _yield_until
@@ -100,7 +101,7 @@ class TestSlowReader:
             assert transport.is_reading()
             await _shutdown(service, serve_task, flooder, other)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
 
 class TestDisconnects:
@@ -125,7 +126,7 @@ class TestDisconnects:
             await _shutdown(service, serve_task)
             return logged
 
-        assert asyncio.run(scenario()) == []
+        assert run_live(scenario()) == []
 
     def test_half_close_still_gets_its_replies(self):
         async def scenario():
@@ -148,7 +149,7 @@ class TestDisconnects:
             assert await _yield_until(lambda: not service._connections)
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_unterminated_last_line_is_a_request(self):
         async def scenario():
@@ -160,7 +161,7 @@ class TestDisconnects:
             assert await asyncio.wait_for(client.reader.read(), timeout=_IO_S) == b""
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_quiet_connection_is_hung_up(self, monkeypatch):
         monkeypatch.setattr(serve, "_IDLE_TIMEOUT_S", 0.02)
@@ -174,7 +175,7 @@ class TestDisconnects:
             assert await _yield_until(lambda: not service._connections)
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_lines_after_shutdown_are_ignored(self):
         async def scenario():
@@ -186,7 +187,7 @@ class TestDisconnects:
             await client.close()
             await asyncio.wait_for(serve_task, timeout=_IO_S)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
 
 class TestExactlyOnce:
@@ -221,12 +222,12 @@ class TestExactlyOnce:
         return first, second
 
     def test_completion_then_timer(self):
-        first, second = asyncio.run(self._race(completion_first=True))
+        first, second = run_live(self._race(completion_first=True))
         assert first["id"] == 1 and first["status"] == "completed"
         assert second["op"] == "ping"
 
     def test_timer_then_completion(self):
-        first, second = asyncio.run(self._race(completion_first=False))
+        first, second = run_live(self._race(completion_first=False))
         assert first == {"id": 1, "ok": False, "error": "timeout"}
         assert second["op"] == "ping"
 
@@ -268,7 +269,7 @@ class TestTypedErrors:
             await _shutdown(service, serve_task, client)
             return logged
 
-        assert asyncio.run(scenario()) == []
+        assert run_live(scenario()) == []
 
 
 class TestNoTaskPerRequest:
@@ -293,7 +294,7 @@ class TestNoTaskPerRequest:
             assert len(asyncio.all_tasks()) == idle
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     @staticmethod
     def _functions_calling(name):

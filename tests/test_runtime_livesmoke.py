@@ -27,7 +27,7 @@ from repro.profiles.measurement import QueryCostTable
 from repro.runtime.loadgen import ReplayOptions, replay_open_loop, run_closed_loop
 from repro.runtime.node import ServingConfig, ServingNode
 from repro.runtime.parity import DEFAULT_TOLERANCES
-from repro.runtime.serve import AsyncioScheduler, LiveServer
+from repro.runtime.serve import AsyncioScheduler, LiveServer, run_live
 from repro.runtime.smoke import run_live_point
 from repro.sim.experiment import LoadPointConfig
 from repro.sim.oracle import ServiceOracle
@@ -76,7 +76,7 @@ class TestLoadgen:
             await asyncio.wait_for(serve_task, timeout=10.0)
             return node, replies
 
-        node, replies = asyncio.run(scenario())
+        node, replies = run_live(scenario())
         assert len(replies) == 20
         assert all(r is not None for r in replies)
         assert all(r["status"] == "completed" for r in replies)
@@ -109,7 +109,7 @@ class TestLoadgen:
             silent.close()
             return left
 
-        assert asyncio.run(scenario()) == []
+        assert run_live(scenario()) == []
 
     def test_closed_loop_round_robin(self):
         async def scenario():
@@ -126,7 +126,7 @@ class TestLoadgen:
             await asyncio.wait_for(serve_task, timeout=10.0)
             return node, per_client
 
-        node, per_client = asyncio.run(scenario())
+        node, per_client = run_live(scenario())
         assert len(per_client) == 2
         assert sum(len(chunk) for chunk in per_client) == 6
         flat = [r for chunk in per_client for r in chunk if r]
@@ -140,7 +140,7 @@ class TestRunLivePoint:
         config = LoadPointConfig(rate=60.0, duration=0.5, warmup=0.1,
                                  n_cores=4, seed=1)
         script = build_arrival_script(oracle.n_queries, config)
-        summary, node = asyncio.run(
+        summary, node = run_live(
             run_live_point(oracle, FixedPolicy(2), config, script,
                            dilation=2.0)
         )

@@ -20,7 +20,7 @@ from repro.policies.fixed import FixedPolicy, SequentialPolicy
 from repro.profiles.measurement import QueryCostTable
 from repro.runtime.clock import FakeClock
 from repro.runtime.node import QueryOutcome, ServingConfig, ServingNode
-from repro.runtime.serve import AsyncioScheduler, LiveServer
+from repro.runtime.serve import AsyncioScheduler, LiveServer, run_live
 from repro.sim.oracle import ServiceOracle
 
 #: Failure backstop for awaited reads in these tests (wall seconds);
@@ -126,7 +126,7 @@ class TestControlOps:
             assert reply == {"id": 1, "ok": True, "op": "ping", "now_s": 3.5}
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_stats_counters_and_summary(self):
         async def scenario():
@@ -146,7 +146,7 @@ class TestControlOps:
             assert reply["summary"]["rate"] == 5.0
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_shutdown_op_stops_serving(self):
         async def scenario():
@@ -158,7 +158,7 @@ class TestControlOps:
             await client.close()
             await asyncio.wait_for(serve_task, timeout=_IO_S)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_shutdown_hangs_up_idle_connections_quietly(self):
         # Open connections are closed by serve() itself, so their
@@ -178,7 +178,7 @@ class TestControlOps:
             await idle.close()
             return logged
 
-        assert asyncio.run(scenario()) == []
+        assert run_live(scenario()) == []
 
 
 class TestBadRequests:
@@ -209,7 +209,7 @@ class TestBadRequests:
             assert reply == {"id": 8, "ok": False, "error": "bad-budget"}
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_over_long_line_gets_typed_reply_then_hangup(self):
         # A line past the stream limit (64 KiB) loses the framing: the
@@ -232,7 +232,7 @@ class TestBadRequests:
             await _shutdown(service, serve_task, client, other)
             return logged
 
-        assert asyncio.run(scenario()) == []
+        assert run_live(scenario()) == []
 
 
 class TestSearchLifecycle:
@@ -258,7 +258,7 @@ class TestSearchLifecycle:
             assert node.n_answered == 1
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_replies_out_of_order_across_queries(self):
         """Each search is its own task: a fast query submitted second
@@ -280,7 +280,7 @@ class TestSearchLifecycle:
             assert second["latency_s"] == 5.0
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_admission_shed_replies_without_clock_advance(self):
         async def scenario():
@@ -306,7 +306,7 @@ class TestSearchLifecycle:
             assert all(r["status"] == "completed" for r in replies)
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_deadline_shed_reply_carries_the_wait(self):
         """A query shed at dispatch answers with its own arrival time, so
@@ -333,7 +333,7 @@ class TestSearchLifecycle:
             assert replies["served"]["latency_s"] == 1.0
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_request_budget_timeout(self):
         async def scenario():
@@ -349,7 +349,7 @@ class TestSearchLifecycle:
             assert reply == {"id": 11, "ok": False, "error": "timeout"}
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_engine_results_round_trip(self):
         calls = []
@@ -371,7 +371,7 @@ class TestSearchLifecycle:
             assert calls == [(3, 2)]
             await _shutdown(service, serve_task, client)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_two_connections_counted_once(self):
         async def scenario():
@@ -390,7 +390,7 @@ class TestSearchLifecycle:
             assert node.n_answered == 2
             await _shutdown(service, serve_task, a, b)
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
 
 class TestNodeDirect:
@@ -457,7 +457,7 @@ class TestAsyncioScheduler:
             assert await _yield_until(lambda: fired)
             assert fired[0] >= 0.0
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_schedule_passes_arguments(self):
         async def scenario():
@@ -467,14 +467,14 @@ class TestAsyncioScheduler:
             assert await _yield_until(lambda: fired)
             return fired
 
-        assert asyncio.run(scenario()) == [("a", "b")]
+        assert run_live(scenario()) == [("a", "b")]
 
     def test_dilation_is_exposed(self):
         async def scenario():
             scheduler = AsyncioScheduler(dilation=20.0)
             assert scheduler.dilation == 20.0
 
-        asyncio.run(scenario())
+        run_live(scenario())
 
     def test_negative_delay_rejected(self):
         async def scenario():
@@ -485,4 +485,4 @@ class TestAsyncioScheduler:
                 return True
             return False
 
-        assert asyncio.run(scenario())
+        assert run_live(scenario())

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from conftest import constant_table
+from conftest import constant_table, run_trace
 from repro.policies.base import ParallelismPolicy, QueryInfo, SystemState
 from repro.policies.fixed import FixedPolicy, SequentialPolicy
 from repro.sim.arrivals import TraceArrivals
@@ -19,25 +19,11 @@ from repro.sim.script import arrival_times, replay
 from repro.sim.server import IndexServerModel
 
 
-def _run_trace(policy, arrival_times, n_cores=4, table=None, horizon=100.0,
-               **server_kwargs):
-    table = table if table is not None else constant_table()
-    oracle = ServiceOracle(table)
-    sim = Simulator()
-    metrics = MetricsCollector(warmup=0.0, horizon=horizon, n_cores=n_cores)
-    server = IndexServerModel(sim, oracle, policy, n_cores, metrics,
-                              **server_kwargs)
-    for i, t in enumerate(arrival_times):
-        sim.schedule_at(t, lambda i=i: server.submit(i % oracle.n_queries))
-    sim.run()
-    return metrics, server
-
-
 class TestDeadlineShedding:
     def test_queued_past_budget_are_shed(self):
         # t1 = 1.0, deadline 1.5: the first query is served; the next
         # two would start with wait 1.0 and 1.0 + t1 > 1.5, so both shed.
-        metrics, server = _run_trace(
+        metrics, server = run_trace(
             SequentialPolicy(), [0.0, 0.0, 0.0], n_cores=1, deadline=1.5,
         )
         assert metrics.n_observed == 1
@@ -48,14 +34,14 @@ class TestDeadlineShedding:
 
     def test_hopeless_queries_shed_at_arrival_wait_zero(self):
         # deadline < t1: even with zero wait no query can make the SLO.
-        metrics, _ = _run_trace(
+        metrics, _ = run_trace(
             SequentialPolicy(), [0.0, 0.5], n_cores=1, deadline=0.9,
         )
         assert metrics.n_observed == 0
         assert metrics.n_shed == 2
 
     def test_shed_rate_and_slo_statistics(self):
-        metrics, _ = _run_trace(
+        metrics, _ = run_trace(
             SequentialPolicy(), [0.0, 0.0, 0.0], n_cores=1, deadline=1.5,
         )
         assert metrics.shed_rate() == pytest.approx(2.0 / 3.0)
@@ -64,7 +50,7 @@ class TestDeadlineShedding:
         assert metrics.goodput(1.5) == pytest.approx(1.0 / 100.0)
 
     def test_no_deadline_no_sheds(self):
-        metrics, _ = _run_trace(SequentialPolicy(), [0.0, 0.0, 0.0], n_cores=1)
+        metrics, _ = run_trace(SequentialPolicy(), [0.0, 0.0, 0.0], n_cores=1)
         assert metrics.n_shed == 0
         assert metrics.n_observed == 3
         assert metrics.shed_rate() == 0.0
@@ -74,7 +60,7 @@ class TestAdmissionCap:
     def test_arrivals_beyond_cap_rejected(self):
         # One running + one queued; the third arrival finds the queue at
         # the cap and is rejected at the door.
-        metrics, _ = _run_trace(
+        metrics, _ = run_trace(
             SequentialPolicy(), [0.0, 0.0, 0.0], n_cores=1, max_queue_length=1,
         )
         assert metrics.n_observed == 2
@@ -82,7 +68,7 @@ class TestAdmissionCap:
         assert metrics.shed_by_reason == {"admission": 1}
 
     def test_cap_not_hit_under_light_load(self):
-        metrics, _ = _run_trace(
+        metrics, _ = run_trace(
             SequentialPolicy(), [0.0, 2.0, 4.0], n_cores=1, max_queue_length=1,
         )
         assert metrics.n_shed == 0
@@ -90,7 +76,7 @@ class TestAdmissionCap:
 
 class TestServerFaults:
     def test_slowdown_scales_service_time(self):
-        metrics, _ = _run_trace(
+        metrics, _ = run_trace(
             SequentialPolicy(), [0.0], n_cores=1,
             faults=FaultSchedule.slowdown(0.0, 10.0, 2.0),
         )
@@ -98,14 +84,14 @@ class TestServerFaults:
 
     def test_slowdown_applies_at_dispatch_time(self):
         # The window ends at 0.5; a query dispatched after it is healthy.
-        metrics, _ = _run_trace(
+        metrics, _ = run_trace(
             SequentialPolicy(), [1.0], n_cores=1,
             faults=FaultSchedule.slowdown(0.0, 0.5, 3.0),
         )
         assert metrics.records[0].latency == pytest.approx(1.0)
 
     def test_crash_sheds_dispatched_queries(self):
-        metrics, _ = _run_trace(
+        metrics, _ = run_trace(
             SequentialPolicy(), [0.0, 2.0], n_cores=1,
             faults=FaultSchedule.crash(0.0, 1.0),
         )
@@ -114,7 +100,7 @@ class TestServerFaults:
         assert metrics.n_observed == 1
 
     def test_empty_schedule_is_ignored(self):
-        metrics, server = _run_trace(
+        metrics, server = run_trace(
             SequentialPolicy(), [0.0], n_cores=1, faults=FaultSchedule(),
         )
         assert server.faults is None
@@ -135,7 +121,7 @@ class TestPolicyVisibility:
         # First dispatch: nothing shed yet. After the deadline kills two
         # queued queries, the next dispatched query sees n_shed == 2 and
         # the overloaded flag raised in the same dispatch cycle.
-        _run_trace(Spy(), [0.0, 0.0, 0.0, 1.0], n_cores=1, deadline=1.5)
+        run_trace(Spy(), [0.0, 0.0, 0.0, 1.0], n_cores=1, deadline=1.5)
         assert observed[0] == (0, False)
         assert observed[1] == (2, True)
 

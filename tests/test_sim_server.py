@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import constant_table
+from conftest import constant_table, run_trace
 from repro.analysis.queueing_theory import mmc_mean_queue_delay
 from repro.engine.query import Query
 from repro.policies.adaptive import ThresholdTable
@@ -12,26 +12,9 @@ from repro.policies.fixed import FixedPolicy, SequentialPolicy
 from repro.policies.incremental import IncrementalPolicy
 from repro.profiles.measurement import QueryCostTable
 from repro.sim.arrivals import TraceArrivals
-from repro.sim.engine import Simulator
 from repro.sim.experiment import LoadPointConfig, run_load_point
 from repro.sim.metrics import MetricsCollector, QueryRecord
 from repro.sim.oracle import ServiceOracle
-from repro.sim.server import IndexServerModel
-
-
-def _run_trace(policy, arrival_times, n_cores=4, table=None, horizon=100.0,
-               **server_kwargs):
-    """Drive explicit arrivals through a server; return (metrics, server)."""
-    table = table if table is not None else constant_table()
-    oracle = ServiceOracle(table)
-    sim = Simulator()
-    metrics = MetricsCollector(warmup=0.0, horizon=horizon, n_cores=n_cores)
-    server = IndexServerModel(sim, oracle, policy, n_cores, metrics,
-                              **server_kwargs)
-    for i, t in enumerate(arrival_times):
-        sim.schedule_at(t, lambda i=i: server.submit(i % oracle.n_queries))
-    sim.run()
-    return metrics, server
 
 
 class TestOracle:
@@ -55,7 +38,7 @@ class TestOracle:
 
 class TestDispatch:
     def test_sequential_fcfs_on_single_core(self):
-        metrics, _ = _run_trace(
+        metrics, _ = run_trace(
             SequentialPolicy(), [0.0, 0.1, 0.2], n_cores=1,
             table=constant_table(t1=1.0),
         )
@@ -68,22 +51,22 @@ class TestDispatch:
 
     def test_parallel_query_occupies_degree_cores(self):
         # Two fixed-2 queries on 4 cores arriving together run concurrently.
-        metrics, _ = _run_trace(FixedPolicy(2), [0.0, 0.0], n_cores=4)
+        metrics, _ = run_trace(FixedPolicy(2), [0.0, 0.0], n_cores=4)
         completions = [r.completion for r in metrics.records]
         assert completions == pytest.approx([1.0 / 1.8] * 2)
 
     def test_degree_clamped_to_free_cores(self):
         # One fixed-4 query on 2 cores: granted degree must be 2.
-        metrics, _ = _run_trace(FixedPolicy(4), [0.0], n_cores=2)
+        metrics, _ = run_trace(FixedPolicy(4), [0.0], n_cores=2)
         assert metrics.records[0].degree == 2
 
     def test_degree_clamped_to_measured_grid(self):
         # Request 4 with 3 free cores -> grant 2 (largest measured <= 3).
-        metrics, _ = _run_trace(FixedPolicy(4), [0.0], n_cores=3)
+        metrics, _ = run_trace(FixedPolicy(4), [0.0], n_cores=3)
         assert metrics.records[0].degree == 2
 
     def test_conservation_arrivals_completions(self):
-        metrics, server = _run_trace(
+        metrics, server = run_trace(
             FixedPolicy(2), np.linspace(0, 5, 40).tolist(), n_cores=4
         )
         assert metrics.n_arrivals == 40
@@ -101,7 +84,7 @@ class TestDispatch:
                 observed.append((state.n_in_system, state.free_cores))
                 return 1
 
-        _run_trace(Spy(), [0.0, 0.0, 0.0], n_cores=2,
+        run_trace(Spy(), [0.0, 0.0, 0.0], n_cores=2,
                    table=constant_table(t1=1.0))
         # First two dispatch immediately (1 then 2 in system); the third
         # waits for a free core (by then 1 running + itself = 2... it
@@ -110,7 +93,7 @@ class TestDispatch:
         assert observed[1][0] == 2
 
     def test_utilization_bounded(self):
-        metrics, _ = _run_trace(
+        metrics, _ = run_trace(
             FixedPolicy(4), np.linspace(0, 2, 100).tolist(), n_cores=4,
         )
         assert 0.0 < metrics.utilization() <= 1.0 + 1e-9
@@ -122,14 +105,14 @@ class TestIncrementalJobs:
     def test_short_query_never_escalates(self):
         # probe 2.0 > t1 1.0: stays sequential, latency == t1.
         policy = IncrementalPolicy(self.TABLE, probe_time=2.0)
-        metrics, _ = _run_trace(policy, [0.0], n_cores=4)
+        metrics, _ = run_trace(policy, [0.0], n_cores=4)
         record = metrics.records[0]
         assert record.degree == 1
         assert record.latency == pytest.approx(1.0)
 
     def test_long_query_escalates_and_finishes_faster(self):
         policy = IncrementalPolicy(self.TABLE, probe_time=0.25)
-        metrics, _ = _run_trace(policy, [0.0], n_cores=4)
+        metrics, _ = run_trace(policy, [0.0], n_cores=4)
         record = metrics.records[0]
         assert record.degree == 4
         # probe 0.25 + remaining 0.75 of work at S(4)=3: 0.25 + 0.25 = 0.5.
@@ -139,7 +122,7 @@ class TestIncrementalJobs:
     def test_escalation_degrades_gracefully_without_cores(self):
         # Single core: escalation cannot widen; query completes sequentially.
         policy = IncrementalPolicy(self.TABLE, probe_time=0.25)
-        metrics, _ = _run_trace(policy, [0.0], n_cores=1)
+        metrics, _ = run_trace(policy, [0.0], n_cores=1)
         record = metrics.records[0]
         assert record.degree == 1
         assert record.latency == pytest.approx(1.0)
@@ -152,7 +135,7 @@ class TestIncrementalJobs:
         # must not stall, and total work is conserved: probe + remaining
         # 0.75 of t1 sequentially = exactly t1.
         policy = IncrementalPolicy(self.TABLE, probe_time=0.25)
-        metrics, server = _run_trace(policy, [0.0, 0.0], n_cores=2)
+        metrics, server = run_trace(policy, [0.0, 0.0], n_cores=2)
         assert len(metrics.records) == 2
         for record in metrics.records:
             assert record.degree == 1
@@ -170,7 +153,7 @@ class TestIncrementalJobs:
         from repro.sim.faults import FaultSchedule
 
         policy = IncrementalPolicy(self.TABLE, probe_time=0.25)
-        metrics, _ = _run_trace(
+        metrics, _ = run_trace(
             policy, [0.0, 0.0], n_cores=2,
             faults=FaultSchedule.slowdown(0.25, 10.0, 2.0),
         )
