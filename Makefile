@@ -49,15 +49,17 @@ trace-demo:
 # and check the live curves against the sim predictions within
 # tolerance bands. Writes live_parity.json (uploaded as a CI artifact).
 livesmoke:
-	python -m repro livesmoke --scale small --duration 1.5 --dilation 6 \
+	python -m repro livesmoke --scale small --duration 9 \
 	  --output live_parity.json
 
 # Alternating benchmark pairs for a speed change: REF's committed tree
 # (git archive into a temporary directory outside the repo) and the
 # working tree take turns running one workload of benchmarks/perf, PAIRS
 # times, the side that goes first alternating from pair to pair; each run
-# prints its throughput, p50, p99, CPU/op and digest lines, at the run
-# length each side's BENCHMARK.json sets. Compare the sides pair by pair,
+# prints its setup time, throughput, p50, p99, CPU/op, peak RSS, failed
+# share and digest lines (every number BENCHMARK.json bounds, and the
+# failure share a gain claim needs at zero), at the run length each
+# side's BENCHMARK.json sets. Compare the sides pair by pair,
 # not run by run; fewer than ten pairs cannot back a gain claim. A run
 # that exits nonzero prints its output and stops the target.
 #   make bench-pairs REF=HEAD WORKLOAD=engine-single PAIRS=10
@@ -78,7 +80,7 @@ bench-pairs:
 	      --workload $(WORKLOAD) 2>&1) || { printf '%s\n' "$$out"; \
 	      echo "== pair $$pair  $$side  FAILED"; exit 1; }; \
 	    printf '%s\n' "$$out" | grep -E \
-	      ' (throughput_qps|latency_p50_ms|latency_p99_ms|cpu_ms_per_op) |digest'; \
+	      ' (setup_s|throughput_qps|latency_p50_ms|latency_p99_ms|cpu_ms_per_op|peak_rss_mb|failed_share) |digest'; \
 	  done; \
 	done
 

@@ -357,25 +357,21 @@ def _serve_main(argv: List[str]) -> int:
     parser.add_argument("--policy", default="adaptive",
                         help="parallelism policy name (default: adaptive)")
     parser.add_argument("--deadline", type=float, default=None,
-                        help="per-query SLO budget in model seconds")
+                        help="per-query SLO budget in seconds")
     parser.add_argument("--max-queue", type=int, default=None,
                         help="admission cap on the dispatch queue")
     parser.add_argument(
-        "--dilation", type=float, default=1.0,
-        help="wall seconds per model second (default 1.0 = real time)",
-    )
-    parser.add_argument(
         "--duration", type=float, default=None,
-        help="stop after this many wall seconds (default: run until the "
+        help="stop after this many seconds (default: run until the "
         "shutdown op or Ctrl-C)",
     )
     parser.add_argument(
         "--horizon", type=float, default=3600.0,
-        help="metrics measurement window in model seconds",
+        help="metrics measurement window in seconds",
     )
     parser.add_argument(
         "--budget", type=float, default=60.0,
-        help="default per-search completion budget in model seconds",
+        help="default per-search completion budget in seconds",
     )
     parser.add_argument(
         "--no-engine", action="store_true",
@@ -391,7 +387,7 @@ def _serve_main(argv: List[str]) -> int:
     print(f"context: {ctx}")
 
     async def _amain() -> None:
-        scheduler = AsyncioScheduler(dilation=args.dilation)
+        scheduler = AsyncioScheduler()
         node = ServingNode(
             scheduler,
             system.oracle,
@@ -404,17 +400,14 @@ def _serve_main(argv: List[str]) -> int:
             ),
             engine_search=search,
         )
-        service = LiveServer(
-            node, dilation=args.dilation, request_budget_s=args.budget
-        )
+        service = LiveServer(node, request_budget_s=args.budget)
         serve_task = asyncio.get_running_loop().create_task(
             service.serve(args.host, args.port, duration_s=args.duration)
         )
         port = await service.wait_ready()
         print(
             f"serving policy={policy.name} n_cores={system.n_cores} "
-            f"n_queries={system.oracle.n_queries} on {args.host}:{port} "
-            f"(dilation {args.dilation}x)",
+            f"on {args.host}:{port} n_queries={system.oracle.n_queries}",
             flush=True,
         )
         await serve_task
@@ -455,20 +448,18 @@ def _loadgen_main(argv: List[str]) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, required=True)
     parser.add_argument("--rate", type=float, required=True,
-                        help="mean arrival rate (model QPS)")
+                        help="mean arrival rate (QPS)")
     parser.add_argument("--duration", type=float, default=2.0,
-                        help="workload horizon in model seconds")
+                        help="workload horizon in seconds")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dilation", type=float, default=1.0,
-                        help="must match the server's dilation")
     parser.add_argument("--budget", type=float, default=None,
-                        help="per-request completion budget (model seconds)")
+                        help="per-request completion budget (seconds)")
     parser.add_argument("--closed", type=int, default=None, metavar="N",
                         help="closed loop with N clients (default: open loop)")
     parser.add_argument("--think", type=float, default=0.0,
-                        help="closed-loop mean think time (model seconds)")
+                        help="closed-loop mean think time (seconds)")
     args = parser.parse_args(argv)
-    options = ReplayOptions(dilation=args.dilation, budget_s=args.budget)
+    options = ReplayOptions(budget_s=args.budget)
 
     async def _amain() -> Dict[str, object]:
         reader, writer = await asyncio.wait_for(
@@ -556,10 +547,8 @@ def _livesmoke_main(argv: List[str]) -> int:
         help="system scale (default: REPRO_SCALE env var or 'reference')",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--duration", type=float, default=2.0,
-                        help="per-point horizon in model seconds")
-    parser.add_argument("--dilation", type=float, default=10.0,
-                        help="wall seconds per model second")
+    parser.add_argument("--duration", type=float, default=12.0,
+                        help="per-point horizon in seconds")
     parser.add_argument("--output", type=Path, default=None,
                         help="write the machine-readable report here")
     parser.add_argument("--engine-results", action="store_true",
@@ -572,7 +561,6 @@ def _livesmoke_main(argv: List[str]) -> int:
     report, ok = run_live_smoke(
         context=ctx,
         duration_s=args.duration,
-        dilation=args.dilation,
         seed=args.seed,
         output=None if args.output is None else str(args.output),
         engine_results=args.engine_results,

@@ -12,7 +12,7 @@ package drives it on *wall* time —
   model assembled for live serving (engine results, outcome
   callbacks, shared metrics schema);
 * :mod:`~repro.runtime.serve` — the asyncio TCP front door and the
-  dilated :class:`~repro.runtime.serve.AsyncioScheduler`;
+  real-time :class:`~repro.runtime.serve.AsyncioScheduler`;
 * :mod:`~repro.runtime.loadgen` — open/closed-loop protocol clients
   replaying the simulator's seeded arrival scripts;
 * :mod:`~repro.runtime.parity` / :mod:`~repro.runtime.smoke` — the

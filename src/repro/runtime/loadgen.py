@@ -8,8 +8,7 @@ workloads the simulator consumes:
   :class:`~repro.sim.script.ScriptedArrival` script (built by
   :func:`~repro.sim.script.build_arrival_script` from the identical
   RNG streams ``run_load_point`` uses). Requests are paced to the
-  scripted arrival times (dilated to wall seconds) over one pipelined
-  connection; replies are matched by id, so out-of-order completion is
+  scripted arrival times over one pipelined connection; replies are matched by id, so out-of-order completion is
   fine. This is the paper's model — arrivals independent of service.
 * :func:`run_closed_loop` — a fixed client population, each cycling
   submit → wait → think, so offered load throttles itself on latency.
@@ -51,16 +50,13 @@ _DRAIN_EVERY = 64
 class ReplayOptions:
     """Client-side knobs for a replay run."""
 
-    #: Wall seconds per model second — must match the server's.
-    dilation: float = 1.0
-    #: Per-request completion budget sent to the server (model seconds);
+    #: Per-request completion budget sent to the server (seconds);
     #: None uses the server default.
     budget_s: Optional[float] = None
     #: Wall-seconds bound on each reply read and each flush.
     reply_timeout_s: float = 120.0
 
     def __post_init__(self) -> None:
-        require_positive(self.dilation, "dilation")
         if self.budget_s is not None:
             require_positive(self.budget_s, "budget_s")
         require_positive(self.reply_timeout_s, "reply_timeout_s")
@@ -102,8 +98,8 @@ async def replay_open_loop(
 ) -> List[Optional[Dict[str, Any]]]:
     """Replay ``script`` open-loop; returns one reply (or None) per
     arrival, in script order. Pacing is best-effort wall-clock: each
-    request is sent at ``arrival.time_s * dilation`` wall seconds after
-    the replay starts, falling behind only if the event loop does."""
+    request is sent ``arrival.time_s`` seconds after the replay starts,
+    falling behind only if the event loop does."""
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(host, port), timeout=CONNECT_TIMEOUT_S
     )
@@ -114,7 +110,7 @@ async def replay_open_loop(
     try:
         origin = loop.time()
         for request_id, arrival in enumerate(script):
-            delay = origin + arrival.time_s * options.dilation - loop.time()
+            delay = origin + arrival.time_s - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
             writer.write(_search_request(request_id, arrival, options))
@@ -168,7 +164,7 @@ async def _closed_loop_client(
                 break
             replies.append(json.loads(line.decode("utf-8")))
             if think_time_s > 0:
-                await asyncio.sleep(think_time_s * options.dilation)
+                await asyncio.sleep(think_time_s)
     finally:
         writer.close()
         try:

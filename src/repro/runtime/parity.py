@@ -63,8 +63,10 @@ _DECISION_NAMES = (EVENT_ADMIT, EVENT_SHED, EVENT_DEGREE_GRANT, EVENT_ESCALATE)
 #: Default tolerance bands for wall-clock smoke validation. Relative
 #: bands (fraction of the sim value) for time-shaped metrics; absolute
 #: bands for metrics already in [0, 1]. Wide enough for a loaded
-#: single-core CI runner at dilation >= 5, tight enough that a wrong
-#: decision path (shedding, degree misgrants) lands far outside.
+#: single-core CI runner once the smoke's service times are scaled to a
+#: 150 ms mean (the host's stalls then stay small next to them), tight
+#: enough that a wrong decision path (shedding, degree misgrants) lands
+#: far outside.
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "p50_latency": 0.35,
     "p99_latency": 0.50,

@@ -20,10 +20,10 @@ a typed error, a line over 64 KiB ``line-too-long`` and a hang-up.
 Two scheduler hostings, same node code:
 
 * :class:`AsyncioScheduler` — wall time from the running event loop,
-  optionally *dilated*: with ``dilation=20`` one model second takes 20
-  wall seconds, which shrinks the loop's timer lateness (below)
-  twentyfold in model units — what makes a live smoke run on a noisy
-  CI machine comparable to the simulator's prediction.
+  in real time: one model second is one wall second. A run that must
+  make the host's stalls small next to a query's service time scales
+  the service times up instead (the smoke harness's
+  ``scaled_smoke_system``), which leaves every decision unchanged.
 * :class:`~repro.runtime.clock.FakeClock` (the simulator's heap) —
   tests instantiate :class:`LiveServer` on one and advance it by hand:
   entire query lifecycles execute deterministically, zero real sleeps.
@@ -31,8 +31,7 @@ Two scheduler hostings, same node code:
 The request path is synchronous callbacks on one :class:`asyncio.
 Protocol` per connection: ``data_received`` dispatches every complete
 line of a wake-up; a search hands the node a completion callback and
-arms one cancellable budget timer (model seconds, dilated to wall
-seconds) — no task, future or ``await`` per request; the only awaits
+arms one cancellable budget timer — no task, future or ``await`` per request; the only awaits
 are :meth:`LiveServer.serve`'s bounded ones
 (``tests/test_runtime_frontdoor.py`` pins both).
 Replies collect per connection and leave in one ``transport.write`` per
@@ -163,38 +162,28 @@ class AsyncioScheduler:
     """The kernel's scheduler interface on a running asyncio loop.
 
     Satisfies :class:`repro.core.clock.SchedulerProtocol` structurally.
-    ``now`` is the loop's monotonic time zeroed at construction and
-    divided by ``dilation``; ``schedule`` multiplies model delays back
-    up to wall delays. ``dilation`` therefore changes how long a model
-    second *takes*, never what the kernel *sees* — decisions, metrics,
-    and deadlines all stay in model seconds.
+    ``now`` is the loop's monotonic time zeroed at construction.
     """
 
-    __slots__ = ("_loop", "_origin", "_dilation")
+    __slots__ = ("_loop", "_origin")
 
-    def __init__(self, dilation: float = 1.0) -> None:
-        require_positive(dilation, "dilation")
+    def __init__(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._dilation = float(dilation)
         self._origin = self._loop.time()
 
     @property
-    def dilation(self) -> float:
-        return self._dilation
-
-    @property
     def now(self) -> float:
-        """Model seconds since construction."""
-        return (self._loop.time() - self._origin) / self._dilation
+        """Seconds since construction."""
+        return self._loop.time() - self._origin
 
     def schedule(self, delay_s: float, callback: Any, *args: Any) -> None:
-        """Run ``callback(*args)`` after ``delay_s`` *model* seconds."""
+        """Run ``callback(*args)`` after ``delay_s`` seconds."""
         if delay_s < 0:
             raise SimulationError(f"cannot schedule {delay_s}s in the past")
-        self._loop.call_later(delay_s * self._dilation, callback, *args)
+        self._loop.call_later(delay_s, callback, *args)
 
     def __repr__(self) -> str:
-        return f"AsyncioScheduler(now={self.now:.6f}, dilation={self._dilation})"
+        return f"AsyncioScheduler(now={self.now:.6f})"
 
 
 class LiveServer:
@@ -206,15 +195,12 @@ class LiveServer:
     Python 3.9 means the loop must already be running at construction.
     """
 
-    def __init__(
-        self, node: ServingNode, dilation: float = 1.0, request_budget_s: float = 60.0
-    ) -> None:
+    def __init__(self, node: ServingNode, request_budget_s: float = 60.0) -> None:
         """``request_budget_s`` is the default per-search completion
-        budget in *model* seconds (a request may lower it with its own
+        budget in seconds (a request may lower it with its own
         ``budget_s`` field)."""
         require_positive(request_budget_s, "request_budget_s")
         self.node = node
-        self.dilation = float(dilation)
         self.request_budget_s = float(request_budget_s)
         self.port: Optional[int] = None
         self._ready = asyncio.Event()
@@ -470,5 +456,5 @@ class _Connection(asyncio.Protocol):
                 self._send(_outcome_reply(request_id, outcome))
 
         self._in_flight += 1
-        timer = self._loop.call_later(float(budget_s) * service.dilation, answer)
+        timer = self._loop.call_later(float(budget_s), answer)
         service.node.submit(query_index, on_done=answer, query_class=query_class)

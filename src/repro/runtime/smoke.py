@@ -6,13 +6,13 @@
 port, replays the given arrival script open-loop through real TCP with
 :func:`~repro.runtime.loadgen.replay_open_loop`, shuts the server
 down, and returns the node's summary in the shared load-point schema.
-Real wall time passes — ``duration × dilation`` seconds — which is why
-smoke runs use short horizons and validation happens through the
-tolerance bands in :mod:`repro.runtime.parity`, not exact equality.
-Run it with :func:`~repro.runtime.serve.run_live`, as the harness
-does: on that loop a timer fires ≈ 0.15 ms after it is due (mean), not
-the ≈ 0.6 ms of a loop on the stock epoll selector, so what the bands
-absorb is the host's wake-up latency, divided by the dilation.
+Real time passes — the script's horizon, then its drain — and
+validation happens through the tolerance bands in
+:mod:`repro.runtime.parity`, not exact equality: what the bands absorb
+is the host's stalls next to the script's service times. Run it with
+:func:`~repro.runtime.serve.run_live`, as the harness does: on that
+loop a timer fires ≈ 0.15 ms after it is due (mean), not the ≈ 0.6 ms
+of a loop on the stock epoll selector.
 
 The experiment harness (``python -m repro livesmoke``) layers point
 selection, the simulator reference runs, and report writing on top of
@@ -44,7 +44,6 @@ async def run_live_point(
     policy: ParallelismPolicy,
     config: LoadPointConfig,
     script: Sequence[ScriptedArrival],
-    dilation: float = 1.0,
     engine_search: Optional[Any] = None,
 ) -> Tuple[LoadPointSummary, ServingNode]:
     """Serve ``script`` over localhost TCP and summarize the node.
@@ -55,22 +54,18 @@ async def run_live_point(
     machinery has spoken.
     """
     budget_s = config.duration * DRAIN_HORIZONS
-    scheduler = AsyncioScheduler(dilation=dilation)
+    scheduler = AsyncioScheduler()
     node = ServingNode(
         scheduler, oracle, policy, ServingConfig.from_load_point(config),
         engine_search=engine_search,
     )
-    service = LiveServer(
-        node, dilation=dilation, request_budget_s=budget_s
-    )
+    service = LiveServer(node, request_budget_s=budget_s)
     loop = asyncio.get_running_loop()
     serve_task = loop.create_task(service.serve("127.0.0.1", 0))
     try:
         port = await service.wait_ready(timeout_s=_LIFECYCLE_TIMEOUT_S)
         options = ReplayOptions(
-            dilation=dilation,
-            budget_s=budget_s,
-            reply_timeout_s=max(120.0, budget_s * dilation + 30.0),
+            budget_s=budget_s, reply_timeout_s=max(120.0, budget_s + 30.0)
         )
         # Every reply is awaited, so when the replay returns the server
         # has finished (answered or shed) every scripted query.

@@ -81,7 +81,8 @@ class TestServeCli:
                 line = proc.stdout.readline()
                 if not line:
                     break
-                match = re.search(r"on 127\.0\.0\.1:(\d+)", line)
+                # The pattern benchmarks/perf finds the port with.
+                match = re.match(r"^serving .* on [\d.]+:(\d+) ", line)
                 if match:
                     port = int(match.group(1))
                     break
@@ -138,7 +139,7 @@ class TestServeCli:
 
         out = tmp_path / "report.json"
         code = main(["livesmoke", "--scale", "small", "--duration", "0.4",
-                     "--dilation", "2.0", "--output", str(out)])
+                     "--output", str(out)])
         stdout = capsys.readouterr().out
         # The calibrated-band gate is the CI livesmoke step; here we pin
         # the command wiring, table output, and report artifact.
@@ -146,7 +147,6 @@ class TestServeCli:
         assert "e05-light" in stdout and "e19-overload" in stdout
         report = json.loads(out.read_text())
         assert len(report["points"]) == 3
-        assert report["dilation"] == 2.0
 
 
 class TestTracePresets:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.engine.query import Query
+from repro.harness import live
 from repro.harness.context import ExperimentContext, Scale
 from repro.harness.live import (
     engine_search_for,
@@ -31,7 +32,11 @@ from repro.runtime.serve import AsyncioScheduler, LiveServer, run_live
 from repro.runtime.smoke import run_live_point
 from repro.sim.experiment import LoadPointConfig
 from repro.sim.oracle import ServiceOracle
-from repro.sim.script import ScriptedArrival, build_arrival_script
+from repro.sim.script import (
+    ScriptedArrival,
+    build_arrival_script,
+    run_scripted_point,
+)
 
 
 def _fast_table(n_queries=8, t1=0.01, degrees=(1, 2, 4)):
@@ -141,8 +146,7 @@ class TestRunLivePoint:
                                  n_cores=4, seed=1)
         script = build_arrival_script(oracle.n_queries, config)
         summary, node = run_live(
-            run_live_point(oracle, FixedPolicy(2), config, script,
-                           dilation=2.0)
+            run_live_point(oracle, FixedPolicy(2), config, script)
         )
         # Open-loop replay awaits every reply: each scripted query was
         # either answered or shed by the time it returns.
@@ -163,7 +167,9 @@ class TestSmokeHarness:
         scaled, factor = scaled_smoke_system(system)
         assert factor > 1.0
         table, orig = scaled.cost_table, system.cost_table
-        assert np.mean(table.sequential_latencies()) == pytest.approx(0.025)
+        assert np.mean(table.sequential_latencies()) == pytest.approx(
+            live._TARGET_MEAN_SERVICE_S
+        )
         # Uniform scaling: every speedup ratio survives.
         assert np.allclose(table.latency, orig.latency * factor)
         assert np.allclose(table.cpu, orig.cpu * factor)
@@ -175,6 +181,31 @@ class TestSmokeHarness:
         # Already-slow systems pass through untouched.
         same, factor2 = scaled_smoke_system(scaled)
         assert same is scaled and factor2 == 1.0
+
+    def test_scaling_time_changes_no_decision(self, context, monkeypatch):
+        # Why one stretch is enough: a system whose service times are
+        # all ×6, run for ×6 as long, admits, sheds and grants exactly
+        # as before; only its latencies are ×6.
+        summaries = []
+        for stretch in (1.0, 6.0):
+            monkeypatch.setattr(live, "_TARGET_MEAN_SERVICE_S", 0.025 * stretch)
+            system, _ = scaled_smoke_system(context.system)
+            duration_s = 1.5 * stretch
+            heavy = smoke_points(system, duration_s, duration_s / 4.0)[1]
+            assert heavy.name == "e05-heavy"
+            script = build_arrival_script(system.oracle.n_queries, heavy.config)
+            summary, _ = run_scripted_point(
+                system.oracle, system.policy(heavy.policy), heavy.config, script
+            )
+            summaries.append(summary)
+        base, stretched = summaries
+        assert base.observed > 100
+        assert stretched.degree_histogram == base.degree_histogram
+        assert stretched.n_shed == base.n_shed
+        assert stretched.observed == base.observed
+        for metric in ("p50_latency", "p99_latency"):
+            ratio = getattr(stretched, metric) / getattr(base, metric)
+            assert ratio == pytest.approx(6.0, rel=1e-9)
 
     def test_smoke_points_cover_light_heavy_overload(self, context):
         system, _ = scaled_smoke_system(context.system)
@@ -201,7 +232,7 @@ class TestSmokeHarness:
         # (a 0.4 s point is too short for the calibrated bands); the
         # band validation is the CI livesmoke step.
         report, ok = run_live_smoke(
-            context=context, duration_s=0.4, dilation=2.0, seed=0,
+            context=context, duration_s=0.4, seed=0,
             output=str(out),
         )
         assert report["ok"] is ok == all(p["ok"] for p in report["points"])

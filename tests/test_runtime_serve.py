@@ -469,13 +469,6 @@ class TestAsyncioScheduler:
 
         assert run_live(scenario()) == [("a", "b")]
 
-    def test_dilation_is_exposed(self):
-        async def scenario():
-            scheduler = AsyncioScheduler(dilation=20.0)
-            assert scheduler.dilation == 20.0
-
-        run_live(scenario())
-
     def test_negative_delay_rejected(self):
         async def scenario():
             scheduler = AsyncioScheduler()
