@@ -59,15 +59,20 @@ livesmoke:
 # prints its setup time, throughput, p50, p99, CPU/op, peak RSS, failed
 # share and digest lines (every number BENCHMARK.json bounds, and the
 # failure share a gain claim needs at zero), at the run length each
-# side's BENCHMARK.json sets. Compare the sides pair by pair,
-# not run by run; fewer than ten pairs cannot back a gain claim. A run
-# that exits nonzero prints its output and stops the target.
+# side's BENCHMARK.json sets. After the last pair, tools/pairs_table.py
+# prints one row per bounded metric and failed_share: each side's median
+# and quartiles, how many pairs the change won, and whether the medians
+# are further apart than REF's interquartile range, then whether the
+# digests were equal in every pair. Fewer than ten pairs cannot back a
+# gain claim. A run that exits nonzero prints its output and stops the
+# target.
 #   make bench-pairs REF=HEAD WORKLOAD=engine-single PAIRS=10
 REF ?= HEAD
 WORKLOAD ?= engine-single
 PAIRS ?= 10
 bench-pairs:
-	@ref_tree=$$(mktemp -d) && trap 'rm -rf "$$ref_tree"' EXIT && \
+	@ref_tree=$$(mktemp -d) && runs=$$(mktemp -d) && \
+	trap 'rm -rf "$$ref_tree" "$$runs"' EXIT && \
 	git archive $(REF) | tar -x -C "$$ref_tree" && \
 	for pair in $$(seq 1 $(PAIRS)); do \
 	  if [ $$((pair % 2)) = 1 ]; then order="ref change"; \
@@ -79,10 +84,12 @@ bench-pairs:
 	    out=$$(cd "$$tree" && python3 benchmarks/perf/run.py \
 	      --workload $(WORKLOAD) 2>&1) || { printf '%s\n' "$$out"; \
 	      echo "== pair $$pair  $$side  FAILED"; exit 1; }; \
+	    printf '%s\n' "$$out" > "$$runs/$$pair-$$side.out"; \
 	    printf '%s\n' "$$out" | grep -E \
 	      ' (setup_s|throughput_qps|latency_p50_ms|latency_p99_ms|cpu_ms_per_op|peak_rss_mb|failed_share) |digest'; \
 	  done; \
-	done
+	done && \
+	python3 tools/pairs_table.py "$$runs"
 
 report:
 	python -c "from repro.harness.report import generate_report; \

@@ -27,8 +27,8 @@ milliseconds, long tail tens of milliseconds):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
 
-from repro.engine.plan import ChunkOutcome
 from repro.util.validation import require_in_range
 
 
@@ -56,13 +56,18 @@ class CostModel:
         ):
             require_in_range(getattr(self, name), name, low=0.0)
 
-    def chunk_time(self, outcome: ChunkOutcome) -> float:
-        """Virtual seconds to evaluate one chunk (excluding merge)."""
-        return (
-            self.chunk_cost
-            + self.posting_cost * outcome.postings_scanned
-            + self.match_cost * outcome.n_matched
-        )
+    def chunk_times(
+        self, postings_scanned: Sequence[int], n_matched: Sequence[int]
+    ) -> List[float]:
+        """Virtual seconds to evaluate each of several chunks (excluding
+        merge), from their parallel work counters."""
+        chunk_cost = self.chunk_cost
+        posting_cost = self.posting_cost
+        match_cost = self.match_cost
+        return [
+            chunk_cost + posting_cost * scanned + match_cost * matched
+            for scanned, matched in zip(postings_scanned, n_matched)
+        ]
 
     def fork_time(self, degree: int) -> float:
         """One-time cost to spin up ``degree`` workers (0 for sequential)."""

@@ -15,10 +15,10 @@ everything both the sequential and the parallel executor need:
   chunks. Bounds combine per-term per-chunk max impacts (suffix maxima)
   with the static-rank prior at the chunk boundary, which is
   non-increasing in doc id by index construction;
-* the scoring kernel, :meth:`QueryPlan.score_chunks`, which produces the
-  :class:`ChunkOutcome` values of many candidate chunks in one set of
-  numpy dispatches. Every executor scores through it, a wave of
-  positions at a time. :meth:`QueryPlan.score_chunk` is the
+* the scoring kernel, :meth:`QueryPlan.score_chunks`, which scores many
+  candidate chunks in one set of numpy dispatches and returns their
+  matches as flat :class:`ChunkColumns`. Every executor scores through
+  it, a block of positions at a time. :meth:`QueryPlan.score_chunk` is the
   straightforward one-chunk scorer the kernel is pinned bit-identical
   to; tests compare against it and nothing in the package calls it.
 """
@@ -38,12 +38,8 @@ from repro.ranking.composite import RELEVANCE_WEIGHT, STATIC_WEIGHT
 
 
 class ChunkOutcome(NamedTuple):
-    """Result of evaluating one chunk: matches, scores, work counters.
-
-    A named tuple, not a frozen dataclass: the kernel builds one per
-    scored chunk, and a tuple is one allocation where a frozen
-    dataclass's ``__init__`` calls ``object.__setattr__`` per field.
-    """
+    """Result of evaluating one chunk on its own (:meth:`QueryPlan.score_chunk`):
+    matches, scores, work counters."""
 
     chunk_id: int
     doc_ids: np.ndarray  # matched documents (ascending)
@@ -51,9 +47,20 @@ class ChunkOutcome(NamedTuple):
     postings_scanned: int
     n_matched: int
 
-    @property
-    def empty(self) -> bool:
-        return self.n_matched == 0
+
+class ChunkColumns(NamedTuple):
+    """What :meth:`QueryPlan.score_chunks` returns for ``n`` positions: the
+    matches of all of them as two flat arrays, cut per position.
+
+    The ``i``-th position's matches are ``doc_ids[cuts[i]:cuts[i + 1]]``
+    (ascending) with their composite ``scores`` alongside, so ``cuts``
+    has ``n + 1`` entries and its differences are the match counts.
+    """
+
+    doc_ids: np.ndarray
+    scores: np.ndarray
+    cuts: List[int]
+    postings_scanned: List[int]
 
 
 def _range_indices(starts: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -181,12 +188,12 @@ class QueryPlan:
             n_matched=int(doc_ids.shape[0]),
         )
 
-    def score_chunks(self, positions: Sequence[int]) -> List[ChunkOutcome]:
+    def score_chunks(self, positions: Sequence[int]) -> ChunkColumns:
         """Evaluate several candidate chunks in one batch of numpy calls.
 
         ``positions`` must be strictly ascending plan positions. Returns
-        one :class:`ChunkOutcome` per position, **bit-identical** to
-        ``[self.score_chunk(p) for p in positions]``: the matched doc-id
+        their matches as :class:`ChunkColumns`, position ``i``'s cut
+        **bit-identical** to ``self.score_chunk(positions[i])``: the matched doc-id
         sets are recovered exactly (chunks partition the doc space, so
         intersecting the concatenated slices equals doing so chunk by
         chunk), and relevance is accumulated per document in the
@@ -197,13 +204,16 @@ class QueryPlan:
         ~O(terms) numpy calls on arrays of a few dozen elements, so chunk
         by chunk the interpreter sets the pace; this kernel pays one set
         of numpy calls on arrays the size of the whole wave (≈ 7× less
-        time per posting in waves of 64). Its one caller is
-        :meth:`repro.engine.trace.ChunkTrace.get`.
+        time per posting in waves of 64), and splits nothing back into
+        per-chunk objects. Its one caller is
+        :meth:`repro.engine.trace.ChunkTrace.block`.
         """
         pos = np.asarray(positions, dtype=np.int64)
         n_sel = int(pos.shape[0])
         if n_sel == 0:
-            return []
+            return ChunkColumns(
+                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), [0], []
+            )
         if (
             int(pos[0]) < 0
             or int(pos[-1]) >= self.n_candidate_chunks
@@ -214,7 +224,6 @@ class QueryPlan:
                 f"[0, {self.n_candidate_chunks}), got {pos.tolist()}"
             )
 
-        chunk_ids = self.candidate_chunks[pos]
         starts = self._slice_starts[:, pos]
         sizes = self._slice_sizes[:, pos]
         if len(self.posting_lists) == 1:
@@ -225,15 +234,15 @@ class QueryPlan:
             doc_ids = plist.doc_ids[at]
             relevance = plist.impacts[at]
             cuts = offsets.tolist()
-            los, his = cuts[:-1], cuts[1:]
             postings_scanned = sizes[0].tolist()
         else:
-            doc_starts = self.index.chunk_map.bounds[chunk_ids]
-            doc_ends = self.index.chunk_map.bounds[chunk_ids + 1]
+            doc_starts = self.index.chunk_map.bounds[self.candidate_chunks[pos]]
             doc_ids, relevance = self._intersect_many(starts, sizes, doc_starts)
-            # Matched ids are ascending, chunks are disjoint doc-id ranges.
-            los = doc_ids.searchsorted(doc_starts).tolist()
-            his = doc_ids.searchsorted(doc_ends).tolist()
+            # Matched ids are ascending and all lie in the selected chunks,
+            # which are disjoint doc-id ranges: a chunk's matches end
+            # where the next chunk's begin, the last chunk's at the end.
+            cuts = doc_ids.searchsorted(doc_starts).tolist()
+            cuts.append(int(doc_ids.shape[0]))
             postings_scanned = np.add.reduce(sizes, axis=0).tolist()
 
         if doc_ids.shape[0]:
@@ -243,18 +252,7 @@ class QueryPlan:
             )
         else:
             scores = np.empty(0, dtype=np.float64)
-
-        # Split the batch-wide match arrays back into per-chunk outcomes.
-        # Every per-chunk value is a Python int from one tolist() each,
-        # so the loop does no numpy scalar indexing.
-        outcomes = []
-        for chunk_id, lo, hi, scanned in zip(
-            chunk_ids.tolist(), los, his, postings_scanned
-        ):
-            outcomes.append(
-                ChunkOutcome(chunk_id, doc_ids[lo:hi], scores[lo:hi], scanned, hi - lo)
-            )
-        return outcomes
+        return ChunkColumns(doc_ids, scores, cuts, postings_scanned)
 
     def _chunk_slices(
         self, chunk_offsets: List[np.ndarray]

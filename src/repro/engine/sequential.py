@@ -1,10 +1,13 @@
 """Sequential (degree-1) query execution.
 
 Drives the :class:`~repro.engine.scan.ChunkScan` in lockstep: claim the
-next candidate chunk in document order, read its outcome from the
-:class:`~repro.engine.trace.ChunkTrace` (which scores a block of upcoming
-positions per kernel call), merge it, repeat until a termination rule
-fires at claim time. Virtual time is charged per chunk *merged*; what
+next candidate chunk in document order, read the block that holds it
+from the :class:`~repro.engine.trace.ChunkTrace` (one kernel call per
+block), merge the run of that block's positions in which no stop rule
+can fire (:meth:`~repro.engine.scan.ChunkScan.merge_run`), and claim
+where the run ends, until a termination rule fires at claim time — the
+same claims, merges and result as one chunk per step. Virtual time is
+charged per chunk *merged*, one cost at a time in position order; what
 the trace scored ahead and the scan never claimed costs wall-clock time
 only. This is both the production baseline the paper compares against
 and the reference semantics the parallel executor's results are
@@ -29,9 +32,10 @@ def execute_sequential(
     elapsed = cost_model.query_fixed_cost
     position = scan.claim()
     while position >= 0:
-        outcome, cost = trace.get(position)
-        elapsed += cost
-        scan.merge(outcome)
+        block = trace.block(position)
+        end = scan.merge_run(block, position)
+        for cost in block.costs[position - block.start : end - block.start]:
+            elapsed += cost
         position = scan.claim()
 
     return scan.result(

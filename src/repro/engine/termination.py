@@ -24,6 +24,7 @@ reference mode equivalence tests execute against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -55,9 +56,12 @@ class TerminationConfig:
 class TerminationState:
     """Mutable per-execution termination tracker.
 
-    The executor reports merged chunk outcomes through
-    :meth:`record_matches` and asks :meth:`should_stop` before claiming
-    the candidate chunk at ``next_position``.
+    The scan reports merged matches through :meth:`record_matches` and
+    asks :meth:`should_stop` before claiming the candidate chunk at
+    ``next_position``. To merge a run of positions without a claim each,
+    it asks :meth:`budget_cut` where the budget would fire and
+    :meth:`bound_reached` whether the score bound would, latching
+    neither.
     """
 
     def __init__(self, config: TerminationConfig, plan: QueryPlan, topk: TopK) -> None:
@@ -91,16 +95,46 @@ class TerminationState:
             self.fired_rule = "exhausted"
         elif budget is not None and self.matches_seen >= budget:
             self.fired_rule = "match_budget"
-        elif self.config.use_score_bound and self.topk.full:
-            bounds = self._suffix_bounds
-            if bounds is None:
-                bounds = self._suffix_bounds = self.plan.bounds_from.tolist()
-            # Remaining docs all have higher ids than any doc already in
-            # the heap, so a tie at the threshold would lose anyway:
-            # stopping at bound <= threshold is safe.
-            if bounds[next_position] <= self.topk.threshold:
-                self.fired_rule = "score_bound"
+        elif self.config.use_score_bound and self.bound_reached(next_position):
+            self.fired_rule = "score_bound"
         return self.fired_rule is not None
+
+    def bound_reached(self, position: int) -> bool:
+        """The score-bound rule's test at ``position``, latching nothing:
+        the heap is full and no document at or after ``position`` can
+        strictly beat its k-th score.
+
+        ``bounds_from`` never increases along the plan and the threshold
+        never decreases as matches merge, so once this holds it holds at
+        every later position and heap state.
+        """
+        topk = self.topk
+        if not topk.full:
+            return False
+        bounds = self._suffix_bounds
+        if bounds is None:
+            bounds = self._suffix_bounds = self.plan.bounds_from.tolist()
+        # Remaining docs all have higher ids than any doc already in
+        # the heap, so a tie at the threshold would lose anyway:
+        # stopping at bound <= threshold is safe.
+        return bounds[position] <= topk.threshold
+
+    def budget_cut(self, cuts: List[int], first: int) -> int:
+        """Where a run that merges a block's positions from index
+        ``first`` on must end for the match budget: the first later index
+        at whose claim the budget would fire, or the block's end.
+
+        ``cuts`` are the block's match cuts, so ``cuts[j] - cuts[first]``
+        is what merging indices ``[first, j)`` adds to ``matches_seen``;
+        they never decrease, which makes the search one bisection.
+        """
+        end = len(cuts) - 1
+        budget = self._budget
+        if budget is None:
+            return end
+        return bisect_left(
+            cuts, budget - self.matches_seen + cuts[first], first + 1, end
+        )
 
     @property
     def terminated_early(self) -> bool:

@@ -113,6 +113,15 @@ class TopK:
     def scores(self) -> List[float]:
         return [score for _, score in self.results()]
 
+    def snapshot(self) -> List[Tuple[float, int]]:
+        """The retained entries, for :meth:`restore`."""
+        return list(self._heap)
+
+    def restore(self, entries: List[Tuple[float, int]]) -> None:
+        """Retain exactly ``entries`` (a :meth:`snapshot`) again, undoing
+        every offer made since it was taken."""
+        self._heap = list(entries)
+
     def copy(self) -> "TopK":
         clone = TopK(self.k)
         clone._heap = list(self._heap)

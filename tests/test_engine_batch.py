@@ -97,6 +97,17 @@ class TestBatchExecutorEquivalence:
         assert executor.last_stats == BatchStats()
 
 
+def _assert_cut_is_reference(plan, columns, i, position):
+    """Position ``i`` of a ``score_chunks`` result is, bit for bit, what
+    the reference scorer gives for ``position`` on its own."""
+    single = plan.score_chunk(position)
+    lo, hi = columns.cuts[i], columns.cuts[i + 1]
+    assert np.array_equal(columns.doc_ids[lo:hi], single.doc_ids)
+    assert columns.scores[lo:hi].tolist() == single.scores.tolist()
+    assert columns.postings_scanned[i] == single.postings_scanned
+    assert hi - lo == single.n_matched
+
+
 class TestScoreChunksKernel:
     def test_bit_identical_to_per_chunk(self, small_engine, small_workbench):
         generator = small_workbench.query_generator("batch-kernel")
@@ -106,14 +117,12 @@ class TestScoreChunksKernel:
         )
         assert plan.n_candidate_chunks >= 2, "need a multi-chunk plan"
         positions = list(range(plan.n_candidate_chunks))
-        batched = plan.score_chunks(positions)
-        for position, outcome in zip(positions, batched):
-            single = plan.score_chunk(position)
-            assert outcome.chunk_id == single.chunk_id
-            assert np.array_equal(outcome.doc_ids, single.doc_ids)
-            assert list(outcome.scores) == list(single.scores)
-            assert outcome.postings_scanned == single.postings_scanned
-            assert outcome.n_matched == single.n_matched
+        columns = plan.score_chunks(positions)
+        assert len(columns.cuts) == len(positions) + 1
+        assert columns.cuts[0] == 0 and columns.cuts[-1] == len(columns.doc_ids)
+        assert len(columns.scores) == len(columns.doc_ids)
+        for i, position in enumerate(positions):
+            _assert_cut_is_reference(plan, columns, i, position)
 
     def test_subset_and_stride_selections(self, small_engine, sample_queries):
         plan = max(
@@ -121,18 +130,17 @@ class TestScoreChunksKernel:
             key=lambda p: p.n_candidate_chunks,
         )
         positions = list(range(0, plan.n_candidate_chunks, 2))
-        for outcome, position in zip(plan.score_chunks(positions), positions):
-            single = plan.score_chunk(position)
-            assert np.array_equal(outcome.doc_ids, single.doc_ids)
-            assert list(outcome.scores) == list(single.scores)
+        columns = plan.score_chunks(positions)
+        for i, position in enumerate(positions):
+            _assert_cut_is_reference(plan, columns, i, position)
 
     def test_empty_and_singleton(self, small_engine, sample_queries):
         plan = small_engine.plan(sample_queries[0])
-        assert plan.score_chunks([]) == []
+        empty = plan.score_chunks([])
+        assert (empty.cuts, empty.postings_scanned) == ([0], [])
+        assert empty.doc_ids.shape == empty.scores.shape == (0,)
         if plan.n_candidate_chunks:
-            [outcome] = plan.score_chunks([0])
-            single = plan.score_chunk(0)
-            assert np.array_equal(outcome.doc_ids, single.doc_ids)
+            _assert_cut_is_reference(plan, plan.score_chunks([0]), 0, 0)
 
     def test_rejects_bad_positions(self, small_engine, sample_queries):
         plan = max(

@@ -1,11 +1,12 @@
 """Tripwires on the engine's per-chunk cost.
 
-A merged chunk costs what the interpreter does for it: the claim, the
-stop-rule probe, the trace lookup, the merge into the top-k, and a share
-of the kernel call that scored its block. These count that work exactly
-(the counts repeat run to run) instead of timing it, so a change that
-puts a numpy mask, a dataclass or a per-chunk recomputation back on the
-merge loop fails here before a benchmark could resolve it.
+A merged chunk costs what the interpreter does for it: its share of a
+claim, a stop-rule probe, a block lookup and a merge into the top-k, and
+a share of the kernel call that scored its block. These count that work
+exactly (the counts repeat run to run) instead of timing it, so a change
+that puts a numpy mask, a dataclass, a per-chunk object or a
+per-chunk recomputation back on the merge loop fails here before a
+benchmark could resolve it.
 """
 
 import sys
@@ -13,14 +14,18 @@ import sys
 import pytest
 
 #: Python-level calls per merged chunk for ``sample_queries`` at each
-#: degree; the bound leaves 10 % for incidental growth. The same queries
-#: cost 29.8 (degree 1) and 33.2 (degree 4) calls a merged chunk when
+#: degree; the bound leaves 10 % for incidental growth. Before scored
+#: blocks were kept as columns and the sequential driver merged a run of
+#: positions per claim, the same queries cost 15.3 (degree 1) and 16.3
+#: (degree 4) calls a merged chunk: one claim, stop-rule probe, trace
+#: lookup and merge per chunk, two trace lookups per chunk at degree 4,
+#: and a named tuple per scored chunk. Earlier still, 29.8 and 33.2, when
 #: every merge masked the candidates with numpy and offered them one
 #: ``TopK.offer`` call each, every scored chunk built a frozen dataclass,
 #: every stop-rule probe re-read the candidate count through a property
 #: and recomputed its budget, and a chunk without matches still went
 #: through the heap.
-CALLS_PER_MERGED_CHUNK = {1: 15.3, 4: 16.3}
+CALLS_PER_MERGED_CHUNK = {1: 9.9, 4: 13.7}
 
 
 @pytest.mark.parametrize("degree", sorted(CALLS_PER_MERGED_CHUNK))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.query import Query
 from repro.engine.results import ExecutionResult, RankedDocument, make_ranked
-from repro.engine.trace import FIRST_WAVE
+from repro.engine.trace import FIRST_WAVE, MAX_WAVE, _block
 from repro.errors import ExecutionError
 
 
@@ -40,12 +40,14 @@ class TestChunkTrace:
         query = next(q for q in sample_queries
                      if small_engine.plan(q).n_candidate_chunks >= 3)
         trace = small_engine.trace(query)
-        assert trace.n_evaluated == 0
-        first = trace.get(0)
+        assert trace.n_evaluated == trace.n_blocks == 0
+        first = trace.block(0)
         # A miss scores the whole block it falls in, not one chunk.
         assert trace.n_evaluated == min(FIRST_WAVE, trace.n_positions)
-        assert trace.get(0) is first
+        assert len(first.costs) == trace.n_evaluated
+        assert trace.block(0) is first
         assert trace.n_evaluated == min(FIRST_WAVE, trace.n_positions)
+        assert trace.n_blocks == 1
 
     def test_out_of_range_position_is_a_typed_error(
         self, small_engine, sample_queries
@@ -54,7 +56,7 @@ class TestChunkTrace:
         assert trace.n_positions > 0
         for bad in (-1, trace.n_positions, trace.n_positions + 500):
             with pytest.raises(ExecutionError):
-                trace.get(bad)
+                trace.block(bad)
         assert trace.n_evaluated == 0
 
     def test_empty_plan_has_no_positions(self, small_engine):
@@ -62,7 +64,7 @@ class TestChunkTrace:
         trace = small_engine.trace(Query.of([missing]))
         assert trace.n_positions == 0
         with pytest.raises(ExecutionError):
-            trace.get(0)
+            trace.block(0)
         result = small_engine.execute_trace(trace, 1)
         assert result.results == () and result.chunks_evaluated == 0
         assert trace.n_evaluated == 0
@@ -85,10 +87,33 @@ class TestChunkTrace:
         trace = small_engine.trace(query)
         if trace.n_positions == 0:
             pytest.skip("query matched nothing")
-        outcome, cost = trace.get(0)
-        assert cost == pytest.approx(
-            small_engine.config.cost_model.chunk_time(outcome)
-        )
+        cost_model = small_engine.config.cost_model
+        block = trace.block(0)
+        for position, cost in enumerate(block.costs):
+            outcome = trace.plan.score_chunk(position)
+            assert block.n_matched[position] == outcome.n_matched
+            assert block.postings_scanned[position] == outcome.postings_scanned
+            # The same float expression, so the same bits.
+            assert cost == (
+                cost_model.chunk_cost
+                + cost_model.posting_cost * outcome.postings_scanned
+                + cost_model.match_cost * outcome.n_matched
+            )
+
+
+def test_block_layout_is_the_doubling_loop_in_closed_form():
+    """``_block`` computes, without walking from 0, the block a loop that
+    doubles from ``FIRST_WAVE`` up to ``MAX_WAVE`` lays out."""
+
+    def walked(position):
+        start, width = 0, FIRST_WAVE
+        while position >= start + width:
+            start += width
+            width = min(2 * width, MAX_WAVE)
+        return start, start + width
+
+    for position in range(10_001):
+        assert _block(position) == walked(position), position
 
 
 class TestChunkTraceStats:
@@ -115,17 +140,15 @@ class TestChunkTraceStats:
         trace = small_engine.trace(query)
         scored = self._spy_on_kernel(trace, monkeypatch)
         assert trace.n_evaluated == 0
-        first = trace.get(0)
+        first = trace.block(0)
         assert scored == list(range(FIRST_WAVE))
         assert trace.n_evaluated == FIRST_WAVE
         # The block's other positions are hits too: nothing is scored.
-        entries = [trace.get(position) for position in range(FIRST_WAVE)]
-        assert entries[0] is first
-        for position, entry in enumerate(entries):
-            assert trace.get(position) is entry
+        for position in range(FIRST_WAVE):
+            assert trace.block(position) is first
         assert len(scored) == trace.n_evaluated == FIRST_WAVE
         # The first position past it misses, and scores the next block.
-        trace.get(FIRST_WAVE)
+        assert trace.block(FIRST_WAVE).start == FIRST_WAVE
         assert scored == list(range(trace.n_evaluated))
         assert FIRST_WAVE < trace.n_evaluated <= trace.n_positions
 

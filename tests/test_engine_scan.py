@@ -14,21 +14,24 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.cost import CostModel
 from repro.engine.scan import ChunkScan
 from repro.engine.termination import TerminationConfig
-from repro.engine.trace import FIRST_WAVE, MAX_WAVE
+from repro.engine.trace import FIRST_WAVE, MAX_WAVE, ChunkTrace
 
 SCORE_BOUND = TerminationConfig(match_budget=None, use_score_bound=True)
 ENGINE_DIR = Path(__file__).resolve().parents[1] / "src" / "repro" / "engine"
 
 
 def _drive(scan, plan):
-    """Run the scan to completion in lockstep; return claimed positions."""
+    """Run the scan to completion in lockstep, one chunk per claim;
+    return claimed positions."""
+    trace = ChunkTrace(plan, CostModel())
     claimed = []
     position = scan.claim()
     while position >= 0:
         claimed.append(position)
-        scan.merge(plan.score_chunk(position))
+        scan.merge(trace.block(position), position)
         position = scan.claim()
     return claimed
 
@@ -60,7 +63,7 @@ class TestChunkScanTransitions:
             # A late merge (a worker that was mid-chunk at the stop) must
             # not reopen the scan or change which rule fired.
             if plan.n_candidate_chunks:
-                scan.merge(plan.score_chunk(0))
+                scan.merge(ChunkTrace(plan, CostModel()).block(0), 0)
             assert scan.claim() == -1
             assert (scan.state.fired_rule, scan.position) == latched
 
@@ -154,7 +157,7 @@ class TestOneKernel:
         [
             ("score_chunk", {}),
             ("_intersect", {"engine/plan.py": ["score_chunk"]}),
-            ("score_chunks", {"engine/trace.py": ["get"]}),
+            ("score_chunks", {"engine/trace.py": ["block"]}),
         ],
     )
     def test_kernel_calls_live_only_where_waves_are_formed(self, name, allowed):
