@@ -53,40 +53,55 @@ livesmoke:
 	  --output live_parity.json
 
 # Alternating benchmark pairs for a speed change: REF's committed tree
-# (git archive into a temporary directory outside the repo) and the
-# working tree take turns running one workload of benchmarks/perf, PAIRS
-# times, the side that goes first alternating from pair to pair; each run
-# prints its setup time, throughput, p50, p99, CPU/op, peak RSS, failed
-# share and digest lines (every number BENCHMARK.json bounds, and the
-# failure share a gain claim needs at zero), at the run length each
-# side's BENCHMARK.json sets. After the last pair, tools/pairs_table.py
-# prints one row per bounded metric and failed_share: each side's median
-# and quartiles, how many pairs the change won, and whether the medians
-# are further apart than REF's interquartile range, then whether the
-# digests were equal in every pair. Fewer than ten pairs cannot back a
-# gain claim. A run that exits nonzero prints its output and stops the
-# target.
+# (git archive) and the working tree (its tracked files plus untracked,
+# non-ignored ones, snapshotted when the target starts) take turns
+# running one workload of benchmarks/perf, PAIRS times, the side that
+# goes first alternating from pair to pair. Every run gets a fresh
+# temporary directory extracted from its side's snapshot, so whatever a
+# directory does to a run lands on both sides as noise, not on one as a
+# bias. Each run prints its setup time, throughput, p50, p99, CPU/op,
+# peak RSS, failed share and digest lines (every number BENCHMARK.json
+# bounds, and the failure share a gain claim needs at zero), at the run
+# length each side's BENCHMARK.json sets. A run that exits nonzero
+# prints its last 20 lines, keeps its full output in the runs directory
+# (which then outlives the target, and its path is printed), and the
+# pairs go on; its pair counts for neither side. After the last pair,
+# tools/pairs_table.py prints one row per bounded metric and
+# failed_share: each side's median and quartiles, how many pairs the
+# change won, and whether the medians are further apart than REF's
+# interquartile range, then whether the digests were equal in every
+# pair and which runs failed. Fewer than ten pairs cannot back a gain
+# claim.
 #   make bench-pairs REF=HEAD WORKLOAD=engine-single PAIRS=10
 REF ?= HEAD
 WORKLOAD ?= engine-single
 PAIRS ?= 10
 bench-pairs:
-	@ref_tree=$$(mktemp -d) && runs=$$(mktemp -d) && \
-	trap 'rm -rf "$$ref_tree" "$$runs"' EXIT && \
-	git archive $(REF) | tar -x -C "$$ref_tree" && \
+	@trees=$$(mktemp -d) && runs=$$(mktemp -d) && \
+	trap 'rm -rf "$$trees"; if ls "$$runs"/*.failed >/dev/null 2>&1; then \
+	  echo "failed runs kept in $$runs"; else rm -rf "$$runs"; fi' EXIT && \
+	git archive -o "$$trees/ref.tar" $(REF) && \
+	git ls-files -z --cached --others --exclude-standard | \
+	  tar --null --ignore-failed-read -T - -cf "$$trees/change.tar" && \
 	for pair in $$(seq 1 $(PAIRS)); do \
 	  if [ $$((pair % 2)) = 1 ]; then order="ref change"; \
 	  else order="change ref"; fi; \
 	  for side in $$order; do \
-	    if [ $$side = ref ]; then tree="$$ref_tree"; name="$(REF)"; \
-	    else tree="$(CURDIR)"; name="working tree"; fi; \
+	    if [ $$side = ref ]; then name="$(REF)"; else name="working tree"; fi; \
 	    echo "== pair $$pair  $$side  ($$name)"; \
-	    out=$$(cd "$$tree" && python3 benchmarks/perf/run.py \
-	      --workload $(WORKLOAD) 2>&1) || { printf '%s\n' "$$out"; \
-	      echo "== pair $$pair  $$side  FAILED"; exit 1; }; \
-	    printf '%s\n' "$$out" > "$$runs/$$pair-$$side.out"; \
-	    printf '%s\n' "$$out" | grep -E \
-	      ' (setup_s|throughput_qps|latency_p50_ms|latency_p99_ms|cpu_ms_per_op|peak_rss_mb|failed_share) |digest'; \
+	    tree=$$(mktemp -d -p "$$trees") && tar -xf "$$trees/$$side.tar" -C "$$tree" && \
+	    if out=$$(cd "$$tree" && python3 benchmarks/perf/run.py \
+	        --workload $(WORKLOAD) 2>&1); then \
+	      printf '%s\n' "$$out" > "$$runs/$$pair-$$side.out"; \
+	      printf '%s\n' "$$out" | grep -E \
+	        ' (setup_s|throughput_qps|latency_p50_ms|latency_p99_ms|cpu_ms_per_op|peak_rss_mb|failed_share) |digest'; \
+	    else \
+	      status=$$?; \
+	      printf '%s\n' "$$out" > "$$runs/$$pair-$$side.failed"; \
+	      printf '%s\n' "$$out" | tail -n 20; \
+	      echo "== pair $$pair  $$side  FAILED (exit $$status)"; \
+	    fi; \
+	    rm -rf "$$tree"; \
 	  done; \
 	done && \
 	python3 tools/pairs_table.py "$$runs"

@@ -552,7 +552,7 @@ def _livesmoke_main(argv: List[str]) -> int:
     parser.add_argument("--output", type=Path, default=None,
                         help="write the machine-readable report here")
     parser.add_argument("--engine-results", action="store_true",
-                        help="run the real engine per completed query")
+                        help="run the real engine inside each served query's last phase")
     args = parser.parse_args(argv)
 
     scale = Scale(args.scale) if args.scale else None

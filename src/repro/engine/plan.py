@@ -26,7 +26,7 @@ everything both the sequential and the parallel executor need:
 from __future__ import annotations
 
 from functools import reduce
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +61,13 @@ class ChunkColumns(NamedTuple):
     scores: np.ndarray
     cuts: List[int]
     postings_scanned: List[int]
+
+
+def _no_columns() -> ChunkColumns:
+    """The columns of an empty selection."""
+    return ChunkColumns(
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), [0], []
+    )
 
 
 def _range_indices(starts: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -191,7 +198,10 @@ class QueryPlan:
     def score_chunks(self, positions: Sequence[int]) -> ChunkColumns:
         """Evaluate several candidate chunks in one batch of numpy calls.
 
-        ``positions`` must be strictly ascending plan positions. Returns
+        ``positions`` must be strictly ascending plan positions; a
+        unit-step ``range`` (what the trace passes) is checked at its two
+        ends and selected with basic slices, any other sequence is
+        validated whole and gathered. Returns
         their matches as :class:`ChunkColumns`, position ``i``'s cut
         **bit-identical** to ``self.score_chunk(positions[i])``: the matched doc-id
         sets are recovered exactly (chunks partition the doc space, so
@@ -208,24 +218,36 @@ class QueryPlan:
         per-chunk objects. Its one caller is
         :meth:`repro.engine.trace.ChunkTrace.block`.
         """
-        pos = np.asarray(positions, dtype=np.int64)
-        n_sel = int(pos.shape[0])
-        if n_sel == 0:
-            return ChunkColumns(
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), [0], []
-            )
-        if (
-            int(pos[0]) < 0
-            or int(pos[-1]) >= self.n_candidate_chunks
-            or bool((pos[:-1] >= pos[1:]).any())
-        ):
-            raise ExecutionError(
-                f"positions must be strictly ascending within "
-                f"[0, {self.n_candidate_chunks}), got {pos.tolist()}"
-            )
+        n_positions = self.n_candidate_chunks
+        select: Union[slice, np.ndarray]
+        if type(positions) is range and positions.step == 1:
+            # The production call (a trace block): ascending by
+            # construction, so its two ends are the whole check, and a
+            # basic slice selects views instead of gathering copies.
+            if not positions:
+                return _no_columns()
+            if positions.start < 0 or positions.stop > n_positions:
+                raise ExecutionError(
+                    f"positions must lie within [0, {n_positions}), "
+                    f"got {positions!r}"
+                )
+            select = slice(positions.start, positions.stop)
+        else:
+            select = np.asarray(positions, dtype=np.int64)
+            if select.shape[0] == 0:
+                return _no_columns()
+            if (
+                int(select[0]) < 0
+                or int(select[-1]) >= n_positions
+                or bool((select[:-1] >= select[1:]).any())
+            ):
+                raise ExecutionError(
+                    f"positions must be strictly ascending within "
+                    f"[0, {n_positions}), got {select.tolist()}"
+                )
 
-        starts = self._slice_starts[:, pos]
-        sizes = self._slice_sizes[:, pos]
+        starts = self._slice_starts[:, select]
+        sizes = self._slice_sizes[:, select]
         if len(self.posting_lists) == 1:
             # One term: every posting matches, relevance is its impact,
             # and each chunk's matches are exactly its posting slice.
@@ -236,7 +258,7 @@ class QueryPlan:
             cuts = offsets.tolist()
             postings_scanned = sizes[0].tolist()
         else:
-            doc_starts = self.index.chunk_map.bounds[self.candidate_chunks[pos]]
+            doc_starts = self.index.chunk_map.bounds[self.candidate_chunks[select]]
             doc_ids, relevance = self._intersect_many(starts, sizes, doc_starts)
             # Matched ids are ascending and all lie in the selected chunks,
             # which are disjoint doc-id ranges: a chunk's matches end

@@ -189,9 +189,10 @@ def run_live_smoke(
     loop, the one ``repro serve`` runs on, whose timers fire within the
     host's wake-up latency of their due time rather than up to a
     millisecond late.
-    ``engine_results`` additionally runs the real engine per completed
-    query (off by default: the smoke validates *timing* parity, and
-    engine execution is outside the timing model — see
+    ``engine_results`` additionally runs the real engine per served
+    query, inside its last phase (off by default: the smoke validates
+    *timing* parity against the simulator, which runs no engine, and an
+    engine run longer than its phase delays the phase's end — see
     :mod:`repro.runtime.node`).
     """
     context = context if context is not None else ExperimentContext()

@@ -15,12 +15,16 @@ Completion delivery is callback-shaped (``submit`` takes an optional
 ``on_done``) so the node itself stays synchronous and clock-agnostic;
 the asyncio front door's callback serialises the reply itself (no
 future, no task — :mod:`repro.runtime.serve`). When an engine
-search function is attached, each completed query additionally carries
-real ranked results from the hosted
-:class:`~repro.engine.executor.Engine` — executed synchronously at
-completion time, which at serving scale is sub-millisecond and
-documented as outside the timing model (phase durations come from the
-measured cost table, exactly as in the simulator).
+search function is attached, the node runs it inside each query's last
+phase: the kernel's ``on_last_phase`` hook fires when that phase (a
+gang phase, or the escalation after a probe) starts, after its end is
+scheduled, and the completion carries the real ranked results of the
+hosted :class:`~repro.engine.executor.Engine` at the degree the reply
+reports. A reply therefore comes after the longer of the modelled phase
+and the engine run, not after their sum. Phase durations still come
+from the measured cost table, exactly as in the simulator; on a wall
+clock an engine run longer than its phase delays the phase's end, and
+the reply's ``latency_s`` shows it. A shed query never runs the engine.
 """
 
 from __future__ import annotations
@@ -148,6 +152,7 @@ class ServingNode:
             on_query_shed=self._on_shed,
             tracer=tracer,
             server_id=config.server_id,
+            on_last_phase=None if engine_search is None else self._on_last_phase,
         )
         self.n_answered = 0
 
@@ -163,7 +168,9 @@ class ServingNode:
     ) -> None:
         """Submit a query now; ``on_done`` fires exactly once with its
         outcome (synchronously if the query is shed at admission)."""
-        self.server.submit(query_index, query_class, on_done)
+        # The kernel's tag is the request, [on_done, results]: it carries
+        # the engine's results from the last phase's start to completion.
+        self.server.submit(query_index, query_class, [on_done, None])
 
     def attach_controllers(self, controllers: Sequence[object]) -> None:
         """Attach online control loops (same ``attach`` contract as the
@@ -176,14 +183,15 @@ class ServingNode:
     # Completion routing (server hooks)
     # ----------------------------------------------------------------
 
-    def _on_complete(self, record: QueryRecord, tag: Any) -> None:
+    def _on_last_phase(self, request: Any, query_index: int, degree: int) -> None:
+        request[1] = self._engine_search(query_index, degree)
+
+    def _on_complete(self, record: QueryRecord, request: Any) -> None:
         self.n_answered += 1
-        if tag is None:
+        on_done, results = request
+        if on_done is None:
             return
-        results: Optional[RankedResults] = None
-        if self._engine_search is not None:
-            results = self._engine_search(record.query_index, record.degree)
-        tag(
+        on_done(
             QueryOutcome(
                 query_index=record.query_index,
                 status="completed",
@@ -195,11 +203,12 @@ class ServingNode:
         )
 
     def _on_shed(
-        self, query_index: int, tag: Any, reason: str, arrival: float, now: float
+        self, query_index: int, request: Any, reason: str, arrival: float, now: float
     ) -> None:
-        if tag is None:
+        on_done = request[0]
+        if on_done is None:
             return
-        tag(
+        on_done(
             QueryOutcome(
                 query_index=query_index,
                 status="shed",

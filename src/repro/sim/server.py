@@ -55,6 +55,12 @@ Shed queries never produce a :class:`QueryRecord`; they are counted by
 the metrics collector and reported through ``on_query_shed`` so a
 cluster aggregator can stop waiting for them.
 
+A host that does a query's real work (the live node's engine) passes
+``on_last_phase``: it fires once per served query, when its last phase
+(a gang phase, or the escalation after a probe) has started and its end
+is scheduled, so the work runs inside the modelled phase. No hook, no
+call: the simulator and the cluster pass none.
+
 Observability (opt-in): pass a ``tracer`` with ``enabled=True`` and
 every submitted query carries a
 :class:`~repro.obs.spans.QueryTraceBuilder` through its lifecycle —
@@ -83,6 +89,8 @@ from repro.util.validation import require_int_in_range, require_positive
 CompletionHook = Callable[[QueryRecord, Any], None]
 #: Fired as (query_index, tag, reason, arrival, now) when a query is dropped.
 ShedHook = Callable[[int, Any, str, float, float], None]
+#: Fired as (tag, query_index, degree) when a query's last phase starts.
+LastPhaseHook = Callable[[Any, int, int], None]
 
 
 class _Job:
@@ -138,6 +146,7 @@ class IndexServerModel:
         on_query_shed: Optional[ShedHook] = None,
         tracer: Optional[Tracer] = None,
         server_id: Optional[str] = None,
+        on_last_phase: Optional[LastPhaseHook] = None,
     ) -> None:
         require_int_in_range(n_cores, "n_cores", low=1)
         if deadline is not None:
@@ -174,6 +183,10 @@ class IndexServerModel:
         # when a query is dropped; the cluster aggregator uses it to release
         # join state instead of waiting for a response that never comes.
         self.on_query_shed = on_query_shed
+        # Optional hook fired as (tag, query_index, degree) when a query's
+        # last phase starts, with the degree its completion record will
+        # carry; the live node runs the engine there.
+        self.on_last_phase = on_last_phase
         # Observability (opt-in). With the default NULL_TRACER no span
         # state is allocated anywhere on the hot path.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -341,6 +354,12 @@ class IndexServerModel:
             job.trace.phase_started(now, degree, kind)
         self.metrics.on_core_usage(now, now + duration, degree)
         self.simulator.schedule(duration, self._phase_end, job)
+        # Last, so the phase end is due at ``now + duration`` whatever
+        # the hook costs: on a wall clock a hook that outlasts the phase
+        # makes its end fire late, and the completion shows it.
+        on_last_phase = self.on_last_phase
+        if on_last_phase is not None and job.escalation_degree is None:
+            on_last_phase(job.tag, job.query_index, job.max_degree_used)
 
     def _phase_end(self, job: _Job) -> None:
         now = self.simulator.now

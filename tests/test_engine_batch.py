@@ -142,6 +142,45 @@ class TestScoreChunksKernel:
         if plan.n_candidate_chunks:
             _assert_cut_is_reference(plan, plan.score_chunks([0]), 0, 0)
 
+    def test_range_and_equal_list_give_identical_columns(
+        self, small_engine, sample_queries
+    ):
+        # A unit-step range is sliced, a list gathered: one-term and
+        # multi-term plans take different kernel branches, so cover both.
+        plans = [small_engine.plan(q) for q in sample_queries]
+        plans = [p for p in plans if p.n_candidate_chunks]
+        assert {len(p.posting_lists) == 1 for p in plans} == {True, False}
+        for plan in plans:
+            n = plan.n_candidate_chunks
+            for lo, hi in ((0, n), (n // 3, n), (0, (n + 1) // 2), (n - 1, n)):
+                sliced = plan.score_chunks(range(lo, hi))
+                gathered = plan.score_chunks(list(range(lo, hi)))
+                assert np.array_equal(sliced.doc_ids, gathered.doc_ids)
+                assert sliced.scores.tolist() == gathered.scores.tolist()
+                assert sliced.cuts == gathered.cuts
+                assert sliced.postings_scanned == gathered.postings_scanned
+
+    def test_range_outside_the_plan_raises(self, small_engine, sample_queries):
+        plan = max(
+            (small_engine.plan(q) for q in sample_queries),
+            key=lambda p: p.n_candidate_chunks,
+        )
+        n = plan.n_candidate_chunks
+        for bad in (range(-1, 2), range(0, n + 1), range(n, n + 1)):
+            with pytest.raises(ExecutionError):
+                plan.score_chunks(bad)
+
+    def test_empty_range_returns_the_empty_columns(
+        self, small_engine, sample_queries
+    ):
+        plan = small_engine.plan(sample_queries[0])
+        for empty in (range(0), range(3, 3), range(5, 2)):
+            columns = plan.score_chunks(empty)
+            assert (columns.cuts, columns.postings_scanned) == ([0], [])
+            assert columns.doc_ids.shape == columns.scores.shape == (0,)
+            assert columns.doc_ids.dtype == np.int64
+            assert columns.scores.dtype == np.float64
+
     def test_rejects_bad_positions(self, small_engine, sample_queries):
         plan = max(
             (small_engine.plan(q) for q in sample_queries),

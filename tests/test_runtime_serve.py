@@ -6,11 +6,13 @@ entire query lifecycles — admission, degree grant, service phases,
 completion, shedding — execute without a single real sleep. The only
 wall time spent is socket readiness, which the event loop wakes on
 immediately. ``asyncio.wait_for`` bounds are failure backstops, not
-pacing.
+pacing. ``TestEngineInsideThePhase`` is the exception: it times, on
+the wall clock, when a blocking engine run lets a phase end.
 """
 
 import asyncio
 import json
+import time
 
 import numpy as np
 
@@ -365,6 +367,8 @@ class TestSearchLifecycle:
             client = await _Client.connect(port)
             await client.send({"id": 12, "op": "search", "query_index": 3})
             assert await _yield_until(lambda: clock.pending > 0)
+            # The engine ran when the phase started, before it ended.
+            assert calls == [(3, 2)]
             clock.drain()
             reply = await client.recv()
             assert reply["results"] == [[17, 0.9], [4, 0.5]]
@@ -445,6 +449,48 @@ class TestNodeDirect:
         assert summary.observed == 2
         assert summary.policy == "fixed-2"
         assert summary.n_cores == 4
+
+
+class TestEngineInsideThePhase:
+    """On a wall clock, the only tests here that take real time."""
+
+    @staticmethod
+    def _serve_one(t1_s, engine_s):
+        """One query on a node on ``run_live``'s loop: a ``t1_s`` phase
+        and an engine that blocks the loop for ``engine_s``; returns the
+        wall seconds from submit to outcome, and the outcome."""
+
+        def search(query_index, degree):
+            time.sleep(engine_s)
+            return ((7, 0.5),)
+
+        async def scenario():
+            node = _node(AsyncioScheduler(), policy=SequentialPolicy(),
+                         table=_table(t1s=(t1_s,)), engine_search=search)
+            done = asyncio.get_running_loop().create_future()
+            began = time.perf_counter()
+            node.submit(0, on_done=done.set_result)
+            outcome = await asyncio.wait_for(done, timeout=_IO_S)
+            return time.perf_counter() - began, outcome
+
+        return run_live(scenario())
+
+    def test_a_reply_comes_after_the_longer_of_phase_and_engine(self):
+        # 100 ms phase, 80 ms engine: after their sum (>= 180 ms) when
+        # the engine follows the phase, ~100 ms when it runs inside it.
+        # The bound leaves room for host stalls of tens of ms.
+        elapsed, outcome = self._serve_one(0.100, 0.080)
+        assert outcome.results == ((7, 0.5),)
+        assert outcome.latency_s >= 0.099
+        assert elapsed < 0.150
+
+    def test_an_engine_longer_than_the_phase_delays_its_end(self):
+        # The phase end is due at 20 ms but the loop is blocked until
+        # the 80 ms engine run returns, and the reply's latency shows it.
+        elapsed, outcome = self._serve_one(0.020, 0.080)
+        assert outcome.results == ((7, 0.5),)
+        assert outcome.latency_s >= 0.079
+        assert elapsed >= 0.079
 
 
 class TestAsyncioScheduler:

@@ -379,3 +379,75 @@ class TestPhases:
         assert probe_end == probe
         assert (start, cores) == (probe, 4)
         assert 0.0 <= end - start < 1e-15
+
+
+def _hooked_server(policy, n_cores=1, **knobs):
+    """A model whose last-phase hook and completion hook both log:
+    returns (clock, server, sheds, starts, completions), where ``starts``
+    holds (tag, query_index, degree, now) per hook call and
+    ``completions`` (tag, query_index, degree) per completed query."""
+    starts, completions = [], []
+    clock, server, sheds = _server(
+        policy, n_cores=n_cores,
+        on_last_phase=lambda tag, q, degree: starts.append(
+            (tag, q, degree, clock.now)),
+        on_query_complete=lambda record, tag: completions.append(
+            (tag, record.query_index, record.degree)),
+        **knobs,
+    )
+    return clock, server, sheds, starts, completions
+
+
+class TestLastPhaseHook:
+    def test_fires_at_a_gang_phase_start_with_the_completion_degree(self):
+        clock, server, _, starts, completions = _hooked_server(
+            FixedPolicy(4), n_cores=4)
+        server.submit(0, tag="a")
+        assert starts == [("a", 0, 4, 0.0)]  # at the start, not the end
+        clock.drain()
+        assert starts == [("a", 0, 4, 0.0)]
+        assert completions == [("a", 0, 4)]
+
+    def test_fires_at_the_escalation_not_at_the_probe(self):
+        # Probe 0.25 on one core, then the escalation to 4: the hook
+        # fires once, when the escalated phase starts at the probe's end.
+        policy = IncrementalPolicy(ESCALATE_TO_4, probe_time=0.25)
+        clock, server, _, starts, completions = _hooked_server(policy, n_cores=4)
+        server.submit(0, tag="a")
+        assert starts == []
+        clock.drain()
+        assert starts == [("a", 0, 4, 0.25)]
+        assert completions == [("a", 0, 4)]
+
+    def test_fires_once_per_query_across_probes_and_gangs(self):
+        # Two probing queries that widen to 2 (the free cores), and one
+        # short enough to run sequentially: each query fires once, at
+        # its last phase's start, with the degree its record carries.
+        policy = IncrementalPolicy(ESCALATE_TO_4, probe_time=0.25)
+        clock, server, _, starts, completions = _hooked_server(policy, n_cores=4)
+        server.submit(0, tag="a")
+        clock.advance_to(0.1)
+        server.submit(1, tag="b")
+        clock.drain()
+        assert [(tag, q, degree) for tag, q, degree, _ in starts] == completions
+        assert [now for *_, now in starts] == pytest.approx([0.25, 0.35])
+        assert completions == [("a", 0, 2), ("b", 1, 2)]
+
+        short = IncrementalPolicy(ESCALATE_TO_4, probe_time=5.0)
+        clock, server, _, starts, completions = _hooked_server(short, n_cores=4)
+        server.submit(0, tag="c")
+        assert starts == [("c", 0, 1, 0.0)]
+        clock.drain()
+        assert completions == [("c", 0, 1)]
+
+    def test_never_fires_for_a_shed_query(self):
+        # One core, a queue cap of 1: query 2 is shed at admission. The
+        # deadline (1.5 s, t1 = 1 s) sheds query 1 at t = 1.
+        clock, server, sheds, starts, completions = _hooked_server(
+            SequentialPolicy(), max_queue_length=1, deadline=1.5)
+        for query_index in range(3):
+            server.submit(query_index, tag=query_index)
+        clock.drain()
+        assert sheds == [(2, "admission"), (1, "deadline")]
+        assert starts == [(0, 0, 1, 0.0)]
+        assert completions == [(0, 0, 1)]

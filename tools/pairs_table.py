@@ -8,8 +8,10 @@ each side's median and quartiles over the pairs, the ratio of the
 medians, in how many pairs the change was strictly better, and whether
 the medians lie further apart than the reference side's interquartile
 range. A gain claim needs the change better in at least nine of ten
-pairs *and* that gap; the last line says whether the digest lines were
-equal in every pair.
+pairs *and* that gap; then it says whether the digest lines were equal
+in every pair. A run that exited nonzero is saved as
+``<pair>-<side>.failed``: the last line lists the failed runs per side,
+and a pair with a failed run counts for neither side.
 
     python3 tools/pairs_table.py DIR
 """
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
-RUN_NAME = re.compile(r"^(\d+)-(ref|change)\.out$")
+RUN_NAME = re.compile(r"^(\d+)-(ref|change)\.(out|failed)$")
 
 
 def read_run(path: Path) -> Tuple[Dict[str, float], List[str]]:
@@ -51,13 +53,21 @@ def main(argv: List[str]) -> int:
         print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
         return 2
     runs: Dict[int, Dict[str, Tuple[Dict[str, float], List[str]]]] = {}
+    failed: Dict[str, List[int]] = {"ref": [], "change": []}
     for path in sorted(Path(argv[1]).iterdir()):
         match = RUN_NAME.match(path.name)
-        if match:
+        if match and match[3] == "failed":
+            failed[match[2]].append(int(match[1]))
+        elif match:
             runs.setdefault(int(match[1]), {})[match[2]] = read_run(path)
     pairs = [sides for _, sides in sorted(runs.items()) if len(sides) == 2]
+    failures = "failed runs: " + "; ".join(
+        f"{side} {', '.join(f'pair {n}' for n in sorted(numbers)) or 'none'}"
+        for side, numbers in failed.items()
+    )
     if not pairs:
         print("no complete pair", file=sys.stderr)
+        print(failures, file=sys.stderr)
         return 1
     spec = json.loads(SPEC.read_text())
     metrics = [(row["name"], row["better"]) for row in spec["end_to_end"]]
@@ -83,6 +93,7 @@ def main(argv: List[str]) -> int:
               f"{ratio} {f'{won}/{len(pairs)}':>8} {gap:>11}")
     equal = sum(sides["ref"][1] == sides["change"][1] for sides in pairs)
     print(f"digest lines equal in {equal} of {len(pairs)} pairs")
+    print(failures)
     return 0
 
 
