@@ -12,7 +12,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     RunObserver,
-    TimelineSampler,
 )
 from repro.obs.spans import (
     NULL_TRACER,
@@ -33,7 +32,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "RunObserver",
-    "TimelineSampler",
     "NULL_TRACER",
     "ClusterTraceBuilder",
     "NullTracer",

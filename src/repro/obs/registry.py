@@ -1,13 +1,15 @@
-"""Metrics registry sampled on a virtual-time ticker.
+"""Metrics registry, the periodic-tick helper, and the run observer.
 
-:class:`MetricsRegistry` holds named counters, gauges, and histograms;
-:class:`TimelineSampler` snapshots the registry at a fixed virtual-time
-interval by scheduling read-only tick events on the driving simulator.
-:class:`RunObserver` bundles a tracer with a registry and wires the
+:class:`MetricsRegistry` holds named counters, gauges, and histograms.
+:func:`every` runs a callback at a fixed interval on the driving
+scheduler until a horizon; it is the one periodic loop of a run, shared
+by the observer here, the online degree controller and the anomaly
+guard. :class:`RunObserver` bundles a tracer with a registry, wires the
 standard per-run instruments (queue depth, busy cores, cumulative
-arrival/completion/shed counts, granted-degree mix) onto a server model.
+arrival/completion/shed counts, granted-degree mix) onto a server model,
+and samples them into a timeline row per tick.
 
-Sampler ticks never mutate simulation state — they only read it — so a
+Observer ticks never mutate simulation state — they only read it — so a
 traced run produces results bit-identical to an untraced one (pinned by
 the determinism regression tests).
 """
@@ -148,46 +150,22 @@ class MetricsRegistry:
         }
 
 
-class TimelineSampler:
-    """Samples a registry every ``interval_s`` of virtual time.
+def every(scheduler: Any, first_s: float, interval_s: float, until_s: float,
+          tick: Callable[[float], None]) -> None:
+    """Call ``tick(now_s)`` ``first_s`` from now, then every ``interval_s``
+    while ``now_s + interval_s <= until_s``. Ticks due at one instant
+    fire in the order they were scheduled. ``scheduler`` is any
+    ``SchedulerProtocol``, typed ``Any`` because ``obs`` may not import
+    the kernel."""
+    require_positive(interval_s, "interval_s")
 
-    Ticks are plain simulator events that read instruments and append a
-    row; they schedule nothing else and touch no simulation state.
-    """
+    def fire() -> None:
+        now_s = scheduler.now
+        tick(now_s)
+        if now_s + interval_s <= until_s:
+            scheduler.schedule(interval_s, fire)
 
-    def __init__(
-        self,
-        simulator: Any,
-        registry: MetricsRegistry,
-        interval_s: float,
-        until_s: float,
-        on_tick: Optional[Callable[[], None]] = None,
-    ) -> None:
-        require_positive(interval_s, "interval_s")
-        self.simulator = simulator
-        self.registry = registry
-        self.interval_s = float(interval_s)
-        self.until_s = float(until_s)
-        self.on_tick = on_tick
-        self.rows: List[Dict[str, Any]] = []
-        self._installed = False
-
-    def install(self) -> None:
-        """Schedule the first tick (at the current virtual time)."""
-        if self._installed:
-            raise ConfigurationError("sampler already installed")
-        self._installed = True
-        self.simulator.schedule(0.0, self._tick)
-
-    def _tick(self) -> None:
-        if self.on_tick is not None:
-            self.on_tick()
-        row: Dict[str, Any] = {"t_s": self.simulator.now}
-        row.update(self.registry.sample())
-        self.rows.append(row)
-        next_s = self.simulator.now + self.interval_s
-        if next_s <= self.until_s:
-            self.simulator.schedule(self.interval_s, self._tick)
+    scheduler.schedule(first_s, fire)
 
 
 #: Timeline samples per run.
@@ -195,29 +173,29 @@ SAMPLES_PER_RUN = 100
 
 
 class RunObserver:
-    """Per-run observability bundle: tracer + registry + sampler wiring.
+    """Per-run observability bundle: tracer + registry + timeline.
 
     Pass one to :func:`repro.sim.experiment.run_load_point` (or set
     ``AdaptiveSearchSystem.tracer``, which builds one per point). The
-    observer registers the standard node gauges, samples them on a
-    virtual-time ticker, and hands the finished timeline to the tracer.
+    observer registers the standard node gauges, samples them into
+    :attr:`rows` on a periodic tick, and hands the finished timeline to
+    the tracer.
     """
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.tracer: Tracer = tracer if tracer is not None else RecordingTracer()
         self.registry = MetricsRegistry()
-        self.sampler: Optional[TimelineSampler] = None
+        self.rows: List[Dict[str, Any]] = []
         self._meta: Dict[str, Any] = {}
-        self._record_cursor = 0
-        self._collector: Any = None
+        self._read_window: Optional[Callable[[], Any]] = None
 
     def on_run_start(self, **meta: Any) -> None:
         self._meta = dict(meta)
         self.tracer.on_run_start(self._meta)
 
     def attach(self, simulator: Any, server: Any, collector: Any, horizon_s: float) -> None:
-        """Wire the standard node instruments and start the ticker."""
-        self._collector = collector
+        """Wire the standard node instruments and start the ticks (typed
+        ``Any``: ``obs`` may not import the kernel, sim or runtime)."""
         registry = self.registry
         registry.gauge("queue_depth", lambda: server.queue_length)
         registry.gauge("busy_cores", lambda: server.n_cores - server.free_cores)
@@ -225,11 +203,12 @@ class RunObserver:
         registry.gauge("arrivals", lambda: collector.n_arrivals)
         registry.gauge("completions", lambda: collector.n_completions)
         registry.gauge("shed", lambda: collector.n_shed)
-        self.sampler = TimelineSampler(
-            simulator, registry, horizon_s / SAMPLES_PER_RUN, horizon_s,
-            on_tick=self._consume_records,
-        )
-        self.sampler.install()
+        self._read_window = collector.window_reader()
+        every(simulator, 0.0, horizon_s / SAMPLES_PER_RUN, horizon_s, self._sample)
+
+    def _sample(self, now_s: float) -> None:
+        self._consume_records()
+        self.rows.append({"t_s": now_s, **self.registry.sample()})
 
     def _consume_records(self) -> None:
         """Fold completion records seen since the last tick into the
@@ -237,14 +216,11 @@ class RunObserver:
         histogram = self.registry.histogram(
             "granted_degree", bounds=(1, 2, 3, 4, 6, 8, 12, 16)
         )
-        degrees = self._collector.degrees(since=self._record_cursor)
-        self._record_cursor += int(degrees.size)
-        for degree in degrees.tolist():
+        for degree in self._read_window().degrees.tolist():
             histogram.observe(degree)
 
     def finish(self) -> None:
         """Flush: one final record sweep, then emit the timeline."""
-        if self._collector is not None:
+        if self._read_window is not None:
             self._consume_records()
-        rows = self.sampler.rows if self.sampler is not None else []
-        self.tracer.on_timeline(self._meta, rows)
+        self.tracer.on_timeline(self._meta, self.rows)

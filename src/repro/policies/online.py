@@ -33,12 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 import numpy as np
 
 from repro.core.clock import SchedulerProtocol
 from repro.errors import ConfigurationError
+from repro.obs.registry import every
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.policies.adaptive import ThresholdTable
 from repro.policies.base import ParallelismPolicy, QueryInfo, SystemState
@@ -203,14 +204,6 @@ class OnlineDegreeController:
         self.config = config
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.decisions: List[ControlDecision] = []
-        # The driving event loop, seen only through the kernel's clock/
-        # scheduler protocol: the controller reads time and schedules
-        # ticks, and never learns whether the seconds are virtual or wall.
-        self._clock: Optional[SchedulerProtocol] = None
-        self._collector: Any = None
-        self._horizon_s = 0.0
-        self._record_cursor = 0
-        self._shed_cursor = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -220,38 +213,30 @@ class OnlineDegreeController:
         self, simulator: SchedulerProtocol, server: Any, collector: Any,
         horizon_s: float,
     ) -> None:
-        """Schedule control ticks on the driving event loop (any
+        """Tick once a window on the driving event loop (any
         SchedulerProtocol: the virtual-time simulator or a wall-clock
-        runtime adapter)."""
+        runtime adapter; the controller never learns which)."""
         del server  # the degree controller acts through the policy only
-        self._clock = simulator
-        self._collector = collector
-        self._horizon_s = float(horizon_s)
-        simulator.schedule(self.config.window_s, self._tick)
+        read_window = collector.window_reader()
+        window_s = self.config.window_s
+        every(simulator, window_s, window_s, horizon_s,
+              lambda now_s: self._tick(now_s, read_window()))
 
     # ------------------------------------------------------------------
     # Control law
     # ------------------------------------------------------------------
 
-    def _window_feedback(self) -> Tuple[float, float, int, int]:
-        """(p99_s, shed_rate, n_completed, n_shed) since the last tick."""
-        latencies = self._collector.latencies(since=self._record_cursor)
+    def _tick(self, now_s: float, window: Any) -> None:
+        config = self.config
+        latencies = window.latencies
         n_completed = int(latencies.size)
-        self._record_cursor += n_completed
-        n_shed_total = self._collector.n_shed
-        n_shed = n_shed_total - self._shed_cursor
-        self._shed_cursor = n_shed_total
+        n_shed = window.n_shed
         demand = n_completed + n_shed
         shed_rate = n_shed / demand if demand else 0.0
-        if n_completed >= self.config.min_samples:
+        if n_completed >= config.min_samples:
             p99_s = float(np.percentile(latencies, 99))
         else:
             p99_s = float("nan")
-        return p99_s, shed_rate, n_completed, n_shed
-
-    def _tick(self) -> None:
-        config = self.config
-        p99_s, shed_rate, n_completed, n_shed = self._window_feedback()
         high_bar_s = config.target_p99_s * (1.0 + config.deadband)
         low_bar_s = config.target_p99_s * (1.0 - config.deadband)
         overloaded = shed_rate > config.shed_rate_high or (
@@ -273,7 +258,6 @@ class OnlineDegreeController:
             action = "hold"
         if action != "hold":
             self.policy.apply_control(scale=scale)
-        now_s = self._clock.now
         self.decisions.append(
             ControlDecision(
                 time_s=now_s,
@@ -296,8 +280,6 @@ class OnlineDegreeController:
                     "shed_rate": shed_rate,
                 },
             )
-        if now_s + config.window_s <= self._horizon_s:
-            self._clock.schedule(config.window_s, self._tick)
 
 
 __all__ = [

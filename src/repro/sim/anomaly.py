@@ -46,8 +46,11 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.clock import SchedulerProtocol
+from repro.obs.registry import every
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.policies.online import OnlineAdaptivePolicy
+from repro.sim.metrics import MetricsCollector, Window
 from repro.util.validation import (
     require,
     require_in_range,
@@ -260,13 +263,7 @@ class AnomalyGuard:
         #: (time_s, level) history of every transition, for tests/reports.
         self.transitions: List[Tuple[float, DegradationLevel]] = []
         self._clean_windows = 0
-        self._simulator: Any = None
         self._server: Any = None
-        self._collector: Any = None
-        self._horizon_s = 0.0
-        self._record_cursor = 0
-        self._shed_cursor = 0
-        self._arrival_cursor = 0
         self._baseline_queue_cap: Optional[int] = None
         self._baseline_degree_cap: Optional[int] = None
 
@@ -275,33 +272,22 @@ class AnomalyGuard:
     # ------------------------------------------------------------------
 
     def attach(
-        self, simulator: Any, server: Any, collector: Any, horizon_s: float
+        self, simulator: SchedulerProtocol, server: Any,
+        collector: MetricsCollector, horizon_s: float,
     ) -> None:
-        """Schedule guard ticks on the driving simulator."""
-        self._simulator = simulator
+        """Tick once a window on the driving event loop."""
         self._server = server
-        self._collector = collector
-        self._horizon_s = float(horizon_s)
         self._baseline_queue_cap = server.max_queue_length
         if self.policy is not None:
             self._baseline_degree_cap = self.policy.max_degree_cap
-        simulator.schedule(self.config.window_s, self._tick)
+        read_window = collector.window_reader()
+        window_s = self.config.window_s
+        every(simulator, window_s, window_s, horizon_s,
+              lambda now_s: self._tick(now_s, read_window()))
 
     # ------------------------------------------------------------------
     # Detection + actuation
     # ------------------------------------------------------------------
-
-    def _window_signals(self) -> Tuple[float, "np.ndarray", int]:
-        """(arrival rate qps, completion latencies, sheds) this window."""
-        n_arrivals = self._collector.n_arrivals
-        window_arrivals = n_arrivals - self._arrival_cursor
-        self._arrival_cursor = n_arrivals
-        latencies_s = self._collector.latencies(since=self._record_cursor)
-        self._record_cursor += int(latencies_s.size)
-        n_shed_total = self._collector.n_shed
-        n_shed = n_shed_total - self._shed_cursor
-        self._shed_cursor = n_shed_total
-        return window_arrivals / self.config.window_s, latencies_s, n_shed
 
     def _set_level(self, level: DegradationLevel, now_s: float, cause: str) -> None:
         if level == self.level:
@@ -345,9 +331,9 @@ class AnomalyGuard:
                 },
             )
 
-    def _tick(self) -> None:
-        now_s = self._simulator.now
-        rate_qps, latencies_s, n_shed = self._window_signals()
+    def _tick(self, now_s: float, window: Window) -> None:
+        rate_qps = window.n_arrivals / self.config.window_s
+        latencies_s, n_shed = window.latencies, window.n_shed
         rate_alarm = self.rate_detector.update(rate_qps)
         p99_s = (
             float(np.percentile(latencies_s, 99))
@@ -396,8 +382,6 @@ class AnomalyGuard:
                 self._clean_windows = 0
                 self.rate_detector.reset()
                 self.p99_detector.reset()
-        if now_s + self.config.window_s <= self._horizon_s:
-            self._simulator.schedule(self.config.window_s, self._tick)
 
 
 __all__ = [

@@ -169,7 +169,10 @@ def run_load_point(
             policy=policy.name, rate=config.rate, duration=config.duration,
             warmup=config.warmup, n_cores=config.n_cores, seed=config.seed,
         )
-        # Attach order is event order at equal times: observer first.
+        # Each attached object starts one ``every`` loop. Two ticks due
+        # at one instant and scheduled at one instant (the loops' first
+        # ticks, or loops of one interval) fire in attach order: observer
+        # first, the order the golden runs were recorded in.
         attached.insert(0, observer)
         tracer = observer.tracer
     script = arrival_stream(oracle.n_queries, config, arrivals, query_sampler)

@@ -14,7 +14,7 @@ request, a megabyte a second at the front door's saturation rate.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, NamedTuple
+from typing import Callable, Dict, List, NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -34,6 +34,17 @@ class QueryRecord(NamedTuple):
     @property
     def latency(self) -> float:
         return self.completion - self.arrival
+
+
+class Window(NamedTuple):
+    """What a collector recorded between two calls of one window reader:
+    all arrivals and sheds, and the observed (post-warmup) completions'
+    latencies and degrees, as copies that never pin the store."""
+
+    n_arrivals: int
+    n_shed: int
+    latencies: npt.NDArray[np.float64]
+    degrees: npt.NDArray[np.int64]
 
 
 class MetricsCollector:
@@ -123,6 +134,26 @@ class MetricsCollector:
         while exported): derive from it, never keep it."""
         return np.frombuffer(self._times, dtype=np.float64).reshape(-1, 3)[since:]
 
+    def window_reader(self) -> Callable[[], Window]:
+        """A callable whose every call returns the :class:`Window` since
+        its previous call (the first: since the start). Each reader keeps
+        its own cursors."""
+        cursors = [0, 0, 0]  # observed rows, arrivals, sheds already read
+
+        def read() -> Window:
+            n_rows, n_arrivals, n_shed = cursors
+            times = self._time_columns(n_rows)
+            window = Window(
+                self.n_arrivals - n_arrivals,
+                self.n_shed - n_shed,
+                times[:, 2] - times[:, 0],
+                np.frombuffer(self._ints, dtype=np.int64)[2 * n_rows + 1::2].copy(),
+            )
+            cursors[:] = self.n_observed, self.n_arrivals, self.n_shed
+            return window
+
+        return read
+
     @property
     def records(self) -> List[QueryRecord]:
         """The observed rows materialised as records (a fresh list per
@@ -134,18 +165,17 @@ class MetricsCollector:
             for i in range(self.n_observed)
         ]
 
-    def latencies(self, since: int = 0) -> npt.NDArray[np.float64]:
-        """Latency of every observed row from index ``since`` on (a
-        periodic consumer keeps the cursor and reads only its window)."""
-        times = self._time_columns(since)
+    def latencies(self) -> npt.NDArray[np.float64]:
+        """Latency of every observed row."""
+        times = self._time_columns()
         return times[:, 2] - times[:, 0]
 
     def queue_delays(self) -> npt.NDArray[np.float64]:
         times = self._time_columns()
         return times[:, 1] - times[:, 0]
 
-    def degrees(self, since: int = 0) -> npt.NDArray[np.int64]:
-        return np.frombuffer(self._ints, dtype=np.int64)[2 * since + 1::2].copy()
+    def degrees(self) -> npt.NDArray[np.int64]:
+        return np.frombuffer(self._ints, dtype=np.int64)[1::2].copy()
 
     def latency_percentile(self, q_pct: float) -> float:
         """Latency percentile; ``q_pct`` is on the [0, 100] scale."""

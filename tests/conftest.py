@@ -1,7 +1,7 @@
 """Shared fixtures and helpers: one small workbench/system per test
-session, plus the constant cost table, explicit-arrival server driver
-and summary canonicaliser the sim/runtime tests share (``from conftest
-import ...``)."""
+session, plus the constant cost table, explicit-arrival server driver,
+control-window feeder and summary canonicaliser the sim/runtime tests
+share (``from conftest import ...``)."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.errors import SimulationError
 from repro.index.builder import IndexConfig, build_index
 from repro.profiles.measurement import QueryCostTable
 from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricsCollector
+from repro.sim.metrics import MetricsCollector, QueryRecord
 from repro.sim.oracle import ServiceOracle
 from repro.sim.server import IndexServerModel
 from repro.util.serde import to_jsonable
@@ -49,6 +49,18 @@ def run_trace(policy, arrival_times, n_cores=4, table=None, horizon=100.0,
         sim.schedule_at(t, lambda i=i: server.submit(i % oracle.n_queries))
     sim.run()
     return metrics, server
+
+
+def feed_window(collector, n_arrivals=0, latencies=(), n_shed=0):
+    """Record one control window on a real collector (warmup 0): the
+    arrivals, one completion per latency (arriving at 0, so the recorded
+    latency is exactly the value given) and the sheds."""
+    for _ in range(n_arrivals):
+        collector.on_arrival()
+    for latency in latencies:
+        collector.on_completion(QueryRecord(0, 0.0, 0.0, float(latency), 1))
+    for _ in range(n_shed):
+        collector.on_shed(0.0, "admission")
 
 
 def summary_json(summary):

@@ -13,11 +13,14 @@ guard, class shedding) was added when the live serving runtime rehosted
 the server model on wall-clock schedulers: it exercises the
 controller-attachment path that both hostings now share.
 
-If a change legitimately alters results (new model semantics, not a
-refactor), regenerate with ``python -m repro --scale small --json-dir
-<dir> e05 e09 e19 e20`` (re-serialize with ``json.dumps(...,
-sort_keys=True, indent=2)`` as below) and document why in the commit
-message.
+The fixture directory holds all twenty experiments' small-scale JSON:
+CI's experiments job diffs every ``--all --json-dir`` output against it,
+and this tier-1 test replays the four above. If a change legitimately
+alters results (new model semantics, not a refactor), regenerate all
+twenty with ``REPRO_SCALE=small python -m repro --all --json-dir <dir>``
+and copy each ``<dir>/<id>.json`` to ``<id>.small.json`` here (the CLI
+writes the same bytes as the comparison below), and document why in the
+commit message.
 """
 
 import json

@@ -1,5 +1,5 @@
 """Unit tests for the observability layer: spans, builders, tracer,
-metrics registry, timeline sampler, export, and rendering.
+metrics registry, the periodic tick helper, export, and rendering.
 
 The trace-backed *invariant* tests (re-deriving experiment aggregates
 from spans) live in test_obs_invariants.py; determinism pins are in
@@ -31,7 +31,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     RunObserver,
-    TimelineSampler,
+    every,
 )
 from repro.obs.render import (
     render_timeline,
@@ -320,6 +320,10 @@ class TestTracers:
         assert len(tracer.runs) == 1
         assert tracer.runs[0].meta == {}
 
+    def test_run_observer_defaults_to_recording_tracer(self):
+        observer = RunObserver()
+        assert isinstance(observer.tracer, RecordingTracer)
+
 
 class TestRegistry:
     def test_counter_monotone(self):
@@ -381,41 +385,56 @@ class TestRegistry:
         assert snapshot["histograms"]["h"]["n"] == 1
 
 
-class TestTimelineSampler:
-    def test_ticks_at_fixed_interval(self):
-        simulator = Simulator()
-        registry = MetricsRegistry()
-        registry.gauge("now", lambda: simulator.now)
-        sampler = TimelineSampler(simulator, registry, interval_s=1.0, until_s=3.0)
-        sampler.install()
-        simulator.run()
-        assert [row["t_s"] for row in sampler.rows] == [0.0, 1.0, 2.0, 3.0]
-        assert [row["now"] for row in sampler.rows] == [0.0, 1.0, 2.0, 3.0]
-
-    def test_on_tick_hook_runs_every_tick(self):
+class TestEvery:
+    @pytest.mark.parametrize(
+        "first_s, interval_s, until_s, expected",
+        [
+            (0.5, 1.0, 3.0, [0.5, 1.5, 2.5]),
+            (0.0, 1.0, 3.0, [0.0, 1.0, 2.0, 3.0]),
+            # 0.1 three times is 0.30000000000000004 > 0.3: the loop stops
+            # on the accumulated float, not on a tick count.
+            (0.0, 0.1, 0.3, [0.0, 0.1, 0.2]),
+        ],
+        ids=["offset", "on-horizon", "accumulated"],
+    )
+    def test_ticks_at_first_then_each_interval_until_horizon(
+        self, first_s, interval_s, until_s, expected
+    ):
         simulator = Simulator()
         ticks = []
-        sampler = TimelineSampler(
-            simulator, MetricsRegistry(), interval_s=0.5, until_s=1.0,
-            on_tick=lambda: ticks.append(simulator.now),
-        )
-        sampler.install()
+        every(simulator, first_s, interval_s, until_s, ticks.append)
         simulator.run()
-        assert ticks == [0.0, 0.5, 1.0]
+        assert ticks == expected
 
-    def test_double_install_rejected(self):
-        sampler = TimelineSampler(Simulator(), MetricsRegistry(), 1.0, 2.0)
-        sampler.install()
-        with pytest.raises(ConfigurationError, match="installed"):
-            sampler.install()
+    def test_tick_receives_the_scheduler_time(self):
+        simulator = Simulator()
+        seen = []
+        every(simulator, 0.25, 0.5, 2.0,
+              lambda now_s: seen.append((now_s, simulator.now)))
+        simulator.run()
+        assert len(seen) == 4
+        assert all(now_s == scheduler_now for now_s, scheduler_now in seen)
 
-    def test_interval_validated(self):
-        with pytest.raises(Exception):
-            TimelineSampler(Simulator(), MetricsRegistry(), 0.0, 2.0)
+    @pytest.mark.parametrize("interval_s", [0.0, -1.0])
+    def test_interval_must_be_positive(self, interval_s):
+        # A zero interval would tick forever at one instant.
+        simulator = Simulator()
+        with pytest.raises(ConfigurationError, match="interval_s"):
+            every(simulator, 0.0, interval_s, 2.0, lambda now_s: None)
+        assert simulator.pending_events == 0
 
-    def test_run_observer_defaults_to_recording_tracer(self):
-        observer = RunObserver()
-        assert isinstance(observer.tracer, RecordingTracer)
+    def test_loops_due_at_one_instant_fire_in_start_order(self):
+        simulator = Simulator()
+        order = []
+        for name in ("observer", "controller", "guard"):
+            every(simulator, 1.0, 1.0, 3.0,
+                  lambda now_s, name=name: order.append((now_s, name)))
+        simulator.run()
+        assert order == [
+            (t, name)
+            for t in (1.0, 2.0, 3.0)
+            for name in ("observer", "controller", "guard")
+        ]
 
 
 class TestExport:

@@ -8,7 +8,6 @@ response to sustained load steps.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +22,10 @@ from repro.policies.online import (
     OnlineControllerConfig,
     OnlineDegreeController,
 )
+from repro.sim.engine import Simulator
+from repro.sim.metrics import MetricsCollector
+
+from conftest import feed_window
 
 TABLE = ThresholdTable.from_pairs([(2, 8), (4, 4), (8, 2)])
 
@@ -100,30 +103,6 @@ class TestOnlineAdaptivePolicy:
 # Controller harness: drive ticks from synthetic windows
 # ----------------------------------------------------------------------
 
-
-class _FakeSimulator:
-    def __init__(self):
-        self.now = 0.0
-        self._pending = []
-
-    def schedule(self, delay_s, fn):
-        self._pending.append((self.now + delay_s, fn))
-
-    def step(self):
-        when, fn = self._pending.pop(0)
-        self.now = when
-        fn()
-
-
-class _FakeCollector:
-    def __init__(self):
-        self._latencies = []
-        self.n_shed = 0
-
-    def latencies(self, since=0):
-        return np.asarray(self._latencies[since:], dtype=np.float64)
-
-
 CONFIG = OnlineControllerConfig(
     target_p99_s=1.0,
     window_s=1.0,
@@ -140,12 +119,12 @@ def _drive(windows, config=CONFIG, tracer=None):
     """Feed (latencies, n_shed) windows through a controller; return it."""
     policy = OnlineAdaptivePolicy(TABLE)
     controller = OnlineDegreeController(policy, config, tracer=tracer)
-    simulator = _FakeSimulator()
-    collector = _FakeCollector()
-    controller.attach(simulator, None, collector, horizon_s=10 * len(windows) + 10)
+    horizon_s = 10 * len(windows) + 10
+    simulator = Simulator()
+    collector = MetricsCollector(warmup=0.0, horizon=horizon_s, n_cores=1)
+    controller.attach(simulator, None, collector, horizon_s=horizon_s)
     for latencies, n_shed in windows:
-        collector._latencies.extend(float(v) for v in latencies)
-        collector.n_shed += n_shed
+        feed_window(collector, latencies=latencies, n_shed=n_shed)
         simulator.step()
     return controller
 

@@ -405,14 +405,41 @@ class TestColumnStore:
         assert metrics.goodput(deadline) == in_slo / metrics.window_s
 
     def test_window_read_is_the_tail(self):
-        metrics = self._collector(500)
-        for since in (0, 1, 250, 499, 500):
-            assert np.array_equal(metrics.latencies(since=since), metrics.latencies()[since:])
-            assert np.array_equal(metrics.degrees(since=since), metrics.degrees()[since:])
-        # A view must not pin the store: the collector keeps growing.
-        window = metrics.latencies(since=490)
+        metrics = MetricsCollector(warmup=0.0, horizon=1e9, n_cores=4)
+        full = self._collector(500)
+        records = full.records
+        read, other = metrics.window_reader(), metrics.window_reader()
+        windows = []
+        for lo, hi in ((0, 0), (0, 1), (1, 250), (250, 499), (499, 500), (500, 500)):
+            for record in records[lo:hi]:
+                metrics.on_arrival()
+                metrics.on_completion(record)
+            for _ in range(hi - lo):
+                metrics.on_shed(0.0, "admission")
+            windows.append(read())
+        # Successive windows partition the run.
+        assert [w.n_arrivals for w in windows] == [0, 1, 249, 249, 1, 0]
+        assert [w.n_shed for w in windows] == [0, 1, 249, 249, 1, 0]
+        assert sum(w.n_arrivals for w in windows) == metrics.n_arrivals == 500
+        assert sum(w.n_shed for w in windows) == metrics.n_shed == 500
+        assert np.array_equal(
+            np.concatenate([w.latencies for w in windows]), metrics.latencies()
+        )
+        assert np.array_equal(
+            np.concatenate([w.degrees for w in windows]), metrics.degrees()
+        )
+        assert np.array_equal(metrics.latencies(), full.latencies())
+        # A second reader keeps its own cursor: its first read is the run.
+        whole = other()
+        assert whole.n_arrivals == 500 and whole.n_shed == 500
+        assert np.array_equal(whole.latencies, metrics.latencies())
+        assert np.array_equal(whole.degrees, metrics.degrees())
+        assert other().n_arrivals == 0 and other().latencies.size == 0
+        # A window must not pin the store: the collector keeps growing.
+        window = windows[3]
         metrics.on_completion(QueryRecord(0, 1.0, 1.0, 2.0, 1))
-        assert window.size == 10 and metrics.n_observed == 501
+        assert window.latencies.size == 249 and metrics.n_observed == 501
+        assert read().latencies.tolist() == [1.0]
 
     def test_retains_under_sixty_bytes_a_record(self):
         n = 10_000

@@ -15,6 +15,10 @@ from repro.sim.anomaly import (
     EwmaCusumDetector,
     SlaValidator,
 )
+from repro.sim.engine import Simulator
+from repro.sim.metrics import MetricsCollector
+
+from conftest import feed_window
 
 
 # ----------------------------------------------------------------------
@@ -152,39 +156,14 @@ class TestAnomalyGuardConfig:
 # ----------------------------------------------------------------------
 
 
-class _FakeSimulator:
-    def __init__(self):
-        self.now = 0.0
-        self._pending = []
-
-    def schedule(self, delay_s, fn):
-        self._pending.append((self.now + delay_s, fn))
-
-    def step(self):
-        when, fn = self._pending.pop(0)
-        self.now = when
-        fn()
-
-
-class _FakeCollector:
-    def __init__(self):
-        self.n_arrivals = 0
-        self._latencies = []
-        self.n_shed = 0
-
-    def latencies(self, since=0):
-        return np.asarray(self._latencies[since:], dtype=np.float64)
-
-    def add_window(self, n_arrivals, latencies, n_shed=0):
-        self.n_arrivals += n_arrivals
-        self._latencies.extend(float(v) for v in latencies)
-        self.n_shed += n_shed
-
-
 class _FakeServer:
     def __init__(self, max_queue_length=100):
         self.max_queue_length = max_queue_length
         self.shed_classes = None
+
+
+def _collector():
+    return MetricsCollector(warmup=0.0, horizon=1000.0, n_cores=1)
 
 
 def _make_guard(**overrides):
@@ -202,8 +181,8 @@ def _make_guard(**overrides):
         ThresholdTable.from_pairs([(2, 8), (4, 4), (8, 2)])
     )
     guard = AnomalyGuard(config, policy=policy)
-    simulator = _FakeSimulator()
-    collector = _FakeCollector()
+    simulator = Simulator()
+    collector = _collector()
     server = _FakeServer()
     guard.attach(simulator, server, collector, horizon_s=1000.0)
     return guard, simulator, collector, server, policy
@@ -221,7 +200,7 @@ OVERLOAD = dict(n_arrivals=100, latencies=[0.3] * 40, n_shed=10)
 
 def _drive(guard, simulator, collector, windows):
     for window in windows:
-        collector.add_window(**window)
+        feed_window(collector, **window)
         simulator.step()
 
 
@@ -294,7 +273,7 @@ class TestAnomalyGuardLadder:
             shedding_queue_cap=8, shed_classes=("slow_query_flood",),
         )
         guard = AnomalyGuard(config)  # no policy to cap
-        sim, coll, server = _FakeSimulator(), _FakeCollector(), _FakeServer()
+        sim, coll, server = Simulator(), _collector(), _FakeServer()
         guard.attach(sim, server, coll, horizon_s=1000.0)
         _drive(guard, sim, coll, [CALM] * 10 + [ATTACK] * 2)
         assert guard.level == DegradationLevel.SHEDDING
@@ -305,7 +284,7 @@ class TestAnomalyGuardLadder:
         # rate cancels out of every ladder test above (and of the e20
         # golden); a window that is not one second long pins the unit.
         guard = AnomalyGuard(AnomalyGuardConfig(slo_s=1.0, window_s=0.25))
-        sim, coll, server = _FakeSimulator(), _FakeCollector(), _FakeServer()
+        sim, coll, server = Simulator(), _collector(), _FakeServer()
         guard.attach(sim, server, coll, horizon_s=1000.0)
         _drive(guard, sim, coll, [CALM] * 12)
         assert guard.rate_detector.mean == pytest.approx(100 / 0.25)
