@@ -47,12 +47,22 @@ def bm25_tf_component(
 ) -> np.ndarray:
     """Saturated term-frequency component of BM25.
 
-    ``tf * (k1 + 1) / (tf + k1 * (1 - b + b * |d| / avgdl))``
+    ``tf * (k1 + 1) / (tf + k1 * (1 - b + b * |d| / avgdl))``, with
+    ``term_freq`` and ``doc_length`` parallel (one entry per posting).
     """
     tf = np.asarray(term_freq, dtype=np.float64)
-    dl = np.asarray(doc_length, dtype=np.float64)
-    norm = params.k1 * (1.0 - params.b + params.b * dl / avg_doc_length)
-    return tf * (params.k1 + 1.0) / (tf + norm)
+    # The formula's operations in its order, each in place where it can
+    # be, so a call over a whole index holds three posting-sized arrays,
+    # not five. Addition and multiplication commute exactly in IEEE 754,
+    # so the bits are those of the expression above.
+    norm = np.multiply(params.b, doc_length, dtype=np.float64)
+    norm /= avg_doc_length
+    norm += 1.0 - params.b
+    norm *= params.k1
+    norm += tf
+    tf_component = tf * (params.k1 + 1.0)
+    tf_component /= norm
+    return tf_component
 
 
 def bm25_score_document(

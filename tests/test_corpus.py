@@ -12,7 +12,7 @@ from repro.corpus.generator import (
     generate_corpus,
 )
 from repro.corpus.stats import corpus_stats
-from repro.errors import CorpusError
+from repro.errors import ConfigurationError, CorpusError
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,97 @@ class TestGenerator:
             CorpusConfig(mean_doc_length=-5)
         with pytest.raises(Exception):
             CorpusConfig(mean_doc_length=MIN_DOC_LENGTH - 1)
+
+
+def _lexsort_reduce_batch(tokens, lengths, vocab_size):
+    """The generator's batch reduction as one ``lexsort`` over (doc,
+    term) pairs, as it was before the packed key: the oracle."""
+    doc_of_token = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
+    order = np.lexsort((tokens, doc_of_token))
+    sorted_docs = doc_of_token[order]
+    sorted_tokens = tokens[order]
+    is_run_start = np.empty(sorted_tokens.shape[0], dtype=bool)
+    if is_run_start.size:
+        is_run_start[0] = True
+        is_run_start[1:] = (sorted_tokens[1:] != sorted_tokens[:-1]) | (
+            sorted_docs[1:] != sorted_docs[:-1]
+        )
+    run_starts = np.nonzero(is_run_start)[0]
+    run_ends = np.append(run_starts[1:], sorted_tokens.shape[0])
+    postings_per_doc = np.zeros(lengths.shape[0], dtype=np.int64)
+    np.add.at(postings_per_doc, sorted_docs[run_starts], 1)
+    return sorted_tokens[run_starts], run_ends - run_starts, postings_per_doc
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def corpus_arrays(corpus):
+    return (
+        corpus.doc_lengths,
+        corpus.static_ranks,
+        corpus.offsets,
+        corpus.terms,
+        corpus.freqs,
+    )
+
+
+class TestOneIntegerSort:
+    """The generator sorts one packed int64 key per batch and gives
+    exactly the arrays the two-key ``lexsort`` gave."""
+
+    def generate_both(self, monkeypatch, config):
+        packed = generate_corpus(config)
+        monkeypatch.setattr(generator, "_reduce_batch", _lexsort_reduce_batch)
+        return packed, generate_corpus(config)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CorpusConfig(n_docs=800, vocab_size=1_500, mean_doc_length=120, seed=11),
+            CorpusConfig(n_docs=50, vocab_size=1, seed=4),
+        ],
+        ids=["tiny_corpus", "vocab_size_1"],
+    )
+    def test_equals_lexsort(self, monkeypatch, config):
+        packed, oracle = self.generate_both(monkeypatch, config)
+        assert_same_arrays(corpus_arrays(packed), corpus_arrays(oracle))
+
+    def test_equals_lexsort_across_many_batches(self, monkeypatch):
+        monkeypatch.setattr(generator, "BATCH_DOCS", 7)
+        packed, oracle = self.generate_both(
+            monkeypatch, CorpusConfig(n_docs=100, vocab_size=300, seed=9)
+        )
+        assert_same_arrays(corpus_arrays(packed), corpus_arrays(oracle))
+
+    @pytest.mark.parametrize(
+        "tokens, lengths",
+        [
+            ([2, 7, 2, 4, 4, 4, 4, 4, 0, 9, 9], [3, 5, 3]),  # doc 1 is all term 4
+            ([5, 5, 5], [3]),
+            ([1, 0], [0, 2, 0]),
+            ([], [0, 0]),
+            ([], []),
+        ],
+        ids=["one_term_doc", "one_doc_one_term", "empty_docs", "no_tokens", "no_docs"],
+    )
+    def test_batch_reduction_equals_lexsort(self, tokens, lengths):
+        tokens = np.asarray(tokens, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        assert_same_arrays(
+            generator._reduce_batch(tokens, lengths, 10),
+            _lexsort_reduce_batch(tokens, lengths, 10),
+        )
+
+    def test_vocab_size_must_fit_the_key(self):
+        largest = int(np.iinfo(np.int64).max) // generator.BATCH_DOCS
+        assert CorpusConfig(vocab_size=largest).vocab_size == largest
+        with pytest.raises(ConfigurationError, match="int64 sort key"):
+            CorpusConfig(vocab_size=largest + 1)
 
 
 class TestCorpusContainer:

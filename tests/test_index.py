@@ -6,8 +6,11 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.corpus import generator
 from repro.corpus.documents import Corpus
+from repro.corpus.generator import CorpusConfig, generate_corpus
 from repro.errors import IndexError_
+from repro.index import builder
 from repro.index.builder import IndexConfig, build_index
 from repro.index.chunks import ChunkMap
 from repro.index.io import ARRAY_NAMES, load_index, save_index
@@ -254,3 +257,103 @@ class TestOneLexicon:
         for name in ARRAY_NAMES:
             digest.update((path / f"{name}.npy").read_bytes())
         assert digest.hexdigest() == self.TINY_SHARD_SHA256
+
+
+def _lexsort_invert(corpus):
+    """The inversion as one ``lexsort`` over (term, doc) plus
+    ``np.unique`` for the term starts, as it was before the packed key:
+    the oracle."""
+    doc_ids_flat = np.repeat(
+        np.arange(corpus.n_docs, dtype=np.int64), np.diff(corpus.offsets)
+    )
+    order = np.lexsort((doc_ids_flat, corpus.terms))
+    term_ids, term_starts = np.unique(corpus.terms[order], return_index=True)
+    term_offsets = np.append(term_starts, order.shape[0])
+    return term_ids, term_offsets, doc_ids_flat[order], corpus.freqs[order]
+
+
+def _corpus(per_doc, vocab_size):
+    """A corpus from ``[[(term, freq), ...] per doc]``, terms ascending."""
+    n_docs = len(per_doc)
+    pairs = [pair for doc in per_doc for pair in doc]
+    return Corpus(
+        doc_lengths=np.asarray([sum(f for _, f in doc) for doc in per_doc], dtype=np.int64),
+        static_ranks=np.linspace(1.0, 0.5, n_docs),
+        offsets=np.cumsum([0] + [len(doc) for doc in per_doc]).astype(np.int64),
+        terms=np.asarray([t for t, _ in pairs], dtype=np.int64),
+        freqs=np.asarray([f for _, f in pairs], dtype=np.int64),
+        vocab_size=vocab_size,
+    )
+
+
+def _many_batches_corpus():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "BATCH_DOCS", 7)
+        return generate_corpus(CorpusConfig(n_docs=100, vocab_size=300, seed=9))
+
+
+class TestOneIntegerSort:
+    """The inverter sorts one packed int64 key and builds exactly the
+    columns the ``lexsort`` + ``np.unique`` inversion built."""
+
+    #: sha256 over the small workbench's five corpus arrays and five
+    #: lexicon columns (name, dtype, shape and bytes of each), computed
+    #: with the two-``lexsort`` generator and inverter (commit 766f892).
+    SMALL_WORKBENCH_SHA256 = (
+        "90eace69b565f744bf461d5b611eb4cfa32709b96603323b12010472ba91c582"
+    )
+
+    CORPORA = {
+        "tiny_corpus": lambda: generate_corpus(
+            CorpusConfig(n_docs=800, vocab_size=1_500, mean_doc_length=120, seed=11)
+        ),
+        "many_batches": _many_batches_corpus,
+        "vocab_size_1": lambda: generate_corpus(
+            CorpusConfig(n_docs=50, vocab_size=1, seed=4)
+        ),
+        "one_term_doc": lambda: _corpus(
+            [[(0, 2), (3, 1)], [(2, 9)], [(0, 1), (2, 4), (3, 3)], [(3, 8)]], 4
+        ),
+        "empty": lambda: _corpus([[], [], []], 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_equals_lexsort(self, monkeypatch, name):
+        corpus = self.CORPORA[name]()
+        packed = build_index(corpus).lexicon.columns()
+        monkeypatch.setattr(builder, "_invert", _lexsort_invert)
+        oracle = build_index(corpus).lexicon.columns()
+        assert list(packed) == list(oracle)
+        for column in packed:
+            assert packed[column].dtype == oracle[column].dtype, column
+            assert np.array_equal(packed[column], oracle[column]), column
+
+    def test_small_workbench_pinned(self, small_workbench):
+        corpus = small_workbench.corpus
+        columns = {
+            "doc_lengths": corpus.doc_lengths,
+            "static_ranks": corpus.static_ranks,
+            "offsets": corpus.offsets,
+            "terms": corpus.terms,
+            "freqs": corpus.freqs,
+        }
+        digest = hashlib.sha256()
+        for name, array in columns.items():
+            digest.update(f"corpus.{name}:{array.dtype.str}:{array.shape}".encode())
+            digest.update(array.tobytes())
+        for name, array in sorted(small_workbench.index.lexicon.columns().items()):
+            digest.update(f"lexicon.{name}:{array.dtype.str}:{array.shape}".encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == self.SMALL_WORKBENCH_SHA256
+
+    def test_key_must_fit_int64(self):
+        # 2**40 terms x 3 docs needs 42 bits; a frequency of 2**30 adds 31.
+        assert build_index(_corpus([[(0, 1)], [], []], 2**40)).n_postings == 1
+        with pytest.raises(IndexError_, match=r"vocab_size 1099511627776 x n_docs 3 << 31"):
+            build_index(_corpus([[(0, 2**30)], [], []], 2**40))
+        with pytest.raises(IndexError_, match=r"vocab_size 4611686018427387904 x n_docs 3 << 0"):
+            build_index(_corpus([[], [], []], 2**62))
+
+    def test_negative_frequency_rejected(self):
+        with pytest.raises(IndexError_, match="non-negative"):
+            build_index(_corpus([[(0, 1), (1, -1)]], 2))

@@ -28,6 +28,21 @@ class TestBM25:
         assert np.all(np.diff(tf) > 0)  # increasing...
         assert tf[-1] < params.k1 + 1.0  # ...but bounded by k1+1
 
+    def test_tf_component_is_the_formula_bit_for_bit(self):
+        params = BM25Params(k1=1.3, b=0.7)
+        tf = np.arange(1, 4_001, dtype=np.int64) % 97 + 1
+        dl = np.arange(4_000, dtype=np.int64) * 37 % 3_992 + 8
+        avgdl = float(dl.mean())
+        tf_f, dl_f = tf.astype(np.float64), dl.astype(np.float64)
+        expected = tf_f * (params.k1 + 1.0) / (
+            tf_f + params.k1 * (1.0 - params.b + params.b * dl_f / avgdl)
+        )
+        got = bm25_tf_component(tf, dl, avgdl, params)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)
+        assert np.array_equal(bm25_tf_component(tf_f, dl_f, avgdl, params), expected)
+        assert np.array_equal(tf_f, tf) and np.array_equal(dl_f, dl)  # inputs unwritten
+
     def test_length_normalization(self):
         params = BM25Params()
         short_doc = bm25_tf_component(

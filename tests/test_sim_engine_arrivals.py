@@ -118,14 +118,29 @@ class TestOneHeapOneDrain:
                     sites.setdefault(key, []).append(owner.get(id(node), "<module>"))
         return sites
 
-    def test_only_the_simulator_owns_a_heap(self):
-        def imports_heapq(node):
-            names = [alias.name for alias in getattr(node, "names", [])]
-            return (isinstance(node, ast.Import) and "heapq" in names) or (
-                isinstance(node, ast.ImportFrom) and node.module == "heapq"
-            )
+    @staticmethod
+    def imports_heapq(node):
+        # ``ast.Global`` and ``ast.Nonlocal`` have ``names`` too, as strings.
+        return (
+            isinstance(node, ast.Import)
+            and any(alias.name == "heapq" for alias in node.names)
+        ) or (isinstance(node, ast.ImportFrom) and node.module == "heapq")
 
-        assert self._sites(imports_heapq) == {"sim/engine.py": ["<module>"]}
+    def test_only_the_simulator_owns_a_heap(self):
+        assert self._sites(self.imports_heapq) == {"sim/engine.py": ["<module>"]}
+
+    def test_heap_rule_reads_names_only_from_imports(self):
+        tree = ast.parse(
+            "import heapq\n"
+            "counter = 0\n"
+            "def outer():\n"
+            "    global counter\n"
+            "    total = 0\n"
+            "    def inner():\n"
+            "        nonlocal total\n"
+        )
+        found = [node for node in ast.walk(tree) if self.imports_heapq(node)]
+        assert [type(node) for node in found] == [ast.Import]
 
     def test_one_bounded_drain_loop(self):
         def steps(node):

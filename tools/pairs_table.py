@@ -10,8 +10,12 @@ the medians lie further apart than the reference side's interquartile
 range. A gain claim needs the change better in at least nine of ten
 pairs *and* that gap; then it says whether the digest lines were equal
 in every pair. A run that exited nonzero is saved as
-``<pair>-<side>.failed``: the last line lists the failed runs per side,
-and a pair with a failed run counts for neither side.
+``<pair>-<side>.failed``: the table ends with the failed runs per side
+and each one's last exception line, and a pair with a failed run counts
+for neither side. ``ValueError: no round survived`` is labelled as the
+stalled-host failure of the harness's ``reduce_rounds`` (every round's
+client send lag over its bound), which either side can hit; any other
+cause is a fault to look at.
 
     python3 tools/pairs_table.py DIR
 """
@@ -27,6 +31,9 @@ from typing import Dict, List, Tuple
 
 SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 RUN_NAME = re.compile(r"^(\d+)-(ref|change)\.(out|failed)$")
+#: The unindented last line of a traceback, e.g. ``ValueError: message``.
+EXCEPTION_LINE = re.compile(r"^[A-Za-z_][\w.]*(Error|Exception|Exit|Interrupt)\b(: .*)?$")
+STALLED_HOST = "ValueError: no round survived"
 
 
 def read_run(path: Path) -> Tuple[Dict[str, float], List[str]]:
@@ -38,6 +45,19 @@ def read_run(path: Path) -> Tuple[Dict[str, float], List[str]]:
     values["failed_share"] = last["failed"] / max(last["attempted"], 1)
     digests = [line.split(None, 1)[1] for line in lines if " digest " in line]
     return values, digests
+
+
+def failure_cause(path: Path) -> str:
+    """A failed run's last exception line, labelled when it is the
+    stalled-host failure."""
+    lines = path.read_text().splitlines()
+    raised = [line for line in lines if EXCEPTION_LINE.match(line)]
+    if not raised:
+        last = next((line for line in reversed(lines) if line.strip()), "")
+        return f"no exception line; last line: {last.strip() or '(empty output)'}"
+    if raised[-1] == STALLED_HOST:
+        return f"{STALLED_HOST} (stalled host: reduce_rounds kept no round)"
+    return raised[-1]
 
 
 def quartiles(values: List[float]) -> Tuple[float, float, float]:
@@ -53,18 +73,22 @@ def main(argv: List[str]) -> int:
         print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
         return 2
     runs: Dict[int, Dict[str, Tuple[Dict[str, float], List[str]]]] = {}
-    failed: Dict[str, List[int]] = {"ref": [], "change": []}
+    failed: Dict[str, Dict[int, str]] = {"ref": {}, "change": {}}
     for path in sorted(Path(argv[1]).iterdir()):
         match = RUN_NAME.match(path.name)
         if match and match[3] == "failed":
-            failed[match[2]].append(int(match[1]))
+            failed[match[2]][int(match[1])] = failure_cause(path)
         elif match:
             runs.setdefault(int(match[1]), {})[match[2]] = read_run(path)
     pairs = [sides for _, sides in sorted(runs.items()) if len(sides) == 2]
-    failures = "failed runs: " + "; ".join(
-        f"{side} {', '.join(f'pair {n}' for n in sorted(numbers)) or 'none'}"
-        for side, numbers in failed.items()
-    )
+    failures = "\n".join(["failed runs: " + "; ".join(
+        f"{side} {', '.join(f'pair {n}' for n in sorted(causes)) or 'none'}"
+        for side, causes in failed.items()
+    )] + [
+        f"  {side} pair {n}: {cause}"
+        for side, causes in failed.items()
+        for n, cause in sorted(causes.items())
+    ])
     if not pairs:
         print("no complete pair", file=sys.stderr)
         print(failures, file=sys.stderr)
